@@ -278,32 +278,26 @@ func BenchmarkSVDTruncated(b *testing.B) {
 	}
 }
 
-// BenchmarkKMeans measures the clustering cost at the paper's k=200
-// operating point across worker counts: the Lloyd assignment step fans
-// out across the pool while seeding and centroid updates stay sequential,
-// so every worker count computes identical clusters.
+// BenchmarkKMeans measures the allocation-free clustering kernel at the
+// paper's k=200 operating point: caller-held outputs plus a reused
+// Scratch, so steady-state allocs/op is the rand.Rand alone.
 func BenchmarkKMeans(b *testing.B) {
 	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(5))
 	x := summary.BuildMatrix(bg.Batch(1000))
 	const k = 200
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			out := linalg.NewMatrix(k, x.Cols())
-			assign := make([]int, x.Rows())
-			counts := make([]int, k)
-			sc := linalg.GetScratch()
-			defer linalg.PutScratch(sc)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sc.Reset()
-				rng := rand.New(rand.NewSource(int64(i)))
-				cfg := linalg.KMeansConfig{Workers: w}
-				if _, _, err := linalg.KMeansInto(x, k, rng, cfg, sc, out, assign, counts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	out := linalg.NewMatrix(k, x.Cols())
+	assign := make([]int, x.Rows())
+	counts := make([]int, k)
+	sc := linalg.GetScratch()
+	defer linalg.PutScratch(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.Reset()
+		rng := rand.New(rand.NewSource(int64(i)))
+		if _, _, err := linalg.KMeansInto(x, k, rng, linalg.KMeansConfig{}, sc, out, assign, counts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

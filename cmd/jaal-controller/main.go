@@ -53,7 +53,6 @@ package main
 import (
 	"flag"
 	"log"
-	"math/rand"
 	"net"
 	"net/netip"
 	"os"
@@ -108,8 +107,8 @@ func main() {
 		BackoffBase: *backoff,
 		BackoffMax:  *backoffMax,
 		// A live deployment wants desynchronized retries, not
-		// reproducibility; chaos tests inject their own seeded source.
-		Jitter: rand.New(rand.NewSource(time.Now().UnixNano())),
+		// reproducibility; chaos tests pass a fixed seed.
+		JitterSeed: time.Now().UnixNano(),
 	}
 
 	if *traceOut != "" {

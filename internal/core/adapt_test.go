@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/adapt"
 	"repro/internal/inference"
 	"repro/internal/packet"
 	"repro/internal/rules"
+	"repro/internal/snort"
+	"repro/internal/summary"
 	"repro/internal/trafficgen"
 )
 
@@ -84,61 +88,171 @@ func TestFeedbackFetchSharedCentroidOnce(t *testing.T) {
 	}
 }
 
-// TestFetcherMemoHitReportsZeroTransfer pins the fetcher's contract
-// with inference.RunFeedback: the first pull of a ref transfers, a
-// repeat pull is served from the memo with transferred == 0, and the
-// deduplicated byte count moves only once.
-func TestFetcherMemoHitReportsZeroTransfer(t *testing.T) {
-	m, err := NewMonitor(3, smallSummaryConfig())
-	if err != nil {
-		t.Fatal(err)
+// memoFetcher is the textbook per-round fetcher: the first pull of a
+// centroid transfers, a repeat is served from the memo for nothing.
+type memoFetcher struct {
+	sources map[int]RawSource
+	memo    map[inference.CentroidRef][]packet.Header
+}
+
+func (f *memoFetcher) FetchRaw(ref inference.CentroidRef) ([]packet.Header, int, error) {
+	if hs, ok := f.memo[ref]; ok {
+		return hs, 0, nil
 	}
-	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(9))
-	if err := m.IngestBatch(bg.Batch(500)); err != nil {
-		t.Fatal(err)
+	hs := f.sources[ref.MonitorID].RawPackets(ref.Epoch, ref.Centroid)
+	f.memo[ref] = hs
+	return hs, len(hs), nil
+}
+
+// exclusiveSource fails the test when two pulls are in flight on it at
+// once: a monitor's connection carries one exchange at a time, and the
+// round is supposed to drive each with a single goroutine.
+type exclusiveSource struct {
+	t        *testing.T
+	inner    RawSource
+	inFlight atomic.Int32
+	calls    atomic.Int32
+}
+
+func (s *exclusiveSource) RawPackets(epoch uint64, centroid int) []packet.Header {
+	if s.inFlight.Add(1) != 1 {
+		s.t.Error("two raw pulls in flight on one monitor")
 	}
-	ss, _, err := m.CollectSummaries()
-	if err != nil || len(ss) != 1 {
-		t.Fatalf("summaries: %d, %v", len(ss), err)
+	defer s.inFlight.Add(-1)
+	s.calls.Add(1)
+	runtime.Gosched() // give a second puller the chance to show up
+	return s.inner.RawPackets(epoch, centroid)
+}
+
+// twoMonitorRound feeds attack-laden traffic to two monitors and returns
+// them with their summaries and questions whose uncertain bands overlap.
+func twoMonitorRound(t *testing.T) ([2]*Monitor, []*summary.Summary, map[rules.AttackID]*rules.Question, map[rules.AttackID]inference.FeedbackConfig) {
+	t.Helper()
+	var ms [2]*Monitor
+	for i := range ms {
+		m, err := NewMonitor(i+1, smallSummaryConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = m
 	}
-	centroid := -1
-	for c, n := range ss[0].Counts {
-		if n > 0 {
-			centroid = c
-			break
+	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(7))
+	atk, _ := trafficgen.NewAttack(rules.AttackDistributedSYNFlood,
+		trafficgen.AttackConfig{Seed: 7, Victim: 0x0A000001})
+	mix := trafficgen.NewMixer(bg, atk, trafficgen.MixConfig{Seed: 7})
+	for i, lp := range mix.Batch(8000) {
+		if err := ms[i%2].Ingest(lp.Header); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if centroid < 0 {
-		t.Fatal("no populated centroid")
+	var ss []*summary.Summary
+	for _, m := range ms {
+		got, _, err := m.CollectSummaries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss = append(ss, got...)
+	}
+	qs := testQuestions(t, 8000)
+	fb := make(map[rules.AttackID]inference.FeedbackConfig)
+	for id := range qs {
+		// τ_d1 = 0 forces every τ_d2 match into the uncertain band, so
+		// all questions fetch and their fetch sets overlap heavily.
+		fb[id] = inference.FeedbackConfig{TauD1: 0, TauD2: 0.2}
+	}
+	return ms, ss, qs, fb
+}
+
+// TestSettleUncertainMatchesPerQuestionFeedback pins the round-level raw
+// re-analysis against the per-question loop it replaced: staging every
+// question and settling the round gives each question exactly the result
+// inference.RunFeedbackIndexed gives it when the questions run one after
+// another, in evaluation order, over a memoizing fetcher — verdict,
+// decision, fetch count, and the transfer charged to the first question
+// that wants a shared centroid.
+func TestSettleUncertainMatchesPerQuestionFeedback(t *testing.T) {
+	ms, ss, qs, fb := twoMonitorRound(t)
+	ctrl, err := NewController(ControllerConfig{
+		Env: testEnv(), Questions: qs, Feedback: fb, UseFeedback: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.RegisterSource(1, ms[0])
+	ctrl.RegisterSource(2, ms[1])
+	agg, err := inference.AggregateSummaries(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var matcher inference.RawMatcher = snort.RawMatcher{Env: testEnv()}
+
+	fet := &memoFetcher{sources: map[int]RawSource{1: ms[0], 2: ms[1]}, memo: make(map[inference.CentroidRef][]packet.Header)}
+	want := make([]*inference.FeedbackResult, len(ctrl.ids))
+	results := make([]qresult, len(ctrl.ids))
+	uncertain, wantTransferred := 0, 0
+	for i, id := range ctrl.ids {
+		want[i], err = inference.RunFeedbackIndexed(agg, ctrl.qs[i], fb[id], fet, matcher, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTransferred += want[i].RawPackets
+		if want[i].Verdict == inference.VerdictUncertain {
+			uncertain++
+		}
+		results[i].fb, results[i].err = inference.StageFeedbackIndexed(agg, ctrl.qs[i], fb[id], true)
+	}
+	if uncertain < 2 || wantTransferred == 0 {
+		t.Fatalf("round has %d uncertain questions and %d raw headers; the test exercises nothing", uncertain, wantTransferred)
 	}
 
-	ctrl, err := NewController(ControllerConfig{Env: testEnv(), Questions: testQuestions(t, 500)})
-	if err != nil {
-		t.Fatal(err)
+	got := ctrl.settleUncertain(agg, 0, results, matcher)
+	if got != wantTransferred {
+		t.Errorf("round transferred %d raw headers, per-question loop %d", got, wantTransferred)
 	}
-	ctrl.RegisterSource(3, m)
-	fet := newFetcher(ctrl, 0)
-	ref := inference.CentroidRef{MonitorID: 3, Epoch: ss[0].Epoch, Centroid: centroid}
+	for i, id := range ctrl.ids {
+		if results[i].err != nil {
+			t.Fatalf("%s: %v", id, results[i].err)
+		}
+		if !reflect.DeepEqual(results[i].fb, want[i]) {
+			t.Errorf("%s: settled round gives %+v, per-question loop %+v", id, results[i].fb, want[i])
+		}
+	}
+}
 
-	hs1, transferred1, err := fet.FetchRaw(ref)
-	if err != nil {
+// TestSettleUncertainOneGoroutinePerMonitor pins how the round reaches
+// its monitors: never two pulls at once on one of them, every wanted
+// centroid pulled, and a monitor without a registered source fails the
+// questions that wanted it by name instead of being skipped.
+func TestSettleUncertainOneGoroutinePerMonitor(t *testing.T) {
+	ms, ss, qs, fb := twoMonitorRound(t)
+	newCtrl := func() *Controller {
+		ctrl, err := NewController(ControllerConfig{
+			Env: testEnv(), Questions: qs, Feedback: fb, UseFeedback: true, Workers: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctrl
+	}
+
+	ctrl := newCtrl()
+	srcs := [2]*exclusiveSource{{t: t, inner: ms[0]}, {t: t, inner: ms[1]}}
+	ctrl.RegisterSource(1, srcs[0])
+	ctrl.RegisterSource(2, srcs[1])
+	if _, err := ctrl.ProcessEpoch(ss); err != nil {
 		t.Fatal(err)
 	}
-	if transferred1 != len(hs1) || transferred1 == 0 {
-		t.Fatalf("cold fetch transferred %d of %d headers", transferred1, len(hs1))
+	for i, s := range srcs {
+		if s.calls.Load() == 0 {
+			t.Errorf("monitor %d was never pulled from; the test exercises nothing", i+1)
+		}
 	}
-	hs2, transferred2, err := fet.FetchRaw(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if transferred2 != 0 {
-		t.Fatalf("memo hit transferred %d, want 0", transferred2)
-	}
-	if len(hs2) != len(hs1) {
-		t.Fatalf("memo hit returned %d headers, cold fetch %d", len(hs2), len(hs1))
-	}
-	if fet.bytes != transferred1 {
-		t.Fatalf("deduplicated byte count %d, want %d", fet.bytes, transferred1)
+
+	ctrl = newCtrl()
+	ctrl.RegisterSource(1, ms[0])
+	_, err := ctrl.ProcessEpoch(ss)
+	if err == nil || !strings.Contains(err.Error(), "no raw source for monitor 2") {
+		t.Fatalf("round with an unregistered monitor returned %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -71,12 +72,15 @@ type AlertWriter struct {
 
 	mu   sync.Mutex
 	conn net.Conn
+	// jitter is the writer's own backoff-jitter source (nil when jitter
+	// is off), drawn from only under mu.
+	jitter *rand.Rand
 }
 
 // NewAlertWriter builds a writer over dial; the connection is
 // established lazily on the first Send.
 func NewAlertWriter(dial DialFunc, rc RetryConfig) *AlertWriter {
-	return &AlertWriter{dial: dial, retry: rc}
+	return &AlertWriter{dial: dial, retry: rc, jitter: rc.jitterSource(jitterSaltAlert)}
 }
 
 // Send ships one alert as a MsgAlert frame carrying its log line.
@@ -88,7 +92,7 @@ func (w *AlertWriter) Send(a *inference.Alert) error {
 	for attempt := 0; attempt < w.retry.attempts(); attempt++ {
 		if attempt > 0 {
 			//jaalvet:ignore lockheld — w.mu serializes alert sends by design: one frame at a time per sink connection, and alerts are rare
-			w.retry.sleep(w.retry.backoff(attempt - 1))
+			w.retry.sleep(w.retry.backoff(attempt-1, w.jitter))
 		}
 		if w.conn == nil {
 			conn, err := w.dial()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -112,7 +111,7 @@ func chaosRetryConfig() RetryConfig {
 		Attempts:    5,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  8 * time.Millisecond,
-		Jitter:      rand.New(rand.NewSource(99)),
+		JitterSeed:  99,
 		Sleep:       func(time.Duration) {}, // schedule pinned by TestRetryBackoffSchedule; don't pay it
 	}
 }
@@ -338,25 +337,34 @@ func TestRetryBackoffSchedule(t *testing.T) {
 		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
 		80 * time.Millisecond, 80 * time.Millisecond, 80 * time.Millisecond,
 	} {
-		if got := base.backoff(n); got != want {
+		if got := base.backoff(n, base.jitterSource(0)); got != want {
 			t.Fatalf("backoff(%d) = %v, want %v", n, got, want)
 		}
 	}
 
 	jittered := base
-	jittered.Jitter = rand.New(rand.NewSource(3))
+	jittered.JitterSeed = 3
+	src := jittered.jitterSource(0)
 	for n := 0; n < 6; n++ {
-		plain := base.backoff(n)
-		got := jittered.backoff(n)
+		plain := base.backoff(n, nil)
+		got := jittered.backoff(n, src)
 		if got < plain || got > plain+plain/2 {
 			t.Fatalf("jittered backoff(%d) = %v outside [%v, %v]", n, got, plain, plain+plain/2)
 		}
 	}
-	a := RetryConfig{BackoffBase: time.Millisecond, Jitter: rand.New(rand.NewSource(7))}
-	b := RetryConfig{BackoffBase: time.Millisecond, Jitter: rand.New(rand.NewSource(7))}
+	// Same seed, same client: same schedule. Same seed, another client:
+	// a source of its own, so a different one.
+	rc := RetryConfig{BackoffBase: time.Millisecond, JitterSeed: 7}
+	a, b, other := rc.jitterSource(1), rc.jitterSource(1), rc.jitterSource(2)
+	differs := false
 	for n := 0; n < 8; n++ {
-		if a.backoff(n) != b.backoff(n) {
+		wa := rc.backoff(n, a)
+		if wa != rc.backoff(n, b) {
 			t.Fatalf("same-seed jitter diverged at retry %d", n)
 		}
+		differs = differs || wa != rc.backoff(n, other)
+	}
+	if !differs {
+		t.Fatal("two monitors drew the same jitter schedule from one seed")
 	}
 }

@@ -239,76 +239,134 @@ func (c *Controller) RegisterSource(monitorID int, src RawSource) {
 	c.sources[monitorID] = src
 }
 
-// fetcher adapts the controller's source registry to
-// inference.RawPacketFetcher, memoizing within one inference round so
-// several questions pulling the same uncertain centroid cost one
-// transfer (and are accounted once). It is shared by the concurrently
-// evaluated questions of one round: the mutex covers only the memo map,
-// and a per-centroid done channel latches the in-flight fetch, so a
-// centroid's raw packets are pulled exactly once no matter which
-// questions race for them — without stalling unrelated centroids behind
-// one monitor's wire round trip.
-type fetcher struct {
-	c *Controller
-	// epoch is the controller epoch the round runs under; raw-fetch
-	// trace spans join this epoch's timeline.
-	epoch uint64
-
-	mu    sync.Mutex
-	memo  map[inference.CentroidRef]*fetchEntry
-	bytes int // deduplicated raw-header count for stats
+// qresult is one question's outcome in an inference round: match for a
+// single-threshold question, fb for a two-stage one.
+type qresult struct {
+	match *inference.MatchResult
+	fb    *inference.FeedbackResult
+	err   error
 }
 
-// fetchEntry is the per-centroid memo slot. The first question to ask
-// for a centroid inserts the entry and fetches with f.mu released;
-// racers find the entry and wait on done. Holding f.mu across the
-// fetch instead would serialize every question of the round behind one
-// wire round trip (lockheld flags exactly that shape).
-type fetchEntry struct {
-	done chan struct{}
-	hs   []packet.Header
-	err  error
+// uncertain reports whether the question is waiting for raw packets.
+func (r *qresult) uncertain() bool {
+	return r.err == nil && r.fb != nil && r.fb.Verdict == inference.VerdictUncertain
 }
 
-func newFetcher(c *Controller, epoch uint64) *fetcher {
-	return &fetcher{c: c, epoch: epoch, memo: make(map[inference.CentroidRef]*fetchEntry)}
+// rawFetch is one centroid's raw packets in a round's raw re-analysis.
+type rawFetch struct {
+	ref inference.CentroidRef
+	hs  []packet.Header
+	err error
+	// paid is set once a question has been charged for the transfer.
+	paid bool
 }
 
-// FetchRaw implements inference.RawPacketFetcher. A memo hit reports
-// transferred == 0: the headers crossed the wire once, on the miss that
-// populated the memo, so summing FeedbackResult.RawPackets over an
-// epoch's questions equals f.bytes, the deduplicated transfer. (Which
-// question pays for a shared centroid depends on goroutine scheduling;
-// only the epoch sum is deterministic, and that is all the accounting
-// and the adaptive controller consume.)
-func (f *fetcher) FetchRaw(ref inference.CentroidRef) ([]packet.Header, int, error) {
-	f.mu.Lock()
-	if e, ok := f.memo[ref]; ok {
-		f.mu.Unlock()
-		<-e.done
-		return e.hs, 0, e.err
+// monitorPulls is what one round wants from one monitor.
+type monitorPulls struct {
+	id int
+	// src is nil when no source is registered for the monitor.
+	src RawSource
+	// want indexes the round's fetches, in order of first use.
+	want []int
+}
+
+// settleUncertain is the raw re-analysis of one inference round (§5.3
+// case 3). It pulls the raw packets behind every centroid the round's
+// uncertain questions asked for — once each, however many questions
+// share it — and settles those questions against them. The pulls from
+// one monitor go back to back over its connection, which carries one
+// exchange at a time, while the monitors are pulled from side by side.
+// No two goroutines ever want the same connection, so the time a round
+// spends here is its slowest monitor's round trips, with no share that
+// depends on which question got to which connection first (questions
+// fetching for themselves from inside the question fan-out queue on the
+// connections' mutexes and on each other's in-flight pulls). A shared
+// centroid's transfer is charged to the first question that wants it,
+// in evaluation order. It returns the number of headers transferred.
+func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, results []qresult, matcher inference.RawMatcher) int {
+	var (
+		fetches []rawFetch
+		index   map[inference.CentroidRef]int // ref → position in fetches
+		pulls   []monitorPulls
+		slot    map[int]int // monitor ID → position in pulls
+	)
+	for i := range results {
+		if !results[i].uncertain() {
+			continue
+		}
+		if index == nil {
+			index = make(map[inference.CentroidRef]int)
+			slot = make(map[int]int)
+		}
+		for _, row := range results[i].fb.Stage2.FetchRows {
+			ref := agg.Refs[row]
+			if _, ok := index[ref]; ok {
+				continue
+			}
+			m, ok := slot[ref.MonitorID]
+			if !ok {
+				m = len(pulls)
+				slot[ref.MonitorID] = m
+				pulls = append(pulls, monitorPulls{id: ref.MonitorID}) //jaal:alloc-ok one entry per monitor holding an uncertain centroid
+			}
+			index[ref] = len(fetches)
+			pulls[m].want = append(pulls[m].want, len(fetches)) //jaal:alloc-ok uncertain-verdict path only; the centroid count is data-dependent
+			fetches = append(fetches, rawFetch{ref: ref})       //jaal:alloc-ok uncertain-verdict path only; the centroid count is data-dependent
+		}
 	}
-	e := &fetchEntry{done: make(chan struct{})}
-	f.memo[ref] = e
-	f.mu.Unlock()
-	defer close(e.done)
-
-	f.c.mu.Lock()
-	src, ok := f.c.sources[ref.MonitorID]
-	f.c.mu.Unlock()
-	if !ok {
-		e.err = fmt.Errorf("core: no raw source for monitor %d", ref.MonitorID)
-		return nil, 0, e.err
+	if len(fetches) == 0 {
+		return 0
 	}
-	// Each memoized miss is one feedback round trip: a span per fetch
-	// shows exactly which centroid pulls stretched the epoch.
-	sp := trace.StartSpan(hRawFetchSeconds, trace.StageRawFetch, ref.MonitorID, f.epoch)
-	e.hs = src.RawPackets(ref.Epoch, ref.Centroid)
-	sp.End()
-	f.mu.Lock()
-	f.bytes += len(e.hs)
-	f.mu.Unlock()
-	return e.hs, len(e.hs), nil
+
+	c.mu.Lock()
+	for m := range pulls {
+		pulls[m].src = c.sources[pulls[m].id]
+	}
+	c.mu.Unlock()
+	par.For(len(pulls), c.workers, func(m int) {
+		p := &pulls[m]
+		for _, j := range p.want {
+			f := &fetches[j]
+			if p.src == nil {
+				f.err = fmt.Errorf("core: no raw source for monitor %d", f.ref.MonitorID)
+				continue
+			}
+			// Each pull is one feedback round trip: a span per fetch
+			// shows exactly which centroid pulls stretched the epoch.
+			sp := trace.StartSpan(hRawFetchSeconds, trace.StageRawFetch, f.ref.MonitorID, epoch)
+			f.hs = p.src.RawPackets(f.ref.Epoch, f.ref.Centroid)
+			sp.End()
+		}
+	})
+
+	transferred := 0
+	for i := range results {
+		r := &results[i]
+		if !r.uncertain() {
+			continue
+		}
+		rows := r.fb.Stage2.FetchRows
+		var raw []packet.Header
+		charged := 0
+		for _, row := range rows {
+			f := &fetches[index[agg.Refs[row]]]
+			if f.err != nil {
+				r.err = fmt.Errorf("core: feedback fetch: %w", f.err)
+				break
+			}
+			if !f.paid {
+				f.paid = true
+				charged += len(f.hs)
+			}
+			raw = append(raw, f.hs...) //jaal:alloc-ok uncertain-verdict path only, a handful of questions per epoch; row count is data-dependent
+		}
+		if r.err != nil {
+			continue
+		}
+		r.fb.Settle(matcher, raw, len(rows), charged)
+		transferred += charged
+	}
+	return transferred
 }
 
 // ProcessEpoch runs one inference round over the summaries collected
@@ -341,7 +399,6 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	// Convert to the interface once: passing the concrete struct below
 	// would box it again for every question of the round.
 	var matcher inference.RawMatcher = snort.RawMatcher{Env: c.env}
-	fet := newFetcher(c, epoch)
 
 	// One candidate-set computation covers every question this epoch; a
 	// nil index (DisableIndex) yields a nil set whose Contains is
@@ -359,11 +416,6 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	// the output is identical for every worker count.
 	ids := c.ids
 
-	type qresult struct {
-		match *inference.MatchResult
-		fb    *inference.FeedbackResult
-		err   error
-	}
 	results := make([]qresult, len(ids))
 	par.For(len(ids), c.workers, func(i int) {
 		id := ids[i]
@@ -375,12 +427,17 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 			// The rebuild-on-swap policy maintains that invariant; if it
 			// is ever violated the question just runs unpruned.
 			candidate := cs.Contains(i) || (index != nil && !index.Covers(i, fb.TauD2))
-			res, err := inference.RunFeedbackIndexed(agg, q, fb, fet, matcher, candidate)
+			res, err := inference.StageFeedbackIndexed(agg, q, fb, candidate)
 			results[i] = qresult{fb: res, err: err}
 			return
 		}
 		results[i] = qresult{match: inference.EstimateSimilarityIndexed(agg, q, cs.Contains(i))}
 	})
+
+	// The questions left uncertain are settled against raw packets once
+	// all of them are known, so that each centroid is pulled once and
+	// each monitor connection is driven by one goroutine.
+	rawFetched := c.settleUncertain(agg, epoch, results, matcher)
 
 	asp := trace.StartSpan(nil, trace.StageAlertEmit, trace.ControllerProc, epoch)
 	var alerts []*inference.Alert
@@ -411,7 +468,7 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 		// verdicts and the deduplicated byte total.
 		sample := adapt.EpochSample{
 			Epoch:    epoch,
-			RawBytes: fet.bytes * wireSizeBytes,
+			RawBytes: rawFetched * wireSizeBytes,
 			Attacks:  make(map[rules.AttackID]adapt.AttackSample, len(ids)),
 		}
 		for i, id := range ids {
@@ -447,12 +504,12 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	c.mu.Lock()
 	c.alerts = append(c.alerts, alerts...)
 	c.stats.AlertsRaised += len(alerts)
-	c.stats.RawPacketsFetched += fet.bytes
+	c.stats.RawPacketsFetched += rawFetched
 	stats := c.stats
 	c.mu.Unlock()
 	cQuestions.Add(int64(len(ids)))
 	cAlerts.Add(int64(len(alerts)))
-	cFeedbackPulls.Add(int64(fet.bytes))
+	cFeedbackPulls.Add(int64(rawFetched))
 	gCompression.Set(stats.OverheadFraction())
 	return alerts, nil
 }

@@ -224,6 +224,10 @@ func (m *Monitor) FinerSummary(epoch uint64, k int) (*summary.Summary, error) {
 func (m *Monitor) SketchDigest(epoch uint64) *sketch.Digest {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.sketchDigestLocked(epoch)
+}
+
+func (m *Monitor) sketchDigestLocked(epoch uint64) *sketch.Digest {
 	if m.ing == nil {
 		return nil
 	}
@@ -241,10 +245,27 @@ func (m *Monitor) SketchDigest(epoch uint64) *sketch.Digest {
 func (m *Monitor) AdvanceEpoch() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.advanceEpochLocked()
+}
+
+func (m *Monitor) advanceEpochLocked() uint64 {
 	if m.ing != nil {
 		m.ing.Reset()
 	}
 	return m.buf.AdvanceEpoch()
+}
+
+// CloseEpoch is SketchDigest followed by AdvanceEpoch under one hold of
+// mu: every packet is counted either in the returned digest or in the
+// next epoch's, whatever Ingest calls race with it. A poll served over
+// the wire ends the epoch this way before it answers, because its caller
+// may start the next epoch's traffic the moment the answer arrives.
+func (m *Monitor) CloseEpoch(epoch uint64) *sketch.Digest {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	d := m.sketchDigestLocked(epoch)
+	m.advanceEpochLocked()
+	return d
 }
 
 // LoadAndReset returns the packets ingested since the last call — the

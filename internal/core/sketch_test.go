@@ -4,6 +4,7 @@ import (
 	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/rules"
 	"repro/internal/sketch"
@@ -258,5 +259,71 @@ func TestMergeDigestsGatesAndOrders(t *testing.T) {
 	}
 	if rep.Verdicts[1].Addr != 5 || rep.Verdicts[1].Packets != 700 {
 		t.Fatalf("second verdict must be addr 5: %+v", rep.Verdicts)
+	}
+}
+
+// lingerConn holds every Write for a moment after the bytes are out: the
+// peer has the frame while the writer has not yet returned.
+type lingerConn struct {
+	net.Conn
+	linger time.Duration
+}
+
+func (c lingerConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	time.Sleep(c.linger)
+	return n, err
+}
+
+// TestPollThenImmediateIngestKeepsDigest: a caller that feeds the next
+// epoch the moment Poll returns must find every one of those packets in
+// the next digest. The server used to reset the sketch after writing the
+// poll's last frame, so the reset could land on top of them; lingerConn
+// holds the server in that write long enough for the feed to get in
+// first every time, which is what a loaded machine did one run in four.
+func TestPollThenImmediateIngestKeepsDigest(t *testing.T) {
+	cfg := smallSummaryConfig()
+	m, err := NewMonitorSketch(4, cfg, sketch.Config{Enabled: true, ShedWatermark: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- (&MonitorServer{Monitor: m}).Serve(lingerConn{Conn: server, linger: 200 * time.Microsecond})
+	}()
+	remote, err := DialMonitor(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(25))
+	const rounds = 200
+	fed := cfg.MinBatch + 10
+	if err := m.IngestBatch(bg.Batch(fed)); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < rounds; round++ {
+		_, _, dg, err := remote.Poll(uint64(round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Feed before looking at anything: this is the window the late
+		// reset used to fall into.
+		next := cfg.MinBatch + 1 + round%7
+		if err := m.IngestBatch(bg.Batch(next)); err != nil {
+			t.Fatal(err)
+		}
+		if dg == nil {
+			t.Fatalf("round %d: poll carried no digest", round)
+		}
+		if dg.Offered != uint64(fed) {
+			t.Fatalf("round %d: digest offered %d packets, %d were fed since the last poll", round, dg.Offered, fed)
+		}
+		fed = next
+	}
+	remote.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("server exited with %v", err)
 	}
 }

@@ -97,6 +97,10 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 				obs.KV{K: "collect_ms", V: collectDur})
 		}
 		if len(ss) == 0 {
+			// A poll that ships nothing does not end the monitor's epoch:
+			// a decline carries no digest, so the sketch keeps counting
+			// and retention keeps its clock until a poll has summaries to
+			// ship them with.
 			return wire.WriteFrame(conn, wire.MsgSummaryDecline,
 				wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending))
 		}
@@ -118,7 +122,13 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 		// skip it — then the trace context, which claims everything to the
 		// end of the payload. Both are absent when their feature is off,
 		// keeping the frame byte-identical to the plain wire format.
-		if d := s.Monitor.SketchDigest(epoch); d != nil {
+		//
+		// The digest is snapshotted and the epoch advanced in one step,
+		// before the first frame is written: the controller may feed the
+		// next epoch as soon as it has read the last frame, and a sketch
+		// reset after that point would wipe those packets from the next
+		// digest.
+		if d := s.Monitor.CloseEpoch(epoch); d != nil {
 			payloads[0] = d.AppendWire(payloads[0])
 		}
 		if ctx := trace.TakeContext(s.Monitor.ID()); ctx != nil {
@@ -131,12 +141,8 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 				return err
 			}
 		}
-		if err := wire.WriteFrame(conn, wire.MsgSummaryDecline,
-			wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending)); err != nil {
-			return err
-		}
-		s.Monitor.AdvanceEpoch()
-		return nil
+		return wire.WriteFrame(conn, wire.MsgSummaryDecline,
+			wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending))
 
 	case wire.MsgFinerRequest:
 		epoch, k, err := wire.DecodeFinerRequest(msg.Payload)
@@ -190,11 +196,14 @@ type RetryConfig struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential growth. Zero means no cap.
 	BackoffMax time.Duration
-	// Jitter, when non-nil, adds a uniformly drawn 0–50 % of each
-	// backoff. It must be a seeded private source so same-seed chaos
-	// runs replay the same schedule; the transport never touches the
-	// global RNG.
-	Jitter *rand.Rand
+	// JitterSeed, when non-zero, adds a uniformly drawn 0–50 % to each
+	// backoff. It is a seed, not a source, because clients retry in
+	// parallel (Poller.Poll, the feedback loop's raw fetches): each
+	// RemoteMonitor and AlertWriter seeds a source of its own from it and
+	// its identity at construction, so none is shared, and same-seed
+	// chaos runs replay the same schedule monitor by monitor. The
+	// transport never touches the global RNG.
+	JitterSeed int64
 	// Sleep implements the backoff wait; nil selects time.Sleep.
 	// Tests inject a recorder to assert the schedule without paying it.
 	Sleep func(time.Duration)
@@ -208,8 +217,25 @@ func (rc RetryConfig) attempts() int {
 	return rc.Attempts
 }
 
-// backoff returns the wait before retry n (0-based), jitter included.
-func (rc RetryConfig) backoff(n int) time.Duration {
+// Salts that keep the jitter sources of clients without a monitor id
+// apart from those of monitors, whose salt is their (non-negative) id.
+const (
+	jitterSaltDial  = -1 // DialMonitorRetry's connect loop, before the hello names the monitor
+	jitterSaltAlert = -2 // AlertWriter
+)
+
+// jitterSource returns a fresh source for one client, or nil when jitter
+// is off.
+func (rc RetryConfig) jitterSource(salt int64) *rand.Rand {
+	if rc.JitterSeed == 0 {
+		return nil
+	}
+	return rand.New(rand.NewSource(rc.JitterSeed + salt))
+}
+
+// backoff returns the wait before retry n (0-based), plus jitter drawn
+// from the calling client's own source when it has one.
+func (rc RetryConfig) backoff(n int, jitter *rand.Rand) time.Duration {
 	if rc.BackoffBase <= 0 {
 		return 0
 	}
@@ -220,8 +246,8 @@ func (rc RetryConfig) backoff(n int) time.Duration {
 	if rc.BackoffMax > 0 && d > rc.BackoffMax {
 		d = rc.BackoffMax
 	}
-	if rc.Jitter != nil && d > 0 {
-		d += time.Duration(rc.Jitter.Int63n(int64(d)/2 + 1))
+	if jitter != nil && d > 0 {
+		d += time.Duration(jitter.Int63n(int64(d)/2 + 1))
 	}
 	return d
 }
@@ -255,6 +281,9 @@ type RemoteMonitor struct {
 
 	mu   sync.Mutex
 	conn net.Conn
+	// jitter is this handle's own backoff-jitter source (nil when jitter
+	// is off), drawn from only under mu.
+	jitter *rand.Rand
 	// everConnected distinguishes a lazy handle's first connect from a
 	// true reconnect, so jaal_transport_reconnects_total counts only
 	// recoveries.
@@ -280,7 +309,7 @@ func DialMonitor(conn net.Conn) (*RemoteMonitor, error) {
 // against a monitor fleet where some members may be down — a dead
 // monitor costs declines, not startup.
 func NewRemoteMonitor(id int, dial DialFunc, rc RetryConfig) *RemoteMonitor {
-	return &RemoteMonitor{id: id, dial: dial, retry: rc}
+	return &RemoteMonitor{id: id, dial: dial, retry: rc, jitter: rc.jitterSource(int64(id))}
 }
 
 // DialMonitorRetry connects to a monitor through dial under the given
@@ -292,14 +321,17 @@ func DialMonitorRetry(dial DialFunc, rc RetryConfig) (*RemoteMonitor, error) {
 		id      int
 		lastErr error
 	)
+	jitter := rc.jitterSource(jitterSaltDial)
 	for attempt := 0; attempt < rc.attempts(); attempt++ {
 		if attempt > 0 {
-			rc.sleep(rc.backoff(attempt - 1))
+			rc.sleep(rc.backoff(attempt-1, jitter))
 		}
 		var err error
 		conn, id, err = dialHello(dial, rc.Timeout)
 		if err == nil {
-			return &RemoteMonitor{id: id, dial: dial, retry: rc, conn: conn, everConnected: true}, nil
+			r := NewRemoteMonitor(id, dial, rc)
+			r.conn, r.everConnected = conn, true
+			return r, nil
 		}
 		lastErr = err
 	}
@@ -357,7 +389,7 @@ func (r *RemoteMonitor) exchange(fn func(conn net.Conn) error) error {
 	for attempt := 0; attempt < r.retry.attempts(); attempt++ {
 		if attempt > 0 {
 			//jaalvet:ignore lockheld — r.mu serializes the whole exchange by design: the wire protocol is one request–response at a time per connection, and no other path needs r.mu between exchanges
-			r.retry.sleep(r.retry.backoff(attempt - 1))
+			r.retry.sleep(r.retry.backoff(attempt-1, r.jitter))
 		}
 		if r.conn == nil {
 			if r.dial == nil {

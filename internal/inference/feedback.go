@@ -59,8 +59,11 @@ func classifyVerdict(t1, t2 bool) Verdict {
 }
 
 // RawPacketFetcher retrieves the raw packet headers behind one centroid
-// of one monitor's summary. The controller implements it over the wire
-// protocol; tests implement it in memory.
+// of one monitor's summary for RunFeedback, which settles one question at
+// a time: the experiments and tests implement it in memory. (The
+// controller settles a whole round at once instead — StageFeedbackIndexed,
+// one pull per centroid, FeedbackResult.Settle — and reaches its monitors
+// through core.RawSource.)
 type RawPacketFetcher interface {
 	// FetchRaw returns the headers behind ref plus the number of
 	// headers actually transferred over the wire for this call.
@@ -162,6 +165,39 @@ func RunFeedback(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, fetcher 
 // over an empty matched set, keeping the result byte-identical to the
 // full scan's.
 func runFeedback(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, fetcher RawPacketFetcher, matcher RawMatcher, candidate bool) (*FeedbackResult, error) {
+	res, err := stageFeedback(agg, q, cfg, candidate)
+	if err != nil || res.Verdict != VerdictUncertain {
+		return res, err
+	}
+	if fetcher == nil || matcher == nil {
+		res.Alerted = true
+		return res, nil
+	}
+	var raw []packet.Header
+	fetches, transferred := 0, 0
+	for _, row := range res.Stage2.FetchRows {
+		hs, n, err := fetcher.FetchRaw(agg.Refs[row])
+		if err != nil {
+			return nil, fmt.Errorf("inference: feedback fetch: %w", err)
+		}
+		fetches++
+		transferred += n
+		raw = append(raw, hs...) //jaal:alloc-ok uncertain-verdict path only, a handful of questions per epoch; row count is data-dependent
+	}
+	res.Settle(matcher, raw, fetches, transferred)
+	return res, nil
+}
+
+// stageFeedback is the summary-side half of the two-stage inference:
+// both threshold stages and the verdict of Fig. 3. Every verdict but
+// VerdictUncertain is final. An uncertain result keeps Alerted false
+// until Settle has re-analyzed the raw packets behind Stage2.FetchRows
+// — the uncertain evidence of Fig. 3, localized around the winning
+// tracked value so the transfer stays proportional to the suspicion.
+// (The set includes centroids stage 1 already matched below its count
+// threshold: those packets are part of the same suspicion and the raw
+// re-analysis needs them.)
+func stageFeedback(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, candidate bool) (*FeedbackResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -185,31 +221,18 @@ func runFeedback(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, fetcher 
 	switch res.Verdict {
 	case VerdictAlert:
 		res.Alerted = true
-	case VerdictClear:
-	case VerdictUncertain:
-		if fetcher == nil || matcher == nil {
-			res.Alerted = true
-			break
-		}
-		// Fetch the raw packets behind the sensitive stage's fetch set
-		// — the uncertain evidence of Fig. 3, localized around the
-		// winning tracked value so the transfer stays proportional to
-		// the suspicion. (The set includes centroids stage 1 already
-		// matched below its count threshold: those packets are part of
-		// the same suspicion and the raw re-analysis needs them.)
-		var raw []packet.Header
-		for _, row := range s2.FetchRows {
-			hs, transferred, err := fetcher.FetchRaw(agg.Refs[row])
-			if err != nil {
-				return nil, fmt.Errorf("inference: feedback fetch: %w", err)
-			}
-			res.RawFetches++
-			res.RawPackets += transferred
-			raw = append(raw, hs...) //jaal:alloc-ok uncertain-verdict path only, a handful of questions per epoch; row count is data-dependent
-		}
-		res.Alerted = matcher.MatchRaw(q, raw)
-	default: // VerdictAnomalous
+	case VerdictAnomalous:
 		res.Alerted = t1
 	}
 	return res, nil
+}
+
+// Settle finishes an uncertain result: raw is the concatenation, in
+// Stage2.FetchRows order, of the headers behind those rows; the final
+// decision is matcher's verdict on them. fetches and transferred are
+// recorded as RawFetches and RawPackets.
+func (r *FeedbackResult) Settle(matcher RawMatcher, raw []packet.Header, fetches, transferred int) {
+	r.RawFetches = fetches
+	r.RawPackets = transferred
+	r.Alerted = matcher.MatchRaw(r.Question, raw)
 }

@@ -42,6 +42,16 @@ func RunFeedbackIndexed(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, f
 	return runFeedback(agg, q, cfg, fetcher, matcher, candidate)
 }
 
+// StageFeedbackIndexed is the summary-side half of RunFeedbackIndexed
+// for a caller that fetches raw packets itself — the controller, which
+// pulls one round's uncertain centroids from all monitors at once
+// instead of question by question. Unless the result's Verdict is
+// VerdictUncertain it equals RunFeedbackIndexed's; an uncertain one is
+// finished by FeedbackResult.Settle.
+func StageFeedbackIndexed(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, candidate bool) (*FeedbackResult, error) {
+	return stageFeedback(agg, q, cfg, candidate)
+}
+
 // EvaluateAllIndexed runs every question against the aggregate through
 // the index: one candidate-set computation, then the exact estimator
 // on candidates only. ix must have been built over qs in order (entry

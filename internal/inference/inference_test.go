@@ -3,6 +3,7 @@ package inference
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/linalg"
@@ -341,6 +342,69 @@ func TestFeedbackUncertainWithoutFetcherAlerts(t *testing.T) {
 	}
 	if res.Verdict != VerdictUncertain || !res.Alerted {
 		t.Fatalf("nil fetcher must fall back to alerting: %v/%v", res.Verdict, res.Alerted)
+	}
+}
+
+// TestStageThenSettleEqualsRunFeedback pins the split a round-level
+// caller uses: staging a question and, when it is left uncertain,
+// settling it against the headers behind its fetch rows gives the result
+// RunFeedbackIndexed gives; a settled verdict needs no Settle at all.
+func TestStageThenSettleEqualsRunFeedback(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	mixed := append(benignHeaders(rng, 900), synFloodHeaders(rng, 100, 0x0A000001)...)
+	buf := summary.NewBuffer(len(mixed))
+	var batch *summary.Batch
+	for _, h := range mixed {
+		batch, _ = buf.Add(h)
+	}
+	if batch == nil {
+		t.Fatal("batch not sealed")
+	}
+	sum := summarize(t, batch.Headers, 1, batch.Epoch)
+	buf.Retain(batch, sum)
+	agg, _ := AggregateSummaries([]*summary.Summary{sum})
+	fetcher := &memFetcher{buffers: map[int]*summary.Buffer{1: buf}}
+
+	verdicts := make(map[Verdict]bool)
+	for _, tc := range []struct {
+		count int
+		cfg   FeedbackConfig
+		match thresholdMatcher
+	}{
+		{60, FeedbackConfig{TauD1: 0, TauD2: 0.2}, thresholdMatcher{minSYN: 60}},      // uncertain, confirmed
+		{60, FeedbackConfig{TauD1: 0, TauD2: 0.2}, thresholdMatcher{minSYN: 1 << 20}}, // uncertain, refuted
+		{60, FeedbackConfig{TauD1: 0.2, TauD2: 0.3}, thresholdMatcher{minSYN: 60}},    // alert at stage 1
+		{1000000, FeedbackConfig{TauD1: 0, TauD2: 0.2}, thresholdMatcher{minSYN: 60}}, // clear
+	} {
+		q := synQuestion(t, tc.count)
+		want, err := RunFeedbackIndexed(agg, q, tc.cfg, fetcher, tc.match, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := StageFeedbackIndexed(agg, q, tc.cfg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts[got.Verdict] = true
+		if got.Verdict == VerdictUncertain {
+			if got.Alerted {
+				t.Fatal("an uncertain result must not alert before it is settled")
+			}
+			var raw []packet.Header
+			for _, row := range got.Stage2.FetchRows {
+				hs, _, _ := fetcher.FetchRaw(agg.Refs[row])
+				raw = append(raw, hs...)
+			}
+			got.Settle(tc.match, raw, len(got.Stage2.FetchRows), len(raw))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("count %d, %+v: staged and settled %+v, RunFeedbackIndexed %+v", tc.count, tc.cfg, got, want)
+		}
+	}
+	for _, v := range []Verdict{VerdictAlert, VerdictClear, VerdictUncertain} {
+		if !verdicts[v] {
+			t.Errorf("no case reached verdict %v; the test exercises less than it claims", v)
+		}
 	}
 }
 

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"repro/internal/par"
+	"sort"
 )
 
 // KMeansResult holds the output of a k-means clustering run.
@@ -35,11 +34,6 @@ type KMeansConfig struct {
 	// Tolerance stops iteration once the relative improvement of the
 	// objective drops below it. Zero or negative selects 1e-6.
 	Tolerance float64
-	// Workers bounds the parallelism of the Lloyd assignment step; zero
-	// or negative selects GOMAXPROCS. Rows are assigned independently
-	// and the objective is reduced in row order, so every worker count
-	// produces bit-identical results.
-	Workers int
 }
 
 func (c KMeansConfig) withDefaults() KMeansConfig {
@@ -89,19 +83,35 @@ func KMeans(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig) (*KMeansResult, 
 	return res, nil
 }
 
+// pruneSlack is the factor of the triangle-inequality test that lets a
+// row skip a centre without computing its distance. For a row x whose
+// reference centre c_a lies at squared distance d, any centre c with
+// ‖c_a − c‖² > 4d has ‖x − c‖ ≥ ‖c_a − c‖ − ‖x − c_a‖ > √d, so it is
+// strictly farther than c_a and can neither win nor tie. The extra
+// 1+1e-9 absorbs the rounding of the three computed squared distances
+// (each within ~p·2⁻⁵³ relative of its true value — five orders of
+// magnitude inside the margin), so the test never skips a centre an
+// exhaustive scan would have chosen: pruned and unpruned runs agree bit
+// for bit.
+const pruneSlack = 4 * (1 + 1e-9)
+
 // KMeansInto is the allocation-free core of KMeans: it clusters the rows
 // of x into k ≤ x.Rows() clusters, writing the centroids into out (k×p),
 // the per-row assignments into assign (length n) and the cluster sizes
-// into counts (length k). Every intermediate — the k-means++ distance
-// vector, the ping-pong centroid buffers and the per-row best distances
-// — comes from sc, which is carved (never Reset) so the caller may share
-// one Scratch across the whole summarization of a batch. It returns the
-// final objective value and the Lloyd iteration count.
+// into counts (length k). Every intermediate — the ping-pong centroid
+// buffers, the per-row best distances and a kmeansWork — comes from sc,
+// which is carved (never Reset) so the caller may share one Scratch
+// across the whole summarization of a batch. It returns the final
+// objective value and the Lloyd iteration count.
 //
-// The assignment step fans row chunks out over the shared worker pool
-// (cfg.Workers goroutines); counts and the objective are then reduced
-// sequentially in row order, so results are bit-identical for every
-// worker count. Seeding stays sequential on rng.
+// The result is, bit for bit, that of exhaustive k-means++ seeding
+// followed by exhaustive Lloyd scans (lowest centre index on ties; the
+// reference lives in kmeans_oracle_test.go) for finite inputs; the
+// kernel only avoids distance evaluations that cannot change it. Seeding
+// records each row's nearest seed as it maintains the D² vector, so the
+// first Lloyd assignment is that table, and both the seeding rounds and
+// the later assignment passes skip centres by the pruneSlack test. All
+// of it is sequential on rng and on the calling goroutine.
 func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch, out *Matrix, assign []int, counts []int) (inertia float64, iters int, err error) {
 	if x.Rows() == 0 || x.Cols() == 0 {
 		return 0, 0, ErrEmptyMatrix
@@ -133,15 +143,27 @@ func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch,
 	}
 
 	cur := sc.Matrix(k, p)
-	seedPlusPlus(x, cur, rng, sc)
 	next := sc.Matrix(k, p)
 	dist := sc.Floats(n)
+	w := kmeansWork{
+		between: sc.Floats(k),
+		tmp:     sc.Floats(n),
+		cand:    sc.Ints(n),
+		order:   sc.Ints(n),
+		starts:  sc.Ints(k + 1),
+	}
+
+	// Seeding leaves the first assignment step's answer in assign/dist.
+	seedPlusPlus(x, cur, rng, assign, dist, w)
 	prevObj := math.Inf(1)
 	var obj float64
 
 	for ; iters < cfg.MaxIterations; iters++ {
 		// Assignment step.
-		obj = assignRows(x, cur, assign, dist, counts, cfg.Workers)
+		if iters > 0 {
+			assignRows(x, cur, assign, dist, w)
+		}
+		obj = tally(assign, dist, counts)
 
 		// Update step.
 		for i := range next.data {
@@ -159,8 +181,7 @@ func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch,
 				// Re-seed an empty cluster with the point farthest from
 				// its centroid, a standard Lloyd repair step.
 				far, farD := 0, -1.0
-				for i := 0; i < n; i++ {
-					d := SquaredDistance(x.Row(i), cur.Row(assign[i]))
+				for i, d := range dist {
 					if d > farD {
 						far, farD = i, d
 					}
@@ -176,6 +197,12 @@ func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch,
 		}
 		cur, next = next, cur
 
+		// On the first pass prevObj is +Inf, so this reads Inf ≤ tol·Inf
+		// and always holds: at the default config Lloyd stops after one
+		// iteration (TestKMeansDefaultStopsAfterOneIteration). Every
+		// golden and detection threshold in the repo was tuned on that
+		// behaviour, so it is preserved here deliberately; letting Lloyd
+		// run to convergence is an accuracy change for its own PR.
 		if prevObj-obj <= cfg.Tolerance*math.Max(prevObj, 1) {
 			iters++
 			break
@@ -184,64 +211,184 @@ func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch,
 	}
 
 	// Final assignment against the last centroid update.
-	obj = assignRows(x, cur, assign, dist, counts, cfg.Workers)
+	assignRows(x, cur, assign, dist, w)
+	obj = tally(assign, dist, counts)
 	copy(out.data, cur.data)
 	return obj, iters, nil
 }
 
-// assignRows runs one Lloyd assignment step: each row of x gets its
-// nearest centroid. The per-row searches are independent and fan out
-// over the worker pool in fixed chunks; the reduction of counts and the
-// objective then runs sequentially in row order, so the returned
-// objective is bit-identical no matter how the chunks were scheduled.
-func assignRows(x, cents *Matrix, assign []int, dist []float64, counts []int, workers int) float64 {
-	n := x.Rows()
-	k := cents.Rows()
-	par.Rows(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := x.Row(i)
-			best, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				d := SquaredDistance(row, cents.Row(c))
-				if d < bestD {
-					best, bestD = c, d
-				}
-			}
-			assign[i] = best
-			dist[i] = bestD
-		}
-	})
+// kmeansWork is the scratch the pruned passes share, for n rows and k
+// centres.
+type kmeansWork struct {
+	// between (length k) holds the squared distances from one centre to
+	// the others: the only centre-to-centre distances the pruneSlack test
+	// needs at a time, so there is never a k×k table of them.
+	between []float64
+	// cand (length n) lists the rows (seeding) or centres (assignment)
+	// the test could not rule out; tmp (length n) receives their
+	// distances, and in seeding first holds the running sums of D².
+	cand []int
+	tmp  []float64
+	// order (length n) is the rows grouped by centre, starts (length
+	// k+1) the group boundaries in it.
+	order, starts []int
+}
+
+// tally reduces one assignment step: the cluster sizes and the objective,
+// summed in row order.
+func tally(assign []int, dist []float64, counts []int) float64 {
 	for c := range counts {
 		counts[c] = 0
 	}
 	var obj float64
-	for i := 0; i < n; i++ {
-		counts[assign[i]]++
+	for i, c := range assign {
+		counts[c]++
 		obj += dist[i]
 	}
 	return obj
 }
 
+// assignRows runs one Lloyd assignment step: assign[i] becomes the
+// centre of cents nearest to row i (lowest index on ties) and dist[i]
+// the squared distance to it. On entry assign holds each row's previous
+// centre. Rows are visited grouped by that centre (a counting sort into
+// w.order/w.starts), so the distances from it to every other centre are
+// one k-length row, w.between, recomputed per group.
+func assignRows(x, cents *Matrix, assign []int, dist []float64, w kmeansWork) {
+	k, p := cents.rows, cents.cols
+	between, cand, candD, order, starts := w.between, w.cand, w.tmp, w.order, w.starts
+	for c := range starts {
+		starts[c] = 0
+	}
+	for _, a := range assign {
+		starts[a+1]++
+	}
+	for c := 0; c < k; c++ {
+		starts[c+1] += starts[c]
+	}
+	for i, a := range assign {
+		order[starts[a]] = i
+		starts[a]++
+	}
+	// starts[a] now marks the end of group a; its start is the end of
+	// group a−1.
+	lo := 0
+	for a := 0; a < k; a++ {
+		group := order[lo:starts[a]]
+		lo = starts[a]
+		if len(group) == 0 {
+			continue
+		}
+		ca := cents.data[a*p : (a+1)*p]
+		distancesToRows(ca, cents.data, between)
+		for _, i := range group {
+			row := x.data[i*p : (i+1)*p]
+			skipBeyond := SquaredDistance(row, ca) * pruneSlack
+			// between[a] is 0, so a itself is always a candidate, and the
+			// candidates are in index order: the first minimum among them
+			// is the one a scan of every centre would have kept.
+			m := 0
+			for c, cc := range between {
+				cand[m] = c
+				if cc <= skipBeyond {
+					m++
+				}
+			}
+			distancesToSome(row, cents.data, cand[:m], candD)
+			best, bestD := 0, math.Inf(1)
+			for j, d := range candD[:m] {
+				if d < bestD {
+					best, bestD = cand[j], d
+				}
+			}
+			assign[i] = best
+			dist[i] = bestD
+		}
+	}
+}
+
+// A single squared distance is one chain of dependent additions, so it
+// costs the adder's latency per term. The helpers below measure four
+// vectors at a time against a common one, which keeps four such chains in
+// flight; each chain still adds its terms in SquaredDistance's order, so
+// every result is that function's value bit for bit.
+
+// distancesToRows sets out[c] to SquaredDistance(a, row c of rows), where
+// rows holds len(out) rows of len(a) values back to back.
+func distancesToRows(a, rows, out []float64) {
+	p := len(a)
+	c := 0
+	for ; c+4 <= len(out); c += 4 {
+		out[c], out[c+1], out[c+2], out[c+3] = squaredDistance4(a,
+			rows[c*p:(c+1)*p], rows[(c+1)*p:(c+2)*p], rows[(c+2)*p:(c+3)*p], rows[(c+3)*p:(c+4)*p])
+	}
+	for ; c < len(out); c++ {
+		out[c] = SquaredDistance(a, rows[c*p:(c+1)*p])
+	}
+}
+
+// distancesToSome sets out[j] to SquaredDistance(a, row idx[j] of rows).
+func distancesToSome(a, rows []float64, idx []int, out []float64) {
+	p := len(a)
+	j := 0
+	for ; j+4 <= len(idx); j += 4 {
+		i0, i1, i2, i3 := idx[j], idx[j+1], idx[j+2], idx[j+3]
+		out[j], out[j+1], out[j+2], out[j+3] = squaredDistance4(a,
+			rows[i0*p:(i0+1)*p], rows[i1*p:(i1+1)*p], rows[i2*p:(i2+1)*p], rows[i3*p:(i3+1)*p])
+	}
+	for ; j < len(idx); j++ {
+		i := idx[j]
+		out[j] = SquaredDistance(a, rows[i*p:(i+1)*p])
+	}
+}
+
+// squaredDistance4 returns SquaredDistance(a, b_j) for four vectors b_j
+// of a's length, interleaving the four sums term by term.
+func squaredDistance4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for i, av := range a {
+		d0, d1, d2, d3 := av-b0[i], av-b1[i], av-b2[i], av-b3[i]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return s0, s1, s2, s3
+}
+
 // seedPlusPlus picks k initial centroids with the k-means++ D² weighting:
 // the first uniformly at random, each subsequent one with probability
 // proportional to its squared distance to the nearest centroid so far.
-// The centroids are written into cur (k×p); d² scratch comes from sc.
-// Seeding is strictly sequential: every draw consumes rng in a fixed
-// order, which is what keeps same-seed runs reproducible (§4.3).
-func seedPlusPlus(x *Matrix, cur *Matrix, rng *rand.Rand, sc *Scratch) {
-	n := x.Rows()
-	k := cur.Rows()
+// The centroids are written into cur (k×p). d2 (length n) is the D²
+// vector and near (length n) records which seed each entry of d2 was
+// measured to — the lowest index on ties, because only a strictly
+// smaller distance replaces it — so on return near/d2 are exactly what
+// an exhaustive nearest-seed scan would produce.
+//
+// A round lists in w.cand the rows the pruneSlack test cannot rule the
+// new seed out for — w.between holds the new seed's distances to the
+// earlier ones — and measures only those. w.tmp first holds the running
+// sums of d2 in row order: the last is the round's D² total and the draw
+// is a search in them, which lands on the row a linear accumulation
+// would have stopped at because the sums never decrease. Seeding is
+// strictly sequential: every draw consumes rng in a fixed order, which
+// is what keeps same-seed runs reproducible (§4.3).
+func seedPlusPlus(x *Matrix, cur *Matrix, rng *rand.Rand, near []int, d2 []float64, w kmeansWork) {
+	n, p := x.rows, x.cols
+	k := cur.rows
+	between, cand, tmp := w.between, w.cand, w.tmp
 	first := rng.Intn(n)
-	copy(cur.Row(0), x.Row(first))
-
-	d2 := sc.Floats(n)
-	for i := 0; i < n; i++ {
-		d2[i] = SquaredDistance(x.Row(i), cur.Row(0))
+	seed := cur.data[:p]
+	copy(seed, x.data[first*p:(first+1)*p])
+	distancesToRows(seed, x.data, d2)
+	for i := range near {
+		near[i] = 0
 	}
 	for c := 1; c < k; c++ {
 		var total float64
-		for _, d := range d2 {
+		for i, d := range d2 {
 			total += d
+			tmp[i] = total
 		}
 		var pick int
 		if total <= 0 {
@@ -250,20 +397,26 @@ func seedPlusPlus(x *Matrix, cur *Matrix, rng *rand.Rand, sc *Scratch) {
 			pick = rng.Intn(n)
 		} else {
 			target := rng.Float64() * total
-			acc := 0.0
-			pick = n - 1
-			for i, d := range d2 {
-				acc += d
-				if acc >= target {
-					pick = i
-					break
-				}
+			// First row whose running sum reaches target; the last row
+			// when rounding leaves target above every sum.
+			pick = min(sort.SearchFloat64s(tmp, target), n-1)
+		}
+		seed = cur.data[c*p : (c+1)*p]
+		copy(seed, x.data[pick*p:(pick+1)*p])
+		distancesToRows(seed, cur.data, between[:c])
+
+		m := 0
+		for i, d := range d2 {
+			cand[m] = i
+			if between[near[i]] <= d*pruneSlack {
+				m++
 			}
 		}
-		copy(cur.Row(c), x.Row(pick))
-		for i := 0; i < n; i++ {
-			if d := SquaredDistance(x.Row(i), cur.Row(c)); d < d2[i] {
-				d2[i] = d
+		distancesToSome(seed, x.data, cand[:m], tmp)
+		for j, nd := range tmp[:m] {
+			if i := cand[j]; nd < d2[i] {
+				d2[i] = nd
+				near[i] = c
 			}
 		}
 	}

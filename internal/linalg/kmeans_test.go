@@ -211,3 +211,30 @@ func TestKMeansNearestAssignmentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Non-finite rows are outside the bit-for-bit contract (NaN compares
+// false with everything, so the pruned and exhaustive scans may part
+// ways), but they must still come back as a well-formed clustering.
+func TestKMeansNonFiniteInput(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x := randomMatrix(rand.New(rand.NewSource(8)), 120, 4)
+		x.Set(7, 2, bad)
+		x.Set(90, 0, bad)
+		res, err := KMeans(x, 10, rand.New(rand.NewSource(9)), KMeansConfig{MaxIterations: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, c := range res.Counts {
+			total += c
+		}
+		if total != 120 {
+			t.Fatalf("input with %v: counts sum to %d, want 120", bad, total)
+		}
+		for i, a := range res.Assignments {
+			if a < 0 || a >= 10 {
+				t.Fatalf("input with %v: assignment[%d] = %d out of range", bad, i, a)
+			}
+		}
+	}
+}

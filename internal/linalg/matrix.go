@@ -1,13 +1,18 @@
 // Package linalg provides the dense linear-algebra primitives Jaal's
 // summarization pipeline is built on: a row-major dense matrix, a
-// one-sided Jacobi singular value decomposition, truncated-SVD helpers,
-// and k-means++ clustering.
+// singular value decomposition with truncated-SVD helpers, and k-means++
+// clustering.
 //
-// The package is deliberately small and dependency-free. Jaal's data
-// matrices are tall and skinny (n packets by p = 18 header fields), a
-// regime in which one-sided Jacobi SVD is exact, numerically robust and
-// fast, and in which Lloyd's algorithm with k-means++ seeding converges
-// in a handful of iterations.
+// The package is deliberately small and dependency-free, and both
+// kernels are shaped by Jaal's data: matrices are tall and skinny (n
+// packets by p = 18 header fields). The SVD reduces the matrix to its
+// p×p triangular factor with one Householder pass and runs one-sided
+// Jacobi — exact and numerically robust — on that factor, so only the
+// reduction and the lift of U scale with n. k-means is k-means++ seeding
+// followed by Lloyd steps, with every distance evaluation that the
+// triangle inequality proves irrelevant left out: the results are those
+// of the exhaustive algorithm bit for bit (the exhaustive versions are
+// the test oracles in this package's _test.go files).
 package linalg
 
 import (
@@ -234,15 +239,25 @@ var ErrEmptyMatrix = errors.New("linalg: empty matrix")
 
 // Dot returns the dot product of equal-length vectors a and b.
 // It panics when the lengths differ; callers control both inputs.
+// Four partial sums break the floating-point add dependency chain (the
+// SVD's Householder pass is made of long dot products): the value is
+// correct to rounding, not the left-to-right sum.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("linalg: dot of length %d and %d", len(a), len(b)))
 	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
+	var s0, s1, s2, s3 float64
+	for len(a) >= 4 && len(b) >= 4 {
+		s0 += a[0] * b[0]
+		s1 += a[1] * b[1]
+		s2 += a[2] * b[2]
+		s3 += a[3] * b[3]
+		a, b = a[4:], b[4:]
 	}
-	return s
+	for i, x := range a {
+		s0 += x * b[i]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // SquaredDistance returns the squared Euclidean distance between a and b.

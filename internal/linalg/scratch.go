@@ -3,17 +3,20 @@ package linalg
 import "sync"
 
 // Scratch is a reusable arena for the intermediate buffers of the
-// summarization hot path: the Jacobi SVD working copy and rotation
-// accumulator, the k-means distance vector and ping-pong centroid
-// buffers, and the rank-r reconstruction. Handing these out of an arena
-// instead of make() is what takes a batch summarization from ~30 heap
-// allocations to the low single digits (BenchmarkSummarizeBatch).
+// summarization hot path: the SVD's transposed working copy (which ends
+// up holding the Householder reflectors), its p×p triangular factor and
+// rotation accumulator, the k-means ping-pong centroid buffers, distance
+// vectors and row groupings, and the rank-r reconstruction. Handing these
+// out of an arena instead of make() is what takes a batch summarization
+// from ~30 heap allocations to none (BenchmarkSummarizeBatch).
 //
 // Buffers are carved off growing backing slabs and stay valid until the
-// next Reset; Reset reclaims everything at once. A Scratch is not safe
-// for concurrent use — each goroutine takes its own from the pool with
-// GetScratch and returns it with PutScratch, after which every buffer
-// it handed out is dead (the pool will recycle the memory).
+// next Reset; Reset reclaims everything at once. The zero value is ready
+// to use. A Scratch is not safe for concurrent use: a long-lived
+// single-goroutine owner (summary.Summarizer) embeds its own, and
+// one-shot callers take one from the pool with GetScratch and return it
+// with PutScratch, after which every buffer it handed out is dead (the
+// pool will recycle the memory).
 type Scratch struct {
 	floats []float64
 	ints   []int
@@ -26,6 +29,10 @@ type Scratch struct {
 // Reset reclaims every buffer handed out since the last Reset. The
 // backing slabs are kept, so a warmed-up Scratch allocates nothing.
 func (s *Scratch) Reset() { s.fOff, s.iOff, s.mOff = 0, 0, 0 }
+
+// FloatCap returns the size of the float slab in float64s: what the
+// Scratch keeps allocated between uses.
+func (s *Scratch) FloatCap() int { return len(s.floats) }
 
 // Floats returns a zeroed []float64 of length n from the arena.
 func (s *Scratch) Floats(n int) []float64 {

@@ -22,13 +22,12 @@ type SVD struct {
 // precision; the bound only guards against pathological inputs.
 const jacobiMaxSweeps = 30
 
-// ComputeSVD computes a thin SVD of a using the one-sided Jacobi method.
-//
-// One-sided Jacobi orthogonalizes the columns of a working copy W of A by
-// repeated plane rotations; at convergence W = U·diag(S) and the
-// accumulated rotations form V. The method is exact (no iteration towards
-// an implicitly shifted eigenproblem), unconditionally stable, and costs
-// O(n·p²) per sweep — ideal for Jaal's n×18 batch matrices.
+// ComputeSVD computes a thin SVD of a: a Householder QR reduction to the
+// p×p triangular factor followed by one-sided Jacobi on that factor (see
+// svdInto). The decomposition is exact (no iteration towards an
+// implicitly shifted eigenproblem) and unconditionally stable, and the
+// only work that scales with the row count is the O(n·p²) reduction and
+// the lift of U — ideal for Jaal's n×18 batch matrices.
 //
 // Matrices with more columns than rows are handled by decomposing the
 // transpose and swapping U and V.
@@ -53,18 +52,61 @@ func ComputeSVD(a *Matrix) (*SVD, error) {
 	return &SVD{U: u, S: s, V: v}, nil
 }
 
-// svdInto runs one-sided Jacobi on a (which must satisfy rows ≥ cols)
-// and writes the leading r factors into u (n×r), s (length r) and v
-// (p×r). All intermediates — the working copy, the rotation accumulator
-// and the column-norm ordering — come from sc, so the only heap traffic
-// is whatever the caller chose for the outputs.
+// svdInto decomposes a (which must satisfy rows ≥ cols) and writes the
+// leading r factors into u (n×r), s (length r) and v (p×r). All
+// intermediates come from sc, so the only heap traffic is whatever the
+// caller chose for the outputs.
+//
+// It runs in three steps. One Householder pass factors A = Q·R with R
+// the p×p upper-triangular factor. One-sided Jacobi then orthogonalizes
+// the columns of R by plane rotations: at convergence R·V = Ũ·diag(S),
+// with V the accumulated rotations. Since RᵀR = AᵀA, every rotation
+// angle is the one Jacobi on A itself would have chosen — S and V are
+// those of A — but each rotation touches p-long columns instead of
+// n-long ones. Finally U = Q·Ũ is lifted by applying the reflectors to
+// the n×r block [Ũ_r; 0], which keeps U orthonormal to rounding even
+// where A·V·Σ⁻¹ would not (small singular values).
 func svdInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scratch) {
 	n, p := a.Rows(), a.Cols()
-	w := sc.Matrix(n, p) // working copy whose columns get orthogonalized
-	copy(w.data, a.data)
-	vAcc := sc.Matrix(p, p)
+
+	// Householder QR on a transposed working copy: row j of wt is column
+	// j of A, so reflector j — stored in place, scaled to a leading 1 as
+	// LAPACK does — and the column tails it is applied to are contiguous.
+	wt := sc.Matrix(p, n)
+	for i := 0; i < n; i++ {
+		for j, x := range a.data[i*p : (i+1)*p] {
+			wt.data[j*n+i] = x
+		}
+	}
+	tau := sc.Floats(p)   // H_j = I − tau[j]·h_j·h_jᵀ; zero where column j was already null
+	rt := sc.Matrix(p, p) // Rᵀ: row k is column k of R
+	for j := 0; j < p; j++ {
+		h := wt.data[j*n+j : (j+1)*n]
+		norm := math.Sqrt(Dot(h, h))
+		if norm == 0 {
+			continue
+		}
+		alpha := -math.Copysign(norm, h[0]) // R[j][j]; the sign avoids cancellation in h[0]−alpha
+		h0 := h[0] - alpha
+		tau[j] = -h0 / alpha
+		inv := 1 / h0
+		for i := range h {
+			h[i] *= inv
+		}
+		h[0] = 1
+		rt.data[j*p+j] = alpha
+		for k := j + 1; k < p; k++ {
+			col := wt.data[k*n+j : (k+1)*n]
+			axpy(-tau[j]*Dot(h, col), h, col)
+		}
+	}
+	for k := 1; k < p; k++ {
+		copy(rt.data[k*p:k*p+k], wt.data[k*n:k*n+k])
+	}
+
+	vt := sc.Matrix(p, p) // Vᵀ: row j is column j of the rotation accumulator
 	for i := 0; i < p; i++ {
-		vAcc.data[i*p+i] = 1
+		vt.data[i*p+i] = 1
 	}
 
 	// Convergence threshold on the normalized off-diagonal inner products.
@@ -73,14 +115,15 @@ func svdInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scratch) {
 		converged := true
 		for j := 0; j < p-1; j++ {
 			for k := j + 1; k < p; k++ {
+				cj := rt.data[j*p : (j+1)*p]
+				ck := rt.data[k*p : (k+1)*p]
 				// Gram entries for the (j,k) column pair.
 				var ajj, akk, ajk float64
-				for i := 0; i < n; i++ {
-					cj := w.data[i*p+j]
-					ck := w.data[i*p+k]
-					ajj += cj * cj
-					akk += ck * ck
-					ajk += cj * ck
+				for i, x := range cj {
+					y := ck[i]
+					ajj += x * x
+					akk += y * y
+					ajk += x * y
 				}
 				if ajj == 0 || akk == 0 {
 					continue
@@ -94,8 +137,8 @@ func svdInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scratch) {
 				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				c := 1 / math.Sqrt(1+t*t)
 				sn := c * t
-				rotateColumns(w, j, k, c, sn)
-				rotateColumns(vAcc, j, k, c, sn)
+				rotate(cj, ck, c, sn)
+				rotate(vt.data[j*p:(j+1)*p], vt.data[k*p:(k+1)*p], c, sn)
 			}
 		}
 		if converged {
@@ -103,19 +146,15 @@ func svdInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scratch) {
 		}
 	}
 
-	// Column norms of W are the singular values. Order them descending
-	// with a stable insertion sort (p ≤ 18 in practice): stable sorts
-	// yield a unique permutation, so this matches the sort.SliceStable
-	// ordering the decomposition historically used.
+	// Column norms of the rotated R are the singular values. Order them
+	// descending with a stable insertion sort (p ≤ 18 in practice):
+	// stable sorts yield a unique permutation, so this matches the
+	// sort.SliceStable ordering the decomposition historically used.
 	ord := sc.Ints(p)
 	nrm := sc.Floats(p)
 	for j := 0; j < p; j++ {
-		var ss float64
-		for i := 0; i < n; i++ {
-			cv := w.data[i*p+j]
-			ss += cv * cv
-		}
-		nrm[j] = math.Sqrt(ss)
+		col := rt.data[j*p : (j+1)*p]
+		nrm[j] = math.Sqrt(Dot(col, col))
 		ord[j] = j
 	}
 	for i := 1; i < p; i++ {
@@ -129,22 +168,72 @@ func svdInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scratch) {
 		ord[j] = o
 	}
 
+	// u starts as [Ũ_r; 0]: the normalized leading columns of the rotated
+	// R on top of n−p zero rows. A zero singular value leaves a zero
+	// column, which the reflectors keep zero.
+	for i := range u.data {
+		u.data[i] = 0
+	}
 	for out := 0; out < r; out++ {
 		j := ord[out]
 		s[out] = nrm[j]
 		if nrm[j] > 0 {
 			inv := 1 / nrm[j]
-			for i := 0; i < n; i++ {
-				u.data[i*u.cols+out] = w.data[i*p+j] * inv
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				u.data[i*u.cols+out] = 0
+			for i, x := range rt.data[j*p : (j+1)*p] {
+				u.data[i*r+out] = x * inv
 			}
 		}
-		for i := 0; i < p; i++ {
-			v.data[i*v.cols+out] = vAcc.data[i*p+j]
+		for i, x := range vt.data[j*p : (j+1)*p] {
+			v.data[i*r+out] = x
 		}
+	}
+	// Q = H_0·H_1⋯H_{p−1}, so the lift applies the reflectors last to
+	// first. Reflector j acts on rows j..n−1; per reflector one pass
+	// forms h_jᵀ·U, a second subtracts the rank-one update.
+	hu := sc.Floats(r)
+	for j := p - 1; j >= 0; j-- {
+		if tau[j] == 0 {
+			continue
+		}
+		h := wt.data[j*n+j : (j+1)*n]
+		rows := u.data[j*r:]
+		for c := range hu {
+			hu[c] = 0
+		}
+		for i, hi := range h {
+			for c, y := range rows[i*r : (i+1)*r] {
+				hu[c] += hi * y
+			}
+		}
+		for c := range hu {
+			hu[c] *= tau[j]
+		}
+		for i, hi := range h {
+			row := rows[i*r : (i+1)*r]
+			for c, w := range hu {
+				row[c] -= hi * w
+			}
+		}
+	}
+}
+
+// axpy adds alpha·x to y in place.
+func axpy(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, xv := range x {
+		y[i] += alpha * xv
+	}
+}
+
+// rotate applies the Givens rotation [c −s; s c] to the vector pair
+// (a, b) in place: the (j,k) column rotation of one-sided Jacobi, on
+// columns stored contiguously.
+func rotate(a, b []float64, c, s float64) {
+	b = b[:len(a)]
+	for i, x := range a {
+		y := b[i]
+		a[i] = c*x - s*y
+		b[i] = s*x + c*y
 	}
 }
 
@@ -195,18 +284,6 @@ func identity(n int) *Matrix {
 		m.data[i*n+i] = 1
 	}
 	return m
-}
-
-// rotateColumns applies the Givens rotation [c −s; s c] to columns j and k
-// of m in place.
-func rotateColumns(m *Matrix, j, k int, c, s float64) {
-	p := m.cols
-	for i := 0; i < m.rows; i++ {
-		cj := m.data[i*p+j]
-		ck := m.data[i*p+k]
-		m.data[i*p+j] = c*cj - s*ck
-		m.data[i*p+k] = s*cj + c*ck
-	}
 }
 
 // Rank returns the numerical rank of the decomposition: the number of

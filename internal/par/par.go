@@ -4,13 +4,13 @@
 // The pool is shared process-wide and sized to runtime.GOMAXPROCS at
 // first use: GOMAXPROCS−1 helper goroutines plus the dispatching
 // goroutine, which always participates in its own work. Work is handed
-// out as fixed-size index chunks claimed from an atomic counter, so the
-// split of work never depends on the worker count — a caller that
-// stores per-index results and reduces them in index order gets
-// byte-identical output whether the work ran on 1 worker or 64. That
-// property is what lets the summarization pipeline parallelize the
-// Lloyd assignment step, monitor polling and question matching while
-// keeping same-seed runs reproducible (see DESIGN.md, "Performance").
+// out one index at a time from an atomic counter, and each index is run
+// exactly once — a caller that stores per-index results and reduces
+// them in index order gets byte-identical output whether the work ran
+// on 1 worker or 64. That property is what lets the pipeline
+// parallelize monitor polling, question matching and scenario sweeps
+// while keeping same-seed runs reproducible (see DESIGN.md,
+// "Performance").
 //
 // Dispatch is allocation-free in steady state: task descriptors are
 // recycled through a sync.Pool and handed to helpers over a channel.
@@ -20,8 +20,8 @@
 // helpers, not queue capacity: a buffered send succeeds whenever the
 // queue has space, even when every helper is parked inside an outer
 // task waiting on this very dispatch — nested fan-outs (a scenario
-// sweep whose summarization fans out k-means row chunks) would then
-// park all pool participants on work only they could drain. Claiming
+// sweep whose pipelines fan out monitor polls) would then park all
+// pool participants on work only they could drain. Claiming
 // idle helpers makes that state unreachable: a queued task implies a
 // helper with no current work, which will dequeue it.
 package par
@@ -50,39 +50,23 @@ var (
 		"goroutines currently executing pool tasks (dispatchers included)")
 )
 
-// rowChunk is the fixed number of indices a worker claims at a time in
-// Rows. Fixed (rather than n/workers) chunking keeps the work split
-// independent of the worker count; 64 rows of k-means assignment at the
-// paper's operating point is ~150k flops, well above claim overhead.
-const rowChunk = 64
-
-// minParallelRows is the row count below which dispatch overhead
-// exceeds the win and Rows runs inline on the caller.
-const minParallelRows = 256
-
 // task is one dispatch, shared by every worker helping with it.
 type task struct {
-	fn    func(lo, hi int)
-	n     int
-	chunk int
-	next  atomic.Int64
-	wg    sync.WaitGroup
+	fn   func(i int)
+	n    int
+	next atomic.Int64
+	wg   sync.WaitGroup
 }
 
-// run claims chunks until the counter passes n. Several goroutines run
-// the same task concurrently; each chunk is claimed exactly once.
+// run claims indices until the counter passes n. Several goroutines run
+// the same task concurrently; each index is claimed exactly once.
 func (t *task) run() {
-	step := int64(t.chunk)
 	for {
-		hi := int(t.next.Add(step))
-		lo := hi - t.chunk
-		if lo >= t.n {
+		i := int(t.next.Add(1)) - 1
+		if i >= t.n {
 			return
 		}
-		if hi > t.n {
-			hi = t.n
-		}
-		t.fn(lo, hi)
+		t.fn(i)
 	}
 }
 
@@ -130,24 +114,33 @@ func Size() int {
 	return poolSize
 }
 
-// dispatch fans fn out over ceil(n/chunk) chunks across at most workers
-// goroutines including the caller, blocking until all of [0, n) has run.
-func dispatch(n, workers, chunk int, fn func(lo, hi int)) {
+// For runs fn(i) once for every i in [0, n) across at most workers
+// goroutines including the caller (workers <= 0 selects GOMAXPROCS),
+// blocking until all of them have run. It suits coarse, heterogeneous
+// tasks — polling a monitor, matching one question — where per-index
+// imbalance dominates. fn must be safe for concurrent calls on distinct
+// indices.
+func For(n, workers int, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
 	start()
 	if workers <= 0 || workers > poolSize {
 		workers = poolSize
 	}
-	if chunks := (n + chunk - 1) / chunk; workers > chunks {
-		workers = chunks
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
 		cInline.Inc()
-		fn(0, n)
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
 		return
 	}
 	cDispatch.Inc()
 	t := taskPool.Get().(*task)
-	t.fn, t.n, t.chunk = fn, n, chunk
+	t.fn, t.n = fn, n
 	t.next.Store(0)
 	helpers := workers - 1
 	t.wg.Add(helpers)
@@ -171,38 +164,4 @@ func dispatch(n, workers, chunk int, fn func(lo, hi int)) {
 	t.wg.Wait()
 	t.fn = nil
 	taskPool.Put(t)
-}
-
-// Rows runs fn over half-open sub-ranges that exactly cover [0, n),
-// fanning fixed-size chunks across the shared pool. workers bounds the
-// parallelism including the calling goroutine; workers <= 0 selects
-// GOMAXPROCS. fn must be safe for concurrent calls on disjoint ranges.
-// Because the chunking is fixed, which rows share one fn call never
-// depends on the worker count — callers reducing per-row outputs should
-// still merge them in index order to stay deterministic.
-func Rows(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if n < minParallelRows {
-		cInline.Inc()
-		fn(0, n)
-		return
-	}
-	dispatch(n, workers, rowChunk, fn)
-}
-
-// For runs fn(i) once for every i in [0, n) across at most workers
-// goroutines (workers <= 0 selects GOMAXPROCS), dispatching one index
-// at a time. It suits coarse, heterogeneous tasks — polling a monitor,
-// matching one question — where per-index imbalance dominates.
-func For(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	dispatch(n, workers, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
 }

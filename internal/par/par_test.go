@@ -3,7 +3,6 @@ package par
 import (
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -17,34 +16,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRowsCoversExactly checks every index in [0, n) is visited exactly
-// once, across the inline path, the chunked path, and ragged tails.
-func TestRowsCoversExactly(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 255, 256, 257, 1000, 4096} {
-		for _, workers := range []int{0, 1, 2, 8} {
-			hits := make([]int32, n)
-			Rows(n, workers, func(lo, hi int) {
-				if lo < 0 || hi > n || lo >= hi {
-					t.Errorf("n=%d workers=%d: bad range [%d,%d)", n, workers, lo, hi)
-					return
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, h)
-				}
-			}
-		}
-	}
-}
-
-// TestForCoversExactly checks the per-index variant.
+// TestForCoversExactly checks every index in [0, n) is visited exactly
+// once, across the inline path and the dispatched one.
 func TestForCoversExactly(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100} {
-		for _, workers := range []int{0, 1, 3} {
+	for _, n := range []int{0, 1, 7, 100, 4096} {
+		for _, workers := range []int{0, 1, 3, 8} {
 			hits := make([]int32, n)
 			For(n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
@@ -57,8 +33,8 @@ func TestForCoversExactly(t *testing.T) {
 }
 
 // TestNestedDispatch drives a fan-out whose work items themselves fan
-// out — the epoch shape (monitor poll → k-means rows) and the scenario
-// scoreboard shape (scenario sweep → pipeline → k-means rows). This is
+// out — the scenario scoreboard shape (scenario sweep → pipeline →
+// monitor polls and question matching). This is
 // the regression test for the pool's deadlock guarantee: when every
 // helper is occupied by an outer task, the nested dispatch must shed
 // its slots and run inline instead of queueing work that only the
@@ -72,47 +48,10 @@ func TestNestedDispatch(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		var total atomic.Int64
 		For(outer, 0, func(i int) {
-			Rows(inner, 0, func(lo, hi int) {
-				total.Add(int64(hi - lo))
-			})
+			For(inner, 0, func(int) { total.Add(1) })
 		})
 		if got := total.Load(); got != outer*inner {
 			t.Fatalf("round %d: nested dispatch covered %d indices, want %d", r, got, outer*inner)
-		}
-	}
-}
-
-// TestChunkingIndependentOfWorkers locks in the determinism foundation:
-// the set of (lo, hi) ranges Rows hands out depends only on n, never on
-// the parallel worker count. workers=1 is excluded deliberately — it
-// takes the inline path and covers [0, n) as one range (coverage is
-// checked by TestRowsCoversExactly); among dispatching counts the chunk
-// boundaries must be identical.
-func TestChunkingIndependentOfWorkers(t *testing.T) {
-	const n = 1000
-	ranges := func(workers int) map[int]int {
-		var mu sync.Mutex
-		out := make(map[int]int, n/rowChunk+1)
-		Rows(n, workers, func(lo, hi int) {
-			mu.Lock()
-			out[lo] = hi
-			mu.Unlock()
-		})
-		return out
-	}
-	want := ranges(2)
-	if len(want) != (n+rowChunk-1)/rowChunk {
-		t.Fatalf("workers=2: %d chunks, want %d fixed-size chunks", len(want), (n+rowChunk-1)/rowChunk)
-	}
-	for _, workers := range []int{4, 8, 0} {
-		got := ranges(workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d chunks, want %d", workers, len(got), len(want))
-		}
-		for lo, hi := range want {
-			if got[lo] != hi {
-				t.Fatalf("workers=%d: chunk at %d ends %d, want %d", workers, lo, got[lo], hi)
-			}
 		}
 	}
 }

@@ -64,12 +64,14 @@ type Buffer struct {
 	retained map[uint64]*retainedBatch
 }
 
+// retainedBatch is one batch's centroid→raw-packets table: the headers
+// grouped by centroid in one slab (arrival order within a centroid), and
+// the k+1 group boundaries. Centroid c owns
+// headers[offsets[c]:offsets[c+1]].
 type retainedBatch struct {
-	byCentroid map[int][]packet.Header
+	headers    []packet.Header
+	offsets    []int
 	sealedTick uint64
-	// k is the centroid count of the summary the batch was retained
-	// under, bounding the centroid index space.
-	k int
 }
 
 // NewBuffer returns a Buffer sealing batches of batchSize packets.
@@ -129,40 +131,60 @@ func (b *Buffer) seal() *Batch {
 }
 
 // Retain records the centroid→packets mapping for a summarized batch so
-// that raw packets can be served to the feedback loop.
+// that raw packets can be served to the feedback loop. The table is a
+// counting sort of the batch by s.Assignments: two slabs per batch, not
+// a slice per centroid grown packet by packet.
 func (b *Buffer) Retain(batch *Batch, s *Summary) {
-	table := make(map[int][]packet.Header, s.K())
-	for i, c := range s.Assignments {
-		table[c] = append(table[c], batch.Headers[i])
+	k := s.K()
+	offsets := make([]int, k+1)
+	for _, c := range s.Assignments {
+		offsets[c+1]++
 	}
-	b.retained[batch.Epoch] = &retainedBatch{byCentroid: table, sealedTick: b.tick, k: s.K()}
+	for c := 0; c < k; c++ {
+		offsets[c+1] += offsets[c]
+	}
+	headers := make([]packet.Header, len(s.Assignments))
+	for i, c := range s.Assignments {
+		headers[offsets[c]] = batch.Headers[i]
+		offsets[c]++
+	}
+	// Placing advanced every offsets[c] to the end of group c, which is
+	// the start of group c+1: shift back.
+	copy(offsets[1:], offsets[:k])
+	offsets[0] = 0
+	b.retained[batch.Epoch] = &retainedBatch{headers: headers, offsets: offsets, sealedTick: b.tick}
 }
 
 // RawPackets returns the raw headers that were assigned to the given
 // centroid in the batch with the given sequence number, or nil when the
-// batch's retention has expired.
+// batch's retention has expired. The centroid index arrives from the wire
+// (MsgRawRequest), so one the batch's summary never had — negative, or at
+// or past its k — is answered with nil like any other miss. The result
+// aliases the retained slab and must not be written to; its capacity is
+// capped so that an append cannot reach the next centroid's packets.
 func (b *Buffer) RawPackets(epoch uint64, centroid int) []packet.Header {
 	rb, ok := b.retained[epoch]
-	if !ok {
+	if !ok || centroid < 0 || centroid >= len(rb.offsets)-1 {
 		return nil
 	}
-	return rb.byCentroid[centroid]
+	lo, hi := rb.offsets[centroid], rb.offsets[centroid+1]
+	if lo == hi {
+		return nil
+	}
+	return rb.headers[lo:hi:hi]
 }
 
-// RawBatch reassembles the full retained batch for the given sequence
-// number (order is by centroid, not arrival), or nil after expiry. The
+// RawBatch returns the full retained batch for the given sequence number
+// (order is by centroid, not arrival), or nil after expiry. The
 // feedback loop's finer-grained-summary path re-summarizes this batch at
-// a higher k (§5.3).
+// a higher k (§5.3). Like RawPackets, the result aliases retained
+// storage and is read-only.
 func (b *Buffer) RawBatch(epoch uint64) []packet.Header {
 	rb, ok := b.retained[epoch]
 	if !ok {
 		return nil
 	}
-	var out []packet.Header
-	for c := 0; c < rb.k; c++ {
-		out = append(out, rb.byCentroid[c]...)
-	}
-	return out
+	return rb.headers
 }
 
 // AdvanceEpoch moves the buffer to the next controller tick, expiring

@@ -224,6 +224,12 @@ type Summarizer struct {
 	cfg Config
 	rng *rand.Rand
 	mem arena
+	// sc holds every intermediate of a summarization (the batch matrix,
+	// the SVD's working state, the k-means buffers) and is reset at the
+	// start of each one. It warms up to 72 000 floats at the paper's
+	// operating point and then allocates nothing; being the summarizer's
+	// own, it survives the garbage collections that empty a sync.Pool.
+	sc linalg.Scratch
 }
 
 // arenaBatch is how many summaries' worth of retained storage one arena
@@ -293,13 +299,11 @@ func BuildMatrix(headers []packet.Header) *linalg.Matrix {
 // the result. It returns ErrBatchTooSmall when len(headers) < MinBatch.
 //
 // The whole computation runs on reused storage: intermediates (the batch
-// matrix, SVD working state, k-means buffers) live in a pooled
-// linalg.Scratch, and the retained outputs are carved from the
-// summarizer's arena, so steady-state summarization performs well under
-// one heap allocation per batch (BenchmarkSummarizeBatch). The heavy
-// inner loops (Lloyd assignment) additionally fan out across the shared
-// worker pool with deterministic reduction, so summaries are
-// reproducible by seed regardless of core count.
+// matrix, SVD working state, k-means buffers) live in the summarizer's
+// linalg.Scratch, and the retained outputs are carved from its arena, so
+// steady-state summarization performs well under one heap allocation per
+// batch (BenchmarkSummarizeBatch). It runs on the calling goroutine
+// alone, and summaries are reproducible by seed.
 func (s *Summarizer) Summarize(headers []packet.Header, monitorID int, epoch uint64) (*Summary, error) {
 	n := len(headers)
 	if n < s.cfg.MinBatch || n == 0 {
@@ -311,8 +315,8 @@ func (s *Summarizer) Summarize(headers []packet.Header, monitorID int, epoch uin
 	// the capture window and raw fetches of the same batch).
 	defer trace.StartMonitorSpan(hSummarize, trace.StageSummarize, monitorID, epoch).End()
 	hBatchPackets.Observe(float64(n))
-	sc := linalg.GetScratch()
-	defer linalg.PutScratch(sc)
+	sc := &s.sc
+	sc.Reset()
 
 	p := packet.NumFields
 	x := sc.Matrix(n, p)

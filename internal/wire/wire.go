@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // MsgType discriminates protocol messages.
@@ -95,18 +96,35 @@ type Message struct {
 	Payload []byte
 }
 
-// WriteFrame writes one frame to w.
+// frameBufs recycles the buffers WriteFrame assembles frames in.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteFrame writes one frame to w. A frame whose payload fits
+// frameAllocChunk — every frame of a working deployment — goes out in a
+// single Write: on a TCP connection a header written on its own is a
+// segment of its own, which wakes the peer to read five bytes and put it
+// back to sleep until the payload follows, doubling the wake-ups of
+// every request–response round trip.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("wire: payload of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [5]byte
+	var hdr [frameHeaderSize]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
-	}
-	if len(payload) > 0 {
+	if len(payload) <= frameAllocChunk {
+		bp := frameBufs.Get().(*[]byte)
+		buf := append(append((*bp)[:0], hdr[:]...), payload...)
+		_, err := w.Write(buf)
+		*bp = buf[:0]
+		frameBufs.Put(bp)
+		if err != nil {
+			return fmt.Errorf("wire: write frame: %w", err)
+		}
+	} else {
+		if _, err := w.Write(hdr[:]); err != nil {
+			return fmt.Errorf("wire: write header: %w", err)
+		}
 		if _, err := w.Write(payload); err != nil {
 			return fmt.Errorf("wire: write payload: %w", err)
 		}
@@ -116,7 +134,8 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 }
 
 // frameAllocChunk caps how much ReadFrame allocates ahead of the bytes
-// actually delivered. Every legitimate frame in the deployment
+// actually delivered, and how large a frame WriteFrame copies into one
+// buffer. Every legitimate frame in the deployment
 // (summaries ~10 KB, raw batches ~16 KB) fits one chunk and takes the
 // single-allocation fast path; a corrupt or hostile header claiming up
 // to MaxFrameSize grows the buffer only as payload bytes arrive, so a

@@ -77,6 +77,49 @@ func TestFrameOversized(t *testing.T) {
 	}
 }
 
+// writeLog records the size of every Write it receives.
+type writeLog struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameIsOneWrite pins that a frame of deployment size is
+// handed to the connection whole: a header written ahead of its payload
+// costs the peer a wake-up per half.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	for _, n := range []int{0, 12, 11337, frameAllocChunk} {
+		var w writeLog
+		payload := bytes.Repeat([]byte{0xA5}, n)
+		if err := WriteFrame(&w, MsgSummary, payload); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.sizes) != 1 || w.sizes[0] != frameHeaderSize+n {
+			t.Fatalf("payload of %d bytes went out as writes of %v, want one of %d", n, w.sizes, frameHeaderSize+n)
+		}
+		msg, err := ReadFrame(&w)
+		if err != nil || msg.Type != MsgSummary || !bytes.Equal(msg.Payload, payload) {
+			t.Fatalf("payload of %d bytes: read back %v, %v", n, msg, err)
+		}
+	}
+	// Past the chunk the payload is not copied; it follows its header.
+	var w writeLog
+	payload := make([]byte, frameAllocChunk+1)
+	if err := WriteFrame(&w, MsgSummary, payload); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.sizes) != 2 || w.sizes[0] != frameHeaderSize || w.sizes[1] != len(payload) {
+		t.Fatalf("large frame went out as writes of %v", w.sizes)
+	}
+	if msg, err := ReadFrame(&w); err != nil || len(msg.Payload) != len(payload) {
+		t.Fatalf("large frame: read back %v", err)
+	}
+}
+
 func TestLoadReportRoundTrip(t *testing.T) {
 	id, load, err := DecodeLoadReport(EncodeLoadReport(42, 3.14))
 	if err != nil || id != 42 || load != 3.14 {

@@ -13,7 +13,8 @@
 // drift — CI runs this warn-only, because shared runners make wall
 // clock noisy — while -fail turns drift into exit 1 for local
 // before/after checks on a quiet machine. allocs/op is deterministic,
-// so even the warn-only output is trustworthy there.
+// so one case always fails, -fail or not: a benchmark whose baseline is
+// 0 allocs/op capturing more than 0 (marked ALLOCS) exits 1.
 package main
 
 import (
@@ -68,8 +69,9 @@ func delta(base, cur bench, metric string) (float64, bool) {
 }
 
 // report writes the per-benchmark comparison and returns how many
-// benchmarks drifted beyond the threshold.
-func report(w io.Writer, oldBy, newBy map[key]bench, threshold float64) int {
+// benchmarks drifted beyond the threshold and how many allocation-free
+// baselines now allocate.
+func report(w io.Writer, oldBy, newBy map[key]bench, threshold float64) (drifted, allocating int) {
 	var keys []key
 	for k := range oldBy {
 		keys = append(keys, k)
@@ -86,7 +88,6 @@ func report(w io.Writer, oldBy, newBy map[key]bench, threshold float64) int {
 		return keys[i].name < keys[j].name
 	})
 
-	drifted := 0
 	for _, k := range keys {
 		o, haveOld := oldBy[k]
 		n, haveNew := newBy[k]
@@ -115,9 +116,16 @@ func report(w io.Writer, oldBy, newBy map[key]bench, threshold float64) int {
 			status = "DRIFT"
 			drifted++
 		}
+		// delta skips a zero baseline, which is the one allocs/op
+		// change that is a defect rather than a drift.
+		if was, ok := o.Metrics["allocs/op"]; ok && was == 0 && n.Metrics["allocs/op"] > 0 {
+			status = "ALLOCS"
+			allocating++
+			cols += fmt.Sprintf("  allocs/op 0 -> %g", n.Metrics["allocs/op"])
+		}
 		fmt.Fprintf(w, "%-8s %s %s%s\n", status, k.pkg, k.name, cols)
 	}
-	return drifted
+	return drifted, allocating
 }
 
 func main() {
@@ -140,11 +148,21 @@ func main() {
 	}
 	fmt.Printf("old: %s (%s)\nnew: %s (%s)\n\n", flag.Arg(0), oldFile.Date, flag.Arg(1), newFile.Date)
 
-	drifted := report(os.Stdout, oldBy, newBy, *threshold)
+	drifted, allocating := report(os.Stdout, oldBy, newBy, *threshold)
 	if drifted > 0 {
 		fmt.Printf("\n%d benchmark(s) drifted beyond %.0f%%\n", drifted, 100**threshold)
-		if *fail {
-			os.Exit(1)
-		}
 	}
+	if allocating > 0 {
+		fmt.Printf("\n%d benchmark(s) with a 0 allocs/op baseline now allocate\n", allocating)
+	}
+	os.Exit(exitStatus(drifted, allocating, *fail))
+}
+
+// exitStatus is 1 when an allocation-free baseline allocates, or when
+// -fail was given and anything drifted.
+func exitStatus(drifted, allocating int, fail bool) int {
+	if allocating > 0 || (fail && drifted > 0) {
+		return 1
+	}
+	return 0
 }

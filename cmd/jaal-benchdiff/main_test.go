@@ -66,10 +66,10 @@ func TestReport(t *testing.T) {
 		{"p", "BenchmarkAdded"}: mkBench("p", "BenchmarkAdded", 10, 1),
 	}
 	var sb strings.Builder
-	drifted := report(&sb, oldBy, newBy, 0.15)
+	drifted, allocating := report(&sb, oldBy, newBy, 0.15)
 	out := sb.String()
-	if drifted != 1 {
-		t.Fatalf("drifted = %d, want 1\n%s", drifted, out)
+	if drifted != 1 || allocating != 0 {
+		t.Fatalf("drifted = %d, allocating = %d, want 1 and 0\n%s", drifted, allocating, out)
 	}
 	for _, want := range []string{
 		"ADDED    p BenchmarkAdded",
@@ -85,5 +85,49 @@ func TestReport(t *testing.T) {
 	// Output must be sorted, so repeated runs diff cleanly.
 	if strings.Index(out, "BenchmarkAdded") > strings.Index(out, "BenchmarkFast") {
 		t.Errorf("report not in sorted order:\n%s", out)
+	}
+}
+
+// A 0 allocs/op baseline is the one deterministic gate: capturing an
+// allocation there is counted (and main exits 1 on it) however small
+// the ns/op movement; staying at 0, or allocating more where the
+// baseline already allocated, is not.
+func TestReportAllocGate(t *testing.T) {
+	oldBy := map[key]bench{
+		{"p", "BenchmarkStillFree"}: mkBench("p", "BenchmarkStillFree", 100, 0),
+		{"p", "BenchmarkNowAllocs"}: mkBench("p", "BenchmarkNowAllocs", 100, 0),
+		{"p", "BenchmarkAlready"}:   mkBench("p", "BenchmarkAlready", 100, 5),
+	}
+	newBy := map[key]bench{
+		{"p", "BenchmarkStillFree"}: mkBench("p", "BenchmarkStillFree", 300, 0), // ns/op drift only
+		{"p", "BenchmarkNowAllocs"}: mkBench("p", "BenchmarkNowAllocs", 100, 1),
+		{"p", "BenchmarkAlready"}:   mkBench("p", "BenchmarkAlready", 100, 5.5),
+	}
+	var sb strings.Builder
+	drifted, allocating := report(&sb, oldBy, newBy, 0.15)
+	out := sb.String()
+	if drifted != 1 || allocating != 1 {
+		t.Fatalf("drifted = %d, allocating = %d, want 1 and 1\n%s", drifted, allocating, out)
+	}
+	if exitStatus(drifted, allocating, false) != 1 {
+		t.Fatal("a free baseline that allocates must exit 1 without -fail")
+	}
+	for _, want := range []string{
+		"ALLOCS   p BenchmarkNowAllocs  ns/op +0.0%  allocs/op 0 -> 1",
+		"DRIFT    p BenchmarkStillFree",
+		"ok       p BenchmarkAlready",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+
+	newBy[key{"p", "BenchmarkNowAllocs"}] = mkBench("p", "BenchmarkNowAllocs", 100, 0)
+	drifted, allocating = report(&sb, oldBy, newBy, 0.15)
+	if allocating != 0 {
+		t.Fatalf("allocating = %d with every free baseline still free", allocating)
+	}
+	if exitStatus(drifted, allocating, false) != 0 || exitStatus(drifted, allocating, true) != 1 {
+		t.Fatal("ns/op drift alone must stay warn-only unless -fail is given")
 	}
 }

@@ -242,7 +242,7 @@ func TestMergeDigestsGatesAndOrders(t *testing.T) {
 	// (900/6000), addr 5 clears it from one monitor alone (700/6000 ≥
 	// 0.10 is false — 0.1167 with count 700), addr 3 stays below.
 	rep = MergeDigests(2, []*sketch.Digest{
-		mk(0, 3000, 100, sketch.HeavyHitter{Key: 9, Count: 400}, sketch.HeavyHitter{Key: 5, Count: 700}),
+		mk(0, 3000, 100, sketch.HeavyHitter{Key: 5, Count: 700}, sketch.HeavyHitter{Key: 9, Count: 400}),
 		mk(1, 3000, 200, sketch.HeavyHitter{Key: 9, Count: 500}, sketch.HeavyHitter{Key: 3, Count: 100}),
 	}, 0)
 	if rep.Offered != 6000 || rep.Shed != 300 || rep.Kept != 5700 {

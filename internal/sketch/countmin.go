@@ -12,9 +12,9 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // FNV-1a constants (hash/fnv), inlined so the hot path never constructs
@@ -24,29 +24,38 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
+// fnvFold4 folds the four big-endian bytes of v into an FNV-1a state.
+func fnvFold4(h uint64, v uint32) uint64 {
+	h = (h ^ uint64(v>>24)) * fnvPrime64
+	h = (h ^ uint64(v>>16&0xff)) * fnvPrime64
+	h = (h ^ uint64(v>>8&0xff)) * fnvPrime64
+	return (h ^ uint64(v&0xff)) * fnvPrime64
+}
+
 // fnvFold8 folds the eight big-endian bytes of v into an FNV-1a state.
 func fnvFold8(h, v uint64) uint64 {
-	for shift := 56; shift >= 0; shift -= 8 {
-		h ^= (v >> uint(shift)) & 0xff
-		h *= fnvPrime64
-	}
-	return h
+	return fnvFold4(fnvFold4(h, uint32(v>>32)), uint32(v))
 }
 
 // CountMin is a count-min sketch over uint64 keys.
 type CountMin struct {
 	width int
-	depth int
 	// counts is the depth×width matrix stored flat (row-major): one
 	// allocation, cache-friendly rows, and Reset is a single clear.
 	counts []uint64
 	// rowBase[r] is the FNV-1a state after folding row r's full 8-byte
-	// salt. Precomputing it makes hash() equivalent to hashing the
-	// 16-byte concatenation salt‖key without touching a buffer, and the
-	// 8-byte salt fixes the old byte(row) truncation where rows ≥ 256
-	// silently reused row r%256's bucket stream.
+	// salt, so hash() equals hashing the 16-byte concatenation salt‖key
+	// without touching a buffer.
 	rowBase []uint64
-	total   uint64
+	// rowBase32[r] is rowBase[r] with four more zero bytes folded in
+	// (folding a zero byte is h *= prime): the state every key below
+	// 2³² — every IPv4 address — reaches after its upper half, so such
+	// keys fold only their four significant bytes.
+	rowBase32 []uint64
+	// recip is ⌊(2⁶⁴−1)/width⌋, the reciprocal mod() multiplies by
+	// instead of dividing.
+	recip uint64
+	total uint64
 }
 
 // NewCountMin builds a sketch with error bound epsilon (relative to the
@@ -58,50 +67,75 @@ func NewCountMin(epsilon, delta float64) (*CountMin, error) {
 	}
 	w := int(math.Ceil(math.E / epsilon))
 	d := int(math.Ceil(math.Log(1 / delta)))
-	if d < 1 {
-		d = 1
-	}
-	return NewCountMinDims(w, d)
+	return newCountMinDims(w, d), nil
 }
 
-// NewCountMinDims builds a sketch with explicit dimensions (used by the
-// digest decoder and by callers that size by memory budget instead of
-// error bound).
-func NewCountMinDims(width, depth int) (*CountMin, error) {
-	if width < 1 || depth < 1 {
-		return nil, fmt.Errorf("sketch: need width ≥ 1 and depth ≥ 1, got %d×%d", width, depth)
-	}
+// newCountMinDims builds a sketch with explicit dimensions, both ≥ 1.
+func newCountMinDims(width, depth int) *CountMin {
 	cm := &CountMin{
-		width:   width,
-		depth:   depth,
-		counts:  make([]uint64, width*depth),
-		rowBase: make([]uint64, depth),
+		width:     width,
+		counts:    make([]uint64, width*depth),
+		rowBase:   make([]uint64, depth),
+		rowBase32: make([]uint64, depth),
+		recip:     math.MaxUint64 / uint64(width),
 	}
 	for r := range cm.rowBase {
 		cm.rowBase[r] = fnvFold8(fnvOffset64, uint64(r))
+		cm.rowBase32[r] = fnvFold4(cm.rowBase[r], 0)
 	}
-	return cm, nil
+	return cm
+}
+
+// mod returns h % width without dividing. recip is within 1 below
+// 2⁶⁴/width, so the high half of h·recip is ⌊h/width⌋ or one less, and
+// what that leaves of h is the remainder or the remainder plus width.
+// Width is subtracted and, if that borrowed, added back — by mask, not
+// by branch, because no predictor can learn which hash needs it. Equal
+// to % for every 64-bit h and every width ≥ 1.
+func (c *CountMin) mod(h uint64) uint64 {
+	w := uint64(c.width)
+	q, _ := bits.Mul64(h, c.recip)
+	r, borrow := bits.Sub64(h-q*w, w, 0)
+	return r + w&-borrow
 }
 
 // hash computes the row's bucket for a key: FNV-1a over the 16-byte
-// big-endian concatenation of the row salt and the key, with the salt
-// half precomputed into rowBase. Zero allocations.
+// big-endian concatenation of the row salt and the key, reduced mod
+// width. The salt half is precomputed into rowBase, and for a key below
+// 2³² so is its zero upper half (rowBase32). Zero allocations.
 func (c *CountMin) hash(row int, key uint64) int {
-	return int(fnvFold8(c.rowBase[row], key) % uint64(c.width))
+	state := c.rowBase32[row]
+	if hi := uint32(key >> 32); hi != 0 {
+		state = fnvFold4(c.rowBase[row], hi)
+	}
+	return int(c.mod(fnvFold4(state, uint32(key))))
 }
 
-// Add increments the key's count.
-func (c *CountMin) Add(key uint64, delta uint64) {
-	for row := 0; row < c.depth; row++ {
-		c.counts[row*c.width+c.hash(row, key)] += delta
+// Add increments the key's count and returns its new estimate: the
+// minimum of the cells just incremented, which are the cells Estimate
+// reads. The loop body is hash() written out, because hash is past the
+// compiler's inlining budget and this is the per-packet path.
+func (c *CountMin) Add(key uint64, delta uint64) uint64 {
+	min := uint64(math.MaxUint64)
+	hi, lo := uint32(key>>32), uint32(key)
+	for row, state := range c.rowBase32 {
+		if hi != 0 {
+			state = fnvFold4(c.rowBase[row], hi)
+		}
+		cell := &c.counts[row*c.width+int(c.mod(fnvFold4(state, lo)))]
+		*cell += delta
+		if *cell < min {
+			min = *cell
+		}
 	}
 	c.total += delta
+	return min
 }
 
 // Estimate returns the (over-)estimate of the key's count.
 func (c *CountMin) Estimate(key uint64) uint64 {
 	min := uint64(math.MaxUint64)
-	for row := 0; row < c.depth; row++ {
+	for row := range c.rowBase {
 		if v := c.counts[row*c.width+c.hash(row, key)]; v < min {
 			min = v
 		}
@@ -114,77 +148,20 @@ func (c *CountMin) Total() uint64 { return c.total }
 
 // Reset clears the sketch for the next epoch without reallocating.
 func (c *CountMin) Reset() {
-	for i := range c.counts {
-		c.counts[i] = 0
-	}
+	clear(c.counts)
 	c.total = 0
-}
-
-// Merge adds another sketch's counts cell-wise. Count-min sketches with
-// identical dimensions (and therefore identical hash streams) merge
-// exactly: the merged estimate obeys the same ε·total bound over the
-// combined stream.
-func (c *CountMin) Merge(o *CountMin) error {
-	if o.width != c.width || o.depth != c.depth {
-		return fmt.Errorf("sketch: merge dimension mismatch %d×%d vs %d×%d", c.width, c.depth, o.width, o.depth)
-	}
-	for i, v := range o.counts {
-		c.counts[i] += v
-	}
-	c.total += o.total
-	return nil
-}
-
-// AppendWire serializes the sketch: u32 width, u32 depth, u64 total,
-// then depth×width u64 counts, all big-endian.
-//
-//jaal:pair DecodeCountMin
-func (c *CountMin) AppendWire(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(c.width))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(c.depth))
-	dst = binary.BigEndian.AppendUint64(dst, c.total)
-	for _, v := range c.counts {
-		dst = binary.BigEndian.AppendUint64(dst, v)
-	}
-	return dst
-}
-
-// DecodeCountMin parses a sketch serialized by AppendWire and returns
-// the number of bytes consumed.
-func DecodeCountMin(p []byte) (*CountMin, int, error) {
-	if len(p) < 16 {
-		return nil, 0, fmt.Errorf("sketch: count-min header truncated (%d bytes)", len(p))
-	}
-	w := int(binary.BigEndian.Uint32(p[0:4]))
-	d := int(binary.BigEndian.Uint32(p[4:8]))
-	if w < 1 || d < 1 || w > 1<<20 || d > 1<<10 {
-		return nil, 0, fmt.Errorf("sketch: implausible count-min dimensions %d×%d", w, d)
-	}
-	need := 16 + w*d*8
-	if len(p) < need {
-		return nil, 0, fmt.Errorf("sketch: count-min counts truncated (have %d, need %d)", len(p), need)
-	}
-	cm, err := NewCountMinDims(w, d)
-	if err != nil {
-		return nil, 0, err
-	}
-	cm.total = binary.BigEndian.Uint64(p[8:16])
-	for i := range cm.counts {
-		cm.counts[i] = binary.BigEndian.Uint64(p[16+i*8:])
-	}
-	return cm, need, nil
 }
 
 // SizeBytes returns the serialized size: the communication cost a
 // monitor would pay shipping this sketch, used in the paper's §2
 // back-of-envelope comparison.
-func (c *CountMin) SizeBytes() int { return c.width * c.depth * 8 }
+func (c *CountMin) SizeBytes() int { return len(c.counts) * 8 }
 
 // Width and Depth expose the dimensions.
 func (c *CountMin) Width() int { return c.width }
 
 // Depth returns the number of hash rows.
-func (c *CountMin) Depth() int { return c.depth }
+func (c *CountMin) Depth() int { return len(c.rowBase) }
 
 // CombinationCost returns the §2 scaling argument in numbers: the bytes
 // needed to cover every subset of f header fields with one sketch each of

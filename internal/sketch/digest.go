@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 )
@@ -24,6 +25,11 @@ const (
 type HeavyHitter struct {
 	Key   uint32
 	Count uint64
+}
+
+// compare orders a digest list: count descending, key ascending on ties.
+func (h HeavyHitter) compare(o HeavyHitter) int {
+	return cmp.Or(cmp.Compare(o.Count, h.Count), cmp.Compare(h.Key, o.Key))
 }
 
 // Digest is a monitor's per-epoch sketch summary: shed accounting
@@ -101,7 +107,10 @@ func (d *Digest) AppendWire(dst []byte) []byte {
 // DecodeDigest parses a digest block from the front of p and returns
 // the digest plus the number of bytes consumed. A block with an unknown
 // version is skipped: (nil, blockLen, nil), so readers stay compatible
-// with future senders. Anything malformed is an error.
+// with future senders. Anything malformed is an error, and so is what
+// no honest Ingest.Digest produces: shed + kept != offered, a hitter
+// count above offered, an HLL rank above hllMaxRank, or a hitter list
+// out of compare's order (which also forbids duplicates).
 func DecodeDigest(p []byte) (*Digest, int, error) {
 	if len(p) < 8 {
 		return nil, 0, fmt.Errorf("sketch: digest header truncated (%d bytes)", len(p))
@@ -129,6 +138,9 @@ func DecodeDigest(p []byte) (*Digest, int, error) {
 		Shed:      binary.BigEndian.Uint64(body[20:28]),
 		Kept:      binary.BigEndian.Uint64(body[28:36]),
 	}
+	if d.Shed > d.Offered || d.Offered-d.Shed != d.Kept {
+		return nil, 0, fmt.Errorf("sketch: digest shed %d + kept %d != offered %d", d.Shed, d.Kept, d.Offered)
+	}
 	regs := int(binary.BigEndian.Uint16(body[36:38]))
 	if regs != hllRegisters {
 		return nil, 0, fmt.Errorf("sketch: digest v1 carries %d hll registers, got %d", hllRegisters, regs)
@@ -153,6 +165,12 @@ func DecodeDigest(p []byte) (*Digest, int, error) {
 		for j := range hh {
 			hh[j].Key = binary.BigEndian.Uint32(body[j*12:])
 			hh[j].Count = binary.BigEndian.Uint64(body[j*12+4:])
+			if hh[j].Count > d.Offered {
+				return nil, 0, fmt.Errorf("sketch: digest heavy-hitter list %d entry %d count %d exceeds offered %d", i, j, hh[j].Count, d.Offered)
+			}
+			if j > 0 && hh[j-1].compare(hh[j]) >= 0 {
+				return nil, 0, fmt.Errorf("sketch: digest heavy-hitter list %d entry %d out of order (count descending, key ascending)", i, j)
+			}
 		}
 		body = body[n*12:]
 		if i == 0 {

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -104,13 +105,82 @@ func TestDigestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// A monitor that lies about its epoch is refused at decode, and the
+// error names the field that gave it away.
+func TestDigestDecodeRejectsLies(t *testing.T) {
+	cases := []struct {
+		name  string
+		lie   func(d *Digest)
+		field string
+	}{
+		{"accounting", func(d *Digest) { d.Kept++ }, "shed"},
+		{"accounting overflow", func(d *Digest) { d.Shed, d.Kept = 1<<63+d.Offered, 1<<63 }, "shed"},
+		{"shed above offered", func(d *Digest) { d.Shed = d.Offered + 1 }, "shed"},
+		{"count above offered", func(d *Digest) { d.TopSrc[0].Count = d.Offered + 1 }, "exceeds offered"},
+		{"hll rank 58", func(d *Digest) { d.Flows.registers[3] = hllMaxRank + 1 }, "hll register 3"},
+		{"hll rank 200", func(d *Digest) { d.Flows.registers[255] = 200 }, "hll register 255"},
+		{"ascending counts", func(d *Digest) { d.TopDst[0], d.TopDst[1] = d.TopDst[1], d.TopDst[0] }, "out of order"},
+		{"duplicate hitter", func(d *Digest) { d.TopDst[1] = d.TopDst[0] }, "out of order"},
+		{"tie with descending keys", func(d *Digest) { d.TopDst[1].Count = d.TopDst[0].Count }, "out of order"},
+	}
+	for _, c := range cases {
+		d := sampleDigest()
+		c.lie(d)
+		_, _, err := DecodeDigest(d.AppendWire(nil))
+		if err == nil {
+			t.Fatalf("%s: accepted", c.name)
+		}
+		if !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("%s: error %q does not name %q", c.name, err, c.field)
+		}
+	}
+	// The largest honest rank and a tie in key order are fine.
+	d := sampleDigest()
+	d.Flows.registers[0] = hllMaxRank
+	d.TopDst[0].Count = d.TopDst[1].Count
+	d.TopDst[0], d.TopDst[1] = d.TopDst[1], d.TopDst[0]
+	if _, _, err := DecodeDigest(d.AppendWire(nil)); err != nil {
+		t.Fatalf("honest edge digest refused: %v", err)
+	}
+}
+
+// checkHonest fails unless d satisfies what DecodeDigest promises of an
+// accepted digest.
+func checkHonest(t *testing.T, d *Digest) {
+	t.Helper()
+	if d.Shed > d.Offered || d.Offered-d.Shed != d.Kept {
+		t.Fatalf("accepted shed %d + kept %d != offered %d", d.Shed, d.Kept, d.Offered)
+	}
+	for i, r := range d.Flows.registers {
+		if r > hllMaxRank {
+			t.Fatalf("accepted hll register %d = %d", i, r)
+		}
+	}
+	for _, hh := range [][]HeavyHitter{d.TopDst, d.TopSrc} {
+		for j, h := range hh {
+			if h.Count > d.Offered {
+				t.Fatalf("accepted hitter count %d above offered %d", h.Count, d.Offered)
+			}
+			if j > 0 && hh[j-1].compare(h) >= 0 {
+				t.Fatalf("accepted hitter list out of order: %+v", hh)
+			}
+		}
+	}
+}
+
 // FuzzDecodeDigest shakes the decoder with arbitrary bytes; it must
-// never panic, and every accepted digest must re-encode decodable.
+// never panic, every accepted digest must be one an honest monitor
+// could have sent, and re-encoding it must reproduce the block it came
+// from byte for byte (the reserved flags byte aside, which the decoder
+// ignores and the encoder writes as 0).
 func FuzzDecodeDigest(f *testing.F) {
 	f.Add(sampleDigest().AppendWire(nil))
 	f.Add((&Digest{}).AppendWire(nil))
 	short := sampleDigest().AppendWire(nil)
 	f.Add(short[:9])
+	lying := sampleDigest()
+	lying.Flows.registers[0] = 200
+	f.Add(lying.AppendWire(nil))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		d, n, err := DecodeDigest(p)
 		if err != nil {
@@ -122,8 +192,11 @@ func FuzzDecodeDigest(f *testing.F) {
 		if d == nil {
 			return // version skip
 		}
-		if _, _, err := DecodeDigest(d.AppendWire(nil)); err != nil {
-			t.Fatalf("re-encode of accepted digest failed: %v", err)
+		checkHonest(t, d)
+		want := bytes.Clone(p[:n])
+		want[3] = 0
+		if got := d.AppendWire(nil); !bytes.Equal(got, want) {
+			t.Fatalf("re-encode of an accepted block differs from the block:\n got %x\nwant %x", got, want)
 		}
 	})
 }
@@ -148,8 +221,8 @@ func TestIngestKeepsEverythingBelowWatermark(t *testing.T) {
 			t.Fatalf("packet %d shed below the watermark", i)
 		}
 	}
-	if g.Shed() != 0 || g.Kept() != 1000 || g.Offered() != 1000 {
-		t.Fatalf("accounting off: offered=%d kept=%d shed=%d", g.Offered(), g.Kept(), g.Shed())
+	if g.shed != 0 || g.kept != 1000 || g.offered != 1000 {
+		t.Fatalf("accounting off: offered=%d kept=%d shed=%d", g.offered, g.kept, g.shed)
 	}
 }
 
@@ -193,10 +266,10 @@ func TestIngestShedsMiceNotHeavy(t *testing.T) {
 			}
 		}
 	}
-	if g.Offered() != 20000 || g.Kept()+g.Shed() != 20000 {
-		t.Fatalf("accounting off: offered=%d kept=%d shed=%d", g.Offered(), g.Kept(), g.Shed())
+	if g.offered != 20000 || g.kept+g.shed != 20000 {
+		t.Fatalf("accounting off: offered=%d kept=%d shed=%d", g.offered, g.kept, g.shed)
 	}
-	if g.Shed() == 0 {
+	if g.shed == 0 {
 		t.Fatal("overloaded run must shed")
 	}
 	if heavyKept != 10000 {
@@ -207,7 +280,7 @@ func TestIngestShedsMiceNotHeavy(t *testing.T) {
 		t.Fatalf("mice kept %d of %d — subsampling not engaged", miceKept, miceOffered)
 	}
 	d := g.Digest(1, 9)
-	if d.Offered != 20000 || d.Shed != g.Shed() || d.Kept != g.Kept() {
+	if d.Offered != 20000 || d.Shed != g.shed || d.Kept != g.kept {
 		t.Fatalf("digest accounting mismatch: %+v", d)
 	}
 	if len(d.TopDst) == 0 || d.TopDst[0].Key != victim {
@@ -218,7 +291,7 @@ func TestIngestShedsMiceNotHeavy(t *testing.T) {
 	}
 
 	g.Reset()
-	if g.Offered() != 0 || g.Shed() != 0 || g.Kept() != 0 {
+	if g.offered != 0 || g.shed != 0 || g.kept != 0 {
 		t.Fatal("Reset must clear accounting")
 	}
 	if d2 := g.Digest(1, 10); len(d2.TopDst) != 0 || d2.FlowEstimate() != 0 {
@@ -239,11 +312,11 @@ func TestIngestHardCeilingBoundsKept(t *testing.T) {
 		// Every packet hits one destination: all-heavy traffic.
 		g.Observe(uint32(0xC0A80000+i%4), victim, uint64(i%64))
 	}
-	if g.Kept() != 1000 {
-		t.Fatalf("kept %d heavy packets, want exactly the 1000-packet ceiling", g.Kept())
+	if g.kept != 1000 {
+		t.Fatalf("kept %d heavy packets, want exactly the 1000-packet ceiling", g.kept)
 	}
-	if g.Shed() != 49000 {
-		t.Fatalf("shed %d, want 49000", g.Shed())
+	if g.shed != 49000 {
+		t.Fatalf("shed %d, want 49000", g.shed)
 	}
 	// The digest still reports the full pre-shed picture.
 	d := g.Digest(0, 1)

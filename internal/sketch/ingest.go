@@ -1,6 +1,9 @@
 package sketch
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config sizes and arms the ingest sketch pass. The zero value is
 // disabled; DefaultConfig returns the armed operating point.
@@ -85,7 +88,15 @@ type topK struct {
 	entries []HeavyHitter // len = used, cap = K
 }
 
-func newTopK(k int) topK { return topK{entries: make([]HeavyHitter, 0, k)} }
+// listGuard is the slack, in entries, allocated behind a list: two
+// cache lines. touch walks a list front to back per heavy packet and the
+// hardware prefetches past the walk's end; without slack that is the
+// next same-sized array — in a process with several monitors the next
+// monitor's list, which its own thread writes per packet, so the two
+// cores trade the line (+27 ns/pkt there, +8 here; one line halves it).
+const listGuard = 8
+
+func newTopK(k int) topK { return topK{entries: make([]HeavyHitter, 0, k+listGuard)[:0:k]} }
 
 // touch records the current estimate for key, inserting or displacing
 // the lightest entry when the list is full.
@@ -116,20 +127,10 @@ func (t *topK) touch(key uint32, est uint64) {
 
 func (t *topK) reset() { t.entries = t.entries[:0] }
 
-// sorted returns a fresh descending copy (count desc, key asc on ties —
-// deterministic for digests).
+// sorted returns a fresh copy in digest order (HeavyHitter.compare).
 func (t *topK) sorted() []HeavyHitter {
-	out := make([]HeavyHitter, len(t.entries))
-	copy(out, t.entries)
-	for i := 1; i < len(out); i++ { // insertion sort; K ≤ 255
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if a.Count > b.Count || (a.Count == b.Count && a.Key <= b.Key) {
-				break
-			}
-			out[j-1], out[j] = b, a
-		}
-	}
+	out := slices.Clone(t.entries)
+	slices.SortFunc(out, HeavyHitter.compare)
 	return out
 }
 
@@ -147,6 +148,9 @@ type Ingest struct {
 	shed     uint64
 	kept     uint64
 	miceTick uint64
+	// threshold is offered/HeavyDivisor, kept by counting: heavyTick is
+	// the packets since it last rose.
+	threshold, heavyTick uint64
 
 	topDst topK
 	topSrc topK
@@ -185,13 +189,15 @@ func NewIngest(cfg Config) (*Ingest, error) {
 // shed, so the slab's epoch volume is bounded at any offered load.
 func (g *Ingest) Observe(srcIP, dstIP uint32, flowHash uint64) bool {
 	g.offered++
-	g.dst.Add(uint64(dstIP), 1)
-	g.src.Add(uint64(srcIP), 1)
+	if g.heavyTick++; g.heavyTick == uint64(g.cfg.HeavyDivisor) {
+		g.heavyTick = 0
+		g.threshold++
+	}
+	estDst := g.dst.Add(uint64(dstIP), 1)
+	estSrc := g.src.Add(uint64(srcIP), 1)
 	g.flows.Add(flowHash)
 
-	estDst := g.dst.Estimate(uint64(dstIP))
-	estSrc := g.src.Estimate(uint64(srcIP))
-	threshold := g.offered / uint64(g.cfg.HeavyDivisor)
+	threshold := g.threshold
 	if threshold > 0 {
 		if estDst >= threshold {
 			g.topDst.touch(dstIP, estDst)
@@ -222,15 +228,6 @@ func (g *Ingest) Observe(srcIP, dstIP uint32, flowHash uint64) bool {
 	return keep
 }
 
-// Offered, Shed and Kept expose the epoch's packet accounting.
-func (g *Ingest) Offered() uint64 { return g.offered }
-
-// Shed returns the packets dropped before the batch slab this epoch.
-func (g *Ingest) Shed() uint64 { return g.shed }
-
-// Kept returns the packets admitted to the batch slab this epoch.
-func (g *Ingest) Kept() uint64 { return g.kept }
-
 // Digest snapshots the epoch's sketch state into a wire-ready digest.
 // Called once per epoch at summary-collection time; the copies it makes
 // are off the per-packet path.
@@ -256,6 +253,7 @@ func (g *Ingest) Reset() {
 	g.src.Reset()
 	g.flows.Reset()
 	g.offered, g.shed, g.kept, g.miceTick = 0, 0, 0, 0
+	g.threshold, g.heavyTick = 0, 0
 	g.topDst.reset()
 	g.topSrc.reset()
 }

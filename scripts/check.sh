@@ -47,4 +47,8 @@ go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|T
 # detection change. See EXPERIMENTS.md ("Scenario scoreboard").
 go test -race -run 'TestScoreboardWorkerDeterminism|TestScoreboardGolden' ./internal/scenario/
 
+# Everything, which includes the ingest sketch pass's exactness oracle
+# (internal/sketch/countmin_oracle_test.go: the one-walk count-min, the
+# multiply-based remainder and the counted heavy threshold against the
+# two-walk, divide-per-row reference, compared with ==).
 go test -race ./...

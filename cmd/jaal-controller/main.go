@@ -204,7 +204,7 @@ func main() {
 			adaptCfg.RawByteBudget, adaptCfg.TargetUncertain, adaptCfg.Step)
 	}
 
-	var remotes []*core.RemoteMonitor
+	var endpoints []core.Endpoint
 	for _, addr := range strings.Split(*monitorList, ",") {
 		addr = strings.TrimSpace(addr)
 		if addr == "" {
@@ -216,10 +216,10 @@ func main() {
 			log.Fatalf("jaal-controller: dial %s: %v", addr, err)
 		}
 		ctrl.RegisterSource(rm.ID(), rm)
-		remotes = append(remotes, rm)
+		endpoints = append(endpoints, rm)
 		log.Printf("connected to monitor %d at %s", rm.ID(), addr)
 	}
-	if len(remotes) == 0 {
+	if len(endpoints) == 0 {
 		log.Fatal("jaal-controller: no monitors")
 	}
 
@@ -231,42 +231,35 @@ func main() {
 		log.Printf("shipping alerts to %s", *alertAddr)
 	}
 
-	poller := &core.Poller{Remotes: remotes}
 	log.Printf("polling %d monitors every %v (feedback=%v, timeout=%v, retries=%d)",
-		len(remotes), *epoch, *feedback, *timeout, *retries)
+		len(endpoints), *epoch, *feedback, *timeout, *retries)
+	engine := &core.Engine{Controller: ctrl, Endpoints: endpoints, EpochLog: epochLogger}
 	ticker := time.NewTicker(*epoch)
 	defer ticker.Stop()
 	for range ticker.C {
-		epochN := ctrl.Epoch()
-		pollStart := time.Now()
-		res := poller.Poll(epochN)
+		res, err := engine.RunEpoch()
 		for _, d := range res.Declines {
 			if d.Unreachable() {
 				log.Printf("monitor %d unreachable for epoch %d: %v", d.MonitorID, d.Epoch, d.Err)
 			}
 		}
 		if res.Degraded {
-			log.Printf("epoch %d degraded: proceeding with %d summaries", epochN, len(res.Summaries))
+			log.Printf("epoch %d degraded: proceeding with %d summaries", res.Epoch, len(res.Summaries))
 		}
-		pollDur := time.Since(pollStart)
 		// Volumetric verdicts ride the digest trailers sketching monitors
-		// append to their summary frames: merged and logged here, no raw
-		// fetch involved. Sketchless monitors ship none and this is a
-		// no-op.
-		if rep := ctrl.ObserveDigests(epochN, res.Digests); rep != nil {
+		// append to their summary frames: no raw fetch involved.
+		// Sketchless monitors ship none and the report is nil.
+		if rep := res.Volumetric; rep != nil {
 			for _, v := range rep.Verdicts {
 				log.Printf("epoch %d volumetric: %s %s drawing %.1f%% of %d offered packets (~%d flows, shed %.1f%%)",
-					epochN, v.Dimension, ipString(v.Addr), 100*v.Share, rep.Offered, rep.Flows, 100*rep.ShedFraction())
+					res.Epoch, v.Dimension, ipString(v.Addr), 100*v.Share, rep.Offered, rep.Flows, 100*rep.ShedFraction())
 			}
 		}
-		inferStart := time.Now()
-		alerts, err := ctrl.ProcessEpoch(res.Summaries)
 		if err != nil {
 			log.Printf("inference: %v", err)
-			trace.FinishEpoch(epochN, 0)
 			continue
 		}
-		for _, a := range alerts {
+		for _, a := range res.Alerts {
 			log.Printf("%s", a)
 			if alertWriter != nil {
 				if err := alertWriter.Send(a); err != nil {
@@ -274,25 +267,9 @@ func main() {
 				}
 			}
 		}
-		// Seal the epoch's timeline: every span staged for this epoch —
-		// local ship/infer plus the monitors' wire-shipped contexts — is
-		// assembled, the critical path computed, and the trace ringed.
-		trace.FinishEpoch(epochN, len(alerts))
 		st := ctrl.Stats()
-		// Guarded (obshot): the KV literals and boxed values would
-		// allocate every epoch even with logging disabled.
-		if epochLogger != nil {
-			epochLogger.Log("controller", ctrl.Epoch()-1,
-				obs.KV{K: "summaries", V: len(res.Summaries)},
-				obs.KV{K: "declines", V: len(res.Declines)},
-				obs.KV{K: "degraded", V: res.Degraded},
-				obs.KV{K: "alerts", V: len(alerts)},
-				obs.KV{K: "poll_ms", V: pollDur},
-				obs.KV{K: "infer_ms", V: time.Since(inferStart)},
-				obs.KV{K: "overhead_fraction", V: st.OverheadFraction()})
-		}
 		log.Printf("epoch %d: %d summaries, %d packets summarized, overhead %.1f%% of raw",
-			ctrl.Epoch()-1, len(res.Summaries), st.PacketsSummarized, 100*st.OverheadFraction())
+			res.Epoch, len(res.Summaries), st.PacketsSummarized, 100*st.OverheadFraction())
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"repro/internal/analysis/detrand"
 	"repro/internal/analysis/encdec"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/linearscan"
 	"repro/internal/analysis/lockcopy"
 	"repro/internal/analysis/lockheld"
 	"repro/internal/analysis/mapiter"
@@ -45,7 +44,6 @@ var all = []*analysis.Analyzer{
 	detrand.Analyzer,
 	encdec.Analyzer,
 	hotalloc.Analyzer,
-	linearscan.Analyzer,
 	lockcopy.Analyzer,
 	lockheld.Analyzer,
 	mapiter.Analyzer,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/inference"
 	"repro/internal/rules"
+	"repro/internal/sketch"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
 )
@@ -43,13 +44,21 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 		}
 	}
 
+	ctrl, err := core.NewController(core.ControllerConfig{
+		Env: env, Questions: questions,
+		Feedback: feedback, UseFeedback: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	// Spin up the monitor daemons on loopback TCP.
 	monitors := make([]*core.Monitor, numMonitors)
-	remotes := make([]*core.RemoteMonitor, numMonitors)
+	endpoints := make([]core.Endpoint, numMonitors)
 	for i := 0; i < numMonitors; i++ {
-		m, err := core.NewMonitor(i, summary.Config{
+		m, err := core.NewMonitorSketch(i, summary.Config{
 			BatchSize: 1000, Rank: 12, Centroids: 200, MinBatch: 500, Seed: int64(i) + 1,
-		})
+		}, sketch.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,22 +86,13 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		remotes[i] = remote
+		ctrl.RegisterSource(remote.ID(), remote)
+		endpoints[i] = remote
 	}
-
-	ctrl, err := core.NewController(core.ControllerConfig{
-		Env: env, Questions: questions,
-		Feedback: feedback, UseFeedback: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range remotes {
-		ctrl.RegisterSource(r.ID(), r)
-	}
+	engine := &core.Engine{Controller: ctrl, Endpoints: endpoints}
 
 	// ingestEpoch spreads one epoch of traffic round-robin over the
-	// monitors, then polls and infers — the controller tick of §7.
+	// monitors, then runs the engine — the controller tick of §7.
 	ingestEpoch := func(withAttack bool, seed int64) []*inference.Alert {
 		t.Helper()
 		bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(seed))
@@ -111,19 +111,14 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var all []*summary.Summary
-		for _, r := range remotes {
-			ss, err := r.PollSummaries(ctrl.Epoch())
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, ss...)
-		}
-		alerts, err := ctrl.ProcessEpoch(all)
+		res, err := engine.RunEpoch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return alerts
+		if res.Degraded || len(res.Declines) != 0 {
+			t.Fatalf("epoch %d: degraded=%v, declines %+v", res.Epoch, res.Degraded, res.Declines)
+		}
+		return res.Alerts
 	}
 
 	// Epoch 0: clean. No flood alerts expected.

@@ -25,12 +25,10 @@
 // package is analyzed. Function literals inside hot functions are hot
 // (they are the loop bodies fanned out by par.For).
 //
-// A reviewed allocation is silenced in place with a reason:
+// A reviewed allocation is silenced in place, with a reason, like any
+// other jaal-vet finding:
 //
-//	buf = append(buf, b) //jaal:alloc-ok sealed-batch flush, amortized over MinBatch packets
-//
-// An annotation without a reason suppresses nothing and is itself
-// reported.
+//	buf = append(buf, b) //jaalvet:ignore hotalloc — sealed-batch flush, amortized over MinBatch packets
 package hotalloc
 
 import (
@@ -50,24 +48,23 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // hotRoots seeds reachability, keyed by package basename. Methods are
-// named (recv).Name with the receiver type rendered as written.
+// named (recv).Name with the receiver type rendered as written. A root
+// that names no declaration would be ignored silently, so TestHotRootsExist
+// checks every one against the real packages.
 var hotRoots = map[string][]string{
 	"core": {
 		"(*Monitor).Ingest",
 		"(*Monitor).summarize",
+		"(*Monitor).Poll",
 		"(*Controller).ProcessEpoch",
 		"(*Pipeline).Ingest",
-		"(*Pipeline).RunEpoch",
+		"(*Engine).RunEpoch",
 	},
 	"par": {
 		"(*task).run",
-		"dispatch",
-		"Rows",
 		"For",
 	},
 }
-
-const allocOK = "//jaal:alloc-ok"
 
 func run(pass *analysis.Pass) error {
 	c := &checker{pass: pass, decls: map[*types.Func]*ast.FuncDecl{}}
@@ -140,7 +137,6 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 
-	c.scanAllocOK()
 	for _, obj := range c.order {
 		if hot[obj] {
 			c.checkFunc(c.decls[obj])
@@ -154,52 +150,6 @@ type checker struct {
 	decls map[*types.Func]*ast.FuncDecl
 	order []*types.Func
 	marks map[string]bool
-	// ok maps file name → lines carrying a reasoned //jaal:alloc-ok.
-	ok map[string]map[int]bool
-}
-
-// scanAllocOK collects the //jaal:alloc-ok annotations, reporting any
-// without a reason (they suppress nothing).
-func (c *checker) scanAllocOK() {
-	c.ok = map[string]map[int]bool{}
-	for _, f := range c.pass.Files {
-		for _, cg := range f.Comments {
-			for _, cm := range cg.List {
-				rest, found := strings.CutPrefix(cm.Text, allocOK)
-				if !found {
-					continue
-				}
-				reason := strings.TrimSpace(rest)
-				for _, sep := range []string{"—", "--"} {
-					reason = strings.TrimSpace(strings.TrimPrefix(reason, sep))
-				}
-				pos := c.pass.Position(cm.Pos())
-				if reason == "" {
-					c.pass.Reportf(cm.Pos(), "jaal:alloc-ok annotation needs a reason")
-					continue
-				}
-				if c.ok[pos.Filename] == nil {
-					c.ok[pos.Filename] = map[int]bool{}
-				}
-				c.ok[pos.Filename][pos.Line] = true
-			}
-		}
-	}
-}
-
-// allowed reports whether pos is covered by a reasoned alloc-ok
-// annotation on its line or the line above.
-func (c *checker) allowed(pos token.Pos) bool {
-	p := c.pass.Position(pos)
-	lines := c.ok[p.Filename]
-	return lines[p.Line] || lines[p.Line-1]
-}
-
-func (c *checker) reportf(pos token.Pos, format string, args ...any) {
-	if c.allowed(pos) {
-		return
-	}
-	c.pass.Reportf(pos, format, args...)
 }
 
 // checkFunc reports the allocation sites of one hot function. FuncLit
@@ -222,10 +172,10 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 			}
 			switch t.Underlying().(type) {
 			case *types.Map:
-				c.reportf(n.Pos(), "map literal allocates in the hot path")
+				c.pass.Reportf(n.Pos(), "map literal allocates in the hot path")
 			case *types.Slice:
 				if len(n.Elts) > 0 {
-					c.reportf(n.Pos(), "slice literal allocates in the hot path")
+					c.pass.Reportf(n.Pos(), "slice literal allocates in the hot path")
 				}
 			}
 		}
@@ -291,7 +241,7 @@ func (c *checker) checkCall(call *ast.CallExpr, capless map[*types.Var]bool) {
 		fn.Pkg().Path() == "fmt" {
 		switch fn.Name() {
 		case "Sprintf", "Sprint", "Sprintln":
-			c.reportf(call.Pos(), "fmt.%s allocates in the hot path", fn.Name())
+			c.pass.Reportf(call.Pos(), "fmt.%s allocates in the hot path", fn.Name())
 			return
 		}
 	}
@@ -300,8 +250,8 @@ func (c *checker) checkCall(call *ast.CallExpr, capless map[*types.Var]bool) {
 		if _, isBuiltin := c.pass.TypesInfo.Uses[ident].(*types.Builtin); isBuiltin && len(call.Args) > 0 {
 			if target, ok := call.Args[0].(*ast.Ident); ok {
 				if v, ok := c.pass.TypesInfo.Uses[target].(*types.Var); ok && capless[v] {
-					c.reportf(call.Pos(),
-						"append grows capacity-less slice %s in the hot path (presize with make or annotate //jaal:alloc-ok)",
+					c.pass.Reportf(call.Pos(),
+						"append grows capacity-less slice %s in the hot path (presize with make or suppress with a reason)",
 						target.Name)
 				}
 			}
@@ -325,7 +275,7 @@ func (c *checker) checkCall(call *ast.CallExpr, capless map[*types.Var]bool) {
 			if !boxes(tv.Type) {
 				continue
 			}
-			c.reportf(arg.Pos(), "%s (non-pointer %s) is boxed into interface %s per call in the hot path",
+			c.pass.Reportf(arg.Pos(), "%s (non-pointer %s) is boxed into interface %s per call in the hot path",
 				types.ExprString(arg), tv.Type.String(), pt.String())
 		}
 	}

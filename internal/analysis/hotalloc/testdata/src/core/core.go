@@ -49,15 +49,15 @@ func (m *Monitor) publish(s int) {
 // flush shows a reviewed growth silenced with a reason.
 func (m *Monitor) flush(h int) {
 	var acc []int
-	acc = append(acc, h) //jaal:alloc-ok flush runs once per sealed batch, amortized over the batch size
+	acc = append(acc, h) //jaalvet:ignore hotalloc — flush runs once per sealed batch, amortized over the batch size
 	_ = acc
 }
 
-type Pipeline struct{ n int }
+type Engine struct{ n int }
 
 // RunEpoch is a hot root; the literal it fans out is the actual loop
 // body, so its allocations count too.
-func (p *Pipeline) RunEpoch() {
+func (p *Engine) RunEpoch() {
 	each(p.n, func(i int) {
 		s := fmt.Sprint(i) // want `fmt\.Sprint allocates in the hot path`
 		_ = s

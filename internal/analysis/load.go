@@ -215,8 +215,9 @@ type Result struct {
 	// advisory, reported separately so callers can warn without
 	// failing.
 	Stale []Finding
-	// Stats maps analyzer name → counts; only analyzers with activity
-	// appear. Malformed suppressions count under "jaalvet".
+	// Stats maps analyzer name → counts, one entry per analyzer that
+	// ran. Malformed suppressions count under "jaalvet", present only
+	// when there are any.
 	Stats map[string]*AnalyzerStats
 }
 
@@ -250,6 +251,7 @@ func RunDetailed(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 	shared := make(map[string]map[string]any, len(analyzers))
 	for _, a := range analyzers {
 		ran[a.Name] = true
+		stat(a.Name)
 		shared[a.Name] = make(map[string]any)
 	}
 	for _, pkg := range importersFirst(pkgs) {

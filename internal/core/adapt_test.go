@@ -12,6 +12,7 @@ import (
 	"repro/internal/inference"
 	"repro/internal/packet"
 	"repro/internal/rules"
+	"repro/internal/sketch"
 	"repro/internal/snort"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
@@ -38,7 +39,7 @@ func (s *countingSource) RawPackets(epoch uint64, centroid int) []packet.Header 
 // is accounted exactly once (stats equal the deduplicated header count
 // actually served, not the per-question sum).
 func TestFeedbackFetchSharedCentroidOnce(t *testing.T) {
-	m, err := NewMonitor(1, smallSummaryConfig())
+	m, err := NewMonitorSketch(1, smallSummaryConfig(), sketch.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func twoMonitorRound(t *testing.T) ([2]*Monitor, []*summary.Summary, map[rules.A
 	t.Helper()
 	var ms [2]*Monitor
 	for i := range ms {
-		m, err := NewMonitor(i+1, smallSummaryConfig())
+		m, err := NewMonitorSketch(i+1, smallSummaryConfig(), sketch.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

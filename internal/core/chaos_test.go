@@ -10,6 +10,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/obs"
 	"repro/internal/rules"
+	"repro/internal/sketch"
 	"repro/internal/trafficgen"
 )
 
@@ -33,8 +34,7 @@ import (
 // chaosDeployment is one wire deployment under test.
 type chaosDeployment struct {
 	monitors []*Monitor
-	remotes  []*RemoteMonitor
-	poller   *Poller
+	engine   *Engine
 	ctrl     *Controller
 	mix      *trafficgen.Mixer
 }
@@ -45,8 +45,9 @@ type chaosDeployment struct {
 func startChaosDeployment(t *testing.T, m int, rc RetryConfig, planFor func(mon, conn int) *faultnet.Plan) *chaosDeployment {
 	t.Helper()
 	d := &chaosDeployment{}
+	var endpoints []Endpoint
 	for i := 0; i < m; i++ {
-		mon, err := NewMonitor(i, smallSummaryConfig())
+		mon, err := NewMonitorSketch(i, smallSummaryConfig(), sketch.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,14 +85,14 @@ func startChaosDeployment(t *testing.T, m int, rc RetryConfig, planFor func(mon,
 		)
 		rm := NewRemoteMonitor(i, dial, rc)
 		t.Cleanup(func() { rm.Close() })
-		d.remotes = append(d.remotes, rm)
+		endpoints = append(endpoints, rm)
 	}
 	ctrl, err := NewController(ControllerConfig{Env: testEnv(), Questions: testQuestions(t, 3000)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.ctrl = ctrl
-	d.poller = &Poller{Remotes: d.remotes}
+	d.engine = &Engine{Controller: ctrl, Endpoints: endpoints}
 
 	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(1))
 	atk, err := trafficgen.NewAttack(rules.AttackDistributedSYNFlood,
@@ -129,19 +130,18 @@ func ingestEpoch(t *testing.T, d *chaosDeployment, perEpoch int) {
 	}
 }
 
-// runChaosEpochs drives the ingest→poll→infer loop and returns the
-// rendered alert stream.
+// runChaosEpochs feeds the monitors and runs the engine, epoch by epoch,
+// and returns the rendered alert stream.
 func runChaosEpochs(t *testing.T, d *chaosDeployment, epochs, perEpoch int) []string {
 	t.Helper()
 	var lines []string
 	for e := 0; e < epochs; e++ {
 		ingestEpoch(t, d, perEpoch)
-		res := d.poller.Poll(d.ctrl.Epoch())
-		alerts, err := d.ctrl.ProcessEpoch(res.Summaries)
+		res, err := d.engine.RunEpoch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range alerts {
+		for _, a := range res.Alerts {
 			lines = append(lines, a.String())
 		}
 	}
@@ -237,14 +237,14 @@ func TestChaosPermanentMonitorLossDegrades(t *testing.T) {
 		defer close(done)
 		for e := 0; e < epochs; e++ {
 			ingestEpoch(t, d, perEpoch)
-			res := d.poller.Poll(d.ctrl.Epoch())
+			res, err := d.engine.RunEpoch()
+			if err != nil {
+				t.Errorf("epoch %d: %v", e, err)
+			}
 			if !res.Degraded {
 				t.Errorf("epoch %d: lost monitor did not degrade the poll", e)
 			}
 			declines = append(declines, res.Declines...)
-			if _, err := d.ctrl.ProcessEpoch(res.Summaries); err != nil {
-				t.Errorf("epoch %d: %v", e, err)
-			}
 		}
 	}()
 	select {
@@ -275,7 +275,7 @@ func TestChaosPermanentMonitorLossDegrades(t *testing.T) {
 // silently merge another monitor's traffic into the epoch.
 func TestReconnectRejectsWrongMonitor(t *testing.T) {
 	mkServer := func(id int) string {
-		m, err := NewMonitor(id, smallSummaryConfig())
+		m, err := NewMonitorSketch(id, smallSummaryConfig(), sketch.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

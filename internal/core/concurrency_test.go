@@ -4,16 +4,17 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/sketch"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
 )
 
 // TestMonitorConcurrentIngestAndPoll drives a monitor from concurrent
 // goroutines the way a deployment does: a packet-ingest loop racing the
-// controller's summary polls, raw fetches, load queries and epoch
-// advances. Run with -race.
+// controller's summary polls (each of which ends the monitor's epoch),
+// raw fetches and load queries. Run with -race.
 func TestMonitorConcurrentIngestAndPoll(t *testing.T) {
-	m, err := NewMonitor(1, summary.Config{BatchSize: 200, Rank: 8, Centroids: 40, MinBatch: 50, Seed: 1})
+	m, err := NewMonitorSketch(1, summary.Config{BatchSize: 200, Rank: 8, Centroids: 40, MinBatch: 50, Seed: 1}, sketch.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +43,9 @@ func TestMonitorConcurrentIngestAndPoll(t *testing.T) {
 				return
 			default:
 			}
-			ss, _, err := m.CollectSummaries()
+			ss, _, _, err := m.Poll(0)
 			if err != nil {
-				t.Errorf("collect: %v", err)
+				t.Errorf("poll: %v", err)
 				return
 			}
 			for _, s := range ss {
@@ -53,7 +54,6 @@ func TestMonitorConcurrentIngestAndPoll(t *testing.T) {
 				}
 			}
 			m.LoadAndReset()
-			m.AdvanceEpoch()
 		}
 	}()
 
@@ -62,14 +62,14 @@ func TestMonitorConcurrentIngestAndPoll(t *testing.T) {
 
 // TestMonitorIngestDuringSummarizeWindow stresses the lock-free
 // summarize window: several ingest goroutines keep feeding the monitor
-// while a collector loop forces flush summarizations, finer-granularity
-// re-summarizations and epoch advances. The monitor releases mu during
+// while a poll loop forces flush summarizations, finer-granularity
+// re-summarizations and epoch ends. The monitor releases mu during
 // every SVD+k-means, so ingest and compute genuinely overlap; the packet
 // conservation check at the end proves no header is lost or double
 // counted across the snapshot/summarize/publish handoff. Run with -race.
 func TestMonitorIngestDuringSummarizeWindow(t *testing.T) {
 	cfg := summary.Config{BatchSize: 150, Rank: 8, Centroids: 30, MinBatch: 40, Seed: 2}
-	m, err := NewMonitor(1, cfg)
+	m, err := NewMonitorSketch(1, cfg, sketch.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +100,9 @@ func TestMonitorIngestDuringSummarizeWindow(t *testing.T) {
 
 	summarized := 0
 	collect := func() {
-		ss, _, err := m.CollectSummaries()
+		ss, _, _, err := m.Poll(0)
 		if err != nil {
-			t.Errorf("collect: %v", err)
+			t.Errorf("poll: %v", err)
 			return
 		}
 		for _, s := range ss {
@@ -124,7 +124,6 @@ func TestMonitorIngestDuringSummarizeWindow(t *testing.T) {
 		default:
 		}
 		collect()
-		m.AdvanceEpoch()
 	}
 	// Drain what sealed after the last in-loop collection.
 	collect()
@@ -152,7 +151,7 @@ func TestControllerConcurrentEpochs(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(seed))
-			szr, err := NewMonitor(int(seed), summary.Config{BatchSize: 250, Rank: 8, Centroids: 50, MinBatch: 50, Seed: seed})
+			szr, err := NewMonitorSketch(int(seed), summary.Config{BatchSize: 250, Rank: 8, Centroids: 50, MinBatch: 50, Seed: seed}, sketch.Config{})
 			if err != nil {
 				t.Error(err)
 				return

@@ -35,8 +35,9 @@ type Controller struct {
 	// bit i always refers to ids[i].
 	ids []rules.AttackID
 	qs  []*rules.Question
-	// index prunes provably unmatchable questions each epoch; nil when
-	// ControllerConfig.DisableIndex forced the linear scan.
+	// index prunes provably unmatchable questions each epoch. (A nil
+	// index evaluates every question: the linear sweep the in-package
+	// equivalence tests use as their oracle.)
 	index    *rules.QuestionIndex
 	feedback map[rules.AttackID]inference.FeedbackConfig
 	// useFeedback enables the two-stage path for attacks with a
@@ -131,12 +132,6 @@ type ControllerConfig struct {
 	// that epoch's verdicts. Requires UseFeedback and a non-empty
 	// Feedback map. Nil keeps the configs static.
 	Adapt *adapt.Config
-	// DisableIndex forces the linear question sweep instead of the
-	// candidate index. The output is byte-identical either way (the
-	// index only skips questions whose match set is provably empty);
-	// this switch exists as the reference path for equivalence tests
-	// and as an escape hatch.
-	DisableIndex bool
 }
 
 // indexTauHeadroom widens the per-question τ bound the index is built
@@ -221,12 +216,9 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 			return nil, fmt.Errorf("core: nil question for attack %s", id)
 		}
 	}
-	if !cfg.DisableIndex {
-		ix, err := c.buildIndex(c.feedback)
-		if err != nil {
-			return nil, fmt.Errorf("core: question index: %w", err)
-		}
-		c.index = ix
+	var err error
+	if c.index, err = c.buildIndex(c.feedback); err != nil {
+		return nil, fmt.Errorf("core: question index: %w", err)
 	}
 	return c, nil
 }
@@ -307,11 +299,11 @@ func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, res
 			if !ok {
 				m = len(pulls)
 				slot[ref.MonitorID] = m
-				pulls = append(pulls, monitorPulls{id: ref.MonitorID}) //jaal:alloc-ok one entry per monitor holding an uncertain centroid
+				pulls = append(pulls, monitorPulls{id: ref.MonitorID}) //jaalvet:ignore hotalloc — one entry per monitor holding an uncertain centroid
 			}
 			index[ref] = len(fetches)
-			pulls[m].want = append(pulls[m].want, len(fetches)) //jaal:alloc-ok uncertain-verdict path only; the centroid count is data-dependent
-			fetches = append(fetches, rawFetch{ref: ref})       //jaal:alloc-ok uncertain-verdict path only; the centroid count is data-dependent
+			pulls[m].want = append(pulls[m].want, len(fetches)) //jaalvet:ignore hotalloc — uncertain-verdict path only; the centroid count is data-dependent
+			fetches = append(fetches, rawFetch{ref: ref})       //jaalvet:ignore hotalloc — uncertain-verdict path only; the centroid count is data-dependent
 		}
 	}
 	if len(fetches) == 0 {
@@ -358,7 +350,7 @@ func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, res
 				f.paid = true
 				charged += len(f.hs)
 			}
-			raw = append(raw, f.hs...) //jaal:alloc-ok uncertain-verdict path only, a handful of questions per epoch; row count is data-dependent
+			raw = append(raw, f.hs...) //jaalvet:ignore hotalloc — uncertain-verdict path only, a handful of questions per epoch; row count is data-dependent
 		}
 		if r.err != nil {
 			continue
@@ -400,9 +392,8 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	// would box it again for every question of the round.
 	var matcher inference.RawMatcher = snort.RawMatcher{Env: c.env}
 
-	// One candidate-set computation covers every question this epoch; a
-	// nil index (DisableIndex) yields a nil set whose Contains is
-	// always true — the linear sweep.
+	// One candidate-set computation covers every question this epoch (a
+	// nil index yields a nil set whose Contains is always true).
 	cs := inference.Candidates(agg, index)
 	if index != nil {
 		cands := cs.Count()
@@ -449,13 +440,13 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 		if r.fb != nil {
 			countVerdict(r.fb.Verdict)
 			if r.fb.Alerted {
-				alerts = append(alerts, inference.NewAlertFromFeedback(id, epoch, r.fb, c.clock)) //jaal:alloc-ok alerts are rare; most epochs raise none
+				alerts = append(alerts, inference.NewAlertFromFeedback(id, epoch, r.fb, c.clock)) //jaalvet:ignore hotalloc — alerts are rare; most epochs raise none
 			}
 			continue
 		}
 		if r.match.Alerted() {
 			cSimMatches.Inc()
-			alerts = append(alerts, inference.NewAlertFromMatch(id, epoch, r.match, c.clock)) //jaal:alloc-ok alerts are rare; most epochs raise none
+			alerts = append(alerts, inference.NewAlertFromMatch(id, epoch, r.match, c.clock)) //jaalvet:ignore hotalloc — alerts are rare; most epochs raise none
 		}
 	}
 	asp.End()
@@ -543,10 +534,6 @@ func (c *Controller) FeedbackConfigs() map[rules.AttackID]inference.FeedbackConf
 	}
 	return out
 }
-
-// Adapter returns the adaptive threshold controller, or nil when
-// adaptation is disabled.
-func (c *Controller) Adapter() *adapt.Controller { return c.adapter }
 
 // Epoch returns the next epoch number to be processed.
 func (c *Controller) Epoch() uint64 {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/inference"
 	"repro/internal/packet"
 	"repro/internal/rules"
+	"repro/internal/sketch"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
 )
@@ -43,7 +44,7 @@ func smallSummaryConfig() summary.Config {
 }
 
 func TestMonitorBatchingAndSummaries(t *testing.T) {
-	m, err := NewMonitor(1, smallSummaryConfig())
+	m, err := NewMonitorSketch(1, smallSummaryConfig(), sketch.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestMonitorBatchingAndSummaries(t *testing.T) {
 }
 
 func TestMonitorDeclinesBelowMinBatch(t *testing.T) {
-	m, err := NewMonitor(2, smallSummaryConfig())
+	m, err := NewMonitorSketch(2, smallSummaryConfig(), sketch.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestMonitorDeclinesBelowMinBatch(t *testing.T) {
 }
 
 func TestMonitorRawRetention(t *testing.T) {
-	m, err := NewMonitor(3, smallSummaryConfig())
+	m, err := NewMonitorSketch(3, smallSummaryConfig(), sketch.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,27 +98,47 @@ func TestMonitorRawRetention(t *testing.T) {
 	if err := m.IngestBatch(bg.Batch(500)); err != nil {
 		t.Fatal(err)
 	}
-	ss, _, err := m.CollectSummaries()
+	// The poll that ships the batch ends the monitor's epoch, and the
+	// batch is still there for the inference round that follows it.
+	ss, _, _, err := m.Poll(0)
 	if err != nil || len(ss) != 1 {
 		t.Fatalf("summaries: %v %v", len(ss), err)
 	}
 	s := ss[0]
-	total := 0
-	for c := 0; c < s.K(); c++ {
-		total += len(m.RawPackets(s.Epoch, c))
+	retained := func() int {
+		total := 0
+		for c := 0; c < s.K(); c++ {
+			total += len(m.RawPackets(s.Epoch, c))
+		}
+		return total
 	}
-	if total != 500 {
-		t.Fatalf("retained %d raw packets, want 500", total)
+	if got := retained(); got != 500 {
+		t.Fatalf("retained %d raw packets, want 500", got)
 	}
-	m.AdvanceEpoch()
-	m.AdvanceEpoch()
-	if m.RawPackets(s.Epoch, 0) != nil {
-		t.Fatal("retention must expire after two epochs")
+	// A poll that declines leaves the epoch open: nothing expires.
+	if err := m.IngestBatch(bg.Batch(50)); err != nil { // < MinBatch 100
+		t.Fatal(err)
+	}
+	if ss, pending, _, err := m.Poll(1); err != nil || len(ss) != 0 || pending != 50 {
+		t.Fatalf("declining poll: %d summaries, %d pending, err %v", len(ss), pending, err)
+	}
+	if got := retained(); got != 500 {
+		t.Fatalf("a declining poll expired retention: %d raw packets left, want 500", got)
+	}
+	// The next epoch end is the second since the batch was sealed.
+	if err := m.IngestBatch(bg.Batch(450)); err != nil {
+		t.Fatal(err)
+	}
+	if ss, _, _, err := m.Poll(2); err != nil || len(ss) != 1 {
+		t.Fatalf("second shipping poll: %d summaries, err %v", len(ss), err)
+	}
+	if got := retained(); got != 0 {
+		t.Fatalf("retention must expire at the second epoch end, %d raw packets left", got)
 	}
 }
 
 func TestMonitorLoadAndReset(t *testing.T) {
-	m, _ := NewMonitor(4, smallSummaryConfig())
+	m, _ := NewMonitorSketch(4, smallSummaryConfig(), sketch.Config{})
 	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(4))
 	m.IngestBatch(bg.Batch(42))
 	if l := m.LoadAndReset(); l != 42 {
@@ -281,7 +302,7 @@ func TestPipelineFeedbackAccounting(t *testing.T) {
 }
 
 func TestTransportEndToEnd(t *testing.T) {
-	m, err := NewMonitor(9, smallSummaryConfig())
+	m, err := NewMonitorSketch(9, smallSummaryConfig(), sketch.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +332,7 @@ func TestTransportEndToEnd(t *testing.T) {
 		t.Fatalf("load = %v, want 600", load)
 	}
 
-	ss, err := remote.PollSummaries(0)
+	ss, _, _, err := remote.Poll(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +372,7 @@ func TestTransportOverTCP(t *testing.T) {
 	}
 	defer ln.Close()
 
-	m, _ := NewMonitor(11, smallSummaryConfig())
+	m, _ := NewMonitorSketch(11, smallSummaryConfig(), sketch.Config{})
 	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(9))
 	m.IngestBatch(bg.Batch(500))
 
@@ -372,7 +393,7 @@ func TestTransportOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := remote.PollSummaries(0)
+	ss, _, _, err := remote.Poll(0)
 	if err != nil {
 		t.Fatal(err)
 	}

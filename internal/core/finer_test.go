@@ -4,11 +4,12 @@ import (
 	"net"
 	"testing"
 
+	"repro/internal/sketch"
 	"repro/internal/trafficgen"
 )
 
 func TestFinerSummaryInProcess(t *testing.T) {
-	m, err := NewMonitor(1, smallSummaryConfig()) // k = 100
+	m, err := NewMonitorSketch(1, smallSummaryConfig(), sketch.Config{}) // k = 100
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +17,7 @@ func TestFinerSummaryInProcess(t *testing.T) {
 	if err := m.IngestBatch(bg.Batch(500)); err != nil {
 		t.Fatal(err)
 	}
-	ss, _, err := m.CollectSummaries()
+	ss, _, _, err := m.Poll(0)
 	if err != nil || len(ss) != 1 {
 		t.Fatalf("summaries: %d, %v", len(ss), err)
 	}
@@ -45,9 +46,14 @@ func TestFinerSummaryInProcess(t *testing.T) {
 		t.Fatal("k below the original must be rejected")
 	}
 
-	// Expired batches yield nil.
-	m.AdvanceEpoch()
-	m.AdvanceEpoch()
+	// Expired batches yield nil: the poll above was the first epoch end
+	// since the batch was sealed, the next shipping poll is the second.
+	if err := m.IngestBatch(bg.Batch(500)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := m.Poll(1); err != nil {
+		t.Fatal(err)
+	}
 	got, err := m.FinerSummary(coarse.Epoch, 250)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +64,7 @@ func TestFinerSummaryInProcess(t *testing.T) {
 }
 
 func TestFinerSummaryOverWire(t *testing.T) {
-	m, err := NewMonitor(4, smallSummaryConfig())
+	m, err := NewMonitorSketch(4, smallSummaryConfig(), sketch.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +81,7 @@ func TestFinerSummaryOverWire(t *testing.T) {
 	}
 	defer remote.Close()
 
-	ss, err := remote.PollSummaries(0)
+	ss, _, _, err := remote.Poll(0)
 	if err != nil || len(ss) != 1 {
 		t.Fatalf("poll: %d, %v", len(ss), err)
 	}

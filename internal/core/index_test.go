@@ -12,6 +12,11 @@ import (
 	"repro/internal/trafficgen"
 )
 
+// linearSweepOracle turns a controller into the reference the index is
+// checked against: with a nil index ProcessEpoch evaluates every question
+// against every centroid, and never rebuilds one.
+func linearSweepOracle(c *Controller) { c.index = nil }
+
 // runIndexWorkload drives five epochs of seeded mixed traffic through a
 // pipeline and returns the alert trace, stats, and final feedback
 // configs. disable toggles the question index; everything else is held
@@ -20,10 +25,9 @@ func runIndexWorkload(t *testing.T, workers int, disable bool, useFeedback bool,
 	t.Helper()
 	qs := testQuestions(t, 2500)
 	cc := ControllerConfig{
-		Env:          testEnv(),
-		Questions:    qs,
-		Workers:      workers,
-		DisableIndex: disable,
+		Env:       testEnv(),
+		Questions: qs,
+		Workers:   workers,
 	}
 	if useFeedback {
 		cc.Feedback = adaptFeedbackConfigs(qs)
@@ -38,6 +42,9 @@ func runIndexWorkload(t *testing.T, workers int, disable bool, useFeedback bool,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if disable {
+		linearSweepOracle(p.Controller)
 	}
 	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(11))
 	atk, err := trafficgen.NewAttack(rules.AttackDistributedSYNFlood,
@@ -190,11 +197,14 @@ func TestControllerIndexScale(t *testing.T) {
 			NumMonitors: 2,
 			Summary:     smallSummaryConfig(),
 			Controller: ControllerConfig{
-				Env: testEnv(), Questions: base, DisableIndex: disable,
+				Env: testEnv(), Questions: base,
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if disable {
+			linearSweepOracle(p.Controller)
 		}
 		bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(19))
 		atk, _ := trafficgen.NewAttack(rules.AttackSYNFlood,

@@ -12,7 +12,7 @@ import (
 // BenchmarkMonitorIngestShedding times Monitor.Ingest at the deployment
 // benchmark's overload operating point: a SYN flood at 20 % of a Zipf
 // background, the sketch pass armed with watermark 625, and an epoch
-// closed (poll, then CloseEpoch) every 150 000 packets — one monitor's
+// closed (Monitor.Poll) every 150 000 packets — one monitor's
 // share of a 300 000-packet epoch. All but 1 250 packets an epoch are
 // shed, so this is the lock, the sketch pass and the shed accounting.
 func BenchmarkMonitorIngestShedding(b *testing.B) {
@@ -37,11 +37,12 @@ func BenchmarkMonitorIngestShedding(b *testing.B) {
 			b.Fatal(err)
 		}
 		if (i+1)%perEpoch == 0 {
-			if _, _, err := m.CollectSummaries(); err != nil {
+			_, _, d, err := m.Poll(epoch)
+			if err != nil {
 				b.Fatal(err)
 			}
-			if d := m.CloseEpoch(epoch); d.Offered != perEpoch || d.Kept != 1250 {
-				b.Fatalf("epoch %d: offered %d kept %d, want %d and 1250", epoch, d.Offered, d.Kept, perEpoch)
+			if d == nil || d.Offered != perEpoch || d.Kept != 1250 {
+				b.Fatalf("epoch %d: digest %+v, want offered %d and kept 1250", epoch, d, perEpoch)
 			}
 			epoch++
 		}

@@ -83,7 +83,8 @@ var (
 
 	// Wire transport fault tolerance. Reconnects count successful
 	// re-handshakes after a lost connection; deadline misses count
-	// exchanges that died on an armed I/O deadline; degraded epochs
+	// exchanges that died on an armed I/O deadline; decode rejects count
+	// summary frames whose payload a codec refused; degraded epochs
 	// count inference rounds that proceeded without at least one
 	// monitor's summaries; serve errors count monitor-side sessions
 	// that ended on anything but a clean EOF.
@@ -91,6 +92,8 @@ var (
 		"successful reconnect+rehandshake cycles after a lost monitor connection")
 	cDeadlineMisses = obs.NewCounter("jaal_transport_deadline_misses_total",
 		"wire exchanges aborted by an I/O deadline")
+	cDecodeRejects = obs.NewCounter("jaal_transport_decode_rejects_total",
+		"summary frames refused at decode: a summary, sketch digest or trace trailer that broke its codec's invariants")
 	cServeErrors = obs.NewCounter("jaal_transport_serve_errors_total",
 		"monitor-side serve sessions ended by a non-EOF error")
 	cEpochDegraded = obs.NewCounter("jaal_epoch_degraded_total",

@@ -5,6 +5,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -50,14 +51,9 @@ type Monitor struct {
 	summarizer *summary.Summarizer
 }
 
-// NewMonitor builds a monitor with the given summarization config and
-// no sketch pass.
-func NewMonitor(id int, cfg summary.Config) (*Monitor, error) {
-	return NewMonitorSketch(id, cfg, sketch.Config{})
-}
-
 // NewMonitorSketch builds a monitor with a sketch pass in front of the
-// batch slab. A disabled sketch config yields a plain monitor.
+// batch slab. A disabled sketch config (the zero value) yields a plain
+// monitor.
 func NewMonitorSketch(id int, cfg summary.Config, scfg sketch.Config) (*Monitor, error) {
 	szr, err := summary.NewSummarizer(cfg)
 	if err != nil {
@@ -145,7 +141,9 @@ func (m *Monitor) summarize(batch *summary.Batch) error {
 // summarized too (the controller-initiated poll of §5.1); below MinBatch
 // the monitor declines to summarize the partial batch and reports the
 // pending count. The flush summarization runs outside mu like every
-// other summarization, so a poll does not stall ingestion.
+// other summarization, so a poll does not stall ingestion. It is the first
+// half of Poll, which is what an epoch loop calls; on its own it drains a
+// monitor without ending its epoch.
 func (m *Monitor) CollectSummaries() (ss []*summary.Summary, pending int, err error) {
 	minBatch := m.summarizer.Config().MinBatch
 	m.mu.Lock()
@@ -217,55 +215,39 @@ func (m *Monitor) FinerSummary(epoch uint64, k int) (*summary.Summary, error) {
 	return fs, err
 }
 
-// SketchDigest snapshots the sketch pass into a wire-ready digest for
-// the given controller epoch, or nil when the sketch is off. Called
-// once per controller poll (alongside CollectSummaries), so the
-// snapshot copies are off the per-packet path.
-func (m *Monitor) SketchDigest(epoch uint64) *sketch.Digest {
+// Poll is the monitor's half of one controller epoch (§5.1, §7), the same
+// for a controller in this process and for one behind a MonitorServer.
+// It collects the queued summaries. With summaries to ship it ends the
+// monitor's epoch — sketch digest snapshotted (nil when the sketch is off),
+// sketches reset, raw-packet retention expired — under one hold of mu, so
+// every packet is counted either in the returned digest or in the next
+// epoch's whatever Ingest calls race with it, and before it answers,
+// because the caller may start the next epoch's traffic the moment it has
+// the answer. With nothing to ship the epoch stays open: a decline carries
+// no digest, so the sketch keeps counting and retention keeps its clock
+// until a poll has summaries to ship them with. A partial batch too small
+// to summarize is such a decline, not an error.
+func (m *Monitor) Poll(epoch uint64) (ss []*summary.Summary, pending int, digest *sketch.Digest, err error) {
+	ss, pending, err = m.CollectSummaries()
+	if errors.Is(err, summary.ErrBatchTooSmall) {
+		err = nil
+	}
+	if err != nil || len(ss) == 0 {
+		return nil, pending, nil, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.sketchDigestLocked(epoch)
-}
-
-func (m *Monitor) sketchDigestLocked(epoch uint64) *sketch.Digest {
-	if m.ing == nil {
-		return nil
-	}
-	d := m.ing.Digest(m.id, epoch)
-	cSketchDigests.Inc()
-	gSketchFlows.Set(int64(d.FlowEstimate()))
-	if d.Offered > 0 {
-		gSketchShedFraction.Set(float64(d.Shed) / float64(d.Offered))
-	}
-	return d
-}
-
-// AdvanceEpoch rolls the monitor to the next epoch, expiring old raw
-// packet retention and resetting the per-epoch sketches.
-func (m *Monitor) AdvanceEpoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.advanceEpochLocked()
-}
-
-func (m *Monitor) advanceEpochLocked() uint64 {
 	if m.ing != nil {
+		digest = m.ing.Digest(m.id, epoch)
 		m.ing.Reset()
+		cSketchDigests.Inc()
+		gSketchFlows.Set(int64(digest.FlowEstimate()))
+		if digest.Offered > 0 {
+			gSketchShedFraction.Set(float64(digest.Shed) / float64(digest.Offered))
+		}
 	}
-	return m.buf.AdvanceEpoch()
-}
-
-// CloseEpoch is SketchDigest followed by AdvanceEpoch under one hold of
-// mu: every packet is counted either in the returned digest or in the
-// next epoch's, whatever Ingest calls race with it. A poll served over
-// the wire ends the epoch this way before it answers, because its caller
-// may start the next epoch's traffic the moment the answer arrives.
-func (m *Monitor) CloseEpoch(epoch uint64) *sketch.Digest {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	d := m.sketchDigestLocked(epoch)
-	m.advanceEpochLocked()
-	return d
+	m.buf.AdvanceEpoch()
+	return ss, pending, digest, nil
 }
 
 // LoadAndReset returns the packets ingested since the last call — the

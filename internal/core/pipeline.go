@@ -3,13 +3,11 @@ package core
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/flowassign"
 	"repro/internal/inference"
 	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/par"
 	"repro/internal/sketch"
 	"repro/internal/summary"
 	"repro/internal/trace"
@@ -23,17 +21,13 @@ type Pipeline struct {
 	Controller *Controller
 	Assigner   *flowassign.Assigner
 
-	// workers bounds the concurrency of the per-monitor fan-out in
-	// RunEpoch (0 = GOMAXPROCS).
-	workers int
+	// engine is the epoch loop over Monitors.
+	engine *Engine
 	// flowToMonitor caches placements so subsequent packets of a flow
 	// go to the same monitor.
 	flowToMonitor map[packet.FlowKey]int
 	// monitorIndex maps monitor IDs to slice indices.
 	monitorIndex map[int]int
-	// epochLog receives one structured record per epoch per component;
-	// nil disables logging (the EpochLogger is nil-safe).
-	epochLog *obs.EpochLogger
 }
 
 // PipelineConfig assembles a pipeline.
@@ -52,16 +46,12 @@ type PipelineConfig struct {
 	// group containing every monitor is used (all flows can be seen by
 	// any monitor), which suits single-site experiments.
 	Groups *flowassign.GroupTable
-	// Workers bounds how many monitors RunEpoch polls concurrently;
-	// zero selects GOMAXPROCS, 1 forces the sequential poll. Summaries
-	// are joined in monitor order, so every worker count yields
-	// identical epochs for the same seed and traffic.
+	// Workers is Engine.Workers: how many monitors RunEpoch polls
+	// concurrently.
 	Workers int
 	// EpochLog, when non-nil, receives the structured JSON-lines epoch
-	// log: one record per epoch per monitor plus one for the
-	// controller, carrying stage timings and queue depths. Logging is
-	// an output-only side channel — alerts and stats are identical
-	// with or without it.
+	// log: one record per epoch per monitor plus the engine's one for
+	// the controller, carrying stage timings and queue depths.
 	EpochLog io.Writer
 }
 
@@ -74,12 +64,12 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
+	epochLog := obs.NewEpochLogger(cfg.EpochLog)
 	p := &Pipeline{
 		Controller:    ctrl,
-		workers:       cfg.Workers,
+		engine:        &Engine{Controller: ctrl, Workers: cfg.Workers, EpochLog: epochLog},
 		flowToMonitor: make(map[packet.FlowKey]int),
 		monitorIndex:  make(map[int]int),
-		epochLog:      obs.NewEpochLogger(cfg.EpochLog),
 	}
 	var allIDs []flowassign.MonitorID
 	for i := 0; i < cfg.NumMonitors; i++ {
@@ -90,6 +80,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 			return nil, err
 		}
 		p.Monitors = append(p.Monitors, m)
+		p.engine.Endpoints = append(p.engine.Endpoints, localEndpoint{m, epochLog})
 		p.monitorIndex[i] = i
 		ctrl.RegisterSource(i, m)
 		allIDs = append(allIDs, flowassign.MonitorID(i))
@@ -113,7 +104,7 @@ func (p *Pipeline) groupOf(h *packet.Header) flowassign.GroupKey {
 		return "all"
 	}
 	g := h.PrefixGroup()
-	return flowassign.GroupKey(fmt.Sprintf("%d>%d", g.SrcPrefix, g.DstPrefix)) //jaal:alloc-ok runs once per new flow, not per packet; the flow table memoizes the assignment
+	return flowassign.GroupKey(fmt.Sprintf("%d>%d", g.SrcPrefix, g.DstPrefix)) //jaalvet:ignore hotalloc — runs once per new flow, not per packet; the flow table memoizes the assignment
 }
 
 // Ingest routes one packet to its flow's monitor, assigning new flows
@@ -142,91 +133,34 @@ func (p *Pipeline) IngestBatch(hs []packet.Header) error {
 	return nil
 }
 
-// RunEpoch polls every monitor for summaries, advances their epochs, and
-// runs one inference round, returning the raised alerts. It is the
-// 2-second controller tick of §7 condensed into one call.
-//
-// The monitor polls — each of which may summarize a flushed batch —
-// fan out across a bounded worker pool (PipelineConfig.Workers), the
-// epoch's dominant compute. The per-monitor results are joined in
-// monitor index order before inference, so the aggregate (and with it
-// every alert and figure) is identical for any worker count.
+// RunEpoch runs one epoch of the engine over the pipeline's monitors and
+// returns the raised alerts.
 func (p *Pipeline) RunEpoch() ([]*inference.Alert, error) {
-	epoch := p.Controller.Epoch()
-	epochSpan := trace.StartSpan(hRunEpochSeconds, trace.StageEpoch, trace.ControllerProc, epoch)
-	// Epoch-log timings force the span timer even with metrics and
-	// tracing both off; they never influence the epoch itself.
-	timed := p.epochLog != nil
+	res, err := p.engine.RunEpoch()
+	return res.Alerts, err
+}
 
-	perMon := make([][]*summary.Summary, len(p.Monitors))
-	pending := make([]int, len(p.Monitors))
-	digests := make([]*sketch.Digest, len(p.Monitors))
-	collectDur := make([]time.Duration, len(p.Monitors))
-	errs := make([]error, len(p.Monitors))
-	par.For(len(p.Monitors), p.workers, func(i int) {
-		sp := trace.StartSpanWhen(timed, hCollectSeconds, trace.StageCollect, p.Monitors[i].ID(), epoch)
-		perMon[i], pending[i], errs[i] = p.Monitors[i].CollectSummaries()
-		digests[i] = p.Monitors[i].SketchDigest(epoch)
-		collectDur[i] = sp.End()
-	})
-	total := 0
-	for i, ss := range perMon {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		total += len(ss)
-	}
-	all := make([]*summary.Summary, 0, total)
-	for _, ss := range perMon {
-		all = append(all, ss...)
-	}
-	// In-process deployment: no wire, so the spans each monitor staged
-	// (capture, summarize) join the epoch directly, stamped on the same
-	// clock — no offset normalization needed.
-	for _, m := range p.Monitors {
-		trace.AdoptMonitorSpans(epoch, m.ID())
-	}
+// localEndpoint is a Monitor polled from its own process. It adds what
+// the wire gives a remote one: the controller-side collect span, the
+// monitor's staged spans (capture, summarize) joining the epoch — stamped
+// on the same clock, so no offset normalization — and the monitor's
+// epoch-log record.
+type localEndpoint struct {
+	*Monitor
+	log *obs.EpochLogger
+}
 
-	// Merge the epoch's sketch digests (joined in monitor order) into
-	// the volumetric report before inference. The report is a read-only
-	// side channel: alerts are identical with the sketch on or off as
-	// long as nothing was shed.
-	epochDigests := make([]*sketch.Digest, 0, len(digests))
-	for _, d := range digests {
-		if d != nil {
-			epochDigests = append(epochDigests, d)
-		}
+func (l localEndpoint) Poll(epoch uint64) ([]*summary.Summary, int, *sketch.Digest, error) {
+	sp := trace.StartSpanWhen(l.log != nil, hCollectSeconds, trace.StageCollect, l.ID(), epoch)
+	ss, pending, digest, err := l.Monitor.Poll(epoch)
+	collectDur := sp.End()
+	trace.AdoptMonitorSpans(epoch, l.ID())
+	if l.log != nil {
+		l.log.Log("monitor", epoch,
+			obs.KV{K: "id", V: l.ID()},
+			obs.KV{K: "summaries", V: len(ss)},
+			obs.KV{K: "pending", V: pending},
+			obs.KV{K: "collect_ms", V: collectDur})
 	}
-	p.Controller.ObserveDigests(epoch, epochDigests)
-
-	var inferStart time.Time
-	if timed {
-		inferStart = time.Now() //jaalvet:ignore detrand — stage timing feeds only metrics/epoch log (gated by timed); alerts and stats never depend on it
-	}
-	alerts, err := p.Controller.ProcessEpoch(all)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range p.Monitors {
-		m.AdvanceEpoch()
-	}
-
-	if p.epochLog != nil {
-		for i, m := range p.Monitors {
-			p.epochLog.Log("monitor", epoch,
-				obs.KV{K: "id", V: m.ID()},
-				obs.KV{K: "summaries", V: len(perMon[i])},
-				obs.KV{K: "pending", V: pending[i]},
-				obs.KV{K: "collect_ms", V: collectDur[i]})
-		}
-		st := p.Controller.Stats()
-		p.epochLog.Log("controller", epoch,
-			obs.KV{K: "summaries", V: len(all)},
-			obs.KV{K: "alerts", V: len(alerts)},
-			obs.KV{K: "infer_ms", V: time.Since(inferStart)}, //jaalvet:ignore detrand — inference timing is epoch-log-only output, never an input
-			obs.KV{K: "overhead_fraction", V: st.OverheadFraction()})
-	}
-	epochSpan.End()
-	trace.FinishEpoch(epoch, len(alerts))
-	return alerts, nil
+	return ss, pending, digest, err
 }

@@ -192,7 +192,7 @@ func TestSketchDigestOverWire(t *testing.T) {
 // A plain monitor (sketch off) ships no digest trailer: its frames are
 // byte-identical to the pre-sketch wire format.
 func TestNoDigestTrailerWhenSketchOff(t *testing.T) {
-	m, err := NewMonitor(3, smallSummaryConfig())
+	m, err := NewMonitorSketch(3, smallSummaryConfig(), sketch.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,12 +93,12 @@ func TestSoakSteadyState(t *testing.T) {
 	epochs := 0
 	runEpoch := func() {
 		ingestEpoch(t, d, perEpoch)
-		res := d.poller.Poll(d.ctrl.Epoch())
+		res, err := d.engine.RunEpoch()
+		if err != nil {
+			t.Fatalf("epoch %d: %v", epochs, err)
+		}
 		if res.Degraded {
 			t.Fatalf("epoch %d degraded in a fault-free soak", epochs)
-		}
-		if _, err := d.ctrl.ProcessEpoch(res.Summaries); err != nil {
-			t.Fatalf("epoch %d: %v", epochs, err)
 		}
 		epochs++
 	}

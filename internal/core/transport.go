@@ -84,9 +84,9 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 		// collect stage that ships with this poll's trace context.
 		csp := trace.StartMonitorSpanWhen(s.EpochLog != nil, nil,
 			trace.StageCollect, s.Monitor.ID(), epoch)
-		ss, pending, err := s.Monitor.CollectSummaries()
+		ss, pending, digest, err := s.Monitor.Poll(epoch)
 		collectDur := csp.End()
-		if err != nil && !errors.Is(err, summary.ErrBatchTooSmall) {
+		if err != nil {
 			return err
 		}
 		if s.EpochLog != nil {
@@ -97,10 +97,8 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 				obs.KV{K: "collect_ms", V: collectDur})
 		}
 		if len(ss) == 0 {
-			// A poll that ships nothing does not end the monitor's epoch:
-			// a decline carries no digest, so the sketch keeps counting
-			// and retention keeps its clock until a poll has summaries to
-			// ship them with.
+			// Nothing to ship: the monitor's epoch stays open (see
+			// Monitor.Poll).
 			return wire.WriteFrame(conn, wire.MsgSummaryDecline,
 				wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending))
 		}
@@ -122,14 +120,8 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 		// skip it — then the trace context, which claims everything to the
 		// end of the payload. Both are absent when their feature is off,
 		// keeping the frame byte-identical to the plain wire format.
-		//
-		// The digest is snapshotted and the epoch advanced in one step,
-		// before the first frame is written: the controller may feed the
-		// next epoch as soon as it has read the last frame, and a sketch
-		// reset after that point would wipe those packets from the next
-		// digest.
-		if d := s.Monitor.CloseEpoch(epoch); d != nil {
-			payloads[0] = d.AppendWire(payloads[0])
+		if digest != nil {
+			payloads[0] = digest.AppendWire(payloads[0])
 		}
 		if ctx := trace.TakeContext(s.Monitor.ID()); ctx != nil {
 			payloads[0] = ctx.AppendWire(payloads[0])
@@ -462,7 +454,12 @@ func (r *RemoteMonitor) QueryLoad() (float64, error) {
 // decline frame that terminates every poll. digest is the monitor's
 // sketch digest when its sketch pass is on (nil otherwise); it rides
 // the first summary frame, so a fully declining poll carries none.
+//
+// The ship span covers the whole wire round trip (request, the monitor's
+// collect+encode, transfer, decode) as seen from the controller; the
+// per-stage breakdown inside it arrives with the monitor's trace context.
 func (r *RemoteMonitor) Poll(epoch uint64) (ss []*summary.Summary, pending int, digest *sketch.Digest, err error) {
+	defer trace.StartSpan(nil, trace.StageShip, r.id, epoch).End()
 	err = r.exchange(func(conn net.Conn) error {
 		ss, pending, digest = nil, 0, nil // restart cleanly on retry
 		if err := wire.WriteFrame(conn, wire.MsgSummaryRequest, wire.EncodeSummaryRequest(epoch)); err != nil {
@@ -483,6 +480,7 @@ func (r *RemoteMonitor) Poll(epoch uint64) (ss []*summary.Summary, pending int, 
 				s, dg, ctx, err := decodeSummaryPayload(msg.Payload)
 				dsp.End()
 				if err != nil {
+					cDecodeRejects.Inc()
 					return err
 				}
 				trace.AddRemoteContext(epoch, ctx, recv)
@@ -535,13 +533,6 @@ func decodeSummaryPayload(p []byte) (*summary.Summary, *sketch.Digest, *trace.Co
 		return nil, nil, nil, fmt.Errorf("core: summary trace context: %w", err)
 	}
 	return s, dg, ctx, nil
-}
-
-// PollSummaries asks the monitor for its queued summaries for the given
-// epoch. A declining monitor yields an empty slice.
-func (r *RemoteMonitor) PollSummaries(epoch uint64) ([]*summary.Summary, error) {
-	ss, _, _, err := r.Poll(epoch)
-	return ss, err
 }
 
 // FinerSummary asks the remote monitor to re-summarize a retained batch

@@ -4,6 +4,7 @@ import (
 	"net"
 	"testing"
 
+	"repro/internal/sketch"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
 )
@@ -13,7 +14,7 @@ import (
 // centroid of a paper-sized batch (n = 1000, k = 200: about five headers).
 func BenchmarkRawPull(b *testing.B) {
 	cfg := summary.DefaultConfig()
-	m, err := NewMonitor(0, cfg)
+	m, err := NewMonitorSketch(0, cfg, sketch.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

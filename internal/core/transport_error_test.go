@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sketch"
 	"repro/internal/wire"
 )
 
@@ -16,7 +17,7 @@ import (
 // the client side, the monitor and a channel carrying Serve's result.
 func startServer(t *testing.T, id int) (net.Conn, *Monitor, chan error) {
 	t.Helper()
-	m, err := NewMonitor(id, smallSummaryConfig())
+	m, err := NewMonitorSketch(id, smallSummaryConfig(), sketch.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,8 +131,9 @@ func verdictsFor(dim string, merged map[uint32]uint64, offered uint64, shareGate
 
 // ObserveDigests merges one epoch's sketch digests into a volumetric
 // report, records it as the controller's latest, and counts the issued
-// verdicts. Call it alongside ProcessEpoch with the digests the poll
-// returned; a sketchless deployment passes none and nothing changes.
+// verdicts. Engine.RunEpoch calls it ahead of ProcessEpoch with the
+// digests the poll returned; a sketchless deployment passes none and
+// nothing changes.
 func (c *Controller) ObserveDigests(epoch uint64, ds []*sketch.Digest) *VolumetricReport {
 	rep := MergeDigests(epoch, ds, 0)
 	if rep == nil {

@@ -173,7 +173,7 @@ func Fig6Feedback(sc Scale) ([]Fig6Point, *Table, error) {
 				CountScale2: s2.countScale,
 			}
 			for _, tr := range camp.positive {
-				res, err := inference.RunFeedback(tr.agg, camp.question, cfg, tr.fetcher, matcher)
+				res, err := inference.RunFeedbackIndexed(tr.agg, camp.question, cfg, tr.fetcher, matcher, true)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -186,7 +186,7 @@ func Fig6Feedback(sc Scale) ([]Fig6Point, *Table, error) {
 				rawBaselineBytes += tr.agg.TotalPackets * 33
 			}
 			for _, tr := range camp.negative {
-				res, err := inference.RunFeedback(tr.agg, camp.question, cfg, tr.fetcher, matcher)
+				res, err := inference.RunFeedbackIndexed(tr.agg, camp.question, cfg, tr.fetcher, matcher, true)
 				if err != nil {
 					return nil, nil, err
 				}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/inference"
 	"repro/internal/packet"
+	"repro/internal/par"
 	"repro/internal/rules"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
@@ -70,7 +71,7 @@ func MatchScale(sizes []int, reps int) ([]MatchScalePoint, *Table, error) {
 			"speedup", "candidates", "matchable", "pruned", "identical",
 		},
 		Notes: []string{
-			"linear: EvaluateAllParallel over every question",
+			"linear: the exact estimator over every question",
 			"indexed: candidate filter + exact estimator on survivors only",
 			"matchable: questions with a non-empty distance-matched set — the pruning floor",
 			"both engines produce byte-identical match results (checked per row)",
@@ -102,19 +103,24 @@ func MatchScale(sizes []int, reps int) ([]MatchScalePoint, *Table, error) {
 				return nil, nil, err
 			}
 
-			var linear, indexed []*inference.MatchResult
+			linear := make([]*inference.MatchResult, len(qs))
+			indexed := make([]*inference.MatchResult, len(qs))
 			linNs := int64(1<<63 - 1)
 			ixNs := int64(1<<63 - 1)
 			var cs *rules.CandidateSet
 			for rep := 0; rep < reps; rep++ {
 				start := time.Now()
-				linear = inference.EvaluateAllParallel(agg, qs, 0)
+				par.For(len(qs), 0, func(i int) {
+					linear[i] = inference.EstimateSimilarity(agg, qs[i])
+				})
 				if d := time.Since(start).Nanoseconds(); d < linNs {
 					linNs = d
 				}
 				start = time.Now()
 				cs = inference.Candidates(agg, ix)
-				indexed = inference.EvaluateAllIndexedParallel(agg, qs, ix, 0)
+				par.For(len(qs), 0, func(i int) {
+					indexed[i] = inference.EstimateSimilarityIndexed(agg, qs[i], cs.Contains(i))
+				})
 				if d := time.Since(start).Nanoseconds(); d < ixNs {
 					ixNs = d
 				}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/packet"
-	"repro/internal/par"
 	"repro/internal/rules"
 )
 
@@ -145,8 +144,8 @@ type fv struct {
 // estimateScratch holds per-call working slices for the hot estimator
 // helpers. Only the MatchedRows/FetchRows/CoreRows result slices escape
 // into MatchResult; everything else is recycled through scratchPool, so
-// per-question cost stays flat across epochs (the allocs/op assertion
-// in BenchmarkEvaluateAll pins this).
+// per-question cost stays flat across epochs (TestEstimatorScratchReuse
+// pins this).
 type estimateScratch struct {
 	vals    []fv
 	values  []float64
@@ -213,23 +212,4 @@ func MatchedVariance(agg *Aggregate, rows []int, field packet.FieldIndex) float6
 	v := linalg.WeightedVariance(values, weights)
 	scratchPool.Put(sc)
 	return v
-}
-
-// EvaluateAll runs every question against the aggregate and returns the
-// per-question results keyed by attack/rule evaluation order.
-func EvaluateAll(agg *Aggregate, qs []*rules.Question) []*MatchResult {
-	return EvaluateAllParallel(agg, qs, 1)
-}
-
-// EvaluateAllParallel is EvaluateAll with the question×centroid matching
-// fanned out across up to workers goroutines (0 = GOMAXPROCS). Each
-// question is independent and reads the aggregate immutably, so result i
-// is always the evaluation of qs[i] — the output is identical to the
-// sequential sweep for every worker count.
-func EvaluateAllParallel(agg *Aggregate, qs []*rules.Question, workers int) []*MatchResult {
-	out := make([]*MatchResult, len(qs))
-	par.For(len(qs), workers, func(i int) {
-		out[i] = EstimateSimilarity(agg, qs[i])
-	})
-	return out
 }

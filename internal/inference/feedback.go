@@ -59,7 +59,7 @@ func classifyVerdict(t1, t2 bool) Verdict {
 }
 
 // RawPacketFetcher retrieves the raw packet headers behind one centroid
-// of one monitor's summary for RunFeedback, which settles one question at
+// of one monitor's summary for RunFeedbackIndexed, which settles one question at
 // a time: the experiments and tests implement it in memory. (The
 // controller settles a whole round at once instead — StageFeedbackIndexed,
 // one pull per centroid, FeedbackResult.Settle — and reaches its monitors
@@ -147,7 +147,8 @@ type FeedbackResult struct {
 	RawPackets int
 }
 
-// RunFeedback performs the two-stage inference of §5.3 for one question.
+// RunFeedbackIndexed performs the two-stage inference of §5.3 for one
+// question.
 //
 // Both stages run over the same aggregate. Case 3 (uncertain) asks
 // fetcher for the raw packets of every centroid matched at τ_d2 but not
@@ -155,17 +156,15 @@ type FeedbackResult struct {
 // raw-analysis outcome. A nil fetcher or matcher downgrades case 3 to a
 // summary-only decision at τ_d2 (alerting), preserving the high-TPR
 // operating point at the price of FPR.
-func RunFeedback(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, fetcher RawPacketFetcher, matcher RawMatcher) (*FeedbackResult, error) {
-	return runFeedback(agg, q, cfg, fetcher, matcher, true)
-}
-
-// runFeedback implements RunFeedback; candidate == false means the
-// question index proved no centroid can match q at τ_d2 (the wider
-// stage), so both stages run the pruned fast path — the same tail code
+//
+// candidate is the question index's verdict (true without an index):
+// false means the index proved no centroid can match q at τ_d2 — the
+// widest threshold either stage evaluates, which the index bound must
+// cover — so both stages run the pruned fast path, the same tail code
 // over an empty matched set, keeping the result byte-identical to the
 // full scan's.
-func runFeedback(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, fetcher RawPacketFetcher, matcher RawMatcher, candidate bool) (*FeedbackResult, error) {
-	res, err := stageFeedback(agg, q, cfg, candidate)
+func RunFeedbackIndexed(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, fetcher RawPacketFetcher, matcher RawMatcher, candidate bool) (*FeedbackResult, error) {
+	res, err := StageFeedbackIndexed(agg, q, cfg, candidate)
 	if err != nil || res.Verdict != VerdictUncertain {
 		return res, err
 	}
@@ -182,22 +181,25 @@ func runFeedback(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, fetcher 
 		}
 		fetches++
 		transferred += n
-		raw = append(raw, hs...) //jaal:alloc-ok uncertain-verdict path only, a handful of questions per epoch; row count is data-dependent
+		raw = append(raw, hs...)
 	}
 	res.Settle(matcher, raw, fetches, transferred)
 	return res, nil
 }
 
-// stageFeedback is the summary-side half of the two-stage inference:
-// both threshold stages and the verdict of Fig. 3. Every verdict but
-// VerdictUncertain is final. An uncertain result keeps Alerted false
+// StageFeedbackIndexed is the summary-side half of RunFeedbackIndexed,
+// for a caller that fetches raw packets itself — the controller, which
+// pulls one round's uncertain centroids from all monitors at once
+// instead of question by question: both threshold stages and the
+// verdict of Fig. 3. Every verdict but VerdictUncertain is final and
+// equals RunFeedbackIndexed's. An uncertain result keeps Alerted false
 // until Settle has re-analyzed the raw packets behind Stage2.FetchRows
 // — the uncertain evidence of Fig. 3, localized around the winning
 // tracked value so the transfer stays proportional to the suspicion.
 // (The set includes centroids stage 1 already matched below its count
 // threshold: those packets are part of the same suspicion and the raw
 // re-analysis needs them.)
-func stageFeedback(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, candidate bool) (*FeedbackResult, error) {
+func StageFeedbackIndexed(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, candidate bool) (*FeedbackResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

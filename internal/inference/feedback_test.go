@@ -11,7 +11,7 @@ import (
 
 // TestClassifyVerdict pins the Fig. 3 case table, including case 4
 // (t1 ∧ ¬t2), which stage monotonicity makes unreachable through
-// RunFeedback with a validated config but which the controller's
+// RunFeedbackIndexed with a validated config but which the controller's
 // verdict accounting must still name correctly.
 func TestClassifyVerdict(t *testing.T) {
 	cases := []struct {
@@ -55,7 +55,7 @@ func TestFeedbackAnomalousUnreachable(t *testing.T) {
 				continue
 			}
 			for _, cs := range []float64{0, 0.3, 0.7, 1} {
-				res, err := RunFeedback(agg, q, FeedbackConfig{TauD1: tau1, TauD2: tau2, CountScale2: cs}, nil, nil)
+				res, err := RunFeedbackIndexed(agg, q, FeedbackConfig{TauD1: tau1, TauD2: tau2, CountScale2: cs}, nil, nil, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func TestFeedbackRawPacketsCountTransferOnly(t *testing.T) {
 
 	// First run against a cold fetcher: everything is a transfer.
 	cold := &memFetcher{buffers: map[int]*summary.Buffer{1: buf}}
-	res1, err := RunFeedback(agg, q, FeedbackConfig{TauD1: 0, TauD2: 0.2}, cold, thresholdMatcher{minSYN: 60})
+	res1, err := RunFeedbackIndexed(agg, q, FeedbackConfig{TauD1: 0, TauD2: 0.2}, cold, thresholdMatcher{minSYN: 60}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFeedbackRawPacketsCountTransferOnly(t *testing.T) {
 	// Second run through a fetcher that reports zero transferred (a
 	// warm per-epoch cache): same raw data, zero accounted cost.
 	warm := &zeroTransferFetcher{inner: cold}
-	res2, err := RunFeedback(agg, q, FeedbackConfig{TauD1: 0, TauD2: 0.2}, warm, thresholdMatcher{minSYN: 60})
+	res2, err := RunFeedbackIndexed(agg, q, FeedbackConfig{TauD1: 0, TauD2: 0.2}, warm, thresholdMatcher{minSYN: 60}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

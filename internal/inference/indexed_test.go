@@ -64,7 +64,7 @@ func TestEvaluateAllIndexedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := EvaluateAll(agg, qs)
+			want := linearSweepOracle(agg, qs)
 			cs := Candidates(agg, ix)
 			if cs.Count() >= len(qs) {
 				t.Fatalf("index pruned nothing (%d/%d candidates)", cs.Count(), len(qs))
@@ -79,7 +79,7 @@ func TestEvaluateAllIndexedEquivalence(t *testing.T) {
 				t.Fatal("workload has no matching question — equivalence would be vacuous")
 			}
 			for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0), 0} {
-				got := EvaluateAllIndexedParallel(agg, qs, ix, workers)
+				got := fanOut(agg, qs, ix, workers)
 				if len(got) != len(want) {
 					t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
 				}
@@ -99,17 +99,19 @@ func TestEvaluateAllIndexedEquivalence(t *testing.T) {
 func TestEvaluateAllIndexedNilIndex(t *testing.T) {
 	agg := scaleAggregate(t, 12, 500)
 	qs := scaleQuestions(t, 200, 6)
-	want := EvaluateAll(agg, qs)
-	got := EvaluateAllIndexed(agg, qs, nil)
+	want := linearSweepOracle(agg, qs)
+	got := fanOut(agg, qs, nil, 1)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("nil-index evaluation diverged from linear scan")
 	}
 }
 
 // TestRunFeedbackIndexedEquivalence extends byte-identity through the
-// two-stage feedback loop: with the index built at the τ_d2 bound,
-// indexed feedback must reproduce the full FeedbackResult — verdicts,
-// both stage results, fetch accounting — for every question.
+// two-stage feedback loop: with the index built at the τ_d2 bound, a
+// run under the index's verdict must reproduce the full FeedbackResult
+// of the unpruned run (candidate == true: both stages scan every
+// centroid) — verdicts, both stage results, fetch accounting — for
+// every question.
 func TestRunFeedbackIndexedEquivalence(t *testing.T) {
 	agg := scaleAggregate(t, 13, 1200)
 	qs := scaleQuestions(t, 1500, 9)
@@ -134,7 +136,7 @@ func TestRunFeedbackIndexedEquivalence(t *testing.T) {
 	}
 	uncertain := 0
 	for i, q := range qs {
-		want, err := RunFeedback(agg, q, cfgs[i], nil, nil)
+		want, err := RunFeedbackIndexed(agg, q, cfgs[i], nil, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,9 +167,9 @@ func TestEvaluateAllParallelOrderPin10k(t *testing.T) {
 	}
 	agg := scaleAggregate(t, 14, 1000)
 	qs := scaleQuestions(t, n, 21)
-	want := EvaluateAll(agg, qs)
+	want := linearSweepOracle(agg, qs)
 	for _, workers := range []int{1, 2, 3, 4, 8, runtime.GOMAXPROCS(0), 0} {
-		got := EvaluateAllParallel(agg, qs, workers)
+		got := fanOut(agg, qs, nil, workers)
 		for i := range got {
 			if got[i].Question != qs[i] {
 				t.Fatalf("workers=%d: result %d is for the wrong question", workers, i)
@@ -216,7 +218,7 @@ func BenchmarkEvaluateAllLinear(b *testing.B) {
 		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				EvaluateAll(agg, qs)
+				linearSweepOracle(agg, qs)
 			}
 		})
 	}
@@ -236,7 +238,7 @@ func BenchmarkEvaluateAllIndexed(b *testing.B) {
 		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				EvaluateAllIndexed(agg, qs, ix)
+				fanOut(agg, qs, ix, 1)
 			}
 		})
 	}

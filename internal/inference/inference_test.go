@@ -207,7 +207,7 @@ func TestEvaluateAll(t *testing.T) {
 	sum := summarize(t, benignHeaders(rng, 400), 0, 0)
 	agg, _ := AggregateSummaries([]*summary.Summary{sum})
 	qs := []*rules.Question{synQuestion(t, 1), synQuestion(t, 1000000)}
-	res := EvaluateAll(agg, qs)
+	res := linearSweepOracle(agg, qs)
 	if len(res) != 2 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -263,7 +263,7 @@ func TestFeedbackCaseAlert(t *testing.T) {
 	sum := summarize(t, mixed, 0, 0)
 	agg, _ := AggregateSummaries([]*summary.Summary{sum})
 	q := synQuestion(t, 100)
-	res, err := RunFeedback(agg, q, FeedbackConfig{TauD1: 0.08, TauD2: 0.2}, nil, nil)
+	res, err := RunFeedbackIndexed(agg, q, FeedbackConfig{TauD1: 0.08, TauD2: 0.2}, nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestFeedbackCaseClear(t *testing.T) {
 	sum := summarize(t, benignHeaders(rng, 600), 0, 0)
 	agg, _ := AggregateSummaries([]*summary.Summary{sum})
 	q := synQuestion(t, 100)
-	res, err := RunFeedback(agg, q, FeedbackConfig{TauD1: 0.01, TauD2: 0.02}, nil, nil)
+	res, err := RunFeedbackIndexed(agg, q, FeedbackConfig{TauD1: 0.01, TauD2: 0.02}, nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestFeedbackCaseUncertainFetchesRaw(t *testing.T) {
 	fetcher := &memFetcher{buffers: map[int]*summary.Buffer{1: buf}}
 	// τ_d1 = 0 (only exact matches — clustering noise keeps centroids
 	// off the exact signature), τ_d2 loose.
-	res, err := RunFeedback(agg, q, FeedbackConfig{TauD1: 0.0, TauD2: 0.2}, fetcher, thresholdMatcher{minSYN: 60})
+	res, err := RunFeedbackIndexed(agg, q, FeedbackConfig{TauD1: 0.0, TauD2: 0.2}, fetcher, thresholdMatcher{minSYN: 60}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestFeedbackUncertainWithoutFetcherAlerts(t *testing.T) {
 	sum := summarize(t, mixed, 0, 0)
 	agg, _ := AggregateSummaries([]*summary.Summary{sum})
 	q := synQuestion(t, 60)
-	res, err := RunFeedback(agg, q, FeedbackConfig{TauD1: 0.0, TauD2: 0.2}, nil, nil)
+	res, err := RunFeedbackIndexed(agg, q, FeedbackConfig{TauD1: 0.0, TauD2: 0.2}, nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

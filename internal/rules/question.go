@@ -89,6 +89,10 @@ func (q *Question) ActiveFields() []packet.FieldIndex {
 func (q *Question) Distance(x []float64) float64 {
 	var sum float64
 	var n int
+	// One length check here instead of one per field: it keeps the loop
+	// within 64 bytes of code, which made ruleset-bound epochs ~30 %
+	// slower or faster by where the linker happened to put the function.
+	x = x[:len(q.Vector)]
 	for j, qj := range q.Vector {
 		if qj == Irrelevant {
 			continue

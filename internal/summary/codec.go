@@ -96,13 +96,24 @@ func Unmarshal(data []byte) (*Summary, error) {
 		return nil, fmt.Errorf("summary: truncated body: have %d, need %d", len(data)-off, need)
 	}
 	s.Counts = make([]int, k)
+	var total uint64
 	for i := range s.Counts {
-		s.Counts[i] = int(binary.BigEndian.Uint32(data[off:]))
+		c := binary.BigEndian.Uint32(data[off:])
+		s.Counts[i] = int(c)
+		total += uint64(c)
 		off += 4
 	}
+	// The controller adds these counts into MatchedCount and
+	// Stats.PacketsSummarized: a summary must stand for exactly the batch
+	// it claims.
+	if total != uint64(s.BatchSize) {
+		return nil, fmt.Errorf("summary: counts sum to %d, batch size is %d", total, s.BatchSize)
+	}
 	cdata := make([]float64, k*w)
-	off = readFloats(data, off, cdata)
 	var err error
+	if off, err = readFloats(data, off, cdata); err != nil {
+		return nil, fmt.Errorf("summary: centroids: %w", err)
+	}
 	s.Centroids, err = linalg.NewMatrixFromData(k, w, cdata)
 	if err != nil {
 		return nil, err
@@ -122,9 +133,13 @@ func Unmarshal(data []byte) (*Summary, error) {
 			return nil, fmt.Errorf("summary: truncated split factors: have %d, need %d", len(data)-off, need)
 		}
 		s.Sigma = make([]float64, s.Rank)
-		off = readFloats(data, off, s.Sigma)
+		if off, err = readFloats(data, off, s.Sigma); err != nil {
+			return nil, fmt.Errorf("summary: Σ: %w", err)
+		}
 		vdata := make([]float64, p*s.Rank)
-		off = readFloats(data, off, vdata)
+		if off, err = readFloats(data, off, vdata); err != nil {
+			return nil, fmt.Errorf("summary: V: %w", err)
+		}
 		s.V, err = linalg.NewMatrixFromData(p, s.Rank, vdata)
 		if err != nil {
 			return nil, err
@@ -177,10 +192,18 @@ func appendFloats(buf []byte, xs []float64) []byte {
 	return buf
 }
 
-func readFloats(data []byte, off int, dst []float64) int {
+// readFloats decodes len(dst) elements, refusing NaN and ±Inf (an
+// all-ones float32 exponent): a distance to such a centroid is NaN, which
+// compares false against every τ_d.
+func readFloats(data []byte, off int, dst []float64) (int, error) {
+	const expMask = 0x7F800000
 	for i := range dst {
-		dst[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(data[off:])))
+		bits := binary.BigEndian.Uint32(data[off:])
+		if bits&expMask == expMask {
+			return off, fmt.Errorf("element %d is %v", i, math.Float32frombits(bits))
+		}
+		dst[i] = float64(math.Float32frombits(bits))
 		off += 4
 	}
-	return off
+	return off, nil
 }

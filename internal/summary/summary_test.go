@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -305,11 +306,77 @@ func TestUnmarshalCorruption(t *testing.T) {
 		"trailing":   append(append([]byte{}, data...), 0xAB),
 		"header cut": data[:codecHeaderSize-1],
 	}
+	// A lying monitor: well-formed frames whose numbers the controller
+	// would add up. patch overwrites 4 bytes of a copy of data.
+	patch := func(off int, v uint32) []byte {
+		c := append([]byte{}, data...)
+		binary.BigEndian.PutUint32(c[off:], v)
+		return c
+	}
+	firstCount, firstElem := codecHeaderSize, codecHeaderSize+4*sum.K()
+	cases["inflated count"] = patch(firstCount, uint32(sum.Counts[0])+1000)
+	cases["inflated batch size"] = patch(13, uint32(sum.BatchSize)+1)
+	cases["count wraps uint32"] = patch(firstCount, 0xFFFFFFFF)
+	cases["NaN element"] = patch(firstElem, math.Float32bits(float32(math.NaN())))
+	cases["+Inf element"] = patch(firstElem+4, math.Float32bits(float32(math.Inf(1))))
+	cases["-Inf last element"] = patch(len(data)-4, math.Float32bits(float32(math.Inf(-1))))
 	for name, c := range cases {
 		if _, err := Unmarshal(c); err == nil {
 			t.Fatalf("case %q: expected unmarshal error", name)
 		}
 	}
+}
+
+// FuzzUnmarshal: the decoder never panics on hostile bytes, and whatever
+// it accepts is safe to aggregate — every element finite, and the counts
+// stand for exactly the batch the header claims. Seeded from real Marshal
+// output, combined and split.
+func FuzzUnmarshal(f *testing.F) {
+	// Summarize picks the smaller encoding: the first config comes out
+	// combined, the second split.
+	for _, c := range []struct {
+		rank, k int
+		kind    Kind
+	}{{8, 12, KindCombined}, {2, 40, KindSplit}} {
+		szr, err := NewSummarizer(Config{BatchSize: 60, Rank: c.rank, Centroids: c.k, Seed: 4})
+		if err != nil {
+			f.Fatal(err)
+		}
+		sum, err := szr.Summarize(randomHeaders(rand.New(rand.NewSource(21)), 60), 3, 7)
+		if err != nil || sum.Kind != c.kind {
+			f.Fatalf("seed summary: kind %v, err %v; want %v", sum.Kind, err, c.kind)
+		}
+		data, err := sum.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		total := 0
+		for _, c := range s.Counts {
+			total += c
+		}
+		if total != s.BatchSize {
+			t.Fatalf("accepted counts summing to %d for batch size %d", total, s.BatchSize)
+		}
+		elems := [][]float64{s.Centroids.Data(), s.Sigma}
+		if s.V != nil {
+			elems = append(elems, s.V.Data())
+		}
+		for _, xs := range elems {
+			for _, x := range xs {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("accepted non-finite element %v", x)
+				}
+			}
+		}
+	})
 }
 
 func TestBufferBatching(t *testing.T) {

@@ -68,7 +68,7 @@ const (
 	// StageShip spans one monitor's full poll round trip as seen by the
 	// controller (request → last frame).
 	StageShip Stage = 4
-	// StageCollect spans one monitor's CollectSummaries call.
+	// StageCollect spans one monitor's collection (Monitor.Poll).
 	StageCollect Stage = 5
 	// StageDecode spans decoding one received summary at the controller.
 	StageDecode Stage = 6
@@ -405,7 +405,7 @@ func FinishEpoch(epoch uint64, alerts int) *EpochTrace {
 	// Deterministic order: worker scheduling decides which span was
 	// *recorded* first, but the sorted sequence — and with it the
 	// topology a golden test sees — is the same at any worker count.
-	//jaal:alloc-ok sorting runs once per epoch seal, over at most a few hundred spans
+	//jaalvet:ignore hotalloc — sorting runs once per epoch seal, over at most a few hundred spans
 	sort.Slice(spans, func(i, j int) bool {
 		a, b := spans[i], spans[j]
 		if a.Proc != b.Proc {
@@ -486,13 +486,13 @@ func criticalPath(spans []SpanRecord) (slowest int32, path []string, seconds flo
 		onPath := (slowest != ControllerProc && r.Monitor == slowest) ||
 			(r.Proc == ControllerProc && r.Monitor == ControllerProc)
 		if onPath {
-			chain = append(chain, r) //jaal:alloc-ok critical-path extraction runs once per epoch; chain length is the epoch's span count
+			chain = append(chain, r) //jaalvet:ignore hotalloc — critical-path extraction runs once per epoch; chain length is the epoch's span count
 		}
 	}
 	if len(chain) == 0 {
 		return slowest, nil, 0
 	}
-	//jaal:alloc-ok once per epoch, on the already-extracted chain
+	//jaalvet:ignore hotalloc — once per epoch, on the already-extracted chain
 	sort.SliceStable(chain, func(i, j int) bool {
 		if chain[i].Start != chain[j].Start {
 			return chain[i].Start < chain[j].Start

@@ -18,14 +18,18 @@ fi
 go vet ./...
 go build ./...
 
+# Non-test Go outside bench/: the figure ROADMAP aim 2 tracks, printed so
+# every PR log shows which way it moved.
+echo "non-test Go lines: $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
+
 # Project-specific invariants: determinism (no wall clock / global RNG /
 # unsorted map walks in reproducible packages), obs disabled-path
 # allocation freedom, atomic-access discipline, wire decode robustness,
 # encoder/decoder symmetry (encdec), locks held across blocking
 # operations (lockheld), and hot-path allocations (hotalloc). Any
 # finding fails the build; reviewed exceptions carry a
-# //jaalvet:ignore <analyzer> — <reason> comment (//jaal:alloc-ok with
-# a reason for hotalloc). Stale suppressions print as warnings.
+# //jaalvet:ignore <analyzer> — <reason> comment, the one syntax for all
+# eleven analyzers. Stale suppressions print as warnings.
 # -summary prints per-analyzer finding/suppression counts so a PR diff
 # of this output shows where new exceptions crept in. See DESIGN.md
 # ("Static analysis"). The run covers internal/analysis itself: the
@@ -38,7 +42,9 @@ go run ./cmd/jaal-vet -summary ./...
 # process and monitor, timestamps scrubbed) against
 # internal/core/testdata/trace_topology.golden; regenerate with
 # -update-trace-golden after an intentional instrumentation change.
-go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|TestPipelineTraceDeterminism|TestPipelineTraceGolden' ./internal/core/
+# The parity test runs the same traffic through the engine's in-process
+# and wire endpoints and wants the same alerts and stats.
+go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|TestPipelineTraceDeterminism|TestPipelineTraceGolden|TestEngineInProcessWireParity' ./internal/core/
 
 # Detection accuracy gate: the scoreboard report must be byte-identical
 # across worker counts, and the quick-profile scores must stay within

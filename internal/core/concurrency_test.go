@@ -177,5 +177,4 @@ func TestControllerConcurrentEpochs(t *testing.T) {
 	if st := ctrl.Stats(); st.Epochs != 12 {
 		t.Fatalf("epochs = %d, want 12", st.Epochs)
 	}
-	_ = ctrl.Alerts()
 }

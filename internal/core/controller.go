@@ -58,7 +58,6 @@ type Controller struct {
 	mu      sync.Mutex
 	sources map[int]RawSource
 	epoch   uint64
-	alerts  []*inference.Alert
 	// stats accumulate communication accounting across epochs.
 	stats Stats
 	// lastVolumetric is the most recent merged sketch-digest report
@@ -493,7 +492,6 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	}
 
 	c.mu.Lock()
-	c.alerts = append(c.alerts, alerts...)
 	c.stats.AlertsRaised += len(alerts)
 	c.stats.RawPacketsFetched += rawFetched
 	stats := c.stats
@@ -503,15 +501,6 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	cFeedbackPulls.Add(int64(rawFetched))
 	gCompression.Set(stats.OverheadFraction())
 	return alerts, nil
-}
-
-// Alerts returns all alerts raised so far.
-func (c *Controller) Alerts() []*inference.Alert {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*inference.Alert, len(c.alerts))
-	copy(out, c.alerts)
-	return out
 }
 
 // Stats returns a copy of the accumulated accounting.

@@ -12,10 +12,13 @@ import (
 	"repro/internal/trafficgen"
 )
 
-// linearSweepOracle turns a controller into the reference the index is
-// checked against: with a nil index ProcessEpoch evaluates every question
-// against every centroid, and never rebuilds one.
-func linearSweepOracle(c *Controller) { c.index = nil }
+// unindexedOracle turns a controller into the reference the index is
+// checked against: with a nil index ProcessEpoch prunes no question and
+// never rebuilds one. Each question still runs the estimator's row
+// windows; those are compared with a sweep over every centroid where the
+// sweep lives (inference's TestEstimateWindowEqualsSweep and
+// linearSweepOracle).
+func unindexedOracle(c *Controller) { c.index = nil }
 
 // runIndexWorkload drives five epochs of seeded mixed traffic through a
 // pipeline and returns the alert trace, stats, and final feedback
@@ -44,7 +47,7 @@ func runIndexWorkload(t *testing.T, workers int, disable bool, useFeedback bool,
 		t.Fatal(err)
 	}
 	if disable {
-		linearSweepOracle(p.Controller)
+		unindexedOracle(p.Controller)
 	}
 	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(11))
 	atk, err := trafficgen.NewAttack(rules.AttackDistributedSYNFlood,
@@ -204,7 +207,7 @@ func TestControllerIndexScale(t *testing.T) {
 			t.Fatal(err)
 		}
 		if disable {
-			linearSweepOracle(p.Controller)
+			unindexedOracle(p.Controller)
 		}
 		bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(19))
 		atk, _ := trafficgen.NewAttack(rules.AttackSYNFlood,

@@ -5,7 +5,11 @@
 package inference
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
+	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/packet"
@@ -25,7 +29,8 @@ type CentroidRef struct {
 // Aggregate is S^a: the global view assembled from all monitors'
 // summaries for one inference round (§5.1). Representatives is the tall
 // matrix X̃_a (at most M·k rows); Counts is c_a; Refs maps each row back
-// to its origin.
+// to its origin. An Aggregate must not be copied after first use: it
+// carries the once-guards of its sorted columns.
 type Aggregate struct {
 	Representatives *linalg.Matrix
 	Counts          []int
@@ -36,6 +41,58 @@ type Aggregate struct {
 	// Elements is the total communication cost, in float64 elements, of
 	// the summaries that were aggregated.
 	Elements int
+
+	// cols are the per-field sorted views of Representatives, each built
+	// on first use (column).
+	cols [packet.NumFields]sortedColumn
+}
+
+// sortedColumn is one field of the aggregate in ascending value order
+// (NaNs first, the order of sort.Float64s): vals[i] is the value of row
+// rows[i]. The order among equal values is unspecified.
+type sortedColumn struct {
+	once sync.Once
+	vals []float64
+	rows []int32
+}
+
+// column returns field f's sorted view, sorting it on the first call of
+// the epoch. The question index and every question's row window read the
+// same slices, from any number of goroutines.
+func (a *Aggregate) column(f packet.FieldIndex) *sortedColumn {
+	c := &a.cols[f]
+	c.once.Do(func() {
+		n := a.Rows()
+		if n == 0 {
+			return
+		}
+		type cell struct {
+			val float64
+			row int32
+		}
+		cells := make([]cell, n)
+		data, stride := a.Representatives.Data(), a.Representatives.Cols()
+		for r := range cells {
+			cells[r] = cell{val: data[r*stride+int(f)], row: int32(r)}
+		}
+		slices.SortFunc(cells, func(x, y cell) int { return cmp.Compare(x.val, y.val) })
+		c.vals, c.rows = make([]float64, n), make([]int32, n)
+		for i, e := range cells {
+			c.vals[i], c.rows[i] = e.val, e.row
+		}
+	})
+	return c
+}
+
+// window returns the rows whose value v on this column can belong to a
+// match of a question pinned at q with per-field budget b: those with
+// |q − v| ≤ b, the very term Question.Distance adds (|q − v| is q − v
+// below q and v − q above it, and both are monotone in v, so each end is
+// one binary search). NaN values and a NaN budget select nothing.
+func (c *sortedColumn) window(q, b float64) []int32 {
+	lo := sort.Search(len(c.vals), func(i int) bool { return q-c.vals[i] <= b })
+	hi := lo + sort.Search(len(c.vals)-lo, func(i int) bool { return c.vals[lo+i]-q > b })
+	return c.rows[lo:hi]
 }
 
 // Rows returns the number of representative packets in the aggregate.
@@ -46,9 +103,10 @@ func (a *Aggregate) Rows() int {
 	return a.Representatives.Rows()
 }
 
-// Aggregator accumulates summaries for one round.
+// Aggregator accumulates summaries for one round into one row-major slab
+// of representatives.
 type Aggregator struct {
-	reps   [][]float64
+	slab   []float64
 	counts []int
 	refs   []CentroidRef
 	elems  int
@@ -57,24 +115,20 @@ type Aggregator struct {
 // NewAggregator returns an empty Aggregator.
 func NewAggregator() *Aggregator { return &Aggregator{} }
 
-// Add appends one monitor summary. Split summaries are first
-// reconstructed into full-width representatives (§5.1).
+// Add appends one monitor summary. Split summaries are reconstructed
+// into full-width representatives (§5.1) in place in the slab.
 func (g *Aggregator) Add(s *summary.Summary) error {
-	reps, err := s.Representatives()
+	slab, err := s.AppendRepresentatives(g.slab, packet.NumFields)
 	if err != nil {
 		return fmt.Errorf("inference: aggregate: %w", err)
 	}
-	if reps.Cols() != packet.NumFields {
-		return fmt.Errorf("inference: summary has %d fields, want %d", reps.Cols(), packet.NumFields)
+	k := (len(slab) - len(g.slab)) / packet.NumFields
+	if len(s.Counts) != k {
+		return fmt.Errorf("inference: %d counts for %d representatives", len(s.Counts), k)
 	}
-	if len(s.Counts) != reps.Rows() {
-		return fmt.Errorf("inference: %d counts for %d representatives", len(s.Counts), reps.Rows())
-	}
-	for i := 0; i < reps.Rows(); i++ {
-		row := make([]float64, packet.NumFields)
-		copy(row, reps.Row(i))
-		g.reps = append(g.reps, row)
-		g.counts = append(g.counts, s.Counts[i])
+	g.slab = slab
+	g.counts = append(g.counts, s.Counts...)
+	for i := 0; i < k; i++ {
 		g.refs = append(g.refs, CentroidRef{MonitorID: s.MonitorID, Epoch: s.Epoch, Centroid: i})
 	}
 	g.elems += s.Elements()
@@ -84,16 +138,11 @@ func (g *Aggregator) Add(s *summary.Summary) error {
 // Build finalizes the round into an Aggregate. An empty aggregator yields
 // an Aggregate with zero rows.
 func (g *Aggregator) Build() (*Aggregate, error) {
-	agg := &Aggregate{Counts: g.counts, Refs: g.refs, Elements: g.elems}
-	if len(g.reps) == 0 {
-		agg.Representatives = linalg.NewMatrix(0, packet.NumFields)
-		return agg, nil
-	}
-	m, err := linalg.NewMatrixFromRows(g.reps)
+	reps, err := linalg.NewMatrixFromData(len(g.counts), packet.NumFields, g.slab)
 	if err != nil {
 		return nil, err
 	}
-	agg.Representatives = m
+	agg := &Aggregate{Representatives: reps, Counts: g.counts, Refs: g.refs, Elements: g.elems}
 	for _, c := range g.counts {
 		agg.TotalPackets += c
 	}
@@ -103,7 +152,15 @@ func (g *Aggregator) Build() (*Aggregate, error) {
 // AggregateSummaries is a convenience that aggregates a slice of
 // summaries in one call.
 func AggregateSummaries(ss []*summary.Summary) (*Aggregate, error) {
-	g := NewAggregator()
+	rows := 0
+	for _, s := range ss {
+		rows += len(s.Counts)
+	}
+	g := &Aggregator{
+		slab:   make([]float64, 0, rows*packet.NumFields),
+		counts: make([]int, 0, rows),
+		refs:   make([]CentroidRef, 0, rows),
+	}
 	for _, s := range ss {
 		if err := g.Add(s); err != nil {
 			return nil, err

@@ -57,8 +57,8 @@ type MatchResult struct {
 // threshold was met too.
 func (m *MatchResult) Alerted() bool { return m.Matched && m.VariancePassed }
 
-// EstimateSimilarity runs Algorithm 1: it measures d_q against every
-// representative in the aggregate, sums the membership counts of
+// EstimateSimilarity runs Algorithm 1: it measures d_q against the
+// representatives of the aggregate, sums the membership counts of
 // matching centroids, and compares against τ_c. When the question
 // carries a variance directive, Algorithm 2 runs over the matched set Q.
 func EstimateSimilarity(agg *Aggregate, q *rules.Question) *MatchResult {
@@ -67,14 +67,46 @@ func EstimateSimilarity(agg *Aggregate, q *rules.Question) *MatchResult {
 
 // estimateWithThreshold is Algorithm 1 with an explicit τ_d, shared by
 // the plain path and the feedback loop's second-stage evaluation.
+//
+// Eq. 5 is a mean of non-negative per-field terms, so a centroid can
+// match only if on every constrained field it deviates from the question
+// by at most the τ_d·n budget (rules.MatchBudget). The exact distance is
+// therefore measured only on the rows inside the narrowest such
+// per-field window of the aggregate's sorted columns; every row outside
+// it fails d_q ≤ τ_d, so the matched set — reported in ascending row
+// order — is the full sweep's.
 func estimateWithThreshold(agg *Aggregate, q *rules.Question, tauD float64) *MatchResult {
 	res := &MatchResult{Question: q, VariancePassed: true}
-	for i := 0; i < agg.Rows(); i++ {
-		if q.Distance(agg.Representatives.Row(i)) <= tauD {
-			res.MatchedCount += agg.Counts[i]
-			res.MatchedRows = append(res.MatchedRows, i)
+	active := 0
+	for _, qf := range q.Vector {
+		if qf != rules.Irrelevant {
+			active++
 		}
 	}
+	var window []int32
+	if active == 0 {
+		// At distance +Inf from every row, which still matches at
+		// τ_d = +Inf: the question gets every row.
+		window = agg.column(0).rows
+	} else {
+		budget := rules.MatchBudget(tauD, active)
+		first := true
+		for f, qf := range q.Vector {
+			if qf == rules.Irrelevant {
+				continue
+			}
+			if w := agg.column(packet.FieldIndex(f)).window(qf, budget); first || len(w) < len(window) {
+				window, first = w, false
+			}
+		}
+	}
+	for _, r := range window {
+		if q.Distance(agg.Representatives.Row(int(r))) <= tauD {
+			res.MatchedCount += agg.Counts[r]
+			res.MatchedRows = append(res.MatchedRows, int(r))
+		}
+	}
+	slices.Sort(res.MatchedRows)
 	return finishEstimate(agg, q, res)
 }
 

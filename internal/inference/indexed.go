@@ -1,6 +1,9 @@
 package inference
 
-import "repro/internal/rules"
+import (
+	"repro/internal/packet"
+	"repro/internal/rules"
+)
 
 // This file is the inference-side half of the question index: entry
 // points that skip the O(centroids × fields) scan for questions the
@@ -18,7 +21,7 @@ func Candidates(agg *Aggregate, ix *rules.QuestionIndex) *rules.CandidateSet {
 	if ix == nil {
 		return nil
 	}
-	return ix.Candidates(agg.Rows(), agg.Representatives.Row)
+	return ix.Candidates(func(f packet.FieldIndex) []float64 { return agg.column(f).vals })
 }
 
 // EstimateSimilarityIndexed is EstimateSimilarity with a candidacy

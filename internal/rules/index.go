@@ -170,10 +170,10 @@ func NewQuestionIndex(qs []*Question, maxTau []float64) (*QuestionIndex, error) 
 		}
 		signatures[sig] = true
 
-		// Per-field necessary condition: |q_f − x_f| ≤ τ·n. The pad is
-		// inflated by an ulp-scale epsilon so float rounding in the
-		// Eq. 5 sum can never admit a centroid the slice excluded.
-		pad := tau*float64(active)*(1+1e-9) + 1e-12
+		// Per-field necessary condition: |q_f − x_f| ≤ τ·n, padded so
+		// float rounding in the Eq. 5 sum can never admit a centroid
+		// the slice excluded (MatchBudget).
+		pad := MatchBudget(tau, active)
 		ix.pad[i] = pad
 		ix.ivals[i] = make([]interval, 0, active)
 		for f, v := range q.Vector {
@@ -268,34 +268,34 @@ func (s *CandidateSet) Count() int { return s.bits.count() }
 // Len returns the number of questions the set ranges over.
 func (s *CandidateSet) Len() int { return s.n }
 
-// Candidates computes the epoch's candidate set: rows is the number of
-// aggregate centroids and row(i) must return centroid i's normalized
-// field vector (length ≥ packet.NumFields). Cost is one pass over the
-// centroids plus bitset algebra in the library size / 64.
-func (ix *QuestionIndex) Candidates(rows int, row func(i int) []float64) *CandidateSet {
+// Candidates computes the epoch's candidate set. column(f) must return
+// the epoch's centroid values on field f in ascending order, NaNs
+// first (the order of sort.Float64s); every column has one entry per
+// centroid. The index only reads the columns — the aggregate sorts each
+// once per epoch and the estimator's row windows share them. Cost is one
+// pass over each indexed column plus bitset algebra in the library
+// size / 64.
+func (ix *QuestionIndex) Candidates(column func(f packet.FieldIndex) []float64) *CandidateSet {
 	out := &CandidateSet{bits: newBitset(ix.n), n: ix.n}
-	if ix.n == 0 || rows == 0 || len(ix.fields) == 0 {
+	if ix.n == 0 || len(ix.fields) == 0 {
 		return out
 	}
 
 	// Occupancy pass: which buckets does any centroid fall in, per
-	// indexed column — and the raw values themselves, sorted per column
-	// for the phase-2 exact refinement.
+	// indexed column. The sorted values themselves serve the phase-2
+	// exact refinement.
 	var occ [packet.NumFields][numBuckets / 64]uint64
 	var vals [packet.NumFields][]float64
 	for _, fs := range ix.fields {
-		vals[fs.field] = make([]float64, rows)
-	}
-	for r := 0; r < rows; r++ {
-		v := row(r)
-		for _, fs := range ix.fields {
-			b := bucketOf(v[fs.field])
-			occ[fs.field][b>>6] |= 1 << (b & 63)
-			vals[fs.field][r] = v[fs.field]
+		col := column(fs.field)
+		if len(col) == 0 {
+			return out
 		}
-	}
-	for _, fs := range ix.fields {
-		sort.Float64s(vals[fs.field])
+		vals[fs.field] = col
+		for _, v := range col {
+			b := bucketOf(v)
+			occ[fs.field][b>>6] |= 1 << (b & 63)
+		}
 	}
 
 	// Intersection pass: a candidate must, on every indexed column,

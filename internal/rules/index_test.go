@@ -1,6 +1,10 @@
 package rules
 
 import (
+	"math"
+	"math/bits"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/packet"
@@ -23,8 +27,100 @@ func qVec(tau float64, entries map[packet.FieldIndex]float64) *Question {
 	return q
 }
 
-func rowsOf(vecs ...[]float64) (int, func(int) []float64) {
-	return len(vecs), func(i int) []float64 { return vecs[i] }
+// columnsOf gives Candidates what an aggregate does: each field of the
+// centroids as one ascending column.
+func columnsOf(vecs ...[]float64) func(packet.FieldIndex) []float64 {
+	return func(f packet.FieldIndex) []float64 {
+		col := make([]float64, len(vecs))
+		for i, v := range vecs {
+			col[i] = v[f]
+		}
+		sort.Float64s(col)
+		return col
+	}
+}
+
+// candidatesFromRows is the row-callback form Candidates had before the
+// aggregate grew shared sorted columns, kept as the reference the
+// column form is compared with: it copies and sorts every indexed column
+// itself, then runs the same two phases.
+func candidatesFromRows(ix *QuestionIndex, rows int, row func(i int) []float64) *CandidateSet {
+	out := &CandidateSet{bits: newBitset(ix.n), n: ix.n}
+	if ix.n == 0 || rows == 0 || len(ix.fields) == 0 {
+		return out
+	}
+	var occ [packet.NumFields][numBuckets / 64]uint64
+	var vals [packet.NumFields][]float64
+	for _, fs := range ix.fields {
+		vals[fs.field] = make([]float64, rows)
+	}
+	for r := 0; r < rows; r++ {
+		v := row(r)
+		for _, fs := range ix.fields {
+			b := bucketOf(v[fs.field])
+			occ[fs.field][b>>6] |= 1 << (b & 63)
+			vals[fs.field][r] = v[fs.field]
+		}
+	}
+	for _, fs := range ix.fields {
+		sort.Float64s(vals[fs.field])
+	}
+	mask := newBitset(ix.n)
+	for fi, fs := range ix.fields {
+		mask.copyFrom(fs.loose)
+		for w, word := range occ[fs.field] {
+			for word != 0 {
+				b := w<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				if qb := fs.buckets[b]; qb != nil {
+					mask.orInto(qb)
+				}
+			}
+		}
+		if fi == 0 {
+			out.bits.copyFrom(mask)
+		} else {
+			out.bits.andInto(mask)
+		}
+	}
+	out.bits.andNot(ix.never)
+	for w, word := range out.bits {
+		for word != 0 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			sum := 0.0
+			for _, iv := range ix.ivals[i] {
+				fv := vals[iv.field]
+				at := sort.SearchFloat64s(fv, iv.v)
+				d := math.Inf(1)
+				if at < len(fv) {
+					d = fv[at] - iv.v
+				}
+				if at > 0 && iv.v-fv[at-1] < d {
+					d = iv.v - fv[at-1]
+				}
+				sum += d
+				if sum > ix.pad[i] {
+					out.bits[w] &^= 1 << (i & 63)
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// candidates runs the index over the centroids and checks, on every
+// corpus of this file, that reading the sorted columns gives the bitset
+// the row-callback form gave.
+func candidates(t *testing.T, ix *QuestionIndex, vecs ...[]float64) *CandidateSet {
+	t.Helper()
+	cs := ix.Candidates(columnsOf(vecs...))
+	want := candidatesFromRows(ix, len(vecs), func(i int) []float64 { return vecs[i] })
+	if !reflect.DeepEqual(cs, want) {
+		t.Fatalf("column-form candidates differ from the row-callback form: %d vs %d set", cs.Count(), want.Count())
+	}
+	return cs
 }
 
 func fullRow(entries map[packet.FieldIndex]float64) []float64 {
@@ -56,8 +152,7 @@ func TestQuestionIndexSoundness(t *testing.T) {
 
 	// A centroid at dst-port 0.2 with SYN: questions 0 and 2 must be
 	// candidates; question 1 (pinned at 0.8, τ·n = 0.02) must be pruned.
-	n, row := rowsOf(fullRow(map[packet.FieldIndex]float64{packet.FieldDstPort: 0.2, packet.FieldSYN: 1}))
-	cs := ix.Candidates(n, row)
+	cs := candidates(t, ix, fullRow(map[packet.FieldIndex]float64{packet.FieldDstPort: 0.2, packet.FieldSYN: 1}))
 	if !cs.Contains(0) || !cs.Contains(2) {
 		t.Fatalf("expected questions 0 and 2 as candidates")
 	}
@@ -91,7 +186,7 @@ func TestQuestionIndexNeverMisses(t *testing.T) {
 			packet.FieldWindow:   float64(i%3) / 3,
 		}))
 	}
-	cs := ix.Candidates(len(rows), func(i int) []float64 { return rows[i] })
+	cs := candidates(t, ix, rows...)
 	missed := 0
 	for qi, q := range qs {
 		matches := false
@@ -161,8 +256,7 @@ func TestQuestionIndexNeverMatchable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, row := rowsOf(fullRow(map[packet.FieldIndex]float64{packet.FieldSYN: 1}))
-	cs := ix.Candidates(n, row)
+	cs := candidates(t, ix, fullRow(map[packet.FieldIndex]float64{packet.FieldSYN: 1}))
 	if cs.Contains(0) {
 		t.Fatal("zero-active-field question must be pruned")
 	}
@@ -184,4 +278,26 @@ func GenerateQuestionsForTest(t testing.TB, n int, seed int64) []*Question {
 		t.Fatal("generator yielded no questions")
 	}
 	return qs
+}
+
+// TestMatchBudgetEdges pins what the two prunings rely on at the odd
+// thresholds: +Inf keeps everything, NaN satisfies no comparison, a
+// negative τ leaves nothing a non-negative deviation could meet beyond
+// the absolute margin, and an ordinary τ leaves room above τ·n.
+func TestMatchBudgetEdges(t *testing.T) {
+	if b := MatchBudget(math.Inf(1), 3); !math.IsInf(b, 1) {
+		t.Errorf("budget at τ=+Inf is %v", b)
+	}
+	if b := MatchBudget(math.NaN(), 3); b >= 0 || b < 0 {
+		t.Errorf("budget at τ=NaN is %v, want NaN", b)
+	}
+	if b := MatchBudget(-1, 3); b >= 0 {
+		t.Errorf("budget at τ=-1 is %v, want negative", b)
+	}
+	if b := MatchBudget(0, 3); b <= 0 || b > 1e-12 {
+		t.Errorf("budget at τ=0 is %v, want the absolute margin", b)
+	}
+	if b := MatchBudget(0.05, 4); b <= 0.05*4 || b > 0.05*4*1.000001 {
+		t.Errorf("budget at τ=0.05, n=4 is %v", b)
+	}
 }

@@ -106,6 +106,23 @@ func (q *Question) Distance(x []float64) float64 {
 	return sum / float64(n)
 }
 
+// MatchBudget bounds the deviation |q_f − x_f| any one constrained field
+// can show on a centroid that matches, at threshold tau, a question with
+// active constrained fields. The question index and the estimator's row
+// windows both prune with it, so neither can drop a row the other keeps.
+// Soundness: Distance adds non-negative terms, and a floating-point sum
+// of non-negatives never rounds below an operand, so each term is
+// ≤ fl(Σ); fl(fl(Σ)/n) ≤ τ puts fl(Σ) within one rounding of τ·n, and the
+// 1e-9 relative plus 1e-12 absolute margins are orders of magnitude
+// wider than that. Callers keep what deviates by ≤ the budget and still
+// run the exact distance on it, so a generous budget costs time, never a
+// result: a NaN tau gives a NaN budget no deviation satisfies (as no
+// distance is ≤ NaN), a negative tau a budget no larger than 1e-12, and
+// +Inf keeps every row.
+func MatchBudget(tau float64, active int) float64 {
+	return tau*float64(active)*(1+1e-9) + 1e-12
+}
+
 // TranslateConfig tunes translation defaults.
 type TranslateConfig struct {
 	// DefaultDistanceThreshold is τ_d for rules without an explicit

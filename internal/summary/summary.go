@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -191,25 +192,69 @@ func (s *Summary) Representatives() (*linalg.Matrix, error) {
 	case KindCombined:
 		return s.Centroids, nil
 	case KindSplit:
-		k, r := s.Centroids.Rows(), s.Rank
-		p := s.V.Rows()
-		out := linalg.NewMatrix(k, p)
-		for i := 0; i < k; i++ {
-			ui := s.Centroids.Row(i)
-			oi := out.Row(i)
-			for t := 0; t < r; t++ {
-				us := ui[t] * s.Sigma[t]
-				if us == 0 {
-					continue
-				}
-				for j := 0; j < p; j++ {
-					oi[j] += us * s.V.At(j, t)
-				}
-			}
+		if s.V == nil {
+			return nil, errors.New("summary: split summary without V")
 		}
-		return out, nil
+		p := s.V.Rows()
+		data, err := s.AppendRepresentatives(nil, p)
+		if err != nil {
+			return nil, err
+		}
+		return linalg.NewMatrixFromData(s.Centroids.Rows(), p, data)
 	default:
 		return nil, fmt.Errorf("summary: unknown kind %v", s.Kind)
+	}
+}
+
+// AppendRepresentatives appends the summary's representatives to dst,
+// row-major and p values to a row, and returns the extended slice: the
+// centroids of a combined summary, Ũ_r·Σ_r·V_rᵀ of a split one (§5.1). A
+// summary that is not p fields wide, or whose factors do not fit its
+// rank, is an error and leaves dst as it was.
+func (s *Summary) AppendRepresentatives(dst []float64, p int) ([]float64, error) {
+	if s.Centroids == nil {
+		return dst, errors.New("summary: no centroids")
+	}
+	k := s.Centroids.Rows()
+	switch s.Kind {
+	case KindCombined:
+		if s.Centroids.Cols() != p {
+			return dst, fmt.Errorf("summary: centroids are %d fields wide, want %d", s.Centroids.Cols(), p)
+		}
+		return append(dst, s.Centroids.Data()[:k*p]...), nil
+	case KindSplit:
+		r := s.Rank
+		if s.V == nil || s.V.Rows() != p {
+			return dst, fmt.Errorf("summary: V is not %d fields wide", p)
+		}
+		if r < 0 || s.Centroids.Cols() < r || len(s.Sigma) < r || s.V.Cols() < r {
+			return dst, fmt.Errorf("summary: split factors narrower than rank %d", r)
+		}
+		at := len(dst)
+		dst = slices.Grow(dst, k*p)[:at+k*p]
+		// Each output is Σ_t (u_it·σ_t)·v_jt over the non-zero u_it·σ_t
+		// in ascending t. V's row j is read contiguously.
+		us := make([]float64, r)
+		for i := 0; i < k; i++ {
+			ui := s.Centroids.Row(i)
+			for t := range us {
+				us[t] = ui[t] * s.Sigma[t]
+			}
+			oi := dst[at+i*p : at+(i+1)*p]
+			for j := range oi {
+				vj := s.V.Row(j)[:r]
+				var acc float64
+				for t, u := range us {
+					if u != 0 {
+						acc += u * vj[t]
+					}
+				}
+				oi[j] = acc
+			}
+		}
+		return dst, nil
+	default:
+		return dst, fmt.Errorf("summary: unknown kind %v", s.Kind)
 	}
 }
 

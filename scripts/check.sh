@@ -45,6 +45,9 @@ go run ./cmd/jaal-vet -summary ./...
 # The parity test runs the same traffic through the engine's in-process
 # and wire endpoints and wants the same alerts and stats.
 go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|TestPipelineTraceDeterminism|TestPipelineTraceGolden|TestEngineInProcessWireParity' ./internal/core/
+# The estimator's row windows against a sweep over every row, and the
+# aggregate's sorted columns first used from many goroutines at once.
+go test -race -run 'TestEstimateWindowEqualsSweep|TestSortedColumnBuiltOnce' ./internal/inference/
 
 # Detection accuracy gate: the scoreboard report must be byte-identical
 # across worker counts, and the quick-profile scores must stay within

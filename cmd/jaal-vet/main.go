@@ -27,10 +27,8 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/detrand"
-	"repro/internal/analysis/encdec"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockcopy"
-	"repro/internal/analysis/lockheld"
 	"repro/internal/analysis/mapiter"
 	"repro/internal/analysis/obshot"
 	"repro/internal/analysis/spanend"
@@ -42,10 +40,8 @@ import (
 var all = []*analysis.Analyzer{
 	atomicmix.Analyzer,
 	detrand.Analyzer,
-	encdec.Analyzer,
 	hotalloc.Analyzer,
 	lockcopy.Analyzer,
-	lockheld.Analyzer,
 	mapiter.Analyzer,
 	obshot.Analyzer,
 	spanend.Analyzer,

@@ -91,7 +91,8 @@ func (w *AlertWriter) Send(a *inference.Alert) error {
 	var lastErr error
 	for attempt := 0; attempt < w.retry.attempts(); attempt++ {
 		if attempt > 0 {
-			//jaalvet:ignore lockheld — w.mu serializes alert sends by design: one frame at a time per sink connection, and alerts are rare
+			// w.mu stays held across the backoff and the write by design:
+			// one frame at a time per sink connection, and alerts are rare.
 			w.retry.sleep(w.retry.backoff(attempt-1, w.jitter))
 		}
 		if w.conn == nil {
@@ -105,7 +106,6 @@ func (w *AlertWriter) Send(a *inference.Alert) error {
 		if w.retry.Timeout > 0 {
 			w.conn.SetWriteDeadline(time.Now().Add(w.retry.Timeout)) //jaalvet:ignore detrand — I/O deadline arming; the alert payload is stamped by the controller's Clock, not here
 		}
-		//jaalvet:ignore lockheld — same per-connection serialization; see the sleep above
 		if err := wire.WriteFrame(w.conn, wire.MsgAlert, payload); err != nil {
 			lastErr = err
 			w.conn.Close()

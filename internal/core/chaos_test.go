@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faultnet"
+	"repro/internal/inference"
 	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/sketch"
@@ -24,12 +26,19 @@ import (
 //     already consumed monitor state), the alert stream is
 //     byte-identical to the fault-free run;
 //   - when a monitor is permanently lost, epochs complete degraded:
-//     no hang, declines recorded, jaal_epoch_degraded_total counting.
+//     no hang, declines recorded, jaal_epoch_degraded_total counting;
+//   - a peer that stalls in the middle of the feedback loop's raw fetch
+//     costs the epoch a deadline, not its completion or its alerts.
 //
-// Fault plans only script resets/stalls on write ops and on read 0
-// (the hello): client write boundaries are deterministic, while TCP
-// segmentation may split later reads unpredictably, so only delays —
-// which never change protocol bytes — are scheduled on other reads.
+// Every client read goes through wholeReadConn, so a read index names
+// the same protocol read on every run however TCP segments the stream.
+
+// wholeReadConn fills every Read: wire.ReadFrame then costs exactly one
+// Read for a frame header and one for a payload of up to 64 KiB, and a
+// fault plan can address any read of the exchange by index.
+type wholeReadConn struct{ net.Conn }
+
+func (c wholeReadConn) Read(p []byte) (int, error) { return io.ReadFull(c.Conn, p) }
 
 // chaosDeployment is one wire deployment under test.
 type chaosDeployment struct {
@@ -41,11 +50,24 @@ type chaosDeployment struct {
 
 // startChaosDeployment builds m monitors served over real TCP (accept
 // loops, so reconnects find a fresh session) and connects a retrying
-// remote handle through planFor(mon, conn) fault plans.
-func startChaosDeployment(t *testing.T, m int, rc RetryConfig, planFor func(mon, conn int) *faultnet.Plan) *chaosDeployment {
+// remote handle through planFor(mon, conn) fault plans. With feedback
+// on, every question runs the two-stage loop with τ_d1 = 0, so each
+// τ_d2 match is uncertain and pulls raw packets from its monitors over
+// the same handles.
+func startChaosDeployment(t *testing.T, m int, rc RetryConfig, feedback bool, planFor func(mon, conn int) *faultnet.Plan) *chaosDeployment {
 	t.Helper()
-	d := &chaosDeployment{}
-	var endpoints []Endpoint
+	cfg := ControllerConfig{Env: testEnv(), Questions: testQuestions(t, 3000), UseFeedback: feedback}
+	if feedback {
+		cfg.Feedback = make(map[rules.AttackID]inference.FeedbackConfig)
+		for id := range cfg.Questions {
+			cfg.Feedback[id] = inference.FeedbackConfig{TauD1: 0, TauD2: 0.2}
+		}
+	}
+	ctrl, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &chaosDeployment{ctrl: ctrl, engine: &Engine{Controller: ctrl}}
 	for i := 0; i < m; i++ {
 		mon, err := NewMonitorSketch(i, smallSummaryConfig(), sketch.Config{})
 		if err != nil {
@@ -80,19 +102,22 @@ func startChaosDeployment(t *testing.T, m int, rc RetryConfig, planFor func(mon,
 		addr := ln.Addr().String()
 		mi := i
 		dial := faultnet.Dialer(
-			func() (net.Conn, error) { return net.Dial("tcp", addr) },
+			func() (net.Conn, error) {
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					return nil, err
+				}
+				return wholeReadConn{conn}, nil
+			},
 			func(conn int) *faultnet.Plan { return planFor(mi, conn) },
 		)
 		rm := NewRemoteMonitor(i, dial, rc)
 		t.Cleanup(func() { rm.Close() })
-		endpoints = append(endpoints, rm)
+		d.engine.Endpoints = append(d.engine.Endpoints, rm)
+		if feedback {
+			ctrl.RegisterSource(i, rm)
+		}
 	}
-	ctrl, err := NewController(ControllerConfig{Env: testEnv(), Questions: testQuestions(t, 3000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.ctrl = ctrl
-	d.engine = &Engine{Controller: ctrl, Endpoints: endpoints}
 
 	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(1))
 	atk, err := trafficgen.NewAttack(rules.AttackDistributedSYNFlood,
@@ -185,7 +210,7 @@ func TestChaosEventualDeliveryAlertsIdentical(t *testing.T) {
 
 	const monitors, epochs, perEpoch = 3, 4, 3000
 
-	baselineD := startChaosDeployment(t, monitors, chaosRetryConfig(),
+	baselineD := startChaosDeployment(t, monitors, chaosRetryConfig(), false,
 		func(int, int) *faultnet.Plan { return nil })
 	baseline := runChaosEpochs(t, baselineD, epochs, perEpoch)
 	if len(baseline) == 0 {
@@ -197,7 +222,7 @@ func TestChaosEventualDeliveryAlertsIdentical(t *testing.T) {
 	rc := chaosRetryConfig()
 	rc.Timeout = 300 * time.Millisecond
 	before := cReconnects.Value()
-	faultedD := startChaosDeployment(t, monitors, rc, eventualDeliveryPlan)
+	faultedD := startChaosDeployment(t, monitors, rc, false, eventualDeliveryPlan)
 	faulted := runChaosEpochs(t, faultedD, epochs, perEpoch)
 
 	if got, want := strings.Join(faulted, "\n"), strings.Join(baseline, "\n"); got != want {
@@ -222,7 +247,7 @@ func TestChaosPermanentMonitorLossDegrades(t *testing.T) {
 	rc.Attempts = 3
 	// Monitor `lost` resets every hello on every connection: gone for
 	// good.
-	d := startChaosDeployment(t, monitors, rc, func(mon, conn int) *faultnet.Plan {
+	d := startChaosDeployment(t, monitors, rc, false, func(mon, conn int) *faultnet.Plan {
 		if mon == lost {
 			return faultnet.NewPlan(
 				faultnet.Fault{Op: faultnet.OpRead, Index: 0, Kind: faultnet.KindReset})
@@ -267,6 +292,97 @@ func TestChaosPermanentMonitorLossDegrades(t *testing.T) {
 	}
 	if st := d.ctrl.Stats(); st.Epochs != epochs || st.PacketsSummarized == 0 {
 		t.Fatalf("degraded epochs did not process surviving summaries: %+v", st)
+	}
+}
+
+// TestChaosRawFetchStallCompletes pins the feedback loop against a peer
+// that answers its poll and then stops answering: the raw-packet
+// exchange holds the handle's lock while it waits, so only the deadline
+// ends the wait. Monitor `stalled` serves epoch 0's poll, then its
+// connection stalls on the response to the first raw request. The epoch
+// must still complete — the stalled read times out, the handle
+// reconnects and asks again — and must raise the alerts of the
+// fault-free run, with the other monitors' pulls served alongside.
+func TestChaosRawFetchStallCompletes(t *testing.T) {
+	obs.SetEnabled(true)
+	defer func() { obs.SetEnabled(false); obs.ResetAll() }()
+
+	const monitors, epochs, perEpoch = 3, 3, 3000
+	const stalled = 1
+
+	// The fault-free run, and from it the read to stall: the hello and
+	// each frame of the poll's answer (the summaries, then the decline
+	// that ends it) cost two reads, so the header of the first raw batch
+	// is read 2 + 2·(summaries + 1).
+	baseline := startChaosDeployment(t, monitors, chaosRetryConfig(), true,
+		func(int, int) *faultnet.Plan { return nil })
+	var want string
+	shipped := 0
+	for e := 0; e < epochs; e++ {
+		ingestEpoch(t, baseline, perEpoch)
+		res, err := baseline.engine.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range res.Summaries {
+			if e == 0 && s.MonitorID == stalled {
+				shipped++
+			}
+		}
+		want += alertLines(res)
+	}
+	if shipped == 0 || want == "" {
+		t.Fatalf("monitor %d shipped %d summaries in epoch 0 and the run raised alerts %q; the scenario would test nothing",
+			stalled, shipped, want)
+	}
+
+	rc := chaosRetryConfig()
+	rc.Timeout = 500 * time.Millisecond
+	rawHeader := 2 + 2*(shipped+1)
+	d := startChaosDeployment(t, monitors, rc, true, func(mon, conn int) *faultnet.Plan {
+		if mon == stalled && conn == 0 {
+			return faultnet.NewPlan(
+				faultnet.Fault{Op: faultnet.OpRead, Index: rawHeader, Kind: faultnet.KindStall})
+		}
+		return nil
+	})
+
+	missesBefore := cDeadlineMisses.Value()
+	var got string
+	for e := 0; e < epochs; e++ {
+		ingestEpoch(t, d, perEpoch)
+		done := make(chan EpochResult, 1)
+		go func() {
+			res, err := d.engine.RunEpoch()
+			if err != nil {
+				t.Errorf("epoch %d: %v", e, err)
+			}
+			done <- res
+		}()
+		var res EpochResult
+		select {
+		case res = <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("epoch %d hung on the stalled raw fetch instead of completing", e)
+		}
+		for _, dec := range res.Declines {
+			if e == 0 && dec.MonitorID == stalled {
+				t.Fatalf("monitor %d declined epoch 0; the stall was meant to hit its raw fetch, after the poll", stalled)
+			}
+		}
+		got += alertLines(res)
+	}
+	if cDeadlineMisses.Value() == missesBefore {
+		t.Fatal("the scripted stall never fired; the scenario tested nothing")
+	}
+	if st := d.ctrl.Stats(); st.RawPacketsFetched == 0 {
+		t.Fatalf("no raw packets fetched: %+v", st)
+	}
+	if got != want {
+		t.Fatalf("alert stream diverged after the stalled raw fetch:\nstalled:\n%s\nbaseline:\n%s", got, want)
+	}
+	if bs, fs := baseline.ctrl.Stats(), d.ctrl.Stats(); bs != fs {
+		t.Fatalf("stats diverged after the stalled raw fetch: %+v vs %+v", fs, bs)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestSoakSteadyState(t *testing.T) {
 	url := fmt.Sprintf("http://%s/metrics", addr)
 
 	const monitors, perEpoch = 3, 3000
-	d := startChaosDeployment(t, monitors, chaosRetryConfig(),
+	d := startChaosDeployment(t, monitors, chaosRetryConfig(), false,
 		func(int, int) *faultnet.Plan { return nil })
 
 	duration := soakDuration()

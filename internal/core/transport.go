@@ -380,14 +380,15 @@ func (r *RemoteMonitor) exchange(fn func(conn net.Conn) error) error {
 	var lastErr error
 	for attempt := 0; attempt < r.retry.attempts(); attempt++ {
 		if attempt > 0 {
-			//jaalvet:ignore lockheld — r.mu serializes the whole exchange by design: the wire protocol is one request–response at a time per connection, and no other path needs r.mu between exchanges
+			// r.mu stays held across the backoff and the reconnect by
+			// design: it serializes one request–response at a time per
+			// connection, and no other path needs it between exchanges.
 			r.retry.sleep(r.retry.backoff(attempt-1, r.jitter))
 		}
 		if r.conn == nil {
 			if r.dial == nil {
 				break // no redial path: surface the first error
 			}
-			//jaalvet:ignore lockheld — reconnect happens under the same per-connection serialization; see the sleep above
 			conn, id, err := dialHello(r.dial, r.retry.Timeout)
 			if err != nil {
 				lastErr = err

@@ -37,7 +37,8 @@ func (h *Header) MarshalIPv4TCP(payload []byte) ([]byte, error) {
 	buf[9] = ProtoTCP
 	binary.BigEndian.PutUint32(buf[12:], h.SrcIP)
 	binary.BigEndian.PutUint32(buf[16:], h.DstIP)
-	//jaalvet:ignore encdec — checksum field: the decoder verifies it via ipChecksum over the whole header summing to zero, not by reading offset 10 directly
+	// The checksum is never parsed back as a field: VerifyIPv4Checksum
+	// checks it by summing the whole header.
 	binary.BigEndian.PutUint16(buf[10:], ipChecksum(buf[:IPv4HeaderLen]))
 
 	// TCP header.
@@ -50,7 +51,8 @@ func (h *Header) MarshalIPv4TCP(payload []byte) ([]byte, error) {
 	tcp[13] = byte(h.Flags)
 	binary.BigEndian.PutUint16(tcp[14:], h.Window)
 	copy(tcp[TCPHeaderLen:], payload)
-	//jaalvet:ignore encdec — checksum field: verified by tcpChecksum over the whole segment, never read at a fixed offset
+	// Likewise a checksum over the whole segment, never read at a fixed
+	// offset.
 	binary.BigEndian.PutUint16(tcp[16:], tcpChecksum(h.SrcIP, h.DstIP, tcp))
 
 	return buf, nil

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -142,6 +143,35 @@ func TestDecodeBatchBadLength(t *testing.T) {
 	if _, err := DecodeBatch(make([]byte, WireSize+1)); err == nil {
 		t.Fatal("expected error for ragged batch")
 	}
+}
+
+// FuzzDecodeBatch: the raw-batch codec a monitor answers a raw-packet
+// request with never panics, accepts only whole headers, and re-encodes
+// what it accepted to the input — except the bits DecodeFrom masks off
+// (the top 3 of FragOffset, the top nibble of DataOffset), which encoder
+// and decoder both drop.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add(EncodeBatch([]Header{sampleHeader(), {SrcIP: 1, DstPort: 80, Flags: FlagRST}}))
+	f.Add(bytes.Repeat([]byte{0xff}, 2*WireSize))
+	f.Add(make([]byte, WireSize-1))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hs, err := DecodeBatch(data)
+		if err != nil {
+			return
+		}
+		if len(data)%WireSize != 0 || len(hs) != len(data)/WireSize {
+			t.Fatalf("accepted %d bytes as %d headers", len(data), len(hs))
+		}
+		want := bytes.Clone(data)
+		for off := 0; off < len(want); off += WireSize {
+			want[off+14] &= 0x1f // FragOffset: 13 bits used
+			want[off+29] &= 0x0f // DataOffset: 4 bits used
+		}
+		if got := EncodeBatch(hs); !bytes.Equal(got, want) {
+			t.Fatalf("re-encode differs from the masked input:\n got %x\nwant %x", got, want)
+		}
+	})
 }
 
 func TestFlowKey(t *testing.T) {

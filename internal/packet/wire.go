@@ -30,8 +30,6 @@ const WireSize = 33
 
 // AppendEncode appends the wire encoding of h to dst and returns the
 // extended slice.
-//
-//jaal:pair DecodeFrom
 func (h *Header) AppendEncode(dst []byte) []byte {
 	var buf [WireSize]byte
 	binary.BigEndian.PutUint32(buf[0:], h.SrcIP)

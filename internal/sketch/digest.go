@@ -73,8 +73,6 @@ func IsDigest(p []byte) bool {
 // u32 block length, u32 monitor ID, u64 epoch, u64 offered, u64 shed,
 // u64 kept, u16 register count + registers, then the two heavy-hitter
 // lists as u8 count + (u32 key, u64 estimate) pairs.
-//
-//jaal:pair DecodeDigest
 func (d *Digest) AppendWire(dst []byte) []byte {
 	start := len(dst)
 	dst = append(dst, digestMagic0, digestMagic1, digestVersion, 0)

@@ -91,8 +91,6 @@ func (h *HLL) Merge(o *HLL) {
 }
 
 // AppendWire serializes the m register bytes.
-//
-//jaal:pair decodeHLL
 func (h *HLL) AppendWire(dst []byte) []byte {
 	return append(dst, h.registers...)
 }

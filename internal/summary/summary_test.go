@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -329,8 +330,9 @@ func TestUnmarshalCorruption(t *testing.T) {
 
 // FuzzUnmarshal: the decoder never panics on hostile bytes, and whatever
 // it accepts is safe to aggregate — every element finite, and the counts
-// stand for exactly the batch the header claims. Seeded from real Marshal
-// output, combined and split.
+// stand for exactly the batch the header claims — and re-Marshals to the
+// input byte for byte, so encoder and decoder agree on every field.
+// Seeded from real Marshal output, combined and split.
 func FuzzUnmarshal(f *testing.F) {
 	// Summarize picks the smaller encoding: the first config comes out
 	// combined, the second split.
@@ -375,6 +377,13 @@ func FuzzUnmarshal(f *testing.F) {
 					t.Fatalf("accepted non-finite element %v", x)
 				}
 			}
+		}
+		again, err := s.Marshal()
+		if err != nil {
+			t.Fatalf("accepted summary does not re-marshal: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("re-marshal differs from the input:\n got %x\nwant %x", again, data)
 		}
 	})
 }

@@ -52,10 +52,10 @@ const (
 )
 
 // AppendWire appends the context's wire encoding to dst.
-//
-//jaal:pair DecodeContext
 func (c *Context) AppendWire(dst []byte) []byte {
-	dst = append(dst, ctxMagic0, ctxMagic1, ctxVersion, 0) //jaalvet:ignore encdec — byte 3 is the reserved flags byte: written zero today, deliberately ignored by decoders for forward compatibility
+	// Byte 3 is the reserved flags byte: written zero today, and ignored
+	// by decoders for forward compatibility.
+	dst = append(dst, ctxMagic0, ctxMagic1, ctxVersion, 0)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(c.MonitorID))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(c.SentUnixNano))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(c.Spans)))

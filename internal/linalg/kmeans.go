@@ -83,35 +83,23 @@ func KMeans(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig) (*KMeansResult, 
 	return res, nil
 }
 
-// pruneSlack is the factor of the triangle-inequality test that lets a
-// row skip a centre without computing its distance. For a row x whose
-// reference centre c_a lies at squared distance d, any centre c with
-// ‖c_a − c‖² > 4d has ‖x − c‖ ≥ ‖c_a − c‖ − ‖x − c_a‖ > √d, so it is
-// strictly farther than c_a and can neither win nor tie. The extra
-// 1+1e-9 absorbs the rounding of the three computed squared distances
-// (each within ~p·2⁻⁵³ relative of its true value — five orders of
-// magnitude inside the margin), so the test never skips a centre an
-// exhaustive scan would have chosen: pruned and unpruned runs agree bit
-// for bit.
-const pruneSlack = 4 * (1 + 1e-9)
-
 // KMeansInto is the allocation-free core of KMeans: it clusters the rows
 // of x into k ≤ x.Rows() clusters, writing the centroids into out (k×p),
 // the per-row assignments into assign (length n) and the cluster sizes
 // into counts (length k). Every intermediate — the ping-pong centroid
-// buffers, the per-row best distances and a kmeansWork — comes from sc,
-// which is carved (never Reset) so the caller may share one Scratch
-// across the whole summarization of a batch. It returns the final
-// objective value and the Lloyd iteration count.
+// buffers, the per-row best distances and a column-major copy of x —
+// comes from sc, which is carved (never Reset) so the caller may share
+// one Scratch across the whole summarization of a batch. It returns the
+// final objective value and the Lloyd iteration count.
 //
-// The result is, bit for bit, that of exhaustive k-means++ seeding
-// followed by exhaustive Lloyd scans (lowest centre index on ties; the
-// reference lives in kmeans_oracle_test.go) for finite inputs; the
-// kernel only avoids distance evaluations that cannot change it. Seeding
-// records each row's nearest seed as it maintains the D² vector, so the
-// first Lloyd assignment is that table, and both the seeding rounds and
-// the later assignment passes skip centres by the pruneSlack test. All
-// of it is sequential on rng and on the calling goroutine.
+// The scans are exhaustive: seeding measures every new seed, and each
+// assignment step every centre, against all rows of the column-major
+// copy with columnDistances (lowest centre index on ties). The result,
+// non-finite inputs included, is bit for bit that of the row-by-row
+// reference in kmeans_oracle_test.go. Seeding records each row's nearest
+// seed as it maintains the D² vector, so the first Lloyd assignment is
+// that table. All of it is sequential on rng and on the calling
+// goroutine.
 func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch, out *Matrix, assign []int, counts []int) (inertia float64, iters int, err error) {
 	if x.Rows() == 0 || x.Cols() == 0 {
 		return 0, 0, ErrEmptyMatrix
@@ -145,25 +133,27 @@ func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch,
 	cur := sc.Matrix(k, p)
 	next := sc.Matrix(k, p)
 	dist := sc.Floats(n)
-	w := kmeansWork{
-		between: sc.Floats(k),
-		tmp:     sc.Floats(n),
-		cand:    sc.Ints(n),
-		order:   sc.Ints(n),
-		starts:  sc.Ints(k + 1),
-	}
+	tmp := sc.Floats(n)
+	xt := sc.Floats(p * n)
+	transposeInto(xt, x)
 
-	// Seeding leaves the first assignment step's answer in assign/dist.
-	seedPlusPlus(x, cur, rng, assign, dist, w)
+	// Seeding leaves the first assignment step's answer in assign/dist,
+	// except for a row whose distance to the first seed is NaN: D² keeps
+	// that NaN, where a scan from +Inf moves on to the next centre. The
+	// objective is then NaN, and only a full pass reproduces the scan.
+	seedPlusPlus(x, xt, cur, rng, assign, dist, tmp)
 	prevObj := math.Inf(1)
 	var obj float64
 
 	for ; iters < cfg.MaxIterations; iters++ {
 		// Assignment step.
 		if iters > 0 {
-			assignRows(x, cur, assign, dist, w)
+			assignRows(xt, cur, tmp, assign, dist)
 		}
-		obj = tally(assign, dist, counts)
+		if obj = tally(assign, dist, counts); math.IsNaN(obj) {
+			assignRows(xt, cur, tmp, assign, dist)
+			obj = tally(assign, dist, counts)
+		}
 
 		// Update step.
 		for i := range next.data {
@@ -176,15 +166,13 @@ func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch,
 				nr[j] += v
 			}
 		}
+		far := -1
 		for c := 0; c < k; c++ {
 			if counts[c] == 0 {
 				// Re-seed an empty cluster with the point farthest from
 				// its centroid, a standard Lloyd repair step.
-				far, farD := 0, -1.0
-				for i, d := range dist {
-					if d > farD {
-						far, farD = i, d
-					}
+				if far < 0 {
+					far = farthestRow(x, cur, assign)
 				}
 				copy(next.Row(c), x.Row(far))
 				continue
@@ -211,27 +199,10 @@ func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch,
 	}
 
 	// Final assignment against the last centroid update.
-	assignRows(x, cur, assign, dist, w)
+	assignRows(xt, cur, tmp, assign, dist)
 	obj = tally(assign, dist, counts)
 	copy(out.data, cur.data)
 	return obj, iters, nil
-}
-
-// kmeansWork is the scratch the pruned passes share, for n rows and k
-// centres.
-type kmeansWork struct {
-	// between (length k) holds the squared distances from one centre to
-	// the others: the only centre-to-centre distances the pruneSlack test
-	// needs at a time, so there is never a k×k table of them.
-	between []float64
-	// cand (length n) lists the rows (seeding) or centres (assignment)
-	// the test could not rule out; tmp (length n) receives their
-	// distances, and in seeding first holds the running sums of D².
-	cand []int
-	tmp  []float64
-	// order (length n) is the rows grouped by centre, starts (length
-	// k+1) the group boundaries in it.
-	order, starts []int
 }
 
 // tally reduces one assignment step: the cluster sizes and the objective,
@@ -248,148 +219,69 @@ func tally(assign []int, dist []float64, counts []int) float64 {
 	return obj
 }
 
+// farthestRow returns the first row farthest from the centre of cents it
+// is assigned to. The distances are measured afresh rather than read from
+// an assignment step's dist, which holds +Inf for a row whose every
+// distance is NaN.
+func farthestRow(x, cents *Matrix, assign []int) int {
+	far, farD := 0, -1.0
+	for i, c := range assign {
+		if d := SquaredDistance(x.Row(i), cents.Row(c)); d > farD {
+			far, farD = i, d
+		}
+	}
+	return far
+}
+
 // assignRows runs one Lloyd assignment step: assign[i] becomes the
 // centre of cents nearest to row i (lowest index on ties) and dist[i]
-// the squared distance to it. On entry assign holds each row's previous
-// centre. Rows are visited grouped by that centre (a counting sort into
-// w.order/w.starts), so the distances from it to every other centre are
-// one k-length row, w.between, recomputed per group.
-func assignRows(x, cents *Matrix, assign []int, dist []float64, w kmeansWork) {
-	k, p := cents.rows, cents.cols
-	between, cand, candD, order, starts := w.between, w.cand, w.tmp, w.order, w.starts
-	for c := range starts {
-		starts[c] = 0
+// the squared distance to it. xt is the rows column-major; tmp (length
+// n) receives one centre's distances to every row.
+func assignRows(xt []float64, cents *Matrix, tmp []float64, assign []int, dist []float64) {
+	for i := range dist {
+		assign[i], dist[i] = 0, math.Inf(1)
 	}
-	for _, a := range assign {
-		starts[a+1]++
-	}
-	for c := 0; c < k; c++ {
-		starts[c+1] += starts[c]
-	}
-	for i, a := range assign {
-		order[starts[a]] = i
-		starts[a]++
-	}
-	// starts[a] now marks the end of group a; its start is the end of
-	// group a−1.
-	lo := 0
-	for a := 0; a < k; a++ {
-		group := order[lo:starts[a]]
-		lo = starts[a]
-		if len(group) == 0 {
-			continue
-		}
-		ca := cents.data[a*p : (a+1)*p]
-		distancesToRows(ca, cents.data, between)
-		for _, i := range group {
-			row := x.data[i*p : (i+1)*p]
-			skipBeyond := SquaredDistance(row, ca) * pruneSlack
-			// between[a] is 0, so a itself is always a candidate, and the
-			// candidates are in index order: the first minimum among them
-			// is the one a scan of every centre would have kept.
-			m := 0
-			for c, cc := range between {
-				cand[m] = c
-				if cc <= skipBeyond {
-					m++
-				}
+	tmp, assign = tmp[:len(dist)], assign[:len(dist)]
+	for c := 0; c < cents.rows; c++ {
+		columnDistances(cents.Row(c), xt, len(dist), tmp)
+		for i, v := range tmp {
+			if v < dist[i] {
+				assign[i], dist[i] = c, v
 			}
-			distancesToSome(row, cents.data, cand[:m], candD)
-			best, bestD := 0, math.Inf(1)
-			for j, d := range candD[:m] {
-				if d < bestD {
-					best, bestD = cand[j], d
-				}
-			}
-			assign[i] = best
-			dist[i] = bestD
 		}
 	}
-}
-
-// A single squared distance is one chain of dependent additions, so it
-// costs the adder's latency per term. The helpers below measure four
-// vectors at a time against a common one, which keeps four such chains in
-// flight; each chain still adds its terms in SquaredDistance's order, so
-// every result is that function's value bit for bit.
-
-// distancesToRows sets out[c] to SquaredDistance(a, row c of rows), where
-// rows holds len(out) rows of len(a) values back to back.
-func distancesToRows(a, rows, out []float64) {
-	p := len(a)
-	c := 0
-	for ; c+4 <= len(out); c += 4 {
-		out[c], out[c+1], out[c+2], out[c+3] = squaredDistance4(a,
-			rows[c*p:(c+1)*p], rows[(c+1)*p:(c+2)*p], rows[(c+2)*p:(c+3)*p], rows[(c+3)*p:(c+4)*p])
-	}
-	for ; c < len(out); c++ {
-		out[c] = SquaredDistance(a, rows[c*p:(c+1)*p])
-	}
-}
-
-// distancesToSome sets out[j] to SquaredDistance(a, row idx[j] of rows).
-func distancesToSome(a, rows []float64, idx []int, out []float64) {
-	p := len(a)
-	j := 0
-	for ; j+4 <= len(idx); j += 4 {
-		i0, i1, i2, i3 := idx[j], idx[j+1], idx[j+2], idx[j+3]
-		out[j], out[j+1], out[j+2], out[j+3] = squaredDistance4(a,
-			rows[i0*p:(i0+1)*p], rows[i1*p:(i1+1)*p], rows[i2*p:(i2+1)*p], rows[i3*p:(i3+1)*p])
-	}
-	for ; j < len(idx); j++ {
-		i := idx[j]
-		out[j] = SquaredDistance(a, rows[i*p:(i+1)*p])
-	}
-}
-
-// squaredDistance4 returns SquaredDistance(a, b_j) for four vectors b_j
-// of a's length, interleaving the four sums term by term.
-func squaredDistance4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
-	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
-	for i, av := range a {
-		d0, d1, d2, d3 := av-b0[i], av-b1[i], av-b2[i], av-b3[i]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	return s0, s1, s2, s3
 }
 
 // seedPlusPlus picks k initial centroids with the k-means++ D² weighting:
 // the first uniformly at random, each subsequent one with probability
 // proportional to its squared distance to the nearest centroid so far.
-// The centroids are written into cur (k×p). d2 (length n) is the D²
-// vector and near (length n) records which seed each entry of d2 was
-// measured to — the lowest index on ties, because only a strictly
-// smaller distance replaces it — so on return near/d2 are exactly what
-// an exhaustive nearest-seed scan would produce.
+// The centroids are written into cur (k×p); xt is x column-major. d2
+// (length n) is the D² vector and near (length n) records which seed
+// each entry of d2 was measured to — the lowest index on ties, because
+// only a strictly smaller distance replaces it.
 //
-// A round lists in w.cand the rows the pruneSlack test cannot rule the
-// new seed out for — w.between holds the new seed's distances to the
-// earlier ones — and measures only those. w.tmp first holds the running
-// sums of d2 in row order: the last is the round's D² total and the draw
-// is a search in them, which lands on the row a linear accumulation
-// would have stopped at because the sums never decrease. Seeding is
+// Each round measures the new seed against every row into sums, then
+// one pass folds those distances into d2 and overwrites sums with the
+// running sums of d2 in row order: the last is the next round's D²
+// total, and the draw is a search in them, which lands on the row a
+// linear accumulation would have stopped at because the sums never
+// decrease (a NaN total makes both pick the last row). Seeding is
 // strictly sequential: every draw consumes rng in a fixed order, which
 // is what keeps same-seed runs reproducible (§4.3).
-func seedPlusPlus(x *Matrix, cur *Matrix, rng *rand.Rand, near []int, d2 []float64, w kmeansWork) {
+func seedPlusPlus(x *Matrix, xt []float64, cur *Matrix, rng *rand.Rand, near []int, d2, sums []float64) {
 	n, p := x.rows, x.cols
 	k := cur.rows
-	between, cand, tmp := w.between, w.cand, w.tmp
+	near, d2, sums = near[:n], d2[:n], sums[:n]
 	first := rng.Intn(n)
-	seed := cur.data[:p]
-	copy(seed, x.data[first*p:(first+1)*p])
-	distancesToRows(seed, x.data, d2)
-	for i := range near {
+	copy(cur.data[:p], x.data[first*p:(first+1)*p])
+	columnDistances(cur.data[:p], xt, n, d2)
+	var total float64
+	for i, d := range d2 {
 		near[i] = 0
+		total += d
+		sums[i] = total
 	}
 	for c := 1; c < k; c++ {
-		var total float64
-		for i, d := range d2 {
-			total += d
-			tmp[i] = total
-		}
 		var pick int
 		if total <= 0 {
 			// All points coincide with existing centroids; fall back to
@@ -399,25 +291,56 @@ func seedPlusPlus(x *Matrix, cur *Matrix, rng *rand.Rand, near []int, d2 []float
 			target := rng.Float64() * total
 			// First row whose running sum reaches target; the last row
 			// when rounding leaves target above every sum.
-			pick = min(sort.SearchFloat64s(tmp, target), n-1)
+			pick = min(sort.SearchFloat64s(sums, target), n-1)
 		}
-		seed = cur.data[c*p : (c+1)*p]
+		seed := cur.data[c*p : (c+1)*p]
 		copy(seed, x.data[pick*p:(pick+1)*p])
-		distancesToRows(seed, cur.data, between[:c])
-
-		m := 0
-		for i, d := range d2 {
-			cand[m] = i
-			if between[near[i]] <= d*pruneSlack {
-				m++
-			}
-		}
-		distancesToSome(seed, x.data, cand[:m], tmp)
-		for j, nd := range tmp[:m] {
-			if i := cand[j]; nd < d2[i] {
-				d2[i] = nd
+		columnDistances(seed, xt, n, sums)
+		total = 0
+		for i, v := range sums {
+			if v < d2[i] {
+				d2[i] = v
 				near[i] = c
 			}
+			total += d2[i]
+			sums[i] = total
+		}
+	}
+}
+
+// columnDistances sets out[i] to SquaredDistance(a, column i of xt),
+// where xt holds len(a) rows of stride ≥ len(out) values and column i is
+// xt[i], xt[stride+i], … . It is the leaf every k-means scan runs:
+// goColumnDistances, or a vector kernel the package's init selects when
+// the CPU has one. Each kernel adds a column's terms in SquaredDistance's
+// order, starting from +0 and rounding every product, so all agree with
+// that function bit for bit (FuzzColumnDistances).
+var columnDistances = goColumnDistances
+
+// goColumnDistances is the portable columnDistances. Walking xt row by
+// row keeps every column's sum in its own out slot, so the sums are
+// independent chains the CPU can overlap.
+func goColumnDistances(a, xt []float64, stride int, out []float64) {
+	for i := range out {
+		out[i] = 0
+	}
+	for j, av := range a {
+		col := xt[j*stride : j*stride+len(out)]
+		out := out[:len(col)]
+		for i, v := range col {
+			d := av - v
+			// The conversion forbids fusing the multiply into the add,
+			// which would round differently from the vector kernel.
+			out[i] += float64(d * d)
+		}
+	}
+}
+
+// transposeInto writes m column-major into dst (length m.rows·m.cols).
+func transposeInto(dst []float64, m *Matrix) {
+	for i := 0; i < m.rows; i++ {
+		for j, v := range m.data[i*m.cols : (i+1)*m.cols] {
+			dst[j*m.rows+i] = v
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package linalg
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -154,7 +157,7 @@ func trafficMatrix(seed int64, n int) *Matrix {
 
 // reducedTraffic is what the split encoding clusters: the rows of U_r of
 // a traffic batch.
-func reducedTraffic(t *testing.T, seed int64, n, r int) *Matrix {
+func reducedTraffic(t testing.TB, seed int64, n, r int) *Matrix {
 	t.Helper()
 	x := trafficMatrix(seed, n)
 	ur, vr := NewMatrix(n, r), NewMatrix(x.Cols(), r)
@@ -184,6 +187,111 @@ func withDuplicates(m *Matrix, distinct int) *Matrix {
 	return m
 }
 
+// leaf is one columnDistances implementation.
+type leaf struct {
+	name string
+	fn   func(a, xt []float64, stride int, out []float64)
+}
+
+// leaves lists the columnDistances implementations this machine runs:
+// the portable loop, and the kernel init selected if it is another one.
+func leaves() []leaf {
+	ls := []leaf{{"go", goColumnDistances}}
+	if reflect.ValueOf(columnDistances).Pointer() != reflect.ValueOf(goColumnDistances).Pointer() {
+		ls = append(ls, leaf{"kernel", columnDistances})
+	}
+	return ls
+}
+
+// withNonFinite overwrites rows of m: a NaN, a +Inf, a −Inf and a row
+// holding both infinities, spread over the rows, so that seeds and
+// centroids pick them up.
+func withNonFinite(m *Matrix) *Matrix {
+	n, p := m.Rows(), m.Cols()
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for r := 0; r < 4 && r < n; r++ {
+		row := m.Row((r*n + n/2) / 4)
+		if r < 3 {
+			row[r%p] = vals[r]
+		} else {
+			row[0] = math.Inf(1)
+			row[p-1] = math.Inf(-1)
+		}
+	}
+	return m
+}
+
+// withNaNRows puts a NaN into every other row of m, so that the first
+// seed is often one of them and every distance to it NaN.
+func withNaNRows(m *Matrix) *Matrix {
+	for i := 0; i < m.Rows(); i += 2 {
+		m.Row(i)[i%m.Cols()] = math.NaN()
+	}
+	return m
+}
+
+// checkKMeansAgainstReference runs refKMeansInto and then, once per
+// leaf with columnDistances set to it, KMeansInto on the same input and
+// seed, and wants every output and the rng state after the call equal
+// with ==; a NaN matches any NaN.
+func checkKMeansAgainstReference(t *testing.T, x *Matrix, k int, cfg KMeansConfig, seed int64, wantRepairs bool) {
+	n, p := x.Rows(), x.Cols()
+	wantRng := rand.New(rand.NewSource(seed))
+	wantOut, wantAssign, wantCounts := NewMatrix(k, p), make([]int, n), make([]int, k)
+	wantObj, wantIters, repairs := refKMeansInto(x, k, wantRng, cfg, wantOut, wantAssign, wantCounts)
+	if wantRepairs && repairs == 0 {
+		t.Fatal("case was meant to reach the empty-cluster repair and did not")
+	}
+	var wantDraws [4]int64
+	for i := range wantDraws {
+		wantDraws[i] = wantRng.Int63()
+	}
+
+	selected := columnDistances
+	defer func() { columnDistances = selected }()
+	for _, l := range leaves() {
+		columnDistances = l.fn
+		gotRng := rand.New(rand.NewSource(seed))
+		gotOut, gotAssign, gotCounts := NewMatrix(k, p), make([]int, n), make([]int, k)
+		// Outputs arrive dirty in production (arena slabs are zeroed,
+		// but nothing promises it): the kernel must not read them.
+		for i := range gotAssign {
+			gotAssign[i] = -7
+		}
+		gotObj, gotIters, err := KMeansInto(x, k, gotRng, cfg, new(Scratch), gotOut, gotAssign, gotCounts)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if !sameFloat(gotObj, wantObj) || gotIters != wantIters {
+			t.Fatalf("%s leaf: objective %v after %d iterations, reference %v after %d", l.name, gotObj, gotIters, wantObj, wantIters)
+		}
+		for i := range wantAssign {
+			if gotAssign[i] != wantAssign[i] {
+				t.Fatalf("%s leaf: row %d assigned to %d, reference %d", l.name, i, gotAssign[i], wantAssign[i])
+			}
+		}
+		for c := range wantCounts {
+			if gotCounts[c] != wantCounts[c] {
+				t.Fatalf("%s leaf: cluster %d has %d rows, reference %d", l.name, c, gotCounts[c], wantCounts[c])
+			}
+		}
+		for i, w := range wantOut.data {
+			if !sameFloat(gotOut.data[i], w) {
+				t.Fatalf("%s leaf: centroid element %d is %v, reference %v", l.name, i, gotOut.data[i], w)
+			}
+		}
+		for draw, w := range wantDraws {
+			if g := gotRng.Int63(); g != w {
+				t.Fatalf("%s leaf: rng diverged: draw %d after the call is %d, reference %d", l.name, draw, g, w)
+			}
+		}
+	}
+}
+
+// sameFloat is == except that any NaN equals any NaN.
+func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
 func TestKMeansMatchesExhaustiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cases := []struct {
@@ -211,55 +319,38 @@ func TestKMeansMatchesExhaustiveReference(t *testing.T) {
 		{name: "n = 201, k = 200", x: randomMatrix(rng, 201, 12), k: 200},
 		{name: "one iteration allowed", x: randomMatrix(rng, 200, 4), k: 10, cfg: KMeansConfig{MaxIterations: 1}},
 		{name: "tight tolerance", x: trafficMatrix(5, 500), k: 50, cfg: KMeansConfig{MaxIterations: 8, Tolerance: 1e-12}},
+		{name: "NaN in every other row", x: withNaNRows(randomMatrix(rng, 40, 3)), k: 6},
+		{name: "non-finite tight tolerance", x: withNonFinite(randomMatrix(rng, 300, 6)), k: 30, cfg: KMeansConfig{MaxIterations: 8, Tolerance: 1e-12}},
 	}
 	for _, tc := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
-				n, p := tc.x.Rows(), tc.x.Cols()
-				wantRng := rand.New(rand.NewSource(seed))
-				wantOut, wantAssign, wantCounts := NewMatrix(tc.k, p), make([]int, n), make([]int, tc.k)
-				wantObj, wantIters, repairs := refKMeansInto(tc.x, tc.k, wantRng, tc.cfg, wantOut, wantAssign, wantCounts)
-				if tc.repairs && repairs == 0 {
-					t.Fatal("case was meant to reach the empty-cluster repair and did not")
-				}
-
-				gotRng := rand.New(rand.NewSource(seed))
-				gotOut, gotAssign, gotCounts := NewMatrix(tc.k, p), make([]int, n), make([]int, tc.k)
-				// Outputs arrive dirty in production (arena slabs are
-				// zeroed, but nothing promises it): the kernel must not
-				// read them.
-				for i := range gotAssign {
-					gotAssign[i] = -7
-				}
-				gotObj, gotIters, err := KMeansInto(tc.x, tc.k, gotRng, tc.cfg, new(Scratch), gotOut, gotAssign, gotCounts)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				if gotObj != wantObj || gotIters != wantIters {
-					t.Fatalf("objective %v after %d iterations, reference %v after %d", gotObj, gotIters, wantObj, wantIters)
-				}
-				for i := range wantAssign {
-					if gotAssign[i] != wantAssign[i] {
-						t.Fatalf("row %d assigned to %d, reference %d", i, gotAssign[i], wantAssign[i])
-					}
-				}
-				for c := range wantCounts {
-					if gotCounts[c] != wantCounts[c] {
-						t.Fatalf("cluster %d has %d rows, reference %d", c, gotCounts[c], wantCounts[c])
-					}
-				}
-				for i, w := range wantOut.data {
-					if gotOut.data[i] != w {
-						t.Fatalf("centroid element %d is %v, reference %v", i, gotOut.data[i], w)
-					}
-				}
-				for draw := 0; draw < 4; draw++ {
-					if g, w := gotRng.Int63(), wantRng.Int63(); g != w {
-						t.Fatalf("rng diverged: draw %d after the call is %d, reference %d", draw, g, w)
-					}
-				}
+				checkKMeansAgainstReference(t, tc.x, tc.k, tc.cfg, seed, tc.repairs)
 			})
+		}
+	}
+	// The grid: row counts that leave every remainder of the kernel's
+	// 16- and 4-lane blocks, the extreme cluster counts, and widths from
+	// one column to the raw header's 18. A non-finite objective defeats
+	// the stop test, so those cases cap Lloyd at two iterations rather than
+	// the default 50.
+	for _, n := range []int{1, 5, 17, 999, 1000, 1003} {
+		ks := []int{1, 2, 199, n - 1, n}
+		for ki, k := range ks {
+			if k < 1 || k > n || slices.Index(ks, k) < ki {
+				continue
+			}
+			for _, p := range []int{1, 3, 12, 18} {
+				for _, fill := range []string{"finite", "non-finite"} {
+					x, cfg := randomMatrix(rng, n, p), KMeansConfig{}
+					if fill == "non-finite" {
+						x, cfg = withNonFinite(x), KMeansConfig{MaxIterations: 2}
+					}
+					t.Run(fmt.Sprintf("grid n=%d k=%d p=%d %s", n, k, p, fill), func(t *testing.T) {
+						checkKMeansAgainstReference(t, x, k, cfg, int64(n+k+p), false)
+					})
+				}
+			}
 		}
 	}
 }
@@ -278,28 +369,63 @@ func TestKMeansDefaultStopsAfterOneIteration(t *testing.T) {
 	}
 }
 
-// TestDistanceHelpersMatchSquaredDistance checks the four-at-a-time
-// helpers value for value, including the lengths that leave a remainder.
-func TestDistanceHelpersMatchSquaredDistance(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, rows := range []int{1, 3, 4, 5, 8, 11} {
-		for _, p := range []int{1, 2, 12, 18} {
-			m := randomMatrix(rng, rows, p)
-			a := randomMatrix(rng, 1, p).Row(0)
-			out := make([]float64, rows)
-			distancesToRows(a, m.data, out)
-			for c := range out {
-				if want := SquaredDistance(a, m.Row(c)); out[c] != want {
-					t.Fatalf("distancesToRows %dx%d: row %d is %v, want %v", rows, p, c, out[c], want)
-				}
+// FuzzColumnDistances wants every leaf to return SquaredDistance's value
+// for every column, bit for bit (any NaN matching any NaN). The values
+// are the fuzzer's bytes read as float64s, so −0, subnormals, infinities
+// and NaNs all occur; p runs 1–32 and the stride may exceed n.
+func FuzzColumnDistances(f *testing.F) {
+	le := binary.LittleEndian
+	special := make([]byte, 0, 64)
+	for _, v := range []float64{0, math.Copysign(0, -1), 5e-324, -2.2250738585072009e-308, math.Inf(1), math.Inf(-1), math.NaN(), 1.5} {
+		special = le.AppendUint64(special, math.Float64bits(v))
+	}
+	// Inexact products, where a fused multiply-add would round
+	// differently; n = 1003 runs the 16- and 4-lane blocks and the tail.
+	inexact := make([]byte, 0, 64)
+	for _, v := range []float64{math.Pi, -math.E, math.Sqrt2, 1.0 / 3, -7.1, 0.1, 1e-3, 12345.678} {
+		inexact = le.AppendUint64(inexact, math.Float64bits(v))
+	}
+	f.Add(uint8(11), uint16(1003), uint8(0), inexact)
+	f.Add(uint8(11), uint16(1000), uint8(0), special)
+	f.Add(uint8(17), uint16(200), uint8(0), []byte{1, 2, 3})
+	f.Add(uint8(0), uint16(17), uint8(3), special)
+	f.Add(uint8(31), uint16(5), uint8(7), special[8:40])
+	f.Add(uint8(2), uint16(0), uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, pb uint8, nb uint16, pad uint8, data []byte) {
+		p, n := 1+int(pb)%32, int(nb)%1100
+		stride := n + int(pad)%9
+		value := func(i int) float64 {
+			if len(data) < 8 {
+				return float64(i%7) - 3
 			}
-			idx := rng.Perm(rows)
-			distancesToSome(a, m.data, idx, out)
-			for j, i := range idx {
-				if want := SquaredDistance(a, m.Row(i)); out[j] != want {
-					t.Fatalf("distancesToSome %dx%d: entry %d (row %d) is %v, want %v", rows, p, j, i, out[j], want)
+			off := i % (len(data) / 8) * 8
+			return math.Float64frombits(le.Uint64(data[off:]))
+		}
+		a := make([]float64, p)
+		for j := range a {
+			a[j] = value(j)
+		}
+		xt := make([]float64, p*stride)
+		for i := range xt {
+			xt[i] = value(p + i)
+		}
+		col := make([]float64, p)
+		for _, l := range leaves() {
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = float64(i) // the leaf must overwrite, not add
+			}
+			l.fn(a, xt, stride, out)
+			for i, got := range out {
+				for j := range col {
+					col[j] = xt[j*stride+i]
+				}
+				want := SquaredDistance(a, col)
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("%s leaf p=%d n=%d stride=%d: column %d is %v (%#x), SquaredDistance %v (%#x)",
+						l.name, p, n, stride, i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			}
 		}
-	}
+	})
 }

@@ -212,9 +212,8 @@ func TestKMeansNearestAssignmentProperty(t *testing.T) {
 	}
 }
 
-// Non-finite rows are outside the bit-for-bit contract (NaN compares
-// false with everything, so the pruned and exhaustive scans may part
-// ways), but they must still come back as a well-formed clustering.
+// Non-finite rows must come back as a well-formed clustering; that it is
+// the reference's is TestKMeansMatchesExhaustiveReference's business.
 func TestKMeansNonFiniteInput(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		x := randomMatrix(rand.New(rand.NewSource(8)), 120, 4)
@@ -236,5 +235,38 @@ func TestKMeansNonFiniteInput(t *testing.T) {
 				t.Fatalf("input with %v: assignment[%d] = %d out of range", bad, i, a)
 			}
 		}
+	}
+}
+
+// BenchmarkKMeansSplit clusters what Summarize clusters under the split
+// encoding, U_r of a 1000-packet batch (1000×12), into k = 200 — once per
+// leaf: leaf=go is what a host without the vector kernel pays.
+func BenchmarkKMeansSplit(b *testing.B) {
+	const n, r, k = 1000, 12, 200
+	x := reducedTraffic(b, 1, n, r)
+	out, assign, counts := NewMatrix(k, r), make([]int, n), make([]int, k)
+	selected := columnDistances
+	defer func() { columnDistances = selected }()
+	for _, l := range leaves() {
+		columnDistances = l.fn
+		b.Run("leaf="+l.name, func(b *testing.B) {
+			var sc Scratch
+			rng := rand.New(rand.NewSource(1))
+			run := func() {
+				sc.Reset()
+				if _, _, err := KMeansInto(x, k, rng, KMeansConfig{}, &sc, out, assign, counts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// The first call grows the slab in steps, the second into one
+			// slab that holds a whole call.
+			run()
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
 	}
 }

@@ -135,12 +135,7 @@ func (m *Matrix) Clone() *Matrix {
 // Transpose returns a newly allocated transpose of m.
 func (m *Matrix) Transpose() *Matrix {
 	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		ri := m.Row(i)
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = ri[j]
-		}
-	}
+	transposeInto(t.data, m)
 	return t
 }
 
@@ -268,7 +263,8 @@ func SquaredDistance(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		// Unfused on every architecture, like the k-means kernels.
+		s += float64(d * d)
 	}
 	return s
 }

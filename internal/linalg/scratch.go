@@ -6,9 +6,10 @@ import "sync"
 // summarization hot path: the SVD's transposed working copy (which ends
 // up holding the Householder reflectors), its p×p triangular factor and
 // rotation accumulator, the k-means ping-pong centroid buffers, distance
-// vectors and row groupings, and the rank-r reconstruction. Handing these
-// out of an arena instead of make() is what takes a batch summarization
-// from ~30 heap allocations to none (BenchmarkSummarizeBatch).
+// vectors and column-major copy of the rows, and the rank-r
+// reconstruction. Handing these out of an arena instead of make() is
+// what takes a batch summarization from ~30 heap allocations to none
+// (BenchmarkSummarizeBatch).
 //
 // Buffers are carved off growing backing slabs and stay valid until the
 // next Reset; Reset reclaims everything at once. The zero value is ready

@@ -18,6 +18,25 @@ fi
 go vet ./...
 go build ./...
 
+# The k-means distance leaves round every product before adding it: the
+# amd64 vector kernel does, and KMeansInto is compared bit for bit with a
+# reference built on SquaredDistance (DESIGN.md, "k-means"). arm64 has a
+# fused multiply-add the compiler uses for s += d*d unless the product is
+# converted explicitly, so vet that port and look at its machine code.
+GOARCH=arm64 go vet ./...
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+GOARCH=arm64 go test -c -o "$tmp/linalg.test" ./internal/linalg
+leaves=$(go tool objdump -s 'linalg\.(SquaredDistance|goColumnDistances)$' "$tmp/linalg.test")
+if [ "$(echo "$leaves" | grep -c '^TEXT')" -ne 2 ] || echo "$leaves" | grep -E 'FN?M(ADD|SUB)D'; then
+	echo "arm64: a distance leaf is missing or fuses multiply and add" >&2
+	exit 1
+fi
+if grep -nE 'VFN?M(ADD|SUB)' internal/linalg/*.s; then
+	echo "fused multiply-add in the amd64 distance kernel" >&2
+	exit 1
+fi
+
 # Non-test Go outside bench/: the figure ROADMAP aim 2 tracks, printed so
 # every PR log shows which way it moved.
 echo "non-test Go lines: $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"

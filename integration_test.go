@@ -82,7 +82,9 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		remote, err := core.DialMonitor(conn)
+		// One attempt per exchange (the zero RetryConfig) over the one
+		// connection this monitor accepts.
+		remote, err := core.DialMonitorRetry(func() (net.Conn, error) { return conn, nil }, core.RetryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

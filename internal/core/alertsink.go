@@ -4,10 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
-	"sync"
-	"time"
 
 	"repro/internal/inference"
 	"repro/internal/wire"
@@ -62,72 +59,28 @@ func (s *AlertSink) ListenAndServe(ln net.Listener) error {
 	}
 }
 
-// AlertWriter ships a controller's alerts to an AlertSink with the
-// transport's retry policy: a failed send closes the connection, backs
-// off, redials and retries, so a flapping operator endpoint costs
-// retries, not alerts — up to the attempt budget.
+// AlertWriter ships a controller's alerts to an AlertSink through the
+// same retrying connection as RemoteMonitor, without a handshake: a
+// failed send closes the connection, backs off, redials and retries, so
+// a flapping operator endpoint costs retries, not alerts — up to the
+// attempt budget.
 type AlertWriter struct {
-	dial  DialFunc
-	retry RetryConfig
-
-	mu   sync.Mutex
-	conn net.Conn
-	// jitter is the writer's own backoff-jitter source (nil when jitter
-	// is off), drawn from only under mu.
-	jitter *rand.Rand
+	c wireClient
 }
 
 // NewAlertWriter builds a writer over dial; the connection is
 // established lazily on the first Send.
 func NewAlertWriter(dial DialFunc, rc RetryConfig) *AlertWriter {
-	return &AlertWriter{dial: dial, retry: rc, jitter: rc.jitterSource(jitterSaltAlert)}
+	return &AlertWriter{c: wireClient{dial: dial, retry: rc, jitter: rc.jitterSource(jitterSaltAlert)}}
 }
 
 // Send ships one alert as a MsgAlert frame carrying its log line.
 func (w *AlertWriter) Send(a *inference.Alert) error {
 	payload := []byte(a.String())
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < w.retry.attempts(); attempt++ {
-		if attempt > 0 {
-			// w.mu stays held across the backoff and the write by design:
-			// one frame at a time per sink connection, and alerts are rare.
-			w.retry.sleep(w.retry.backoff(attempt-1, w.jitter))
-		}
-		if w.conn == nil {
-			conn, err := w.dial()
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			w.conn = conn
-		}
-		if w.retry.Timeout > 0 {
-			w.conn.SetWriteDeadline(time.Now().Add(w.retry.Timeout)) //jaalvet:ignore detrand — I/O deadline arming; the alert payload is stamped by the controller's Clock, not here
-		}
-		if err := wire.WriteFrame(w.conn, wire.MsgAlert, payload); err != nil {
-			lastErr = err
-			w.conn.Close()
-			w.conn = nil
-			continue
-		}
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("core: alert sink unreachable")
-	}
-	return lastErr
+	return w.c.exchange(func(conn net.Conn) error {
+		return wire.WriteFrame(conn, wire.MsgAlert, payload)
+	})
 }
 
 // Close closes the writer's connection, if any.
-func (w *AlertWriter) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.conn == nil {
-		return nil
-	}
-	err := w.conn.Close()
-	w.conn = nil
-	return err
-}
+func (w *AlertWriter) Close() error { return w.c.close() }

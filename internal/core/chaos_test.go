@@ -484,3 +484,125 @@ func TestRetryBackoffSchedule(t *testing.T) {
 		t.Fatal("two monitors drew the same jitter schedule from one seed")
 	}
 }
+
+// TestRetryBackoffUncappedSaturates: without BackoffMax the doubling
+// must saturate, not wrap. A wrapped wait is negative or zero, which
+// sleep skips, so the retry loop would spin with no backoff at all.
+func TestRetryBackoffUncappedSaturates(t *testing.T) {
+	rc := RetryConfig{BackoffBase: 100 * time.Millisecond, JitterSeed: 5}
+	src := rc.jitterSource(0)
+	var prev time.Duration
+	for n := 0; n <= 100; n++ {
+		d := rc.backoff(n, nil)
+		if d <= 0 || d < prev {
+			t.Fatalf("backoff(%d) = %v after %v: want positive and non-decreasing", n, d, prev)
+		}
+		if j := rc.backoff(n, src); j < d {
+			t.Fatalf("jittered backoff(%d) = %v, below its base %v", n, j, d)
+		}
+		prev = d
+	}
+}
+
+// TestClientsShareOneRetryLoop drives a RemoteMonitor and an AlertWriter
+// through the same fault plan — connection 0 resets on its first write,
+// connection 1 stalls its first write past Timeout, connection 2 is
+// clean — and wants the same recovery from both: three dials, backoff(0)
+// then backoff(1) from the client's own jitter source, two reconnects
+// and one deadline miss.
+func TestClientsShareOneRetryLoop(t *testing.T) {
+	obs.SetEnabled(true)
+	defer func() { obs.SetEnabled(false); obs.ResetAll() }()
+
+	listen := func(serve func(net.Conn) error) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer conn.Close()
+					serve(conn)
+				}()
+			}
+		}()
+		return ln.Addr().String()
+	}
+	const id = 3
+	mon, err := NewMonitorSketch(id, smallSummaryConfig(), sketch.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(conn int) *faultnet.Plan {
+		switch conn {
+		case 0:
+			return faultnet.NewPlan(faultnet.Fault{Op: faultnet.OpWrite, Index: 0, Kind: faultnet.KindReset})
+		case 1:
+			return faultnet.NewPlan(faultnet.Fault{Op: faultnet.OpWrite, Index: 0, Kind: faultnet.KindStall})
+		}
+		return nil
+	}
+
+	for _, c := range []struct {
+		name string
+		addr string
+		salt int64
+		run  func(DialFunc, RetryConfig) error
+	}{
+		{"remote monitor", listen((&MonitorServer{Monitor: mon}).Serve), id, func(dial DialFunc, rc RetryConfig) error {
+			rm := NewRemoteMonitor(id, dial, rc)
+			defer rm.Close()
+			_, err := rm.QueryLoad()
+			return err
+		}},
+		{"alert writer", listen((&AlertSink{}).Serve), jitterSaltAlert, func(dial DialFunc, rc RetryConfig) error {
+			w := NewAlertWriter(dial, rc)
+			defer w.Close()
+			return w.Send(&inference.Alert{Attack: rules.AttackSYNFlood, SID: 10001, Epoch: 1, Msg: "SYN flood"})
+		}},
+	} {
+		var slept []time.Duration
+		rc := RetryConfig{
+			Timeout: 200 * time.Millisecond, Attempts: 3,
+			BackoffBase: time.Millisecond, BackoffMax: 8 * time.Millisecond, JitterSeed: 99,
+			Sleep: func(d time.Duration) { slept = append(slept, d) },
+		}
+		dials := 0
+		dial := faultnet.Dialer(func() (net.Conn, error) {
+			dials++
+			return net.Dial("tcp", c.addr)
+		}, plan)
+		reconnects, misses := cReconnects.Value(), cDeadlineMisses.Value()
+
+		done := make(chan error, 1)
+		go func() { done <- c.run(dial, rc) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: hung on the stalled write", c.name)
+		}
+
+		if dials != 3 {
+			t.Fatalf("%s: %d dials, want 3", c.name, dials)
+		}
+		src := rc.jitterSource(c.salt)
+		if want := []time.Duration{rc.backoff(0, src), rc.backoff(1, src)}; len(slept) != 2 || slept[0] != want[0] || slept[1] != want[1] {
+			t.Fatalf("%s: slept %v, want %v", c.name, slept, want)
+		}
+		if d := cReconnects.Value() - reconnects; d != 2 {
+			t.Fatalf("%s: jaal_transport_reconnects_total moved by %d, want 2", c.name, d)
+		}
+		if d := cDeadlineMisses.Value() - misses; d != 1 {
+			t.Fatalf("%s: jaal_transport_deadline_misses_total moved by %d, want 1", c.name, d)
+		}
+	}
+}

@@ -62,8 +62,8 @@ func TestMonitorConcurrentIngestAndPoll(t *testing.T) {
 
 // TestMonitorIngestDuringSummarizeWindow stresses the lock-free
 // summarize window: several ingest goroutines keep feeding the monitor
-// while a poll loop forces flush summarizations, finer-granularity
-// re-summarizations and epoch ends. The monitor releases mu during
+// while a poll loop forces flush summarizations, raw fetches and epoch
+// ends. The monitor releases mu during
 // every SVD+k-means, so ingest and compute genuinely overlap; the packet
 // conservation check at the end proves no header is lost or double
 // counted across the snapshot/summarize/publish handoff. Run with -race.
@@ -108,12 +108,7 @@ func TestMonitorIngestDuringSummarizeWindow(t *testing.T) {
 		for _, s := range ss {
 			summarized += s.BatchSize
 			// Hit the retained batch from the same goroutine the
-			// controller would: finer re-summarization plus raw fetches
-			// race the in-flight ingests.
-			if _, err := m.FinerSummary(s.Epoch, cfg.Centroids+10); err != nil {
-				t.Errorf("finer: %v", err)
-				return
-			}
+			// controller would: raw fetches race the in-flight ingests.
 			m.RawPackets(s.Epoch, 0)
 		}
 	}

@@ -316,7 +316,7 @@ func TestTransportEndToEnd(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(server) }()
 
-	remote, err := DialMonitor(client)
+	remote, err := DialMonitorRetry(oneShot(client), RetryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestTransportOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	remote, err := DialMonitor(conn)
+	remote, err := DialMonitorRetry(oneShot(conn), RetryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,7 +189,7 @@ func TestEngineInProcessWireParity(t *testing.T) {
 			}
 			client, server := net.Pipe()
 			go (&MonitorServer{Monitor: m}).Serve(server)
-			rm, err := DialMonitor(client)
+			rm, err := DialMonitorRetry(oneShot(client), RetryConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,8 +25,6 @@ var (
 		"unsealed packets buffered at the last collected monitor")
 	cRawServed = obs.NewCounter("jaal_monitor_raw_packets_served_total",
 		"raw headers served to the feedback loop")
-	cFinerSummaries = obs.NewCounter("jaal_monitor_finer_summaries_total",
-		"finer-granularity re-summarizations served (§5.3)")
 
 	// Sketch-assisted ingest (the AMON-style shedding pass). Shed counts
 	// packets dropped before the batch slab under the watermark; the
@@ -81,17 +79,19 @@ var (
 	gCompression = obs.NewGauge("jaal_controller_compression_ratio",
 		"cumulative (summary+feedback bytes)/raw-equivalent bytes, the Fig. 12 overhead")
 
-	// Wire transport fault tolerance. Reconnects count successful
-	// re-handshakes after a lost connection; deadline misses count
-	// exchanges that died on an armed I/O deadline; decode rejects count
+	// Wire transport fault tolerance. Reconnects and deadline misses are
+	// fed by the one retrying client under RemoteMonitor and AlertWriter:
+	// reconnects count successful redials (re-handshaken, for a monitor)
+	// after a lost connection; deadline misses count attempts, handshake
+	// or exchange, that died on an I/O deadline. Decode rejects count
 	// summary frames whose payload a codec refused; degraded epochs
 	// count inference rounds that proceeded without at least one
 	// monitor's summaries; serve errors count monitor-side sessions
 	// that ended on anything but a clean EOF.
 	cReconnects = obs.NewCounter("jaal_transport_reconnects_total",
-		"successful reconnect+rehandshake cycles after a lost monitor connection")
+		"successful redials (re-handshaken, for a monitor) after a lost connection")
 	cDeadlineMisses = obs.NewCounter("jaal_transport_deadline_misses_total",
-		"wire exchanges aborted by an I/O deadline")
+		"wire client attempts (handshake or exchange) aborted by an I/O deadline")
 	cDecodeRejects = obs.NewCounter("jaal_transport_decode_rejects_total",
 		"summary frames refused at decode: a summary, sketch digest or trace trailer that broke its codec's invariants")
 	cServeErrors = obs.NewCounter("jaal_transport_serve_errors_total",

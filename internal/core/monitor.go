@@ -180,41 +180,6 @@ func (m *Monitor) RawPackets(epoch uint64, centroid int) []packet.Header {
 	return hs
 }
 
-// FinerSummary re-summarizes a retained batch at a higher resolution —
-// the "finer granularity summaries" option of the feedback loop (§5.3),
-// cheaper than shipping raw packets when the controller only needs more
-// centroids, not exact bytes. It returns nil when the batch has expired
-// or k is not an improvement over the original summary.
-//
-// Only the raw-batch snapshot happens under mu; the re-summarization
-// itself runs lock-free on a throwaway summarizer (it must not consume
-// the main summarizer's RNG), so a feedback-loop refinement no longer
-// blocks Ingest for the duration of an SVD+k-means run.
-func (m *Monitor) FinerSummary(epoch uint64, k int) (*summary.Summary, error) {
-	cfg := m.summarizer.Config()
-	if k <= cfg.Centroids {
-		return nil, fmt.Errorf("monitor %d: finer summary needs k > %d, got %d", m.id, cfg.Centroids, k)
-	}
-	m.mu.Lock()
-	headers := m.buf.RawBatch(epoch)
-	m.mu.Unlock()
-	if headers == nil {
-		return nil, nil
-	}
-	cfg.Centroids = k
-	cfg.BatchSize = len(headers)
-	cfg.MinBatch = 0
-	szr, err := summary.NewSummarizer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fs, err := szr.Summarize(headers, m.id, epoch)
-	if err == nil && fs != nil {
-		cFinerSummaries.Inc()
-	}
-	return fs, err
-}
-
 // Poll is the monitor's half of one controller epoch (§5.1, §7), the same
 // for a controller in this process and for one behind a MonitorServer.
 // It collects the queued summaries. With summaries to ship it ends the

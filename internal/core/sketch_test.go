@@ -143,7 +143,7 @@ func TestSketchDigestOverWire(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(server) }()
 
-	remote, err := DialMonitor(client)
+	remote, err := DialMonitorRetry(oneShot(client), RetryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestNoDigestTrailerWhenSketchOff(t *testing.T) {
 	client, server := net.Pipe()
 	srv := &MonitorServer{Monitor: m}
 	go srv.Serve(server)
-	remote, err := DialMonitor(client)
+	remote, err := DialMonitorRetry(oneShot(client), RetryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestPollThenImmediateIngestKeepsDigest(t *testing.T) {
 	go func() {
 		done <- (&MonitorServer{Monitor: m}).Serve(lingerConn{Conn: server, linger: 200 * time.Microsecond})
 	}()
-	remote, err := DialMonitor(client)
+	remote, err := DialMonitorRetry(oneShot(client), RetryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

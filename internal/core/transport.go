@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -136,22 +137,6 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 		return wire.WriteFrame(conn, wire.MsgSummaryDecline,
 			wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending))
 
-	case wire.MsgFinerRequest:
-		epoch, k, err := wire.DecodeFinerRequest(msg.Payload)
-		if err != nil {
-			return err
-		}
-		fs, err := s.Monitor.FinerSummary(epoch, k)
-		if err != nil || fs == nil {
-			return wire.WriteFrame(conn, wire.MsgSummaryDecline,
-				wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, 0))
-		}
-		data, err := fs.Marshal()
-		if err != nil {
-			return err
-		}
-		return wire.WriteFrame(conn, wire.MsgSummary, data)
-
 	case wire.MsgRawRequest:
 		epoch, centroid, err := wire.DecodeRawRequest(msg.Payload)
 		if err != nil {
@@ -178,7 +163,8 @@ type DialFunc func() (net.Conn, error)
 // — the pre-fault-tolerance behaviour.
 type RetryConfig struct {
 	// Timeout bounds one full request–response exchange (every
-	// ReadFrame/WriteFrame of it). Zero disables deadlines.
+	// ReadFrame/WriteFrame of it), and separately each connection's
+	// hello. Zero disables deadlines.
 	Timeout time.Duration
 	// Attempts is the total tries per exchange, reconnects included.
 	// Values below 1 mean 1.
@@ -186,7 +172,8 @@ type RetryConfig struct {
 	// BackoffBase is the sleep before the first retry; attempt n waits
 	// min(BackoffBase·2ⁿ, BackoffMax). Zero disables backoff sleeps.
 	BackoffBase time.Duration
-	// BackoffMax caps the exponential growth. Zero means no cap.
+	// BackoffMax caps the exponential growth. Zero means no cap; the
+	// doubling then saturates instead of wrapping.
 	BackoffMax time.Duration
 	// JitterSeed, when non-zero, adds a uniformly drawn 0–50 % to each
 	// backoff. It is a seed, not a source, because clients retry in
@@ -225,20 +212,28 @@ func (rc RetryConfig) jitterSource(salt int64) *rand.Rand {
 	return rand.New(rand.NewSource(rc.JitterSeed + salt))
 }
 
+// maxBackoff is where a backoff without BackoffMax stops doubling: half
+// the largest Duration, so neither the doubling nor the 50 % jitter on
+// top of it can wrap.
+const maxBackoff = time.Duration(math.MaxInt64 / 2)
+
 // backoff returns the wait before retry n (0-based), plus jitter drawn
-// from the calling client's own source when it has one.
+// from the calling client's own source when it has one. The doubling
+// saturates at BackoffMax, or at maxBackoff when there is no cap.
 func (rc RetryConfig) backoff(n int, jitter *rand.Rand) time.Duration {
 	if rc.BackoffBase <= 0 {
 		return 0
 	}
+	ceil := rc.BackoffMax
+	if ceil <= 0 || ceil > maxBackoff {
+		ceil = maxBackoff
+	}
 	d := rc.BackoffBase
-	for i := 0; i < n && (rc.BackoffMax <= 0 || d < rc.BackoffMax); i++ {
+	for i := 0; i < n && d < ceil; i++ {
 		d *= 2
 	}
-	if rc.BackoffMax > 0 && d > rc.BackoffMax {
-		d = rc.BackoffMax
-	}
-	if jitter != nil && d > 0 {
+	d = min(d, ceil)
+	if jitter != nil {
 		d += time.Duration(jitter.Int63n(int64(d)/2 + 1))
 	}
 	return d
@@ -256,82 +251,130 @@ func (rc RetryConfig) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// RemoteMonitor is the controller-side handle to a monitor reached over
-// the wire protocol. It implements RawSource so the feedback loop can
-// fetch raw packets transparently.
-//
-// With a DialFunc and RetryConfig (DialMonitorRetry), every exchange
-// runs under a deadline and survives connection loss: a failed
-// exchange closes the connection, backs off, redials, re-handshakes
-// via MsgHello — verifying the monitor identity is unchanged — and
-// retries, up to the attempt budget. Without them (DialMonitor) the
-// handle keeps the original single-connection, fail-fast behaviour.
-type RemoteMonitor struct {
-	id    int
+// wireClient is the one retrying connection under every controller-side
+// wire client: RemoteMonitor's exchanges, DialMonitorRetry's first
+// connect and AlertWriter.Send. It owns the dial, the optional MsgHello
+// handshake, the per-exchange deadline, the attempt budget, the capped
+// backoff drawn from this client's own jitter source, and close-and-redial
+// on failure.
+type wireClient struct {
 	dial  DialFunc
 	retry RetryConfig
+	// hello makes every connection open with the server's MsgHello, which
+	// must name monitor id; a negative id adopts whatever the first hello
+	// names. id is written only then, before the handle is shared.
+	hello bool
+	id    int
 
+	// mu serializes exchanges, one request–response at a time per
+	// connection. It stays held across the backoff and the redial by
+	// design: no other path needs it between exchanges.
 	mu   sync.Mutex
 	conn net.Conn
-	// jitter is this handle's own backoff-jitter source (nil when jitter
+	// jitter is this client's own backoff-jitter source (nil when jitter
 	// is off), drawn from only under mu.
 	jitter *rand.Rand
-	// everConnected distinguishes a lazy handle's first connect from a
+	// everConnected distinguishes a lazy client's first connect from a
 	// true reconnect, so jaal_transport_reconnects_total counts only
 	// recoveries.
 	everConnected bool
 }
 
-// DialMonitor completes the hello on an established connection. The
-// resulting handle has no redial path: the first failed exchange
-// surfaces its error, as before fault tolerance existed.
-func DialMonitor(conn net.Conn) (*RemoteMonitor, error) {
-	id, err := readHello(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return &RemoteMonitor{id: id, conn: conn, everConnected: true}, nil
-}
-
-// NewRemoteMonitor builds a handle for a monitor whose identity is
-// known from deployment configuration, without requiring it to be
-// reachable yet: the connection is established lazily by the first
-// exchange, under the retry policy. This is how a controller starts
-// against a monitor fleet where some members may be down — a dead
-// monitor costs declines, not startup.
-func NewRemoteMonitor(id int, dial DialFunc, rc RetryConfig) *RemoteMonitor {
-	return &RemoteMonitor{id: id, dial: dial, retry: rc, jitter: rc.jitterSource(int64(id))}
-}
-
-// DialMonitorRetry connects to a monitor through dial under the given
-// retry policy: the initial connect gets the same attempt budget,
-// deadline and backoff as every later exchange.
-func DialMonitorRetry(dial DialFunc, rc RetryConfig) (*RemoteMonitor, error) {
-	var (
-		conn    net.Conn
-		id      int
-		lastErr error
-	)
-	jitter := rc.jitterSource(jitterSaltDial)
-	for attempt := 0; attempt < rc.attempts(); attempt++ {
+// exchange runs fn under the retry policy: connect if there is no
+// connection, arm the deadline, run fn, and on failure close the
+// connection, back off, redial and run fn again, up to the attempt
+// budget. fn must be restartable from its first frame — the wire
+// protocol is request-driven, so re-sending a request on a new
+// connection is always safe at the protocol level.
+func (c *wireClient) exchange(fn func(conn net.Conn) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var err error
+	for attempt := 0; attempt < c.retry.attempts(); attempt++ {
 		if attempt > 0 {
-			rc.sleep(rc.backoff(attempt-1, jitter))
+			c.retry.sleep(c.retry.backoff(attempt-1, c.jitter))
 		}
-		var err error
-		conn, id, err = dialHello(dial, rc.Timeout)
-		if err == nil {
-			r := NewRemoteMonitor(id, dial, rc)
-			r.conn, r.everConnected = conn, true
-			return r, nil
+		if c.conn == nil {
+			if err = c.connect(); err != nil {
+				continue
+			}
 		}
-		lastErr = err
+		c.arm(c.conn)
+		if err = fn(c.conn); err == nil {
+			if c.retry.Timeout > 0 {
+				c.conn.SetDeadline(time.Time{})
+			}
+			return nil
+		}
+		dropConn(c.conn, err)
+		c.conn = nil
 	}
-	return nil, fmt.Errorf("core: dial monitor: %w", lastErr)
+	return err
 }
 
-// readHello consumes the server's opening hello under an optional
-// deadline already armed by the caller.
+// connect dials and, for a monitor, reads its hello under the deadline
+// and checks the identity it names.
+func (c *wireClient) connect() error {
+	conn, err := c.dial()
+	if err != nil {
+		return err
+	}
+	if c.hello {
+		c.arm(conn)
+		id, err := readHello(conn)
+		switch {
+		case err != nil:
+		case c.id < 0:
+			c.id = id
+		case id != c.id:
+			err = fmt.Errorf("core: reconnect reached monitor %d, want %d", id, c.id)
+		}
+		if err != nil {
+			dropConn(conn, err)
+			return err
+		}
+	}
+	c.conn = conn
+	if c.everConnected {
+		cReconnects.Inc()
+	}
+	c.everConnected = true
+	return nil
+}
+
+// arm starts one exchange's (or handshake's) deadline on conn; it is a
+// no-op without a Timeout.
+func (c *wireClient) arm(conn net.Conn) {
+	if c.retry.Timeout > 0 {
+		conn.SetDeadline(time.Now().Add(c.retry.Timeout)) //jaalvet:ignore detrand — I/O deadline arming; no wire payload carries this timestamp
+	}
+}
+
+// dropConn closes a connection an attempt failed on, counting the
+// failure in jaal_transport_deadline_misses_total when an I/O deadline
+// ended it.
+func dropConn(conn net.Conn, err error) {
+	var nerr net.Error
+	if errors.As(err, &nerr) && nerr.Timeout() {
+		cDeadlineMisses.Inc()
+	}
+	conn.Close()
+}
+
+// close closes the current connection, if any; a later exchange redials.
+func (c *wireClient) close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.conn == nil {
+		return nil
+	}
+	err := c.conn.Close()
+	c.conn = nil
+	return err
+}
+
+// readHello consumes the server's opening hello under a deadline
+// already armed by the caller.
 func readHello(conn net.Conn) (int, error) {
 	msg, err := wire.ReadFrame(conn)
 	if err != nil {
@@ -343,96 +386,49 @@ func readHello(conn net.Conn) (int, error) {
 	return wire.DecodeHello(msg.Payload)
 }
 
-// dialHello dials and completes the handshake, applying timeout to the
-// dial-to-hello window.
-func dialHello(dial DialFunc, timeout time.Duration) (net.Conn, int, error) {
-	conn, err := dial()
-	if err != nil {
-		return nil, 0, err
+// RemoteMonitor is the controller-side handle to a monitor reached over
+// the wire protocol. It implements RawSource so the feedback loop can
+// fetch raw packets transparently.
+//
+// Every exchange runs under the handle's RetryConfig: a deadline per
+// exchange, and on a failed one close the connection, back off, redial,
+// re-handshake via MsgHello — rejecting a connection that reaches another
+// monitor — and retry, up to the attempt budget. With the zero
+// RetryConfig the first failed exchange surfaces its error.
+type RemoteMonitor struct {
+	c wireClient
+}
+
+// NewRemoteMonitor builds a handle for a monitor whose identity is
+// known from deployment configuration, without requiring it to be
+// reachable yet: the connection is established lazily by the first
+// exchange, under the retry policy. This is how a controller starts
+// against a monitor fleet where some members may be down — a dead
+// monitor costs declines, not startup.
+func NewRemoteMonitor(id int, dial DialFunc, rc RetryConfig) *RemoteMonitor {
+	return &RemoteMonitor{c: wireClient{dial: dial, retry: rc, hello: true, id: id, jitter: rc.jitterSource(int64(id))}}
+}
+
+// DialMonitorRetry connects to a monitor through dial under the given
+// retry policy and learns its identity from the hello: the initial
+// connect gets the same attempt budget, deadline and backoff as every
+// later exchange.
+func DialMonitorRetry(dial DialFunc, rc RetryConfig) (*RemoteMonitor, error) {
+	r := &RemoteMonitor{c: wireClient{dial: dial, retry: rc, hello: true, id: -1, jitter: rc.jitterSource(jitterSaltDial)}}
+	if err := r.c.exchange(func(net.Conn) error { return nil }); err != nil {
+		return nil, fmt.Errorf("core: dial monitor: %w", err)
 	}
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout)) //jaalvet:ignore detrand — I/O deadline arming; no protocol payload carries this timestamp
-	}
-	id, err := readHello(conn)
-	if err != nil {
-		conn.Close()
-		return nil, 0, err
-	}
-	if timeout > 0 {
-		conn.SetDeadline(time.Time{})
-	}
-	return conn, id, nil
+	r.c.jitter = rc.jitterSource(int64(r.c.id))
+	return r, nil
 }
 
 // ID returns the remote monitor's identity.
-func (r *RemoteMonitor) ID() int { return r.id }
-
-// exchange runs one request–response interaction under the retry
-// policy: arm the deadline, run fn, and on failure close the
-// connection, back off, reconnect (re-handshaking and checking the
-// monitor ID), and try fn again on the fresh connection. fn must be
-// restartable from its first frame — the wire protocol is
-// request-driven, so re-sending the request on a new connection is
-// always safe at the protocol level.
-func (r *RemoteMonitor) exchange(fn func(conn net.Conn) error) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < r.retry.attempts(); attempt++ {
-		if attempt > 0 {
-			// r.mu stays held across the backoff and the reconnect by
-			// design: it serializes one request–response at a time per
-			// connection, and no other path needs it between exchanges.
-			r.retry.sleep(r.retry.backoff(attempt-1, r.jitter))
-		}
-		if r.conn == nil {
-			if r.dial == nil {
-				break // no redial path: surface the first error
-			}
-			conn, id, err := dialHello(r.dial, r.retry.Timeout)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if id != r.id {
-				conn.Close()
-				lastErr = fmt.Errorf("core: reconnect reached monitor %d, want %d", id, r.id)
-				continue
-			}
-			r.conn = conn
-			if r.everConnected {
-				cReconnects.Inc()
-			}
-			r.everConnected = true
-		}
-		if r.retry.Timeout > 0 {
-			r.conn.SetDeadline(time.Now().Add(r.retry.Timeout)) //jaalvet:ignore detrand — I/O deadline arming; no protocol payload carries this timestamp
-		}
-		err := fn(r.conn)
-		if err == nil {
-			if r.retry.Timeout > 0 {
-				r.conn.SetDeadline(time.Time{})
-			}
-			return nil
-		}
-		lastErr = err
-		var nerr net.Error
-		if errors.As(err, &nerr) && nerr.Timeout() {
-			cDeadlineMisses.Inc()
-		}
-		r.conn.Close()
-		r.conn = nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("core: monitor %d unreachable", r.id)
-	}
-	return lastErr
-}
+func (r *RemoteMonitor) ID() int { return r.c.id }
 
 // QueryLoad polls the monitor's load counter.
 func (r *RemoteMonitor) QueryLoad() (float64, error) {
 	var load float64
-	err := r.exchange(func(conn net.Conn) error {
+	err := r.c.exchange(func(conn net.Conn) error {
 		if err := wire.WriteFrame(conn, wire.MsgLoadQuery, nil); err != nil {
 			return err
 		}
@@ -460,8 +456,8 @@ func (r *RemoteMonitor) QueryLoad() (float64, error) {
 // collect+encode, transfer, decode) as seen from the controller; the
 // per-stage breakdown inside it arrives with the monitor's trace context.
 func (r *RemoteMonitor) Poll(epoch uint64) (ss []*summary.Summary, pending int, digest *sketch.Digest, err error) {
-	defer trace.StartSpan(nil, trace.StageShip, r.id, epoch).End()
-	err = r.exchange(func(conn net.Conn) error {
+	defer trace.StartSpan(nil, trace.StageShip, r.ID(), epoch).End()
+	err = r.c.exchange(func(conn net.Conn) error {
 		ss, pending, digest = nil, 0, nil // restart cleanly on retry
 		if err := wire.WriteFrame(conn, wire.MsgSummaryRequest, wire.EncodeSummaryRequest(epoch)); err != nil {
 			return err
@@ -477,7 +473,7 @@ func (r *RemoteMonitor) Poll(epoch uint64) (ss []*summary.Summary, pending int, 
 				// offset is computed against this instant, so decode time
 				// must not pollute it.
 				recv := trace.NowNano()
-				dsp := trace.StartSpan(nil, trace.StageDecode, r.id, epoch)
+				dsp := trace.StartSpan(nil, trace.StageDecode, r.ID(), epoch)
 				s, dg, ctx, err := decodeSummaryPayload(msg.Payload)
 				dsp.End()
 				if err != nil {
@@ -536,42 +532,12 @@ func decodeSummaryPayload(p []byte) (*summary.Summary, *sketch.Digest, *trace.Co
 	return s, dg, ctx, nil
 }
 
-// FinerSummary asks the remote monitor to re-summarize a retained batch
-// at higher resolution. A nil summary with nil error means the batch
-// expired or the request was declined.
-func (r *RemoteMonitor) FinerSummary(epoch uint64, k int) (*summary.Summary, error) {
-	var fs *summary.Summary
-	err := r.exchange(func(conn net.Conn) error {
-		fs = nil
-		if err := wire.WriteFrame(conn, wire.MsgFinerRequest, wire.EncodeFinerRequest(epoch, k)); err != nil {
-			return err
-		}
-		msg, err := wire.ReadFrame(conn)
-		if err != nil {
-			return err
-		}
-		switch msg.Type {
-		case wire.MsgSummary:
-			fs, err = summary.Unmarshal(msg.Payload)
-			return err
-		case wire.MsgSummaryDecline:
-			return nil
-		default:
-			return fmt.Errorf("core: expected finer summary, got %v", msg.Type)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fs, nil
-}
-
 // RawPackets implements RawSource over the wire. Errors surface as an
 // empty batch; the feedback loop treats missing raw data as
 // non-confirming, the safe default.
 func (r *RemoteMonitor) RawPackets(epoch uint64, centroid int) []packet.Header {
 	var hs []packet.Header
-	err := r.exchange(func(conn net.Conn) error {
+	err := r.c.exchange(func(conn net.Conn) error {
 		hs = nil
 		if err := wire.WriteFrame(conn, wire.MsgRawRequest, wire.EncodeRawRequest(epoch, centroid)); err != nil {
 			return err
@@ -593,13 +559,4 @@ func (r *RemoteMonitor) RawPackets(epoch uint64, centroid int) []packet.Header {
 }
 
 // Close closes the underlying connection.
-func (r *RemoteMonitor) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.conn == nil {
-		return nil
-	}
-	err := r.conn.Close()
-	r.conn = nil
-	return err
-}
+func (r *RemoteMonitor) Close() error { return r.c.close() }

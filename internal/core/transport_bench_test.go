@@ -40,7 +40,7 @@ func BenchmarkRawPull(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	remote, err := DialMonitor(conn)
+	remote, err := DialMonitorRetry(oneShot(conn), RetryConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sketch"
 	"repro/internal/wire"
 )
@@ -26,6 +27,21 @@ func startServer(t *testing.T, id int) (net.Conn, *Monitor, chan error) {
 	go func() { done <- (&MonitorServer{Monitor: m}).Serve(server) }()
 	t.Cleanup(func() { client.Close() })
 	return client, m, done
+}
+
+// oneShot is a DialFunc that hands out conn on its first call and fails
+// every later one, so a handle dialled through it with the zero
+// RetryConfig never reconnects: its first failed exchange surfaces.
+// Calls are serialized by the handle's lock.
+func oneShot(conn net.Conn) DialFunc {
+	return func() (net.Conn, error) {
+		if conn == nil {
+			return nil, errors.New("one-shot dial already used")
+		}
+		c := conn
+		conn = nil
+		return c, nil
+	}
 }
 
 // drainHello consumes the server's opening hello frame.
@@ -70,22 +86,33 @@ func TestServerTruncatedFrameMidStream(t *testing.T) {
 	}
 }
 
-// TestServerUnknownMessageType sends a frame with an undefined type
-// byte: the server must reject it with an explicit error.
+// TestServerUnknownMessageType sends frames whose type the server does
+// not serve — an undefined byte, and 10, a retired request type a stale
+// peer may still send with its old 12-byte payload. Each session must
+// end with an explicit error naming the type, counted as a serve error.
 func TestServerUnknownMessageType(t *testing.T) {
-	client, _, done := startServer(t, 41)
-	drainHello(t, client)
+	obs.SetEnabled(true)
+	defer func() { obs.SetEnabled(false); obs.ResetAll() }()
 
-	if err := wire.WriteFrame(client, wire.MsgType(99), []byte{0xde, 0xad}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "unexpected") {
-			t.Fatalf("unknown type error = %v, want 'unexpected ...'", err)
+	for _, ty := range []wire.MsgType{99, 10} {
+		client, _, done := startServer(t, 41)
+		drainHello(t, client)
+
+		before := cServeErrors.Value()
+		if err := wire.WriteFrame(client, ty, make([]byte, 12)); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server hung on an unknown message type")
+		select {
+		case err := <-done:
+			if want := "unexpected " + ty.String(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("type %d: error = %v, want one naming %q", byte(ty), err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("server hung on message type %d", byte(ty))
+		}
+		if d := cServeErrors.Value() - before; d != 1 {
+			t.Fatalf("type %d: jaal_transport_serve_errors_total moved by %d, want 1", byte(ty), d)
+		}
 	}
 }
 
@@ -101,7 +128,7 @@ func TestRemoteRawPacketsConnClosed(t *testing.T) {
 		wire.ReadFrame(server)
 		server.Close()
 	}()
-	rm, err := DialMonitor(client)
+	rm, err := DialMonitorRetry(oneShot(client), RetryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +163,7 @@ func TestRemoteRawPacketsTruncatedBatch(t *testing.T) {
 		server.Write(make([]byte, 10)) // deliver 10
 		server.Close()
 	}()
-	rm, err := DialMonitor(client)
+	rm, err := DialMonitorRetry(oneShot(client), RetryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

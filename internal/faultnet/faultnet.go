@@ -1,12 +1,12 @@
 // Package faultnet wraps net.Conn with a deterministic, scriptable
 // fault plan: delayed reads and writes, truncated frames, mid-frame
-// connection resets, and stalled reads that only a deadline (or Close)
-// can break. It exists so the transport layer's retry, timeout and
-// reconnect logic (internal/core) can be driven through every failure
-// mode the paper's deployment environment exhibits (§8: congested
-// links, saturated engines) without touching production code paths —
-// tests wrap the net.Conn a dial returns, production never imports
-// this package.
+// connection resets, and stalled reads and writes that only a deadline
+// (or Close) can break. It exists so the transport layer's retry,
+// timeout and reconnect logic (internal/core) can be driven through
+// every failure mode the paper's deployment environment exhibits (§8:
+// congested links, saturated engines) without touching production code
+// paths — tests wrap the net.Conn a dial returns, production never
+// imports this package.
 //
 // Faults are addressed by operation index — "the 3rd Read on this
 // connection", "the 0th Write" — not by wall-clock time, so a plan
@@ -167,10 +167,10 @@ type Conn struct {
 	// default is time.Sleep.
 	sleep func(time.Duration)
 
-	mu           sync.Mutex
-	reads        int
-	writes       int
-	readDeadline time.Time
+	mu                          sync.Mutex
+	reads                       int
+	writes                      int
+	readDeadline, writeDeadline time.Time
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -240,6 +240,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	idx := c.writes
 	c.writes++
+	deadline := c.writeDeadline
 	c.mu.Unlock()
 
 	f, ok := c.plan.lookup(OpWrite, idx)
@@ -270,7 +271,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.inner.Close()
 		return 0, errInjected{f}
 	case KindStall:
-		return 0, c.stall(time.Time{}, f)
+		return 0, c.stall(deadline, f)
 	default:
 		return 0, fmt.Errorf("faultnet: unknown fault kind %v", f.Kind)
 	}
@@ -305,16 +306,17 @@ func (c *Conn) LocalAddr() net.Addr { return c.inner.LocalAddr() }
 // RemoteAddr implements net.Conn.
 func (c *Conn) RemoteAddr() net.Addr { return c.inner.RemoteAddr() }
 
-// SetDeadline implements net.Conn.
+// SetDeadline implements net.Conn. The wrapper records both deadlines so
+// a stalled read or write honours the same deadline a blocked real one
+// would.
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
-	c.readDeadline = t
+	c.readDeadline, c.writeDeadline = t, t
 	c.mu.Unlock()
 	return c.inner.SetDeadline(t)
 }
 
-// SetReadDeadline implements net.Conn. The wrapper records it so a
-// stalled read honours the same deadline a blocked real read would.
+// SetReadDeadline implements net.Conn.
 func (c *Conn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.readDeadline = t
@@ -324,6 +326,9 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 
 // SetWriteDeadline implements net.Conn.
 func (c *Conn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.writeDeadline = t
+	c.mu.Unlock()
 	return c.inner.SetWriteDeadline(t)
 }
 

@@ -95,6 +95,21 @@ func TestStallHonoursReadDeadline(t *testing.T) {
 	}
 }
 
+func TestStallHonoursWriteDeadline(t *testing.T) {
+	c, server := pipePair(NewPlan(Fault{Op: OpWrite, Index: 0, Kind: KindStall}))
+	defer c.Close()
+	defer server.Close()
+	c.SetDeadline(time.Now().Add(20 * time.Millisecond))
+	start := time.Now()
+	_, err := c.Write([]byte("x"))
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled write error = %v, want deadline exceeded", err)
+	}
+	if time.Since(start) > 5*time.Second {
+		t.Fatal("stall ignored the deadline")
+	}
+}
+
 func TestStallReleasedByClose(t *testing.T) {
 	c, server := pipePair(NewPlan(Fault{Op: OpRead, Index: 0, Kind: KindStall}))
 	defer server.Close()

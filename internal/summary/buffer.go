@@ -174,19 +174,6 @@ func (b *Buffer) RawPackets(epoch uint64, centroid int) []packet.Header {
 	return rb.headers[lo:hi:hi]
 }
 
-// RawBatch returns the full retained batch for the given sequence number
-// (order is by centroid, not arrival), or nil after expiry. The
-// feedback loop's finer-grained-summary path re-summarizes this batch at
-// a higher k (§5.3). Like RawPackets, the result aliases retained
-// storage and is read-only.
-func (b *Buffer) RawBatch(epoch uint64) []packet.Header {
-	rb, ok := b.retained[epoch]
-	if !ok {
-		return nil
-	}
-	return rb.headers
-}
-
 // AdvanceEpoch moves the buffer to the next controller tick, expiring
 // retention for batches sealed before the previous tick. The monitor
 // calls this on the controller's epoch tick (every 2 s in the paper's

@@ -3,6 +3,8 @@ package summary
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/packet"
 )
 
 // Shed counts accumulate between seals and are stamped onto the next
@@ -110,34 +112,29 @@ func TestBufferRetentionRoundTripUnderShedding(t *testing.T) {
 	}
 	b.Retain(batch, sum)
 
-	// Per-centroid fetches return exactly the surviving members.
-	fetched := 0
+	// Per-centroid fetches return exactly the surviving members, and
+	// together they reassemble the kept multiset.
+	var raw []packet.Header
 	for c := 0; c < sum.K(); c++ {
 		hs := b.RawPackets(batch.Epoch, c)
 		if len(hs) != sum.Counts[c] {
 			t.Fatalf("centroid %d: fetched %d headers, counts say %d", c, len(hs), sum.Counts[c])
 		}
-		fetched += len(hs)
+		raw = append(raw, hs...)
 	}
-	if fetched != n {
-		t.Fatalf("fetched %d headers across centroids, want %d", fetched, n)
-	}
-
-	// Full-batch reassembly matches the kept multiset.
-	raw := b.RawBatch(batch.Epoch)
 	if len(raw) != n {
-		t.Fatalf("raw batch has %d headers, want %d", len(raw), n)
+		t.Fatalf("fetched %d headers across centroids, want %d", len(raw), n)
 	}
-	want := map[Key]int{}
+	want := map[packet.Header]int{}
 	for _, h := range batch.Headers {
-		want[keyOf(h)]++
+		want[h]++
 	}
 	for _, h := range raw {
-		want[keyOf(h)]--
+		want[h]--
 	}
-	for k, cnt := range want {
+	for h, cnt := range want {
 		if cnt != 0 {
-			t.Fatalf("header multiset mismatch at %v (%+d)", k, cnt)
+			t.Fatalf("header multiset mismatch at %+v (%+d)", h, cnt)
 		}
 	}
 }

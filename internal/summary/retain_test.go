@@ -52,7 +52,6 @@ func TestRawPacketsHostileCentroid(t *testing.T) {
 // one centroid's packets cannot overwrite the next centroid's.
 func TestRawPacketsGroupsByCentroidInArrivalOrder(t *testing.T) {
 	b, batch, sum := retainedFixture(t, 120, 9)
-	var concat []packet.Header
 	for c := 0; c < sum.K(); c++ {
 		var want []packet.Header
 		for i, a := range sum.Assignments {
@@ -71,16 +70,6 @@ func TestRawPacketsGroupsByCentroidInArrivalOrder(t *testing.T) {
 		}
 		if cap(got) != len(got) {
 			t.Fatalf("centroid %d: capacity %d beyond length %d reaches the next centroid's packets", c, cap(got), len(got))
-		}
-		concat = append(concat, want...)
-	}
-	raw := b.RawBatch(batch.Epoch)
-	if len(raw) != len(concat) {
-		t.Fatalf("raw batch has %d packets, want %d", len(raw), len(concat))
-	}
-	for i := range concat {
-		if raw[i] != concat[i] {
-			t.Fatalf("raw batch packet %d is not in by-centroid order", i)
 		}
 	}
 }

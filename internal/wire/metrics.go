@@ -18,8 +18,8 @@ import (
 // still accounted rather than dropped from the books.
 
 // numMsgTypes is the size of the per-type counter arrays: known types
-// are 1..MsgFinerRequest, slot 0 is "other".
-const numMsgTypes = int(MsgFinerRequest) + 1
+// are 1..MsgHello, slot 0 is "other".
+const numMsgTypes = int(MsgHello) + 1
 
 type dirCounters struct {
 	frames [numMsgTypes]*obs.Counter

@@ -47,11 +47,6 @@ const (
 	MsgAlert MsgType = 8
 	// MsgHello (monitor→controller): uint32 monitorID; opens a session.
 	MsgHello MsgType = 9
-	// MsgFinerRequest (controller→monitor): uint64 epoch, uint32 k —
-	// asks for a re-summarization of a retained batch at higher
-	// resolution (§5.3's finer-granularity option). Answered with
-	// MsgSummary, or MsgSummaryDecline when the batch expired.
-	MsgFinerRequest MsgType = 10
 )
 
 // String names the message type.
@@ -75,8 +70,6 @@ func (t MsgType) String() string {
 		return "alert"
 	case MsgHello:
 		return "hello"
-	case MsgFinerRequest:
-		return "finer_request"
 	default:
 		return fmt.Sprintf("msg(%d)", byte(t))
 	}
@@ -238,22 +231,6 @@ func EncodeRawRequest(epoch uint64, centroid int) []byte {
 func DecodeRawRequest(p []byte) (epoch uint64, centroid int, err error) {
 	if len(p) != 12 {
 		return 0, 0, fmt.Errorf("wire: raw request of %d bytes, want 12", len(p))
-	}
-	return binary.BigEndian.Uint64(p[0:]), int(binary.BigEndian.Uint32(p[8:])), nil
-}
-
-// EncodeFinerRequest builds a MsgFinerRequest payload.
-func EncodeFinerRequest(epoch uint64, k int) []byte {
-	buf := make([]byte, 12)
-	binary.BigEndian.PutUint64(buf[0:], epoch)
-	binary.BigEndian.PutUint32(buf[8:], uint32(k))
-	return buf
-}
-
-// DecodeFinerRequest parses a MsgFinerRequest payload.
-func DecodeFinerRequest(p []byte) (epoch uint64, k int, err error) {
-	if len(p) != 12 {
-		return 0, 0, fmt.Errorf("wire: finer request of %d bytes, want 12", len(p))
 	}
 	return binary.BigEndian.Uint64(p[0:]), int(binary.BigEndian.Uint32(p[8:])), nil
 }

@@ -173,7 +173,8 @@ func TestHelloRoundTrip(t *testing.T) {
 func TestMsgTypeString(t *testing.T) {
 	names := map[MsgType]string{
 		MsgLoadQuery: "load_query", MsgSummary: "summary",
-		MsgRawBatch: "raw_batch", MsgType(200): "msg(200)",
+		MsgRawBatch: "raw_batch", MsgHello: "hello",
+		MsgType(10): "msg(10)", MsgType(200): "msg(200)",
 	}
 	for ty, want := range names {
 		if got := ty.String(); got != want {

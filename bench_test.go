@@ -6,20 +6,15 @@
 //
 // The benches run at a reduced trial scale so the whole suite finishes
 // in minutes; cmd/jaal-experiments runs the same experiments at the
-// paper's full averaging scale.
+// paper's full averaging scale. Computation cost is measured elsewhere:
+// end to end and per layer by the deployment benchmark (go run ./bench),
+// per kernel by the benchmarks next to each package.
 package repro_test
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/linalg"
-	"repro/internal/rules"
-	"repro/internal/summary"
-	"repro/internal/trafficgen"
 )
 
 // benchScale keeps the full-evaluation benches tractable.
@@ -193,158 +188,5 @@ func BenchmarkTable1Reservoir(b *testing.B) {
 		}
 		b.ReportMetric(res/float64(len(rows)), "avg_acc_reservoir")
 		b.ReportMetric(jaal/float64(len(rows)), "avg_acc_jaal")
-	}
-}
-
-// --- microbenchmarks of the per-packet and per-batch hot paths ---
-
-// BenchmarkSummarizeBatch measures the monitor-side cost of summarizing
-// one n=1000 batch at the paper's operating point — the §8 "computation
-// costs" observation that SVD + k-means keeps up with hundreds of Mbps.
-func BenchmarkSummarizeBatch(b *testing.B) {
-	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(1))
-	batch := bg.Batch(1000)
-	szr, err := summary.NewSummarizer(summary.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := szr.Summarize(batch, 0, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(1000*b.N)/b.Elapsed().Seconds(), "packets/s")
-}
-
-// BenchmarkSVD1000x18 measures the raw SVD cost on a batch matrix.
-func BenchmarkSVD1000x18(b *testing.B) {
-	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(2))
-	x := summary.BuildMatrix(bg.Batch(1000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := linalg.ComputeSVD(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKMeans1000x18 measures the clustering cost at k=200.
-func BenchmarkKMeans1000x18(b *testing.B) {
-	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(3))
-	x := summary.BuildMatrix(bg.Batch(1000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i)))
-		if _, err := linalg.KMeans(x, 200, rng, linalg.KMeansConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRuleTranslation measures translating the full rule library.
-func BenchmarkRuleTranslation(b *testing.B) {
-	env := experiments.Env()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := rules.LibraryQuestions(env, rules.DefaultTranslateConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSVDTruncated measures the zero-allocation truncated SVD path
-// used by batch summarization: caller-held outputs plus a reused Scratch,
-// so steady-state allocs/op should be zero.
-func BenchmarkSVDTruncated(b *testing.B) {
-	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(4))
-	x := summary.BuildMatrix(bg.Batch(1000))
-	const r = 12
-	ur := linalg.NewMatrix(x.Rows(), r)
-	sr := make([]float64, r)
-	vr := linalg.NewMatrix(x.Cols(), r)
-	sc := linalg.GetScratch()
-	defer linalg.PutScratch(sc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.Reset()
-		if err := linalg.TruncatedSVDInto(x, r, ur, sr, vr, sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKMeans measures the allocation-free clustering kernel at the
-// paper's k=200 operating point: caller-held outputs plus a reused
-// Scratch, so steady-state allocs/op is the rand.Rand alone.
-func BenchmarkKMeans(b *testing.B) {
-	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(5))
-	x := summary.BuildMatrix(bg.Batch(1000))
-	const k = 200
-	out := linalg.NewMatrix(k, x.Cols())
-	assign := make([]int, x.Rows())
-	counts := make([]int, k)
-	sc := linalg.GetScratch()
-	defer linalg.PutScratch(sc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.Reset()
-		rng := rand.New(rand.NewSource(int64(i)))
-		if _, _, err := linalg.KMeansInto(x, k, rng, linalg.KMeansConfig{}, sc, out, assign, counts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPipelineEpochParallel measures one controller tick — polling
-// 8 monitors, each flushing and summarizing a 500-packet batch, then one
-// inference round — across worker counts for the epoch fan-out. The
-// ingest is excluded from the timer; the measured region is RunEpoch.
-func BenchmarkPipelineEpochParallel(b *testing.B) {
-	env := experiments.Env()
-	qs, err := rules.LibraryQuestions(env, rules.DefaultTranslateConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const monitors = 8
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			p, err := core.NewPipeline(core.PipelineConfig{
-				NumMonitors: monitors,
-				// BatchSize above the per-epoch ingest so no batch seals
-				// during the (untimed) ingest; the flush inside RunEpoch
-				// does the summarization we want to measure.
-				Summary: summary.Config{BatchSize: 4000, Rank: 12, Centroids: 100, MinBatch: 100, Seed: 7},
-				Controller: core.ControllerConfig{
-					Env:       env,
-					Questions: qs,
-					Workers:   w,
-				},
-				Workers: w,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(6))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				for m := 0; m < monitors; m++ {
-					if err := p.Monitors[m].IngestBatch(bg.Batch(500)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-				if _, err := p.RunEpoch(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -203,6 +203,16 @@ func leaves() []leaf {
 	return ls
 }
 
+// forEachLeaf runs f once per leaf, with columnDistances set to it.
+func forEachLeaf(f func(l leaf)) {
+	selected := columnDistances
+	defer func() { columnDistances = selected }()
+	for _, l := range leaves() {
+		columnDistances = l.fn
+		f(l)
+	}
+}
+
 // withNonFinite overwrites rows of m: a NaN, a +Inf, a −Inf and a row
 // holding both infinities, spread over the rows, so that seeds and
 // centroids pick them up.
@@ -247,10 +257,7 @@ func checkKMeansAgainstReference(t *testing.T, x *Matrix, k int, cfg KMeansConfi
 		wantDraws[i] = wantRng.Int63()
 	}
 
-	selected := columnDistances
-	defer func() { columnDistances = selected }()
-	for _, l := range leaves() {
-		columnDistances = l.fn
+	forEachLeaf(func(l leaf) {
 		gotRng := rand.New(rand.NewSource(seed))
 		gotOut, gotAssign, gotCounts := NewMatrix(k, p), make([]int, n), make([]int, k)
 		// Outputs arrive dirty in production (arena slabs are zeroed,
@@ -286,7 +293,7 @@ func checkKMeansAgainstReference(t *testing.T, x *Matrix, k int, cfg KMeansConfi
 				t.Fatalf("%s leaf: rng diverged: draw %d after the call is %d, reference %d", l.name, draw, g, w)
 			}
 		}
-	}
+	})
 }
 
 // sameFloat is == except that any NaN equals any NaN.

@@ -238,35 +238,49 @@ func TestKMeansNonFiniteInput(t *testing.T) {
 	}
 }
 
-// BenchmarkKMeansSplit clusters what Summarize clusters under the split
-// encoding, U_r of a 1000-packet batch (1000×12), into k = 200 — once per
-// leaf: leaf=go is what a host without the vector kernel pays.
-func BenchmarkKMeansSplit(b *testing.B) {
+// kmeansSplitOp clusters what Summarize clusters under the split
+// encoding, U_r of a 1000-packet batch (1000×12), into k = 200 with a
+// warmed-up Scratch, on whichever leaf columnDistances holds: what
+// BenchmarkKMeansSplit times and TestKMeansSplitZeroAlloc holds to zero
+// allocations.
+func kmeansSplitOp(tb testing.TB) func() {
 	const n, r, k = 1000, 12, 200
-	x := reducedTraffic(b, 1, n, r)
+	x := reducedTraffic(tb, 1, n, r)
 	out, assign, counts := NewMatrix(k, r), make([]int, n), make([]int, k)
-	selected := columnDistances
-	defer func() { columnDistances = selected }()
-	for _, l := range leaves() {
-		columnDistances = l.fn
+	var sc Scratch
+	rng := rand.New(rand.NewSource(1))
+	run := func() {
+		sc.Reset()
+		if _, _, err := KMeansInto(x, k, rng, KMeansConfig{}, &sc, out, assign, counts); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	// The first call grows the slab in steps, the second into one slab
+	// that holds a whole call.
+	run()
+	run()
+	return run
+}
+
+// BenchmarkKMeansSplit times kmeansSplitOp once per leaf: leaf=go is
+// what a host without the vector kernel pays.
+func BenchmarkKMeansSplit(b *testing.B) {
+	forEachLeaf(func(l leaf) {
 		b.Run("leaf="+l.name, func(b *testing.B) {
-			var sc Scratch
-			rng := rand.New(rand.NewSource(1))
-			run := func() {
-				sc.Reset()
-				if _, _, err := KMeansInto(x, k, rng, KMeansConfig{}, &sc, out, assign, counts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// The first call grows the slab in steps, the second into one
-			// slab that holds a whole call.
-			run()
-			run()
+			run := kmeansSplitOp(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				run()
 			}
 		})
-	}
+	})
+}
+
+func TestKMeansSplitZeroAlloc(t *testing.T) {
+	forEachLeaf(func(l leaf) {
+		if n := testing.AllocsPerRun(20, kmeansSplitOp(t)); n != 0 {
+			t.Fatalf("leaf=%s: KMeansInto made %v allocations per call, want 0", l.name, n)
+		}
+	})
 }

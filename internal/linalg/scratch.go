@@ -9,7 +9,7 @@ import "sync"
 // vectors and column-major copy of the rows, and the rank-r
 // reconstruction. Handing these out of an arena instead of make() is
 // what takes a batch summarization from ~30 heap allocations to none
-// (BenchmarkSummarizeBatch).
+// (summary.BenchmarkSummarizeBatch).
 //
 // Buffers are carved off growing backing slabs and stay valid until the
 // next Reset; Reset reclaims everything at once. The zero value is ready

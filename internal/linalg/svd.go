@@ -328,20 +328,6 @@ func (d *SVD) EnergyRank(frac float64) int {
 	return len(d.S)
 }
 
-// Truncate returns copies of U, S, V truncated to the leading r components:
-// Ur is n×r, Sr has length r, Vr is p×r. It returns an error when r is out
-// of range.
-func (d *SVD) Truncate(r int) (ur *Matrix, sr []float64, vr *Matrix, err error) {
-	if r < 1 || r > len(d.S) {
-		return nil, nil, nil, fmt.Errorf("linalg: truncation rank %d out of range [1,%d]", r, len(d.S))
-	}
-	ur = takeColumns(d.U, r)
-	vr = takeColumns(d.V, r)
-	sr = make([]float64, r)
-	copy(sr, d.S[:r])
-	return ur, sr, vr, nil
-}
-
 // Reconstruct multiplies U·diag(S)·Vᵀ back into a dense matrix, optionally
 // after truncation to rank r (r ≤ 0 means full rank). It is the rank-r
 // approximation X̄_p of §4.2, optimal in Frobenius norm by Eckart–Young.
@@ -366,23 +352,4 @@ func (d *SVD) Reconstruct(r int) (*Matrix, error) {
 		}
 	}
 	return out, nil
-}
-
-// takeColumns returns a copy of the first r columns of m.
-func takeColumns(m *Matrix, r int) *Matrix {
-	out := NewMatrix(m.rows, r)
-	for i := 0; i < m.rows; i++ {
-		copy(out.Row(i), m.Row(i)[:r])
-	}
-	return out
-}
-
-// TruncatedSVD is a convenience wrapper that decomposes a and immediately
-// truncates to rank r.
-func TruncatedSVD(a *Matrix, r int) (ur *Matrix, sr []float64, vr *Matrix, err error) {
-	d, err := ComputeSVD(a)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return d.Truncate(r)
 }

@@ -158,28 +158,6 @@ func TestSVDEnergyRank(t *testing.T) {
 	}
 }
 
-func TestSVDTruncate(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randomMatrix(rng, 25, 6)
-	d, err := ComputeSVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ur, sr, vr, err := d.Truncate(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ur.Cols() != 3 || len(sr) != 3 || vr.Cols() != 3 {
-		t.Fatalf("truncated shapes U:%d S:%d V:%d, want 3", ur.Cols(), len(sr), vr.Cols())
-	}
-	if _, _, _, err := d.Truncate(0); err == nil {
-		t.Fatal("expected range error for r=0")
-	}
-	if _, _, _, err := d.Truncate(7); err == nil {
-		t.Fatal("expected range error for r>p")
-	}
-}
-
 // Eckart–Young: the rank-r truncation error equals sqrt(Σ_{i≥r} s_i²).
 func TestSVDEckartYoung(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -201,18 +179,6 @@ func TestSVDEckartYoung(t *testing.T) {
 	want := math.Sqrt(tail)
 	if math.Abs(diff.FrobeniusNorm()-want) > 1e-8 {
 		t.Fatalf("truncation error %v, want %v", diff.FrobeniusNorm(), want)
-	}
-}
-
-func TestTruncatedSVDConvenience(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randomMatrix(rng, 20, 5)
-	ur, sr, vr, err := TruncatedSVD(a, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ur.Cols() != 2 || len(sr) != 2 || vr.Cols() != 2 {
-		t.Fatal("TruncatedSVD returned wrong shapes")
 	}
 }
 
@@ -264,5 +230,42 @@ func TestSVDNormProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// svdTruncatedOp is the rank-12 truncated SVD Summarize runs on a
+// 1000-packet traffic batch, into caller-held outputs with a warmed-up
+// Scratch: what BenchmarkSVDTruncated times and TestSVDTruncatedZeroAlloc
+// holds to zero allocations.
+func svdTruncatedOp(tb testing.TB) func() {
+	const r = 12
+	x := trafficMatrix(4, 1000)
+	ur, sr, vr := NewMatrix(x.Rows(), r), make([]float64, r), NewMatrix(x.Cols(), r)
+	var sc Scratch
+	svd := func() {
+		sc.Reset()
+		if err := TruncatedSVDInto(x, r, ur, sr, vr, &sc); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	// The first call grows the slab in steps, the second into one slab
+	// that holds a whole call.
+	svd()
+	svd()
+	return svd
+}
+
+func BenchmarkSVDTruncated(b *testing.B) {
+	svd := svdTruncatedOp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svd()
+	}
+}
+
+func TestSVDTruncatedZeroAlloc(t *testing.T) {
+	if n := testing.AllocsPerRun(50, svdTruncatedOp(t)); n != 0 {
+		t.Fatalf("TruncatedSVDInto made %v allocations per call, want 0", n)
 	}
 }

@@ -20,10 +20,10 @@ var (
 	tHist    = NewHistogram("test_hist_seconds", "a test histogram", []float64{0.1, 1, 10})
 )
 
-func resetOn(t *testing.T) {
-	t.Helper()
+func resetOn(tb testing.TB) {
+	tb.Helper()
 	SetEnabled(true)
-	t.Cleanup(func() {
+	tb.Cleanup(func() {
 		SetEnabled(false)
 		ResetAll()
 	})
@@ -170,30 +170,51 @@ func TestTableSkipsZeros(t *testing.T) {
 	}
 }
 
-// BenchmarkCounterDisabled is the disabled hot path of the acceptance
-// criteria: it must be 0 allocs/op and a couple of nanoseconds.
-func BenchmarkCounterDisabled(b *testing.B) {
+// The metric writes instrumented code makes per packet and per batch,
+// each under the enablement its benchmark names. The benchmarks time
+// them and TestMetricWritesZeroAlloc holds them to zero allocations.
+func counterDisabledOp(testing.TB) func() {
 	SetEnabled(false)
+	return func() { tCounter.Inc() }
+}
+
+func counterEnabledOp(tb testing.TB) func() {
+	resetOn(tb)
+	return func() { tCounter.Inc() }
+}
+
+func histogramEnabledOp(tb testing.TB) func() {
+	resetOn(tb)
+	return func() { tHist.Observe(0.5) }
+}
+
+func benchOp(b *testing.B, op func()) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tCounter.Inc()
+		op()
 	}
 }
 
-func BenchmarkCounterEnabled(b *testing.B) {
-	SetEnabled(true)
-	defer func() { SetEnabled(false); ResetAll() }()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tCounter.Inc()
-	}
-}
+// BenchmarkCounterDisabled is the disabled hot path: a couple of
+// nanoseconds.
+func BenchmarkCounterDisabled(b *testing.B)         { benchOp(b, counterDisabledOp(b)) }
+func BenchmarkCounterEnabled(b *testing.B)          { benchOp(b, counterEnabledOp(b)) }
+func BenchmarkHistogramObserveEnabled(b *testing.B) { benchOp(b, histogramEnabledOp(b)) }
 
-func BenchmarkHistogramObserveEnabled(b *testing.B) {
-	SetEnabled(true)
-	defer func() { SetEnabled(false); ResetAll() }()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tHist.Observe(0.5)
+func TestMetricWritesZeroAlloc(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		op   func(testing.TB) func()
+	}{
+		{"CounterDisabled", counterDisabledOp},
+		{"CounterEnabled", counterEnabledOp},
+		{"HistogramObserveEnabled", histogramEnabledOp},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			if n := testing.AllocsPerRun(1000, w.op(t)); n != 0 {
+				t.Fatalf("%s made %v allocations per write, want 0", w.name, n)
+			}
+		})
 	}
 }

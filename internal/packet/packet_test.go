@@ -273,23 +273,50 @@ func TestNormalizedRangeProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkHeaderDecode(b *testing.B) {
+// decodeOp and normalizeOp, with unmarshalOp, are the per-packet codec
+// steps of the monitor's ingest path. The benchmarks time them and
+// TestCodecZeroAlloc holds them to zero allocations.
+func decodeOp(tb testing.TB) func() {
 	h := sampleHeader()
 	data := h.Encode()
 	var out Header
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if _, err := out.DecodeFrom(data); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkNormalizedVector(b *testing.B) {
+func normalizeOp(testing.TB) func() {
 	h := sampleHeader()
 	buf := make([]float64, NumFields)
+	return func() { h.NormalizedVector(buf) }
+}
+
+func benchOp(b *testing.B, op func()) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.NormalizedVector(buf)
+		op()
+	}
+}
+
+func BenchmarkHeaderDecode(b *testing.B)     { benchOp(b, decodeOp(b)) }
+func BenchmarkNormalizedVector(b *testing.B) { benchOp(b, normalizeOp(b)) }
+
+func TestCodecZeroAlloc(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		op   func(testing.TB) func()
+	}{
+		{"UnmarshalIPv4TCP", unmarshalOp},
+		{"HeaderDecode", decodeOp},
+		{"NormalizedVector", normalizeOp},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if n := testing.AllocsPerRun(1000, c.op(t)); n != 0 {
+				t.Fatalf("%s made %v allocations per packet, want 0", c.name, n)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -343,49 +344,46 @@ func TestHeavyThresholdMatchesDivision(t *testing.T) {
 	}
 }
 
-// BenchmarkObserve times the pass on overload-shaped traffic with the
-// benchmark's watermark: almost every packet is past the hard ceiling,
-// so this is the two count-min walks, the HLL update and the verdict.
-func BenchmarkObserve(b *testing.B) {
-	g, err := NewIngest(DefaultConfig(625))
-	if err != nil {
-		b.Fatal(err)
-	}
+// overloadStep returns the step that feeds g packet i of seed's overload
+// stream (1<<16 packets, repeated), resetting g every 150 000 packets the
+// way an epoch close does.
+func overloadStep(g *Ingest, seed int64) func(i int) {
 	const n = 1 << 16
-	next := testStreams(1)["overload"]
-	var src, dst [n]uint32
-	var flow [n]uint64
+	next := testStreams(seed)["overload"]
+	src, dst, flow := make([]uint32, n), make([]uint32, n), make([]uint64, n)
 	for i := range src {
 		src[i], dst[i], flow[i] = next(i)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		if i%150000 == 0 {
 			g.Reset()
 		}
 		g.Observe(src[i%n], dst[i%n], flow[i%n])
 	}
-	b.StopTimer()
-	if allocs := testing.AllocsPerRun(1000, func() { g.Observe(src[0], dst[0], flow[0]) }); allocs != 0 {
-		b.Fatalf("Ingest.Observe allocates %.1f times per op, want 0", allocs)
-	}
 }
 
-// BenchmarkObserveTwoMonitors is BenchmarkObserve for two passes in one
-// process, each fed by its own goroutine under its own lock, the way
-// two in-process monitors are. The passes are built back to back, so
-// the allocator puts their small arrays side by side; the structs are
-// kept apart by a run of pointer-carrying objects, as the deployment
-// benchmark keeps them. ns/op is the slower goroutine's time per
-// packet: with listGuard at 0 it reads about a third higher.
-func BenchmarkObserveTwoMonitors(b *testing.B) {
-	const n = 1 << 16
+// observeOp is the pass on overload-shaped traffic with the deployment
+// benchmark's watermark: almost every packet is past the hard ceiling,
+// so this is the two count-min walks, the HLL update and the verdict.
+func observeOp(tb testing.TB) func(i int) {
+	g, err := NewIngest(DefaultConfig(625))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return overloadStep(g, 1)
+}
+
+// twoMonitorsOp is observeOp for two passes in one process, each behind
+// its own lock, the way two in-process monitors hold them. The passes are
+// built back to back, so the allocator puts their small arrays side by
+// side; the structs are kept apart by a run of pointer-carrying objects,
+// as the deployment benchmark keeps them. It returns the step monitor m
+// takes for packet i.
+func twoMonitorsOp(tb testing.TB) func(m, i int) {
 	var (
-		gs       [2]*Ingest
-		src, dst [2][]uint32
-		flow     [2][]uint64
-		mus      [2]struct {
+		gs    [2]*Ingest
+		steps [2]func(int)
+		mus   [2]struct {
 			sync.Mutex
 			_ [120]byte
 		}
@@ -399,34 +397,49 @@ func BenchmarkObserveTwoMonitors(b *testing.B) {
 		}
 		g, err := NewIngest(DefaultConfig(625))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		gs[m] = g
 	}
-	for m := range gs {
-		next := testStreams(int64(m + 1))["overload"]
-		src[m], dst[m], flow[m] = make([]uint32, n), make([]uint32, n), make([]uint64, n)
-		for i := 0; i < n; i++ {
-			src[m][i], dst[m][i], flow[m][i] = next(i)
-		}
+	tb.Cleanup(func() { runtime.KeepAlive(keepApart) })
+	for m, g := range gs {
+		steps[m] = overloadStep(g, int64(m+1))
 	}
+	return func(m, i int) {
+		mus[m].Lock()
+		steps[m](i)
+		mus[m].Unlock()
+	}
+}
+
+func BenchmarkObserve(b *testing.B) { benchStep(b, observeOp(b)) }
+
+// BenchmarkObserveTwoMonitors runs twoMonitorsOp with each monitor fed by
+// its own goroutine. ns/op is the slower goroutine's time per packet:
+// with listGuard at 0 it reads about a third higher.
+func BenchmarkObserveTwoMonitors(b *testing.B) {
+	step := twoMonitorsOp(b)
 	b.ResetTimer()
 	var wg sync.WaitGroup
-	for m := range gs {
+	for m := 0; m < 2; m++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < b.N; i++ {
-				mus[m].Lock()
-				if i%150000 == 0 {
-					gs[m].Reset()
-				}
-				gs[m].Observe(src[m][i%n], dst[m][i%n], flow[m][i%n])
-				mus[m].Unlock()
+				step(m, i)
 			}
 		}()
 	}
 	wg.Wait()
 	b.StopTimer()
-	_ = keepApart
+}
+
+func TestIngestObserveZeroAlloc(t *testing.T) {
+	if n := allocsPerStep(observeOp(t)); n != 0 {
+		t.Fatalf("Ingest.Observe allocates %v times per packet, want 0", n)
+	}
+	two := twoMonitorsOp(t)
+	if n := allocsPerStep(func(i int) { two(0, i); two(1, i) }); n != 0 {
+		t.Fatalf("two monitors' Ingest.Observe allocate %v times per packet pair, want 0", n)
+	}
 }

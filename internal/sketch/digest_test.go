@@ -324,18 +324,3 @@ func TestIngestHardCeilingBoundsKept(t *testing.T) {
 		t.Fatalf("ceiling must not blind the digest: %+v", d)
 	}
 }
-
-func TestIngestObserveZeroAlloc(t *testing.T) {
-	g, err := NewIngest(DefaultConfig(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var i uint32
-	allocs := testing.AllocsPerRun(2000, func() {
-		g.Observe(i, i%5, uint64(i))
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("Ingest.Observe allocates %.1f times per op, want 0", allocs)
-	}
-}

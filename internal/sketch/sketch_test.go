@@ -74,39 +74,48 @@ func TestCountMinHashDistribution(t *testing.T) {
 	}
 }
 
-// Satellite requirement: Add must be allocation-free before the sketch
-// can sit on the ingest path (the hotalloc analyzer gates this too).
-func TestCountMinAddZeroAlloc(t *testing.T) {
-	cm, err := NewCountMin(0.01, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var key uint64
-	allocs := testing.AllocsPerRun(1000, func() {
-		cm.Add(key, 1)
-		key++
+// allocsPerStep is testing.AllocsPerRun over steps 0, 1, 2, ….
+func allocsPerStep(step func(i int)) float64 {
+	i := 0
+	return testing.AllocsPerRun(1000, func() {
+		step(i)
+		i++
 	})
-	if allocs != 0 {
-		t.Fatalf("CountMin.Add allocates %.1f times per op, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(1000, func() {
-		_ = cm.Estimate(key)
-		key++
-	})
-	if allocs != 0 {
-		t.Fatalf("CountMin.Estimate allocates %.1f times per op, want 0", allocs)
-	}
 }
 
-func BenchmarkCountMinAdd(b *testing.B) {
-	cm, err := NewCountMin(0.005, 0.01)
-	if err != nil {
-		b.Fatal(err)
-	}
+// benchStep times steps 0 … b.N-1.
+func benchStep(b *testing.B, step func(i int)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cm.Add(uint64(i), 1)
+		step(i)
+	}
+}
+
+// countMinAddOp counts key i once: what BenchmarkCountMinAdd times and
+// TestCountMinAddZeroAlloc holds to zero allocations.
+func countMinAddOp(tb testing.TB) (*CountMin, func(i int)) {
+	cm, err := NewCountMin(0.005, 0.01)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cm, func(i int) { cm.Add(uint64(i), 1) }
+}
+
+func BenchmarkCountMinAdd(b *testing.B) {
+	_, add := countMinAddOp(b)
+	benchStep(b, add)
+}
+
+// Add and Estimate must be allocation-free for the sketch to sit on the
+// ingest path (the hotalloc analyzer gates this too).
+func TestCountMinAddZeroAlloc(t *testing.T) {
+	cm, add := countMinAddOp(t)
+	if n := allocsPerStep(add); n != 0 {
+		t.Fatalf("CountMin.Add allocates %v times per op, want 0", n)
+	}
+	if n := allocsPerStep(func(i int) { _ = cm.Estimate(uint64(i)) }); n != 0 {
+		t.Fatalf("CountMin.Estimate allocates %v times per op, want 0", n)
 	}
 }
 
@@ -165,12 +174,7 @@ func TestHLLMerge(t *testing.T) {
 
 func TestHLLAddZeroAlloc(t *testing.T) {
 	h := NewHLL()
-	var key uint64
-	allocs := testing.AllocsPerRun(1000, func() {
-		h.Add(key)
-		key++
-	})
-	if allocs != 0 {
-		t.Fatalf("HLL.Add allocates %.1f times per op, want 0", allocs)
+	if n := allocsPerStep(func(i int) { h.Add(uint64(i)) }); n != 0 {
+		t.Fatalf("HLL.Add allocates %v times per op, want 0", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/trafficgen"
 )
 
 // retainedFixture seals and summarizes one batch of n packets at k
@@ -83,24 +84,47 @@ func TestRetainAllocations(t *testing.T) {
 	}
 }
 
-// TestSummarizeSteadyStateFootprint pins what a warmed-up summarizer
-// costs at the paper's operating point: at most one allocation per batch
-// (an arena chunk every eighth) and a scratch slab no larger than the
-// 72 000 floats it has always been.
-func TestSummarizeSteadyStateFootprint(t *testing.T) {
-	headers := randomHeaders(rand.New(rand.NewSource(32)), 1000)
+// summarizeOp is one warmed-up Summarize of a 1000-packet traffic batch
+// at the paper's operating point: what BenchmarkSummarizeBatch times and
+// TestSummarizeSteadyStateFootprint holds to zero allocations.
+func summarizeOp(tb testing.TB) (*Summarizer, func()) {
+	batch := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(1)).Batch(1000)
 	s, err := NewSummarizer(DefaultConfig())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	var epoch uint64
 	summarize := func() {
-		if _, err := s.Summarize(headers, 0, 0); err != nil {
-			t.Fatal(err)
+		if _, err := s.Summarize(batch, 0, epoch); err != nil {
+			tb.Fatal(err)
 		}
+		epoch++
 	}
 	summarize()
-	if n := testing.AllocsPerRun(40, summarize); n > 1 {
-		t.Fatalf("steady-state Summarize made %v allocations per batch, want ≤ 1", n)
+	return s, summarize
+}
+
+// BenchmarkSummarizeBatch measures the monitor-side cost of summarizing
+// one n=1000 batch — the §8 "computation costs" observation that SVD +
+// k-means keeps up with hundreds of Mbps.
+func BenchmarkSummarizeBatch(b *testing.B) {
+	_, summarize := summarizeOp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		summarize()
+	}
+	b.ReportMetric(float64(1000*b.N)/b.Elapsed().Seconds(), "packets/s")
+}
+
+// TestSummarizeSteadyStateFootprint pins what a warmed-up summarizer
+// costs: under one allocation per batch (an arena chunk every eighth
+// batch, so AllocsPerRun reads 0) and a scratch slab no larger than the
+// 72 000 floats it has always been.
+func TestSummarizeSteadyStateFootprint(t *testing.T) {
+	s, summarize := summarizeOp(t)
+	if n := testing.AllocsPerRun(64, summarize); n != 0 {
+		t.Fatalf("steady-state Summarize made %v allocations per batch, want 0", n)
 	}
 	if got := s.sc.FloatCap(); got > 72000 {
 		t.Fatalf("scratch float slab grew to %d floats, want ≤ 72000", got)

@@ -347,8 +347,9 @@ func BuildMatrix(headers []packet.Header) *linalg.Matrix {
 // matrix, SVD working state, k-means buffers) live in the summarizer's
 // linalg.Scratch, and the retained outputs are carved from its arena, so
 // steady-state summarization performs well under one heap allocation per
-// batch (BenchmarkSummarizeBatch). It runs on the calling goroutine
-// alone, and summaries are reproducible by seed.
+// batch (BenchmarkSummarizeBatch times it, TestSummarizeSteadyStateFootprint
+// holds it). It runs on the calling goroutine alone, and summaries are
+// reproducible by seed.
 func (s *Summarizer) Summarize(headers []packet.Header, monitorID int, epoch uint64) (*Summary, error) {
 	n := len(headers)
 	if n < s.cfg.MinBatch || n == 0 {

@@ -503,19 +503,3 @@ func TestSummarizeInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkSummarizeDefault(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	hs := randomHeaders(rng, 1000)
-	s, err := NewSummarizer(DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Summarize(hs, 0, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -202,9 +202,6 @@ type Config struct {
 	// exemplars with full span detail and obs counter deltas
 	// (default 250ms; <0 disables exemplars).
 	SlowThreshold time.Duration
-	// MaxExemplars bounds the pinned slow epochs (default 8; oldest
-	// evicted first).
-	MaxExemplars int
 }
 
 func (c Config) withDefaults() Config {
@@ -214,11 +211,12 @@ func (c Config) withDefaults() Config {
 	if c.SlowThreshold == 0 {
 		c.SlowThreshold = 250 * time.Millisecond
 	}
-	if c.MaxExemplars <= 0 {
-		c.MaxExemplars = 8
-	}
 	return c
 }
+
+// maxExemplars bounds the pinned slow epochs; the oldest is evicted
+// first.
+const maxExemplars = 8
 
 // maxPendingEpochs bounds the in-flight assembly map: a controller that
 // never calls FinishEpoch (or a monitor process, which has no epochs)
@@ -259,7 +257,7 @@ func newCollector(cfg Config) *collector {
 }
 
 // Configure replaces the collector's tuning (ring size, slow-epoch
-// threshold, exemplar cap) and clears all assembled state. Call it
+// threshold) and clears all assembled state. Call it
 // before SetEnabled; it is not safe to race with active recording.
 func Configure(cfg Config) {
 	col.mu.Lock()
@@ -450,8 +448,8 @@ func FinishEpoch(epoch uint64, alerts int) *EpochTrace {
 	if col.cfg.SlowThreshold >= 0 && time.Duration(t.Dur) > col.cfg.SlowThreshold {
 		t.CounterDeltas = counterDeltasLocked()
 		col.exemplars = append(col.exemplars, t)
-		if len(col.exemplars) > col.cfg.MaxExemplars {
-			col.exemplars = col.exemplars[len(col.exemplars)-col.cfg.MaxExemplars:]
+		if len(col.exemplars) > maxExemplars {
+			col.exemplars = col.exemplars[len(col.exemplars)-maxExemplars:]
 		}
 	} else {
 		// Keep the baseline fresh so a later exemplar's deltas span one

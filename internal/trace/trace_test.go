@@ -255,7 +255,7 @@ func TestAlertLatencyWithoutCaptureFallsBack(t *testing.T) {
 }
 
 func TestSlowEpochExemplars(t *testing.T) {
-	Configure(Config{SlowThreshold: 1, MaxExemplars: 2})
+	Configure(Config{SlowThreshold: 1})
 	SetEnabled(true)
 	t.Cleanup(func() {
 		SetEnabled(false)
@@ -267,7 +267,7 @@ func TestSlowEpochExemplars(t *testing.T) {
 		obs.ResetAll()
 	})
 
-	for e := uint64(0); e < 4; e++ {
+	for e := uint64(0); e <= maxExemplars; e++ {
 		col.stageEpoch(e, SpanRecord{Stage: StageEpoch, Proc: ControllerProc, Monitor: ControllerProc,
 			Seq: e, Start: int64(e) * 1000, Dur: 100})
 		if tr := FinishEpoch(e, 0); tr == nil {
@@ -275,12 +275,14 @@ func TestSlowEpochExemplars(t *testing.T) {
 		}
 	}
 	ex := Exemplars()
-	if len(ex) != 2 {
-		t.Fatalf("exemplar count = %d, want MaxExemplars = 2", len(ex))
+	if len(ex) != maxExemplars {
+		t.Fatalf("exemplar count = %d, want maxExemplars = %d", len(ex), maxExemplars)
 	}
-	// Oldest evicted: the survivors are the last two epochs.
-	if ex[0].Epoch != 2 || ex[1].Epoch != 3 {
-		t.Fatalf("exemplar epochs = %d,%d; want 2,3", ex[0].Epoch, ex[1].Epoch)
+	// Oldest evicted: the survivors are epochs 1 … maxExemplars, in order.
+	for i, tr := range ex {
+		if tr.Epoch != uint64(i+1) {
+			t.Fatalf("exemplar %d is epoch %d, want %d", i, tr.Epoch, i+1)
+		}
 	}
 }
 
@@ -330,29 +332,53 @@ func TestStagedSpanCap(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceDisabled pins the disabled-path cost of one full
-// instrumentation point (StartSpan + End): it must stay within a few
-// nanoseconds with zero allocations, the contract that lets span sites
-// sit on per-batch paths unguarded.
-func BenchmarkTraceDisabled(b *testing.B) {
+// spanDisabledOp is one full instrumentation point (StartSpan + End)
+// with tracing and obs off, and nowNanoDisabledOp the capture stamp with
+// tracing off: a few nanoseconds with zero allocations, the contract that
+// lets span sites sit on per-batch paths unguarded. The benchmarks time
+// them and TestDisabledPathsZeroAlloc holds them to zero allocations.
+func spanDisabledOp(testing.TB) func() {
 	SetEnabled(false)
 	obs.SetEnabled(false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		StartSpan(hAlertLatency, StageInfer, ControllerProc, uint64(i)).End()
+	var seq uint64
+	return func() {
+		StartSpan(hAlertLatency, StageInfer, ControllerProc, seq).End()
+		seq++
 	}
 }
 
-// BenchmarkNowNanoDisabled pins the capture-stamp cost with tracing
-// off: one atomic load.
-func BenchmarkNowNanoDisabled(b *testing.B) {
+func nowNanoDisabledOp(tb testing.TB) func() {
 	SetEnabled(false)
+	return func() {
+		if NowNano() != 0 {
+			tb.Fatal("tracing enabled during the measurement")
+		}
+	}
+}
+
+func benchOp(b *testing.B, op func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if NowNano() != 0 {
-			b.Fatal("tracing enabled during benchmark")
-		}
+		op()
+	}
+}
+
+func BenchmarkTraceDisabled(b *testing.B)   { benchOp(b, spanDisabledOp(b)) }
+func BenchmarkNowNanoDisabled(b *testing.B) { benchOp(b, nowNanoDisabledOp(b)) }
+
+func TestDisabledPathsZeroAlloc(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		op   func(testing.TB) func()
+	}{
+		{"TraceDisabled", spanDisabledOp},
+		{"NowNanoDisabled", nowNanoDisabledOp},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if n := testing.AllocsPerRun(1000, c.op(t)); n != 0 {
+				t.Fatalf("%s made %v allocations per call, want 0", c.name, n)
+			}
+		})
 	}
 }

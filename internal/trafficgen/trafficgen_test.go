@@ -266,11 +266,28 @@ func TestMixerNilAttack(t *testing.T) {
 	}
 }
 
-func BenchmarkBackgroundNext(b *testing.B) {
+// backgroundNextOp draws one background packet once the live-flow table
+// is full: what BenchmarkBackgroundNext times and
+// TestBackgroundNextZeroAlloc holds to zero allocations (a new flow every
+// dozen packets amortizes below one).
+func backgroundNextOp(testing.TB) func() {
 	bg := NewBackground(DefaultBackgroundConfig(1))
+	bg.Next()
+	return func() { bg.Next() }
+}
+
+func BenchmarkBackgroundNext(b *testing.B) {
+	next := backgroundNextOp(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bg.Next()
+		next()
+	}
+}
+
+func TestBackgroundNextZeroAlloc(t *testing.T) {
+	if n := testing.AllocsPerRun(10000, backgroundNextOp(t)); n != 0 {
+		t.Fatalf("Background.Next made %v allocations per packet, want 0", n)
 	}
 }
 

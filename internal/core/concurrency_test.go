@@ -7,6 +7,7 @@ import (
 	"repro/internal/sketch"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
+	"repro/internal/wire"
 )
 
 // TestMonitorConcurrentIngestAndPoll drives a monitor from concurrent
@@ -49,8 +50,13 @@ func TestMonitorConcurrentIngestAndPoll(t *testing.T) {
 				return
 			}
 			for _, s := range ss {
-				for c := 0; c < s.K(); c++ {
-					m.RawPackets(s.Epoch, c)
+				refs := make([]wire.RawRef, s.K())
+				for c := range refs {
+					refs[c] = wire.RawRef{Epoch: s.Epoch, Centroid: c}
+				}
+				if _, err := m.RawBatch(refs); err != nil {
+					t.Errorf("raw batch: %v", err)
+					return
 				}
 			}
 			m.LoadAndReset()

@@ -13,12 +13,32 @@ import (
 	"repro/internal/snort"
 	"repro/internal/summary"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // RawSource abstracts how the controller reaches a monitor's retained
 // raw packets: directly (in-process pipeline) or over the wire protocol.
 type RawSource interface {
 	RawPackets(epoch uint64, centroid int) []packet.Header
+}
+
+// rawBatcher is how a feedback round reaches a monitor: every centroid
+// the round wants from it, in one exchange, answered in ref order.
+// Monitor and RemoteMonitor implement it; RegisterSource lifts any other
+// RawSource with perRef.
+type rawBatcher interface {
+	RawBatch(refs []wire.RawRef) ([][]packet.Header, error)
+}
+
+// perRef lifts a RawSource without RawBatch: one RawPackets call per ref.
+type perRef struct{ RawSource }
+
+func (s perRef) RawBatch(refs []wire.RawRef) ([][]packet.Header, error) {
+	out := make([][]packet.Header, len(refs))
+	for i, r := range refs {
+		out[i] = s.RawPackets(r.Epoch, r.Centroid)
+	}
+	return out, nil
 }
 
 // Controller is Jaal's central analysis-and-inference engine (§5). It
@@ -56,7 +76,7 @@ type Controller struct {
 	adapter *adapt.Controller
 
 	mu      sync.Mutex
-	sources map[int]RawSource
+	sources map[int]rawBatcher
 	epoch   uint64
 	// stats accumulate communication accounting across epochs.
 	stats Stats
@@ -185,7 +205,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		useFeedback: cfg.UseFeedback,
 		workers:     cfg.Workers,
 		clock:       clock,
-		sources:     make(map[int]RawSource),
+		sources:     make(map[int]rawBatcher),
 	}
 	if cfg.Adapt != nil {
 		if !cfg.UseFeedback {
@@ -223,11 +243,16 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 }
 
 // RegisterSource attaches a monitor's raw-packet source for the feedback
-// loop.
+// loop. A source with a RawBatch method answers a round in one exchange;
+// any other is asked once per centroid.
 func (c *Controller) RegisterSource(monitorID int, src RawSource) {
+	b, ok := src.(rawBatcher)
+	if !ok {
+		b = perRef{src}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sources[monitorID] = src
+	c.sources[monitorID] = b
 }
 
 // qresult is one question's outcome in an inference round: match for a
@@ -256,7 +281,7 @@ type rawFetch struct {
 type monitorPulls struct {
 	id int
 	// src is nil when no source is registered for the monitor.
-	src RawSource
+	src rawBatcher
 	// want indexes the round's fetches, in order of first use.
 	want []int
 }
@@ -264,16 +289,13 @@ type monitorPulls struct {
 // settleUncertain is the raw re-analysis of one inference round (§5.3
 // case 3). It pulls the raw packets behind every centroid the round's
 // uncertain questions asked for — once each, however many questions
-// share it — and settles those questions against them. The pulls from
-// one monitor go back to back over its connection, which carries one
-// exchange at a time, while the monitors are pulled from side by side.
-// No two goroutines ever want the same connection, so the time a round
-// spends here is its slowest monitor's round trips, with no share that
-// depends on which question got to which connection first (questions
-// fetching for themselves from inside the question fan-out queue on the
-// connections' mutexes and on each other's in-flight pulls). A shared
-// centroid's transfer is charged to the first question that wants it,
-// in evaluation order. It returns the number of headers transferred.
+// share it — and settles those questions against them. Each monitor is
+// asked once, for all of its centroids in order of first use, in one
+// exchange, and the monitors are asked side by side, so the time a round
+// spends here is its slowest monitor's one round trip. A failed exchange
+// reads as no packets for each of its centroids. A shared centroid's
+// transfer is charged to the first question that wants it, in
+// evaluation order. It returns the number of headers transferred.
 func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, results []qresult, matcher inference.RawMatcher) int {
 	var (
 		fetches []rawFetch
@@ -316,17 +338,27 @@ func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, res
 	c.mu.Unlock()
 	par.For(len(pulls), c.workers, func(m int) {
 		p := &pulls[m]
-		for _, j := range p.want {
-			f := &fetches[j]
-			if p.src == nil {
-				f.err = fmt.Errorf("core: no raw source for monitor %d", f.ref.MonitorID)
-				continue
+		if p.src == nil {
+			err := fmt.Errorf("core: no raw source for monitor %d", p.id)
+			for _, j := range p.want {
+				fetches[j].err = err
 			}
-			// Each pull is one feedback round trip: a span per fetch
-			// shows exactly which centroid pulls stretched the epoch.
-			sp := trace.StartSpan(hRawFetchSeconds, trace.StageRawFetch, f.ref.MonitorID, epoch)
-			f.hs = p.src.RawPackets(f.ref.Epoch, f.ref.Centroid)
-			sp.End()
+			return
+		}
+		refs := make([]wire.RawRef, len(p.want))
+		for i, j := range p.want {
+			refs[i] = wire.RawRef{Epoch: fetches[j].ref.Epoch, Centroid: fetches[j].ref.Centroid}
+		}
+		// One span per exchange: which monitor's round trip stretched
+		// the epoch.
+		sp := trace.StartSpan(hRawFetchSeconds, trace.StageRawFetch, p.id, epoch)
+		groups, err := p.src.RawBatch(refs)
+		sp.End()
+		if err != nil {
+			return
+		}
+		for i, j := range p.want {
+			fetches[j].hs = groups[i]
 		}
 	})
 

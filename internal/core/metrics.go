@@ -109,7 +109,9 @@ var (
 	hRunEpochSeconds = obs.NewHistogram("jaal_pipeline_epoch_seconds",
 		"wall time of one full RunEpoch (collect fan-out + inference)", obs.DurationBuckets())
 	hRawFetchSeconds = obs.NewHistogram("jaal_feedback_fetch_seconds",
-		"wall time of one feedback-loop raw-packet fetch (memo misses only)", obs.DurationBuckets())
+		"wall time of one monitor's raw-packet exchange in a feedback round (every centroid the round wants from it)", obs.DurationBuckets())
+	cFetchFailures = obs.NewCounter("jaal_feedback_fetch_failures_total",
+		"centroid refs whose raw-packet exchange failed; each reads as no packets")
 )
 
 // countVerdict tallies one feedback verdict per §5.3 case.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/sketch"
 	"repro/internal/summary"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Monitor is one in-network monitoring point: it ingests the packet
@@ -170,14 +171,37 @@ func (m *Monitor) CollectSummaries() (ss []*summary.Summary, pending int, err er
 	return ss, pending, nil
 }
 
-// RawPackets serves the feedback loop: the raw headers assigned to the
-// given centroid in the given epoch, or nil after expiry.
+// RawPackets returns the raw headers assigned to the given centroid in
+// the given epoch, or nil after expiry: RawBatch for a single ref, and
+// what makes a Monitor a RawSource.
 func (m *Monitor) RawPackets(epoch uint64, centroid int) []packet.Header {
+	groups, err := m.RawBatch([]wire.RawRef{{Epoch: epoch, Centroid: centroid}})
+	if err != nil {
+		return nil
+	}
+	return groups[0]
+}
+
+// RawBatch serves one raw-fetch exchange: each ref's raw headers, in ref
+// order, nil for an expired or unknown one. Every ref is looked up under
+// one hold of mu, which also totals the answer's encoded size; an answer
+// that would not fit one wire frame is refused, so a request naming a
+// retained centroid millions of times costs an error, not the memory to
+// encode it.
+func (m *Monitor) RawBatch(refs []wire.RawRef) ([][]packet.Header, error) {
+	out := make([][]packet.Header, len(refs))
+	served := 0
 	m.mu.Lock()
-	hs := m.buf.RawPackets(epoch, centroid)
+	for i, r := range refs {
+		out[i] = m.buf.RawPackets(r.Epoch, r.Centroid)
+		if served += len(out[i]); packet.BatchesSize(len(refs), served) > wire.MaxFrameSize {
+			m.mu.Unlock()
+			return nil, fmt.Errorf("monitor %d: raw batch for %d refs exceeds %d bytes", m.id, len(refs), wire.MaxFrameSize)
+		}
+	}
 	m.mu.Unlock()
-	cRawServed.Add(int64(len(hs)))
-	return hs
+	cRawServed.Add(int64(served))
+	return out, nil
 }
 
 // Poll is the monitor's half of one controller epoch (§5.1, §7), the same

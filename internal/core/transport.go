@@ -138,12 +138,15 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 			wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending))
 
 	case wire.MsgRawRequest:
-		epoch, centroid, err := wire.DecodeRawRequest(msg.Payload)
+		refs, err := wire.DecodeRawRequest(msg.Payload)
 		if err != nil {
 			return err
 		}
-		hs := s.Monitor.RawPackets(epoch, centroid)
-		return wire.WriteFrame(conn, wire.MsgRawBatch, packet.EncodeBatch(hs))
+		groups, err := s.Monitor.RawBatch(refs)
+		if err != nil {
+			return err
+		}
+		return wire.WriteFrame(conn, wire.MsgRawBatch, packet.EncodeBatches(groups))
 
 	default:
 		return fmt.Errorf("core: monitor got unexpected %v", msg.Type)
@@ -532,14 +535,17 @@ func decodeSummaryPayload(p []byte) (*summary.Summary, *sketch.Digest, *trace.Co
 	return s, dg, ctx, nil
 }
 
-// RawPackets implements RawSource over the wire. Errors surface as an
-// empty batch; the feedback loop treats missing raw data as
-// non-confirming, the safe default.
-func (r *RemoteMonitor) RawPackets(epoch uint64, centroid int) []packet.Header {
-	var hs []packet.Header
+// RawBatch fetches every ref's raw headers in one exchange: one
+// MsgRawRequest, answered by one MsgRawBatch in ref order. A failed
+// exchange returns its error, and its refs are counted in
+// jaal_feedback_fetch_failures_total; the feedback loop reads them as
+// no packets, the safe non-confirming default.
+func (r *RemoteMonitor) RawBatch(refs []wire.RawRef) ([][]packet.Header, error) {
+	req := wire.EncodeRawRequest(refs)
+	var groups [][]packet.Header
 	err := r.c.exchange(func(conn net.Conn) error {
-		hs = nil
-		if err := wire.WriteFrame(conn, wire.MsgRawRequest, wire.EncodeRawRequest(epoch, centroid)); err != nil {
+		groups = nil
+		if err := wire.WriteFrame(conn, wire.MsgRawRequest, req); err != nil {
 			return err
 		}
 		msg, err := wire.ReadFrame(conn)
@@ -549,13 +555,24 @@ func (r *RemoteMonitor) RawPackets(epoch uint64, centroid int) []packet.Header {
 		if msg.Type != wire.MsgRawBatch {
 			return fmt.Errorf("core: expected raw batch, got %v", msg.Type)
 		}
-		hs, err = packet.DecodeBatch(msg.Payload)
+		groups, err = packet.DecodeBatches(msg.Payload, len(refs))
 		return err
 	})
 	if err != nil {
+		cFetchFailures.Add(int64(len(refs)))
+		return nil, fmt.Errorf("core: raw batch from monitor %d: %w", r.ID(), err)
+	}
+	return groups, nil
+}
+
+// RawPackets implements RawSource over the wire: RawBatch for one ref,
+// with a failed exchange read as an empty batch.
+func (r *RemoteMonitor) RawPackets(epoch uint64, centroid int) []packet.Header {
+	groups, err := r.RawBatch([]wire.RawRef{{Epoch: epoch, Centroid: centroid}})
+	if err != nil {
 		return nil
 	}
-	return hs
+	return groups[0]
 }
 
 // Close closes the underlying connection.

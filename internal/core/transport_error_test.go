@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/packet"
 	"repro/internal/sketch"
+	"repro/internal/trafficgen"
 	"repro/internal/wire"
 )
 
@@ -116,45 +118,64 @@ func TestServerUnknownMessageType(t *testing.T) {
 	}
 }
 
-// TestRemoteRawPacketsConnClosed closes the connection between a
-// raw-batch request and its response: RawPackets must return nil (the
-// feedback loop's safe non-confirming default), never error or hang.
-func TestRemoteRawPacketsConnClosed(t *testing.T) {
+// testRefs is a three-centroid raw request.
+var testRefs = []wire.RawRef{{Epoch: 1, Centroid: 2}, {Epoch: 1, Centroid: 7}, {Epoch: 0, Centroid: 3}}
+
+// rawBatchFails runs one RawBatch over a fake monitor that answers its
+// hello with id and then plays serve, and checks the batch fails — with
+// an error, no groups, and every ref counted in
+// jaal_feedback_fetch_failures_total — within five seconds.
+func rawBatchFails(t *testing.T, id int, serve func(server net.Conn)) {
+	t.Helper()
+	obs.SetEnabled(true)
+	defer func() { obs.SetEnabled(false); obs.ResetAll() }()
 	client, server := net.Pipe()
 	go func() {
-		// Impersonate the monitor server far enough to complete the
-		// hello, swallow the raw request, then die mid-exchange.
-		wire.WriteFrame(server, wire.MsgHello, wire.EncodeHello(42))
-		wire.ReadFrame(server)
-		server.Close()
+		wire.WriteFrame(server, wire.MsgHello, wire.EncodeHello(id))
+		serve(server)
 	}()
 	rm, err := DialMonitorRetry(oneShot(client), RetryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rm.Close()
-	doneC := make(chan []int, 1)
+	before := cFetchFailures.Value()
+	type result struct {
+		groups [][]packet.Header
+		err    error
+	}
+	doneC := make(chan result, 1)
 	go func() {
-		hs := rm.RawPackets(0, 0)
-		doneC <- []int{len(hs)}
+		groups, err := rm.RawBatch(testRefs)
+		doneC <- result{groups, err}
 	}()
 	select {
 	case got := <-doneC:
-		if got[0] != 0 {
-			t.Fatalf("closed connection returned %d raw packets, want 0", got[0])
+		if got.err == nil || got.groups != nil {
+			t.Fatalf("failed exchange returned %d groups and error %v, want none and an error", len(got.groups), got.err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RawPackets hung on a closed connection")
+		t.Fatal("RawBatch hung on a failed exchange")
+	}
+	if d := cFetchFailures.Value() - before; d != int64(len(testRefs)) {
+		t.Fatalf("jaal_feedback_fetch_failures_total moved by %d, want %d", d, len(testRefs))
 	}
 }
 
-// TestRemoteRawPacketsTruncatedBatch answers a raw request with a frame
-// that promises more payload than it delivers before closing: the
-// client must treat it as missing data.
-func TestRemoteRawPacketsTruncatedBatch(t *testing.T) {
-	client, server := net.Pipe()
-	go func() {
-		wire.WriteFrame(server, wire.MsgHello, wire.EncodeHello(7))
+// TestRemoteRawBatchConnClosed closes the connection between a raw-batch
+// request and its response: RawBatch must fail, never hang.
+func TestRemoteRawBatchConnClosed(t *testing.T) {
+	rawBatchFails(t, 42, func(server net.Conn) {
+		// Swallow the raw request, then die mid-exchange.
+		wire.ReadFrame(server)
+		server.Close()
+	})
+}
+
+// TestRemoteRawBatchTruncatedBatch answers a raw request with a frame
+// that promises more payload than it delivers before closing.
+func TestRemoteRawBatchTruncatedBatch(t *testing.T) {
+	rawBatchFails(t, 7, func(server net.Conn) {
 		wire.ReadFrame(server) // the raw request
 		var hdr [5]byte
 		binary.BigEndian.PutUint32(hdr[0:4], 1000) // promise 1000 bytes
@@ -162,13 +183,67 @@ func TestRemoteRawPacketsTruncatedBatch(t *testing.T) {
 		server.Write(hdr[:])
 		server.Write(make([]byte, 10)) // deliver 10
 		server.Close()
-	}()
-	rm, err := DialMonitorRetry(oneShot(client), RetryConfig{})
-	if err != nil {
+	})
+}
+
+// TestRemoteRawBatchCountsMismatch answers a three-ref request with a
+// whole frame whose counts do not add up to its body: the decoder
+// refuses it and the batch fails like a lost connection.
+func TestRemoteRawBatchCountsMismatch(t *testing.T) {
+	rawBatchFails(t, 8, func(server net.Conn) {
+		wire.ReadFrame(server) // the raw request
+		body := packet.EncodeBatches([][]packet.Header{{{SrcIP: 1}}, nil, nil})
+		body[3] = 2 // first count claims two headers, the body holds one
+		wire.WriteFrame(server, wire.MsgRawBatch, body)
+		wire.ReadFrame(server) // blocks until the client drops the connection
+	})
+}
+
+// TestServerRefusesOversizedRawBatch sends the request the list form
+// makes possible: one retained centroid asked for so many times that the
+// answer would not fit a frame. The server must end the session with an
+// error, counted as a serve error, instead of encoding the answer.
+func TestServerRefusesOversizedRawBatch(t *testing.T) {
+	obs.SetEnabled(true)
+	defer func() { obs.SetEnabled(false); obs.ResetAll() }()
+
+	client, m, done := startServer(t, 43)
+	drainHello(t, client)
+	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(3))
+	if err := m.IngestBatch(bg.Batch(smallSummaryConfig().BatchSize)); err != nil {
 		t.Fatal(err)
 	}
-	defer rm.Close()
-	if hs := rm.RawPackets(1, 2); hs != nil {
-		t.Fatalf("truncated raw batch yielded %d headers, want nil", len(hs))
+	ss, _, err := m.CollectSummaries()
+	if err != nil || len(ss) == 0 {
+		t.Fatalf("collect: %d summaries, %v", len(ss), err)
+	}
+	ref := wire.RawRef{Epoch: ss[0].Epoch}
+	for c, n := range ss[0].Counts {
+		if n > ss[0].Counts[ref.Centroid] {
+			ref.Centroid = c
+		}
+	}
+	perRef := packet.BatchesSize(1, ss[0].Counts[ref.Centroid])
+	refs := make([]wire.RawRef, wire.MaxFrameSize/perRef+1)
+	for i := range refs {
+		refs[i] = ref
+	}
+	req := wire.EncodeRawRequest(refs)
+	if len(req) > wire.MaxFrameSize {
+		t.Fatalf("request of %d bytes does not fit a frame; pick a larger centroid", len(req))
+	}
+
+	before := cServeErrors.Value()
+	go wire.WriteFrame(client, wire.MsgRawRequest, req)
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("oversized raw batch: serve returned %v, want a size error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("server hung on an oversized raw request")
+	}
+	if d := cServeErrors.Value() - before; d != 1 {
+		t.Fatalf("jaal_transport_serve_errors_total moved by %d, want 1", d)
 	}
 }

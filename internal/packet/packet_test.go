@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -169,6 +170,100 @@ func FuzzDecodeBatch(f *testing.F) {
 			want[off+29] &= 0x0f // DataOffset: 4 bits used
 		}
 		if got := EncodeBatch(hs); !bytes.Equal(got, want) {
+			t.Fatalf("re-encode differs from the masked input:\n got %x\nwant %x", got, want)
+		}
+	})
+}
+
+func TestBatchesRoundTrip(t *testing.T) {
+	a, b := sampleHeader(), Header{SrcIP: 1, DstPort: 80, Flags: FlagRST}
+	groups := [][]Header{{a}, nil, {b, a}}
+	data := EncodeBatches(groups)
+	if len(data) != BatchesSize(3, 3) {
+		t.Fatalf("encoded %d bytes, BatchesSize says %d", len(data), BatchesSize(3, 3))
+	}
+	got, err := DecodeBatches(data, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || len(got[0]) != 1 || got[1] != nil || len(got[2]) != 2 ||
+		got[0][0] != a || got[2][0] != b || got[2][1] != a {
+		t.Fatalf("batches round trip mismatch: %+v", got)
+	}
+	if cap(got[0]) != 1 {
+		t.Fatalf("group 0 has capacity %d; an append would overwrite group 2", cap(got[0]))
+	}
+	// A one-group payload is a count followed by an EncodeBatch body.
+	if one := EncodeBatches([][]Header{{a, b}}); !bytes.Equal(one[countSize:], EncodeBatch([]Header{a, b})) {
+		t.Fatal("one-group body differs from EncodeBatch")
+	}
+	for _, bad := range []struct {
+		data []byte
+		n    int
+	}{
+		{data[:len(data)-1], 3},        // body one byte short
+		{append(data, 0), 3},           // one byte too many
+		{data, 4},                      // a count too many: the body no longer adds up
+		{data[:2*countSize], 3},        // not even the counts fit
+		{EncodeBatches(nil), -1},       // negative group count
+		{EncodeBatches(groups[:1]), 2}, // second count read from the body
+	} {
+		if _, err := DecodeBatches(bad.data, bad.n); err == nil {
+			t.Errorf("accepted %d bytes as %d groups", len(bad.data), bad.n)
+		}
+	}
+}
+
+// TestDecodeBatchesLyingCountsAllocateNothing pins the bound the
+// controller relies on when a monitor answers a raw request: counts that
+// claim 100 000 headers (4 MB decoded) over a one-header body are
+// refused before any header is allocated. The bound leaves room for the
+// error and for whatever the runtime allocates meanwhile.
+func TestDecodeBatchesLyingCountsAllocateNothing(t *testing.T) {
+	const n = 1000
+	data := make([]byte, n*countSize+WireSize)
+	for i := 0; i < n; i++ {
+		data[i*countSize+3] = 100
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DecodeBatches(data, n); err == nil {
+		t.Fatal("counts of 100 000 headers over one header's body must not decode")
+	}
+	runtime.ReadMemStats(&after)
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > 64<<10 {
+		t.Fatalf("refusing lying counts allocated %d bytes, want far less than the claim", delta)
+	}
+}
+
+// FuzzDecodeBatches: the MsgRawBatch payload decoder never panics,
+// accepts only counts that add up to its body, and re-encodes what it
+// accepted to the input up to the bits DecodeFrom masks (see
+// FuzzDecodeBatch).
+func FuzzDecodeBatches(f *testing.F) {
+	f.Add(uint8(3), EncodeBatches([][]Header{{sampleHeader()}, nil, {{SrcIP: 1, DstPort: 80, Flags: FlagRST}}}))
+	f.Add(uint8(1), EncodeBatches([][]Header{nil}))
+	f.Add(uint8(2), bytes.Repeat([]byte{0xff}, 2*countSize+WireSize))
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
+		groups, err := DecodeBatches(data, int(n))
+		if err != nil {
+			return
+		}
+		total := 0
+		for _, g := range groups {
+			total += len(g)
+		}
+		if len(groups) != int(n) || BatchesSize(int(n), total) != len(data) {
+			t.Fatalf("accepted %d bytes as %d groups of %d headers", len(data), len(groups), total)
+		}
+		want := bytes.Clone(data)
+		for off := int(n) * countSize; off < len(want); off += WireSize {
+			want[off+14] &= 0x1f // FragOffset: 13 bits used
+			want[off+29] &= 0x0f // DataOffset: 4 bits used
+		}
+		if got := EncodeBatches(groups); !bytes.Equal(got, want) {
 			t.Fatalf("re-encode differs from the masked input:\n got %x\nwant %x", got, want)
 		}
 	})

@@ -101,3 +101,64 @@ func DecodeBatch(data []byte) ([]Header, error) {
 	}
 	return hs, nil
 }
+
+// countSize is the size of one group's header count in EncodeBatches.
+const countSize = 4
+
+// BatchesSize returns the encoded size of n groups holding headers
+// headers between them.
+func BatchesSize(n, headers int) int { return n*countSize + headers*WireSize }
+
+// EncodeBatches encodes groups of headers as one payload: a uint32
+// header count per group, in order, then every group's headers back to
+// back in EncodeBatch's format.
+func EncodeBatches(groups [][]Header) []byte {
+	total := 0
+	for _, g := range groups {
+		total += len(g)
+	}
+	out := make([]byte, len(groups)*countSize, BatchesSize(len(groups), total))
+	for i, g := range groups {
+		binary.BigEndian.PutUint32(out[i*countSize:], uint32(len(g)))
+	}
+	for _, g := range groups {
+		for i := range g {
+			out = g[i].AppendEncode(out)
+		}
+	}
+	return out
+}
+
+// DecodeBatches decodes an EncodeBatches payload of n groups. It checks
+// that the counts add up to the body before allocating anything for the
+// headers, so a lying count costs nothing. An empty group decodes as
+// nil; the others share one backing array, each capped at its end.
+func DecodeBatches(data []byte, n int) ([][]Header, error) {
+	if n < 0 || len(data)/countSize < n {
+		return nil, fmt.Errorf("packet: %d bytes cannot hold %d group counts", len(data), n)
+	}
+	body := len(data) - n*countSize
+	limit := uint64(body / WireSize)
+	var total uint64
+	for i := 0; i < n; i++ {
+		if total += uint64(binary.BigEndian.Uint32(data[i*countSize:])); total > limit {
+			break
+		}
+	}
+	if total*WireSize != uint64(body) {
+		return nil, fmt.Errorf("packet: %d group counts do not match a body of %d bytes", n, body)
+	}
+	hs, err := DecodeBatch(data[n*countSize:])
+	if err != nil {
+		return nil, err
+	}
+	groups := make([][]Header, n)
+	off := 0
+	for i := range groups {
+		if c := int(binary.BigEndian.Uint32(data[i*countSize:])); c > 0 {
+			groups[i] = hs[off : off+c : off+c]
+			off += c
+		}
+	}
+	return groups, nil
+}

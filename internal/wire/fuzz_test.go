@@ -33,7 +33,7 @@ func FuzzReadFrame(f *testing.F) {
 	seedFrame(f, MsgLoadReport, EncodeLoadReport(3, 1234.5))
 	seedFrame(f, MsgSummaryRequest, EncodeSummaryRequest(9))
 	seedFrame(f, MsgSummaryDecline, EncodeSummaryDecline(1, 2, 3))
-	seedFrame(f, MsgRawRequest, EncodeRawRequest(4, 5))
+	seedFrame(f, MsgRawRequest, EncodeRawRequest([]RawRef{{Epoch: 4, Centroid: 5}, {Epoch: 4, Centroid: 9}}))
 	seedFrame(f, MsgHello, EncodeHello(12))
 	seedFrame(f, MsgAlert, []byte("ALERT syn_flood sid=10002"))
 	// A summary frame carrying a trace-context trailer: with tracing on,
@@ -153,18 +153,25 @@ func FuzzDecodeSummaryDecline(f *testing.F) {
 }
 
 func FuzzDecodeRawRequest(f *testing.F) {
-	f.Add(EncodeRawRequest(0, 0))
-	f.Add(EncodeRawRequest(3, 199))
+	f.Add(EncodeRawRequest([]RawRef{{}}))
+	f.Add(EncodeRawRequest([]RawRef{{Epoch: 3, Centroid: 199}}))
+	f.Add(EncodeRawRequest([]RawRef{{Epoch: 3, Centroid: 199}, {Epoch: 3, Centroid: 4}, {Epoch: 2, Centroid: 1<<32 - 1}}))
 	f.Add([]byte{0xff})
+	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		epoch, centroid, err := DecodeRawRequest(p)
+		refs, err := DecodeRawRequest(p)
 		if err != nil {
 			return
 		}
-		if centroid < 0 {
-			t.Fatalf("negative centroid %d from a uint32 field", centroid)
+		if len(refs) == 0 || len(refs)*rawRefSize != len(p) {
+			t.Fatalf("accepted %d bytes as %d refs", len(p), len(refs))
 		}
-		if got := EncodeRawRequest(epoch, centroid); !bytes.Equal(got, p) {
+		for _, r := range refs {
+			if r.Centroid < 0 {
+				t.Fatalf("negative centroid %d from a uint32 field", r.Centroid)
+			}
+		}
+		if got := EncodeRawRequest(refs); !bytes.Equal(got, p) {
 			t.Fatalf("raw request did not round-trip: %x vs %x", got, p)
 		}
 	})

@@ -39,9 +39,13 @@ const (
 	// epoch, uint32 pending — sent when the buffer holds fewer than
 	// n_min packets (§5.1).
 	MsgSummaryDecline MsgType = 5
-	// MsgRawRequest (controller→monitor): uint64 epoch, uint32 centroid.
+	// MsgRawRequest (controller→monitor): n ≥ 1 refs back to back, each
+	// uint64 epoch, uint32 centroid — every centroid one feedback round
+	// wants from this monitor, in the controller's order.
 	MsgRawRequest MsgType = 6
-	// MsgRawBatch (monitor→controller): packet.EncodeBatch payload.
+	// MsgRawBatch (monitor→controller): the answer to one MsgRawRequest,
+	// packet.EncodeBatches — n uint32 header counts in request order, then
+	// the headers back to back in packet.EncodeBatch's 33-byte format.
 	MsgRawBatch MsgType = 7
 	// MsgAlert (controller→operator): UTF-8 alert line.
 	MsgAlert MsgType = 8
@@ -129,7 +133,8 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 // frameAllocChunk caps how much ReadFrame allocates ahead of the bytes
 // actually delivered, and how large a frame WriteFrame copies into one
 // buffer. Every legitimate frame in the deployment
-// (summaries ~10 KB, raw batches ~16 KB) fits one chunk and takes the
+// (summaries ~10 KB, a monitor's raw batch for one feedback round
+// ~20 KB) fits one chunk and takes the
 // single-allocation fast path; a corrupt or hostile header claiming up
 // to MaxFrameSize grows the buffer only as payload bytes arrive, so a
 // lying length prefix costs one chunk of memory, not 64 MB
@@ -219,20 +224,39 @@ func DecodeSummaryDecline(p []byte) (monitorID int, epoch uint64, pending int, e
 		int(binary.BigEndian.Uint32(p[12:])), nil
 }
 
-// EncodeRawRequest builds a MsgRawRequest payload.
-func EncodeRawRequest(epoch uint64, centroid int) []byte {
-	buf := make([]byte, 12)
-	binary.BigEndian.PutUint64(buf[0:], epoch)
-	binary.BigEndian.PutUint32(buf[8:], uint32(centroid))
+// RawRef names one retained centroid a raw request asks for: the epoch
+// of the batch it summarizes and its index in that summary.
+type RawRef struct {
+	Epoch    uint64
+	Centroid int
+}
+
+// rawRefSize is one RawRef's wire size: uint64 epoch, uint32 centroid.
+const rawRefSize = 12
+
+// EncodeRawRequest builds a MsgRawRequest payload. A one-ref request is
+// the 12-byte single-centroid request.
+func EncodeRawRequest(refs []RawRef) []byte {
+	buf := make([]byte, len(refs)*rawRefSize)
+	for i, r := range refs {
+		binary.BigEndian.PutUint64(buf[i*rawRefSize:], r.Epoch)
+		binary.BigEndian.PutUint32(buf[i*rawRefSize+8:], uint32(r.Centroid))
+	}
 	return buf
 }
 
-// DecodeRawRequest parses a MsgRawRequest payload.
-func DecodeRawRequest(p []byte) (epoch uint64, centroid int, err error) {
-	if len(p) != 12 {
-		return 0, 0, fmt.Errorf("wire: raw request of %d bytes, want 12", len(p))
+// DecodeRawRequest parses a MsgRawRequest payload. It refuses an empty
+// payload and one that is not a whole number of refs.
+func DecodeRawRequest(p []byte) ([]RawRef, error) {
+	if len(p) == 0 || len(p)%rawRefSize != 0 {
+		return nil, fmt.Errorf("wire: raw request of %d bytes, want a positive multiple of %d", len(p), rawRefSize)
 	}
-	return binary.BigEndian.Uint64(p[0:]), int(binary.BigEndian.Uint32(p[8:])), nil
+	refs := make([]RawRef, len(p)/rawRefSize)
+	for i := range refs {
+		b := p[i*rawRefSize:]
+		refs[i] = RawRef{Epoch: binary.BigEndian.Uint64(b), Centroid: int(binary.BigEndian.Uint32(b[8:]))}
+	}
+	return refs, nil
 }
 
 // EncodeHello builds a MsgHello payload.

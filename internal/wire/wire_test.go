@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -151,12 +152,21 @@ func TestSummaryDeclineRoundTrip(t *testing.T) {
 }
 
 func TestRawRequestRoundTrip(t *testing.T) {
-	e, c, err := DecodeRawRequest(EncodeRawRequest(5, 17))
-	if err != nil || e != 5 || c != 17 {
-		t.Fatalf("round trip: %d %d %v", e, c, err)
+	refs := []RawRef{{Epoch: 5, Centroid: 17}, {Epoch: 1 << 40, Centroid: 0}, {Epoch: 5, Centroid: 199}}
+	got, err := DecodeRawRequest(EncodeRawRequest(refs))
+	if err != nil || !reflect.DeepEqual(got, refs) {
+		t.Fatalf("round trip: %v %v", got, err)
 	}
-	if _, _, err := DecodeRawRequest([]byte{}); err == nil {
-		t.Fatal("short raw request must error")
+	// A one-ref request keeps the single-centroid layout: uint64 epoch,
+	// uint32 centroid.
+	one := EncodeRawRequest(refs[:1])
+	if want := []byte{0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 17}; !bytes.Equal(one, want) {
+		t.Fatalf("one-ref request = %x, want %x", one, want)
+	}
+	for _, bad := range [][]byte{{}, one[:11], append(one, 0)} {
+		if _, err := DecodeRawRequest(bad); err == nil {
+			t.Fatalf("raw request of %d bytes must error", len(bad))
+		}
 	}
 }
 

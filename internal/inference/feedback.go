@@ -2,6 +2,7 @@ package inference
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/packet"
 	"repro/internal/rules"
@@ -104,6 +105,15 @@ type FeedbackConfig struct {
 // loop would be "enabled" yet never fetch a raw packet, which is a
 // misconfiguration masquerading as feedback, so it is rejected.
 func (c FeedbackConfig) Validate() error {
+	// NaN fails every comparison below, so it would pass them all.
+	switch {
+	case math.IsNaN(c.TauD1):
+		return fmt.Errorf("inference: feedback TauD1 is NaN")
+	case math.IsNaN(c.TauD2):
+		return fmt.Errorf("inference: feedback TauD2 is NaN")
+	case math.IsNaN(c.CountScale2):
+		return fmt.Errorf("inference: feedback CountScale2 is NaN")
+	}
 	if c.TauD1 < 0 || c.TauD2 < c.TauD1 {
 		return fmt.Errorf("inference: need 0 ≤ τ_d1 ≤ τ_d2, got %v, %v", c.TauD1, c.TauD2)
 	}

@@ -2,8 +2,10 @@ package inference
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/linalg"
@@ -254,6 +256,20 @@ func TestFeedbackConfigValidate(t *testing.T) {
 	}
 	if err := (FeedbackConfig{TauD1: 0.02, TauD2: 0.1}).Validate(); err != nil {
 		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, c := range []struct {
+		field string
+		cfg   FeedbackConfig
+	}{
+		{"TauD1", FeedbackConfig{TauD1: nan, TauD2: 0.1}},
+		{"TauD2", FeedbackConfig{TauD1: 0.02, TauD2: nan}},
+		{"CountScale2", FeedbackConfig{TauD1: 0.02, TauD2: 0.1, CountScale2: nan}},
+	} {
+		err := c.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("NaN %s: Validate() = %v, want an error naming the field", c.field, err)
+		}
 	}
 }
 

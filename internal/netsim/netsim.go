@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // sortedNodes returns the load map's keys in ascending order — the
@@ -190,15 +189,6 @@ func (r *Result) ThroughputLossFraction() float64 {
 	return 1 - r.NormalSwitchWorkDone/r.NormalSwitchWork
 }
 
-// DeliveryLossFraction returns the end-to-end flow view: the relative
-// loss of delivered normal traffic vs offered.
-func (r *Result) DeliveryLossFraction() float64 {
-	if r.OfferedRate == 0 {
-		return 0
-	}
-	return 1 - r.DeliveredRate/r.OfferedRate
-}
-
 // AccuracyLossFraction returns the fraction of the *replicated* attack
 // traffic lost before processing — Fig. 7b's detection-accuracy loss,
 // which the paper attributes to packet losses from congestion and engine
@@ -224,9 +214,6 @@ type Simulator struct {
 	routerLoad       map[topology.NodeID]float64
 	normalRouterLoad map[topology.NodeID]float64
 	monitors         map[topology.NodeID]bool
-	// traceEpoch numbers Run calls so their phase spans land in distinct
-	// epoch timelines (see RunEpoch).
-	traceEpoch uint64
 }
 
 // New builds a Simulator.
@@ -283,8 +270,6 @@ func (s *Simulator) Run(demands []Demand) (*Result, error) {
 	clear(s.normalRouterLoad)
 	cRuns.Inc()
 	cDemands.Add(int64(len(demands)))
-	epoch := s.traceEpoch
-	s.traceEpoch++
 	res := &Result{}
 
 	type replication struct {
@@ -304,7 +289,6 @@ func (s *Simulator) Run(demands []Demand) (*Result, error) {
 	// Pass 1: route demands, accumulate link loads, and collect
 	// replication streams at the first monitor on each path (flows are
 	// monitored exactly once, §6).
-	routeSpan := trace.StartSpan(nil, trace.StageSimRoute, trace.ControllerProc, epoch)
 	for _, d := range demands {
 		path, err := s.cfg.Topology.ShortestPath(d.Src, d.Dst)
 		if err != nil {
@@ -352,8 +336,6 @@ func (s *Simulator) Run(demands []Demand) (*Result, error) {
 			s.routerLoad[node] += rep.rate
 		}
 	}
-	routeSpan.End()
-	resolveSpan := trace.StartSpan(nil, trace.StageSimResolve, trace.ControllerProc, epoch)
 
 	// Shared-substrate contention: when the aggregate processing work
 	// (normal + copied, across all routers) exceeds the substrate
@@ -429,8 +411,6 @@ func (s *Simulator) Run(demands []Demand) (*Result, error) {
 	// (AttackProcessedRate already reflects that: engineAttack only
 	// contains the replicated share.)
 
-	resolveSpan.End()
-
 	if obs.Enabled() {
 		//jaalvet:ignore mapiter — feeds only a histogram, whose bucket counts are order-independent; metrics never reach simulation outputs
 		for _, load := range s.linkLoad {
@@ -441,18 +421,4 @@ func (s *Simulator) Run(demands []Demand) (*Result, error) {
 		gAccuracyLoss.Set(res.AccuracyLossFraction())
 	}
 	return res, nil
-}
-
-// RunEpoch is Run plus epoch-trace bookkeeping: the whole steady-state
-// computation becomes one traced epoch (route + resolve phase spans,
-// sealed by trace.FinishEpoch), so simulator sweeps produce the same
-// timeline artifacts as the live pipeline. With tracing disabled it is
-// exactly Run.
-func (s *Simulator) RunEpoch(demands []Demand) (*Result, error) {
-	epoch := s.traceEpoch
-	sp := trace.StartSpan(nil, trace.StageEpoch, trace.ControllerProc, epoch)
-	res, err := s.Run(demands)
-	sp.End()
-	trace.FinishEpoch(epoch, 0)
-	return res, err
 }

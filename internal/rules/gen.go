@@ -58,7 +58,7 @@ var servicePorts = []uint16{
 }
 
 // GenerateRules returns a seeded synthetic library of cfg.Rules parsed
-// rules. The mix covers the signature families the index groups by:
+// rules. The mix covers the signature families a real ruleset carries:
 // service-port probes, host-directed floods, source-port services,
 // flag-combination scans, zero-window stalls, port ranges, and plain
 // UDP floods.

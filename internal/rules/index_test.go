@@ -2,7 +2,7 @@ package rules
 
 import (
 	"math"
-	"math/bits"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -40,87 +40,127 @@ func columnsOf(vecs ...[]float64) func(packet.FieldIndex) []float64 {
 	}
 }
 
-// candidatesFromRows is the row-callback form Candidates had before the
-// aggregate grew shared sorted columns, kept as the reference the
-// column form is compared with: it copies and sorts every indexed column
-// itself, then runs the same two phases.
-func candidatesFromRows(ix *QuestionIndex, rows int, row func(i int) []float64) *CandidateSet {
-	out := &CandidateSet{bits: newBitset(ix.n), n: ix.n}
-	if ix.n == 0 || rows == 0 || len(ix.fields) == 0 {
+// bruteForce is the reference Candidates is held to, written without the
+// sorted columns: a question that constrains at least one field stays a
+// candidate unless the sum, over its constrained fields, of the smallest
+// |x_f − q_f| over every non-NaN row value exceeds its budget. With no
+// rows nothing is a candidate.
+func bruteForce(qs []*Question, maxTau []float64, rows [][]float64) *CandidateSet {
+	out := &CandidateSet{bits: newBitset(len(qs)), n: len(qs)}
+	if len(rows) == 0 {
 		return out
 	}
-	var occ [packet.NumFields][numBuckets / 64]uint64
-	var vals [packet.NumFields][]float64
-	for _, fs := range ix.fields {
-		vals[fs.field] = make([]float64, rows)
-	}
-	for r := 0; r < rows; r++ {
-		v := row(r)
-		for _, fs := range ix.fields {
-			b := bucketOf(v[fs.field])
-			occ[fs.field][b>>6] |= 1 << (b & 63)
-			vals[fs.field][r] = v[fs.field]
+	for i, q := range qs {
+		tau := q.DistanceThreshold
+		if maxTau != nil && maxTau[i] > 0 {
+			tau = maxTau[i]
 		}
-	}
-	for _, fs := range ix.fields {
-		sort.Float64s(vals[fs.field])
-	}
-	mask := newBitset(ix.n)
-	for fi, fs := range ix.fields {
-		mask.copyFrom(fs.loose)
-		for w, word := range occ[fs.field] {
-			for word != 0 {
-				b := w<<6 | bits.TrailingZeros64(word)
-				word &= word - 1
-				if qb := fs.buckets[b]; qb != nil {
-					mask.orInto(qb)
+		active := 0
+		sum := 0.0
+		for f, v := range q.Vector {
+			if v == Irrelevant {
+				continue
+			}
+			active++
+			nearest := math.Inf(1)
+			for _, r := range rows {
+				if math.IsNaN(r[f]) {
+					continue
+				}
+				if d := math.Abs(r[f] - v); d < nearest {
+					nearest = d
 				}
 			}
+			sum += nearest
 		}
-		if fi == 0 {
-			out.bits.copyFrom(mask)
-		} else {
-			out.bits.andInto(mask)
-		}
-	}
-	out.bits.andNot(ix.never)
-	for w, word := range out.bits {
-		for word != 0 {
-			i := w<<6 | bits.TrailingZeros64(word)
-			word &= word - 1
-			sum := 0.0
-			for _, iv := range ix.ivals[i] {
-				fv := vals[iv.field]
-				at := sort.SearchFloat64s(fv, iv.v)
-				d := math.Inf(1)
-				if at < len(fv) {
-					d = fv[at] - iv.v
-				}
-				if at > 0 && iv.v-fv[at-1] < d {
-					d = iv.v - fv[at-1]
-				}
-				sum += d
-				if sum > ix.pad[i] {
-					out.bits[w] &^= 1 << (i & 63)
-					break
-				}
-			}
+		if active > 0 && !(sum > MatchBudget(tau, active)) {
+			out.bits.set(i)
 		}
 	}
 	return out
 }
 
 // candidates runs the index over the centroids and checks, on every
-// corpus of this file, that reading the sorted columns gives the bitset
-// the row-callback form gave.
-func candidates(t *testing.T, ix *QuestionIndex, vecs ...[]float64) *CandidateSet {
+// corpus of this file, that it keeps exactly the questions the
+// brute-force oracle keeps.
+func candidates(t *testing.T, ix *QuestionIndex, qs []*Question, vecs ...[]float64) *CandidateSet {
 	t.Helper()
 	cs := ix.Candidates(columnsOf(vecs...))
-	want := candidatesFromRows(ix, len(vecs), func(i int) []float64 { return vecs[i] })
-	if !reflect.DeepEqual(cs, want) {
-		t.Fatalf("column-form candidates differ from the row-callback form: %d vs %d set", cs.Count(), want.Count())
+	if want := bruteForce(qs, nil, vecs); !reflect.DeepEqual(cs, want) {
+		t.Fatalf("candidates differ from the brute-force oracle: %d vs %d set", cs.Count(), want.Count())
 	}
 	return cs
+}
+
+// FuzzCandidatesEqualsBruteForce holds Candidates to the brute-force
+// oracle on rows with NaN, ±Inf, duplicates and values outside [0, 1],
+// questions constraining 0–18 fields, and thresholds of 0, τ_d, +Inf,
+// −1, NaN and arbitrary bits, given as τ_d or through maxTau.
+func FuzzCandidatesEqualsBruteForce(f *testing.F) {
+	f.Add(uint64(0), []byte{})
+	rng := rand.New(rand.NewSource(1))
+	for range 4 {
+		data := make([]byte, 256)
+		rng.Read(data)
+		f.Add(rng.Uint64(), data)
+	}
+	f.Fuzz(func(t *testing.T, tauBits uint64, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		// A coarse grid on [−0.1, 1.175]: duplicates are common, and it
+		// never hits Irrelevant.
+		value := func(b byte) float64 { return float64(b)/200 - 0.1 }
+		rows := make([][]float64, next()%9)
+		for r := range rows {
+			rows[r] = make([]float64, packet.NumFields)
+			for fi := range rows[r] {
+				switch b := next(); b {
+				case 255:
+					rows[r][fi] = math.NaN()
+				case 254:
+					rows[r][fi] = math.Inf(1)
+				case 253:
+					rows[r][fi] = math.Inf(-1)
+				default:
+					rows[r][fi] = value(b)
+				}
+			}
+		}
+		taus := []float64{0, 0.05, math.Inf(1), -1, math.NaN(), math.Float64frombits(tauBits)}
+		tau := func() float64 { return taus[int(next())%len(taus)] }
+		qs := make([]*Question, next()%9)
+		for i := range qs {
+			mask := uint32(next()) | uint32(next())<<8 | uint32(next())<<16
+			entries := make(map[packet.FieldIndex]float64)
+			for fi := 0; fi < packet.NumFields; fi++ {
+				if mask&(1<<fi) != 0 {
+					entries[packet.FieldIndex(fi)] = value(next())
+				}
+			}
+			qs[i] = qVec(tau(), entries)
+		}
+		var maxTau []float64
+		if next()%2 == 1 {
+			maxTau = make([]float64, len(qs))
+			for i := range maxTau {
+				maxTau[i] = tau()
+			}
+		}
+		ix, err := NewQuestionIndex(qs, maxTau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ix.Candidates(columnsOf(rows...))
+		if want := bruteForce(qs, maxTau, rows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("candidates %v, brute force %v", got.bits, want.bits)
+		}
+	})
 }
 
 func fullRow(entries map[packet.FieldIndex]float64) []float64 {
@@ -146,13 +186,10 @@ func TestQuestionIndexSoundness(t *testing.T) {
 	if ix.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", ix.Len())
 	}
-	if ix.Signatures() != 2 {
-		t.Fatalf("Signatures = %d, want 2", ix.Signatures())
-	}
 
 	// A centroid at dst-port 0.2 with SYN: questions 0 and 2 must be
 	// candidates; question 1 (pinned at 0.8, τ·n = 0.02) must be pruned.
-	cs := candidates(t, ix, fullRow(map[packet.FieldIndex]float64{packet.FieldDstPort: 0.2, packet.FieldSYN: 1}))
+	cs := candidates(t, ix, qs, fullRow(map[packet.FieldIndex]float64{packet.FieldDstPort: 0.2, packet.FieldSYN: 1}))
 	if !cs.Contains(0) || !cs.Contains(2) {
 		t.Fatalf("expected questions 0 and 2 as candidates")
 	}
@@ -186,7 +223,7 @@ func TestQuestionIndexNeverMisses(t *testing.T) {
 			packet.FieldWindow:   float64(i%3) / 3,
 		}))
 	}
-	cs := candidates(t, ix, rows...)
+	cs := candidates(t, ix, qs, rows...)
 	missed := 0
 	for qi, q := range qs {
 		matches := false
@@ -256,7 +293,7 @@ func TestQuestionIndexNeverMatchable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := candidates(t, ix, fullRow(map[packet.FieldIndex]float64{packet.FieldSYN: 1}))
+	cs := candidates(t, ix, qs, fullRow(map[packet.FieldIndex]float64{packet.FieldSYN: 1}))
 	if cs.Contains(0) {
 		t.Fatal("zero-active-field question must be pruned")
 	}

@@ -48,12 +48,6 @@ var AllAttacks = []AttackID{
 	AttackUDPFlood,
 }
 
-// ScenarioAttacks lists the scenario-corpus extension attacks.
-var ScenarioAttacks = []AttackID{
-	AttackReflection, AttackSlowloris, AttackStealthScan,
-	AttackExfiltration,
-}
-
 // libraryText holds Snort-style source rules for the evaluated attacks.
 // The SSH rule follows the shape of Snort SID 19559 discussed in §5.2;
 // the others correspond to the flood/scan signatures Snort ships as

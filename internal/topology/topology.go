@@ -96,17 +96,6 @@ func (t *Topology) Gateways() []NodeID {
 	return out
 }
 
-// NodesByTier returns all routers of the given tier in ID order.
-func (t *Topology) NodesByTier(tier Tier) []NodeID {
-	var out []NodeID
-	for _, n := range t.nodes {
-		if n.Tier == tier {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
 // addEdge inserts an undirected link if absent.
 func (t *Topology) addEdge(a, b NodeID) {
 	if a == b {

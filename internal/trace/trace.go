@@ -26,7 +26,7 @@
 //
 // The package is intentionally absent from the detrand analyzer's
 // deterministic set: it owns the wall-clock reads, so instrumented
-// packages (core, summary, netsim) need no new time.Now calls and no
+// packages (core, summary) need no new time.Now calls and no
 // new suppressions.
 package trace
 
@@ -80,10 +80,6 @@ const (
 	StageAlertEmit Stage = 9
 	// StageEpoch spans the whole epoch (RunEpoch or poll+process).
 	StageEpoch Stage = 10
-	// StageSimRoute spans netsim's demand routing + replication passes.
-	StageSimRoute Stage = 11
-	// StageSimResolve spans netsim's congestion/engine resolution pass.
-	StageSimResolve Stage = 12
 )
 
 // String names the stage as it appears in exports.
@@ -109,10 +105,6 @@ func (s Stage) String() string {
 		return "alert_emit"
 	case StageEpoch:
 		return "epoch"
-	case StageSimRoute:
-		return "sim_route"
-	case StageSimResolve:
-		return "sim_resolve"
 	default:
 		return "stage(" + itoa(int64(s)) + ")"
 	}

@@ -399,12 +399,3 @@ func (b *Background) Batch(n int) []packet.Header {
 	}
 	return out
 }
-
-// LabeledBatch produces n benign labeled packets.
-func (b *Background) LabeledBatch(n int) []LabeledPacket {
-	out := make([]LabeledPacket, n)
-	for i := range out {
-		out[i] = LabeledPacket{Header: b.Next(), Label: LabelBenign}
-	}
-	return out
-}

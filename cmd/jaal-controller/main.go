@@ -7,10 +7,8 @@
 // Usage:
 //
 //	jaal-controller -monitors host1:7101,host2:7101 [-epoch 2s]
-//	                [-home 10.0.0.0/8] [-feedback]
-//	                [-adapt] [-adapt-budget 65536] [-adapt-target-uncertain 0.25]
-//	                [-adapt-step 0.1] [-adapt-widen-after 3]
-//	                [-adapt-max-tau2 0.4] [-adapt-min-tau1 0.001] [-adapt-seed 0]
+//	                [-home 10.0.0.0/8] [-volume 4000]
+//	                [-feedback] [-tau1 0.015] [-tau2 0.12] [-count2 0.55]
 //	                [-timeout 10s] [-retries 5] [-backoff 100ms] [-backoff-max 5s]
 //	                [-alert-addr host:7200]
 //	                [-obs :9100] [-epochlog controller.jsonl]
@@ -24,14 +22,6 @@
 // arrived — rather than stalling it. -alert-addr ships each alert as a
 // MsgAlert frame to an alert sink (see core.AlertSink) under the same
 // retry policy.
-//
-// -adapt turns on the adaptive threshold controller (internal/adapt):
-// each epoch the per-attack feedback thresholds are nudged from the
-// epoch's verdict mix and deduplicated raw-fetch bytes toward
-// -adapt-budget and -adapt-target-uncertain, within hard floors and
-// ceilings. Off by default; with it off the engine's output is
-// byte-identical to previous releases. The live thresholds are exported
-// as jaal_adapt_tau_d1/tau_d2/count_scale2 gauges per attack.
 //
 // -obs enables metric collection and serves Prometheus-text
 // GET /metrics plus net/http/pprof on the given address (default off);
@@ -61,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/inference"
 	"repro/internal/obs"
@@ -78,14 +67,6 @@ func main() {
 		tau1        = flag.Float64("tau1", 0.015, "feedback first-stage threshold τ_d1")
 		tau2        = flag.Float64("tau2", 0.12, "feedback second-stage threshold τ_d2")
 		count2      = flag.Float64("count2", 0.55, "feedback second-stage τ_c relaxation (0–1]")
-		adaptOn     = flag.Bool("adapt", false, "adapt the feedback thresholds from live telemetry (requires -feedback)")
-		adaptBudget = flag.Int("adapt-budget", 64<<10, "per-epoch raw-fetch byte budget the adapter steers toward (0 = unbounded)")
-		adaptTarget = flag.Float64("adapt-target-uncertain", 0.25, "per-attack uncertain-verdict rate the adapter tolerates")
-		adaptStep   = flag.Float64("adapt-step", 0.10, "relative threshold nudge per adjustment (0 freezes the adapter)")
-		adaptWiden  = flag.Int("adapt-widen-after", 3, "consecutive idle epochs before the uncertain band widens")
-		adaptMax2   = flag.Float64("adapt-max-tau2", 0.4, "hard ceiling for the adapted τ_d2")
-		adaptMin1   = flag.Float64("adapt-min-tau1", 0.001, "hard floor for the adapted τ_d1")
-		adaptSeed   = flag.Int64("adapt-seed", 0, "seed for the adapter's deterministic step dither")
 		volume      = flag.Int("volume", 4000, "expected packets per epoch (scales volumetric count thresholds)")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-exchange wire deadline (0 = none)")
 		retries     = flag.Int("retries", 5, "attempts per wire exchange, reconnects included")
@@ -177,31 +158,11 @@ func main() {
 		}
 	}
 
-	var adaptCfg *adapt.Config
-	if *adaptOn {
-		if !*feedback {
-			log.Fatal("jaal-controller: -adapt requires -feedback")
-		}
-		ac := adapt.DefaultConfig(*adaptBudget)
-		ac.TargetUncertain = *adaptTarget
-		ac.Step = *adaptStep
-		ac.WidenAfter = *adaptWiden
-		ac.Limits.MaxTauD2 = *adaptMax2
-		ac.Limits.MinTauD1 = *adaptMin1
-		ac.Seed = *adaptSeed
-		adaptCfg = &ac
-	}
-
 	ctrl, err := core.NewController(core.ControllerConfig{
 		Env: env, Questions: questions, Feedback: fb, UseFeedback: *feedback,
-		Adapt: adaptCfg,
 	})
 	if err != nil {
 		log.Fatalf("jaal-controller: %v", err)
-	}
-	if adaptCfg != nil {
-		log.Printf("adaptive thresholds on: budget %d B/epoch, target uncertain %.2f, step %.2f",
-			adaptCfg.RawByteBudget, adaptCfg.TargetUncertain, adaptCfg.Step)
 	}
 
 	var endpoints []core.Endpoint

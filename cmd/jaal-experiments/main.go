@@ -4,20 +4,22 @@
 //
 // Usage:
 //
-//	jaal-experiments [-quick] <experiment>
+//	jaal-experiments [-quick] [-stats] [-topology 1] <experiment>
 //
 // where <experiment> is one of: fig4 fig5 fig6 fig7 fig8 fig9 fig10
-// fig11 table1 headline varest adaptive adapt multiwindow encoding
-// coverage sketchcost batchsize overload matchscale all. ("adaptive"
-// is the evasive-attacker ablation; "adapt" is the adaptive-threshold
-// trajectory of ISSUE 5; "matchscale" is the ISSUE 6 indexed-matching
+// fig11 table1 headline varest adaptive multiwindow encoding coverage
+// sketchcost batchsize overload matchscale all. ("adaptive" is the
+// evasive-attacker ablation; "matchscale" is the indexed-matching
 // harness and is excluded from "all" because its numbers are wall-clock
 // timings; "overload" is the sketch-assisted load-shedding grid at
 // 1×/5×/10× offered load, excluded from "all" because it has its own
 // warn-only CI job.)
 //
 // -quick reduces trial counts for a fast smoke run; the default scale
-// mirrors the paper's averaging (15 runs per point).
+// mirrors the paper's averaging (15 runs per point). -stats prints the
+// observability summary table to stderr after the run. -topology picks
+// the topology fig7 and fig9 run on: 1 (Abovenet-like) or 2
+// (Exodus-like).
 package main
 
 import (
@@ -35,7 +37,7 @@ func main() {
 	stats := flag.Bool("stats", false, "collect runtime metrics and print the observability summary table to stderr")
 	topoNum := flag.Int("topology", 1, "topology for fig7/fig9: 1 (Abovenet-like) or 2 (Exodus-like)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: jaal-experiments [-quick] <fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table1|headline|varest|adaptive|adapt|multiwindow|encoding|coverage|sketchcost|batchsize|overload|matchscale|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: jaal-experiments [-quick] <fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table1|headline|varest|adaptive|multiwindow|encoding|coverage|sketchcost|batchsize|overload|matchscale|all>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -130,9 +132,6 @@ func run(name string, sc experiments.Scale, quick bool, top *topology.Topology) 
 		}
 		_, tbl, err := experiments.AdaptiveAttacker(trials)
 		return render(tbl, err)
-	case "adapt":
-		_, tbl, err := experiments.AdaptTrajectory(sc)
-		return render(tbl, err)
 	case "multiwindow":
 		trials := 15
 		if quick {
@@ -172,7 +171,7 @@ func run(name string, sc experiments.Scale, quick bool, top *topology.Topology) 
 		for _, sub := range []string{
 			"fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 			"fig10", "fig11", "table1", "headline", "varest",
-			"adaptive", "adapt", "multiwindow", "encoding",
+			"adaptive", "multiwindow", "encoding",
 			"coverage", "sketchcost", "batchsize",
 		} {
 			if err := run(sub, sc, quick, top); err != nil {

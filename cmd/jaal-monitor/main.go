@@ -6,9 +6,9 @@
 // Usage:
 //
 //	jaal-monitor -listen :7101 -id 0 [-batch 1000] [-rank 12] [-k 200]
-//	             [-trace-seed 1] [-attack distributed_syn_flood] [-pps 5000]
-//	             [-obs :9101] [-epochlog monitor.jsonl] [-trace]
-//	             [-sketch] [-shed-watermark 0]
+//	             [-nmin 600] [-trace-seed 1] [-attack distributed_syn_flood]
+//	             [-pps 5000] [-obs :9101] [-epochlog monitor.jsonl] [-trace]
+//	             [-sketch] [-shed-watermark 0] [-write-timeout 30s]
 //
 // -obs enables metric collection and serves Prometheus-text
 // GET /metrics plus net/http/pprof on the given address (default off).

@@ -9,7 +9,8 @@
 // link type, valid checksums) that tcpdump/Wireshark can open; and
 //
 //	jaal-pcap detect -in trace.pcap [-batch 1000] [-rank 12] [-k 200]
-//	                 [-home 10.0.0.0/8] [-trace] [-trace-out epochs.trace.json]
+//	                 [-home 10.0.0.0/8] [-epoch 4000] [-stats]
+//	                 [-trace] [-trace-out epochs.trace.json]
 //
 // replays a capture through a Jaal monitor+controller pair, printing
 // per-epoch alerts — the closest thing to pointing Jaal at real traffic.

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	jaal-rules [-home 10.0.0.0/8] [-file rules.txt]
+//	jaal-rules [-home 10.0.0.0/8] [-file rules.txt] [-taud 0.05]
 //	jaal-rules gen [-n 10000] [-seed 1] [-base-sid 3000000] [-o rules.txt]
 //
 // Without -file, the built-in attack library is shown. The gen

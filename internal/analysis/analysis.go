@@ -87,7 +87,6 @@ func (p *Pass) Position(pos token.Pos) token.Position { return p.Fset.Position(p
 // observability settings (DESIGN.md "Performance"; PAPER.md §6). The
 // detrand and mapiter analyzers fire only inside these packages.
 var DeterministicPackages = map[string]bool{
-	"adapt":      true,
 	"core":       true,
 	"summary":    true,
 	"linalg":     true,

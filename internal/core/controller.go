@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/adapt"
 	"repro/internal/inference"
 	"repro/internal/packet"
 	"repro/internal/par"
@@ -69,12 +68,9 @@ type Controller struct {
 	// workers bounds the per-question fan-out of ProcessEpoch
 	// (0 = GOMAXPROCS).
 	workers int
-	// adapter, when non-nil, retunes the feedback configs once per
-	// epoch from that epoch's verdicts and deduplicated raw-fetch
-	// bytes. Nil (the default) leaves the configs frozen — the output
-	// is then byte-identical to a build without the adaptive path.
-	adapter *adapt.Controller
 
+	// mu guards the fields below it. Everything above is fixed in
+	// NewController, so the per-question fan-out reads it unlocked.
 	mu      sync.Mutex
 	sources map[int]rawBatcher
 	epoch   uint64
@@ -145,31 +141,27 @@ type ControllerConfig struct {
 	// derives the timestamp from the epoch counter; install a wall
 	// clock only in live (non-reproducible) deployments.
 	Clock inference.Clock
-	// Adapt, when non-nil, enables the adaptive threshold controller:
-	// after each epoch the per-attack feedback configs are nudged
-	// toward Adapt's raw-fetch budget and target uncertain rate from
-	// that epoch's verdicts. Requires UseFeedback and a non-empty
-	// Feedback map. Nil keeps the configs static.
-	Adapt *adapt.Config
 }
 
 // indexTauHeadroom widens the per-question τ bound the index is built
-// with, so the adaptive loop's per-epoch τ_d2 nudges stay inside the
-// indexed bound and feedback-map swaps rarely force a rebuild. A wider
-// bound only costs pruning power, never correctness (the intervals
-// stay a conservative superset).
+// with. The thresholds are fixed for the controller's lifetime, so any
+// factor ≥ 1 is sound; a wider bound only costs pruning power, never
+// correctness (the candidate sets stay a conservative superset).
+// bench/probe.go mirrors this constant so its layer probe builds the
+// same index, and tightening it would change every question's candidacy
+// and with it ruleset10k's candidate share and speed: the two move
+// together.
 const indexTauHeadroom = 1.25
 
 // buildIndex constructs the question index over the controller's fixed
 // evaluation order, bounding each question by the widest threshold it
-// can be evaluated at under the given feedback configs: τ_d2 for
-// feedback questions, the question's own τ_d otherwise, both with
-// headroom for adaptive nudges.
-func (c *Controller) buildIndex(feedback map[rules.AttackID]inference.FeedbackConfig) (*rules.QuestionIndex, error) {
+// is evaluated at: τ_d2 for feedback questions, the question's own τ_d
+// otherwise, both with indexTauHeadroom.
+func (c *Controller) buildIndex() (*rules.QuestionIndex, error) {
 	maxTau := make([]float64, len(c.qs))
 	for i, id := range c.ids {
 		bound := c.qs[i].DistanceThreshold
-		if fb, ok := feedback[id]; c.useFeedback && ok && fb.TauD2 > bound {
+		if fb, ok := c.feedback[id]; c.useFeedback && ok && fb.TauD2 > bound {
 			bound = fb.TauD2
 		}
 		maxTau[i] = bound * indexTauHeadroom
@@ -207,20 +199,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		clock:       clock,
 		sources:     make(map[int]rawBatcher),
 	}
-	if cfg.Adapt != nil {
-		if !cfg.UseFeedback {
-			return nil, fmt.Errorf("core: adaptive thresholds require UseFeedback")
-		}
-		adapter, err := adapt.New(*cfg.Adapt, cfg.Feedback)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		c.adapter = adapter
-		// Start from the adapter's clamped view so the configs the
-		// questions run under and the trajectory the adapter reports
-		// agree from epoch zero.
-		c.feedback = adapter.Configs()
-	}
 	// Fix the evaluation order once: attack IDs sorted ascending. Every
 	// epoch reuses it, and the question index is aligned to it.
 	ids := make([]rules.AttackID, 0, len(c.questions))
@@ -236,7 +214,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		}
 	}
 	var err error
-	if c.index, err = c.buildIndex(c.feedback); err != nil {
+	if c.index, err = c.buildIndex(); err != nil {
 		return nil, fmt.Errorf("core: question index: %w", err)
 	}
 	return c, nil
@@ -265,14 +243,13 @@ type qresult struct {
 
 // uncertain reports whether the question is waiting for raw packets.
 func (r *qresult) uncertain() bool {
-	return r.err == nil && r.fb != nil && r.fb.Verdict == inference.VerdictUncertain
+	return r.fb != nil && r.fb.Verdict == inference.VerdictUncertain
 }
 
 // rawFetch is one centroid's raw packets in a round's raw re-analysis.
 type rawFetch struct {
 	ref inference.CentroidRef
 	hs  []packet.Header
-	err error
 	// paid is set once a question has been charged for the transfer.
 	paid bool
 }
@@ -293,8 +270,10 @@ type monitorPulls struct {
 // asked once, for all of its centroids in order of first use, in one
 // exchange, and the monitors are asked side by side, so the time a round
 // spends here is its slowest monitor's one round trip. A failed exchange
-// reads as no packets for each of its centroids. A shared centroid's
-// transfer is charged to the first question that wants it, in
+// reads as no packets for each of its centroids, and so does a monitor
+// with no registered source, whose refs are counted in
+// jaal_feedback_fetch_failures_total as a failed exchange's are. A shared
+// centroid's transfer is charged to the first question that wants it, in
 // evaluation order. It returns the number of headers transferred.
 func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, results []qresult, matcher inference.RawMatcher) int {
 	var (
@@ -339,10 +318,7 @@ func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, res
 	par.For(len(pulls), c.workers, func(m int) {
 		p := &pulls[m]
 		if p.src == nil {
-			err := fmt.Errorf("core: no raw source for monitor %d", p.id)
-			for _, j := range p.want {
-				fetches[j].err = err
-			}
+			cFetchFailures.Add(int64(len(p.want)))
 			return
 		}
 		refs := make([]wire.RawRef, len(p.want))
@@ -373,18 +349,11 @@ func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, res
 		charged := 0
 		for _, row := range rows {
 			f := &fetches[index[agg.Refs[row]]]
-			if f.err != nil {
-				r.err = fmt.Errorf("core: feedback fetch: %w", f.err)
-				break
-			}
 			if !f.paid {
 				f.paid = true
 				charged += len(f.hs)
 			}
 			raw = append(raw, f.hs...) //jaalvet:ignore hotalloc — uncertain-verdict path only, a handful of questions per epoch; row count is data-dependent
-		}
-		if r.err != nil {
-			continue
 		}
 		r.fb.Settle(matcher, raw, len(rows), charged)
 		transferred += charged
@@ -407,13 +376,6 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	c.stats.Epochs++
 	c.stats.SummaryElements += agg.Elements
 	c.stats.PacketsSummarized += agg.TotalPackets
-	// Snapshot the feedback configs and the index for this round: the
-	// adapter may swap both at epoch end while nothing else mutates
-	// them, so the workers can read the snapshots without locking.
-	// Reading them under one lock keeps them consistent — the index's
-	// τ bounds always cover the snapshot's τ_d2 values.
-	feedback := c.feedback
-	index := c.index
 	c.mu.Unlock()
 	cEpochs.Inc()
 	cSummaryElements.Add(int64(agg.Elements))
@@ -425,8 +387,8 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 
 	// One candidate-set computation covers every question this epoch (a
 	// nil index yields a nil set whose Contains is always true).
-	cs := inference.Candidates(agg, index)
-	if index != nil {
+	cs := inference.Candidates(agg, c.index)
+	if c.index != nil {
 		cands := cs.Count()
 		cIndexCandidates.Add(int64(cands))
 		cIndexPruned.Add(int64(len(c.qs) - cands))
@@ -442,19 +404,20 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	par.For(len(ids), c.workers, func(i int) {
 		id := ids[i]
 		q := c.qs[i]
-		fb, hasFB := feedback[id]
-		if c.useFeedback && hasFB {
-			// Pruning a feedback question is sound only while the index
-			// bound covers τ_d2, the widest threshold its stages use.
-			// The rebuild-on-swap policy maintains that invariant; if it
-			// is ever violated the question just runs unpruned.
-			candidate := cs.Contains(i) || (index != nil && !index.Covers(i, fb.TauD2))
-			res, err := inference.StageFeedbackIndexed(agg, q, fb, candidate)
+		if fb, ok := c.feedback[id]; c.useFeedback && ok {
+			// The index bounds a feedback question by τ_d2, the widest
+			// threshold its stages use, so pruning it is sound.
+			res, err := inference.StageFeedbackIndexed(agg, q, fb, cs.Contains(i))
 			results[i] = qresult{fb: res, err: err}
 			return
 		}
 		results[i] = qresult{match: inference.EstimateSimilarityIndexed(agg, q, cs.Contains(i))}
 	})
+	for i := range results {
+		if results[i].err != nil {
+			return nil, results[i].err
+		}
+	}
 
 	// The questions left uncertain are settled against raw packets once
 	// all of them are known, so that each centroid is pulled once and
@@ -465,9 +428,6 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	var alerts []*inference.Alert
 	for i, id := range ids {
 		r := results[i]
-		if r.err != nil {
-			return nil, r.err
-		}
 		if r.fb != nil {
 			countVerdict(r.fb.Verdict)
 			if r.fb.Alerted {
@@ -481,47 +441,6 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 		}
 	}
 	asp.End()
-
-	if c.adapter != nil {
-		// Feed the adapter the same per-epoch quantities the obs
-		// counters get — never the counters themselves (metrics stay a
-		// write-only side channel) and never per-question transfer
-		// attribution (scheduling-dependent); only the deterministic
-		// verdicts and the deduplicated byte total.
-		sample := adapt.EpochSample{
-			Epoch:    epoch,
-			RawBytes: rawFetched * wireSizeBytes,
-			Attacks:  make(map[rules.AttackID]adapt.AttackSample, len(ids)),
-		}
-		for i, id := range ids {
-			if fb := results[i].fb; fb != nil {
-				sample.Attacks[id] = adapt.AttackSample{Verdict: fb.Verdict, Alerted: fb.Alerted}
-			}
-		}
-		next := c.adapter.Observe(sample)
-		// Rebuild the index when a nudged τ_d2 outgrew the bound it was
-		// indexed under (the headroom makes this rare). The new index
-		// and the new configs are swapped in under one lock so the next
-		// epoch's snapshot is consistent.
-		newIndex := index
-		if index != nil {
-			for i, id := range ids {
-				if fb, ok := next[id]; ok && !index.Covers(i, fb.TauD2) {
-					rebuilt, err := c.buildIndex(next)
-					if err != nil {
-						return nil, fmt.Errorf("core: question index rebuild: %w", err)
-					}
-					newIndex = rebuilt
-					cIndexRebuilds.Inc()
-					break
-				}
-			}
-		}
-		c.mu.Lock()
-		c.feedback = next
-		c.index = newIndex
-		c.mu.Unlock()
-	}
 
 	c.mu.Lock()
 	c.stats.AlertsRaised += len(alerts)
@@ -540,20 +459,6 @@ func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// FeedbackConfigs returns a copy of the per-attack feedback configs the
-// next epoch will run under. With adaptive thresholds enabled these
-// move over time; otherwise they are the configs passed at construction.
-func (c *Controller) FeedbackConfigs() map[rules.AttackID]inference.FeedbackConfig {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[rules.AttackID]inference.FeedbackConfig, len(c.feedback))
-	//jaalvet:ignore mapiter — map→map copy; iteration order cannot reach any output
-	for id, fb := range c.feedback {
-		out[id] = fb
-	}
-	return out
 }
 
 // Epoch returns the next epoch number to be processed.

@@ -168,7 +168,7 @@ func TestEngineInProcessWireParity(t *testing.T) {
 	build := func(wire bool) deployment {
 		qs := testQuestions(t, perEpoch)
 		ctrl, err := NewController(ControllerConfig{
-			Env: testEnv(), Questions: qs, Feedback: adaptFeedbackConfigs(qs), UseFeedback: true,
+			Env: testEnv(), Questions: qs, Feedback: uniformFeedbackConfigs(qs), UseFeedback: true,
 		})
 		if err != nil {
 			t.Fatal(err)

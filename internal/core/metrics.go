@@ -55,8 +55,6 @@ var (
 		"question evaluations that passed the candidate index and ran the exact estimator")
 	cIndexPruned = obs.NewCounter("jaal_controller_index_pruned_total",
 		"question evaluations skipped because the index proved the match set empty")
-	cIndexRebuilds = obs.NewCounter("jaal_controller_index_rebuilds_total",
-		"question-index rebuilds forced by adaptive τ_d2 outgrowing the indexed bound")
 	cVerdictAlert = obs.NewCounter("jaal_controller_feedback_verdicts_total{verdict=\"alert\"}",
 		"feedback-loop verdicts by case (§5.3)")
 	cVerdictClear = obs.NewCounter("jaal_controller_feedback_verdicts_total{verdict=\"clear\"}",
@@ -93,7 +91,7 @@ var (
 	cDeadlineMisses = obs.NewCounter("jaal_transport_deadline_misses_total",
 		"wire client attempts (handshake or exchange) aborted by an I/O deadline")
 	cDecodeRejects = obs.NewCounter("jaal_transport_decode_rejects_total",
-		"summary frames refused at decode: a summary, sketch digest or trace trailer that broke its codec's invariants")
+		"summary frames refused at decode: a summary, sketch digest or trace trailer that broke its codec's invariants, or a summary naming another monitor")
 	cServeErrors = obs.NewCounter("jaal_transport_serve_errors_total",
 		"monitor-side serve sessions ended by a non-EOF error")
 	cEpochDegraded = obs.NewCounter("jaal_epoch_degraded_total",

@@ -62,7 +62,8 @@ func serveLoopback(t *testing.T, m *Monitor, rawRequests *atomic.Int32) *RemoteM
 }
 
 // runRound runs one inference round over ss with the given raw sources
-// registered for monitors 1 and 2, and returns its alerts and stats.
+// registered for monitors 1 and 2 (a nil source stays unregistered), and
+// returns its alerts and stats.
 func runRound(t *testing.T, ss []*summary.Summary, qs map[rules.AttackID]*rules.Question,
 	fb map[rules.AttackID]inference.FeedbackConfig, src1, src2 RawSource) (string, Stats) {
 	t.Helper()
@@ -70,8 +71,11 @@ func runRound(t *testing.T, ss []*summary.Summary, qs map[rules.AttackID]*rules.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.RegisterSource(1, src1)
-	ctrl.RegisterSource(2, src2)
+	for i, src := range []RawSource{src1, src2} {
+		if src != nil {
+			ctrl.RegisterSource(i+1, src)
+		}
+	}
 	alerts, err := ctrl.ProcessEpoch(ss)
 	if err != nil {
 		t.Fatal(err)

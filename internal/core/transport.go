@@ -449,6 +449,9 @@ func (r *RemoteMonitor) QueryLoad() (float64, error) {
 }
 
 // Poll asks the monitor for its queued summaries for the given epoch.
+// A summary frame that fails to decode, or whose summary names another
+// monitor than the handle's, is refused: it is counted in
+// jaal_transport_decode_rejects_total and fails the poll.
 // A declining monitor yields an empty slice; pending is the monitor's
 // reported count of buffered-but-unsummarized packets, from the
 // decline frame that terminates every poll. digest is the monitor's
@@ -479,6 +482,11 @@ func (r *RemoteMonitor) Poll(epoch uint64) (ss []*summary.Summary, pending int, 
 				dsp := trace.StartSpan(nil, trace.StageDecode, r.ID(), epoch)
 				s, dg, ctx, err := decodeSummaryPayload(msg.Payload)
 				dsp.End()
+				if err == nil && s.MonitorID != r.ID() {
+					// The feedback loop fetches raw packets from the
+					// monitor a summary names, so it must name its sender.
+					err = fmt.Errorf("core: monitor %d sent a summary naming monitor %d", r.ID(), s.MonitorID)
+				}
 				if err != nil {
 					cDecodeRejects.Inc()
 					return err

@@ -247,3 +247,71 @@ func TestServerRefusesOversizedRawBatch(t *testing.T) {
 		t.Fatalf("jaal_transport_serve_errors_total moved by %d, want 1", d)
 	}
 }
+
+// pollHandRolled polls a hand-rolled monitor that says hello as helloID
+// and answers the summary request with payload as its one summary frame.
+// It returns the poll's outcome and how far
+// jaal_transport_decode_rejects_total moved.
+func pollHandRolled(t *testing.T, helloID int, payload []byte) (PollResult, int64) {
+	t.Helper()
+	obs.SetEnabled(true)
+	defer func() { obs.SetEnabled(false); obs.ResetAll() }()
+	client, server := net.Pipe()
+	defer server.Close()
+	go func() {
+		wire.WriteFrame(server, wire.MsgHello, wire.EncodeHello(helloID))
+		wire.ReadFrame(server) // the summary request
+		wire.WriteFrame(server, wire.MsgSummary, payload)
+		wire.WriteFrame(server, wire.MsgSummaryDecline, wire.EncodeSummaryDecline(helloID, 0, 0))
+	}()
+	rm, err := DialMonitorRetry(oneShot(client), RetryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rm.Close()
+	before := cDecodeRejects.Value()
+	res := (&Poller{Remotes: []*RemoteMonitor{rm}}).Poll(0)
+	return res, cDecodeRejects.Value() - before
+}
+
+// TestRemotePollRejectsSummaryNamingAnotherMonitor ships a well-formed
+// summary whose MonitorID is not the sender's hello ID. The feedback
+// loop would fetch raw packets by that ID, so the frame is refused like
+// any other rejected frame: counted as a decode reject, the poll fails
+// and the epoch is degraded. The same frame from the monitor it names
+// is accepted.
+func TestRemotePollRejectsSummaryNamingAnotherMonitor(t *testing.T) {
+	m, err := NewMonitorSketch(4, smallSummaryConfig(), sketch.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(5))
+	for i := 0; i < smallSummaryConfig().BatchSize; i++ {
+		if err := m.Ingest(bg.Next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss, _, err := m.CollectSummaries()
+	if err != nil || len(ss) == 0 {
+		t.Fatalf("monitor 4 produced %d summaries: %v", len(ss), err)
+	}
+	payload, err := ss[0].Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, rejects := pollHandRolled(t, 4, payload)
+	if res.Degraded || len(res.Summaries) != 1 || rejects != 0 {
+		t.Fatalf("monitor 4 shipping its own summary: degraded %v, %d summaries, %d rejects; want accepted",
+			res.Degraded, len(res.Summaries), rejects)
+	}
+
+	res, rejects = pollHandRolled(t, 3, payload)
+	if !res.Degraded || len(res.Summaries) != 0 || len(res.Declines) != 1 || !res.Declines[0].Unreachable() {
+		t.Fatalf("monitor 3 shipping monitor 4's summary: degraded %v, %d summaries, declines %+v; want a failed poll",
+			res.Degraded, len(res.Summaries), res.Declines)
+	}
+	if rejects != 1 {
+		t.Fatalf("jaal_transport_decode_rejects_total moved by %d, want 1", rejects)
+	}
+}

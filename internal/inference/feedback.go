@@ -63,8 +63,9 @@ func classifyVerdict(t1, t2 bool) Verdict {
 // of one monitor's summary for RunFeedbackIndexed, which settles one question at
 // a time: the experiments and tests implement it in memory. (The
 // controller settles a whole round at once instead — StageFeedbackIndexed,
-// one pull per centroid, FeedbackResult.Settle — and reaches its monitors
-// through core.RawSource.)
+// one exchange per monitor for all of the round's centroids on it,
+// FeedbackResult.Settle — and reaches its monitors through
+// core.RawSource.)
 type RawPacketFetcher interface {
 	// FetchRaw returns the headers behind ref plus the number of
 	// headers actually transferred over the wire for this call.

@@ -27,7 +27,7 @@ func Candidates(agg *Aggregate, ix *rules.QuestionIndex) *rules.CandidateSet {
 // EstimateSimilarityIndexed is EstimateSimilarity with a candidacy
 // verdict from the question index: candidate == false takes the pruned
 // fast path. Callers must only pass false when the index was built
-// with a τ bound covering q's evaluation threshold (QuestionIndex.Covers).
+// with a τ bound at or above q's evaluation threshold.
 func EstimateSimilarityIndexed(agg *Aggregate, q *rules.Question, candidate bool) *MatchResult {
 	if !candidate {
 		return estimatePruned(agg, q)

@@ -125,11 +125,6 @@ func TestRunFeedbackIndexedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range qs {
-		if !ix.Covers(i, cfgs[i].TauD2) {
-			t.Fatalf("question %d: index bound does not cover τ_d2", i)
-		}
-	}
 	cs := Candidates(agg, ix)
 	if cs.Count() >= len(qs) {
 		t.Fatalf("index pruned nothing (%d/%d candidates)", cs.Count(), len(qs))
@@ -245,8 +240,8 @@ func BenchmarkEvaluateAllIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkQuestionIndexBuild measures the per-library rebuild cost the
-// controller pays when the adaptive loop outgrows the indexed bound.
+// BenchmarkQuestionIndexBuild measures the per-library build cost
+// NewController pays once.
 func BenchmarkQuestionIndexBuild(b *testing.B) {
 	for _, n := range benchSizes {
 		qs := scaleQuestions(b, n, 5)

@@ -83,9 +83,9 @@ func register(m Metric) {
 
 // ensure returns the metric registered under name, creating it with mk
 // (under the registry lock) when absent. It is the get-or-create used
-// by dynamically named series — e.g. per-attack adaptive-threshold
-// gauges — where the set of names is only known at run time and the
-// same series may be claimed by several component instances.
+// by dynamically named series — e.g. the jaal_build_info gauge, whose
+// labels are only known at run time — where the same series may be
+// claimed more than once.
 func ensure(name string, mk func() Metric) Metric {
 	def.mu.Lock()
 	defer def.mu.Unlock()

@@ -41,16 +41,12 @@ func (b bitset) count() int {
 }
 
 // QuestionIndex answers "which questions could possibly match this
-// epoch's centroids". Build it once per question library (and rebuild
-// when a question's evaluation threshold outgrows the bound it was built
-// with); query it once per epoch.
+// epoch's centroids". Build it once per question library, at the widest
+// threshold each question is evaluated at; query it once per epoch.
 type QuestionIndex struct {
 	n int
 	// used has bit f set when some question constrains field f.
 	used uint32
-	// tau[i] is the threshold bound question i was indexed under; a
-	// caller evaluating at a larger τ must rebuild (Covers).
-	tau []float64
 	// pad[i] is question i's total-deviation budget: the Eq. 5 mean
 	// bound τ·n plus a float safety margin (MatchBudget).
 	pad []float64
@@ -78,7 +74,6 @@ func NewQuestionIndex(qs []*Question, maxTau []float64) (*QuestionIndex, error) 
 	}
 	ix := &QuestionIndex{
 		n:     len(qs),
-		tau:   make([]float64, len(qs)),
 		pad:   make([]float64, len(qs)),
 		start: make([]int, len(qs)+1),
 	}
@@ -90,7 +85,6 @@ func NewQuestionIndex(qs []*Question, maxTau []float64) (*QuestionIndex, error) 
 		if maxTau != nil && maxTau[i] > 0 {
 			tau = maxTau[i]
 		}
-		ix.tau[i] = tau
 		for f, v := range q.Vector {
 			if v != Irrelevant {
 				ix.pins = append(ix.pins, pin{field: packet.FieldIndex(f), v: v})
@@ -105,14 +99,6 @@ func NewQuestionIndex(qs []*Question, maxTau []float64) (*QuestionIndex, error) 
 
 // Len returns the number of questions the index was built over.
 func (ix *QuestionIndex) Len() int { return ix.n }
-
-// Covers reports whether question i's indexed budget is wide enough to
-// evaluate it at τ. Evaluating above the built bound voids the pruning
-// guarantee; callers must rebuild first (the controller does this when
-// the adaptive loop widens a τ_d2 past the bound).
-func (ix *QuestionIndex) Covers(i int, tau float64) bool {
-	return i >= 0 && i < len(ix.tau) && tau <= ix.tau[i]
-}
 
 // CandidateSet is one epoch's answer: the questions whose match set may
 // be non-empty against that epoch's centroids.

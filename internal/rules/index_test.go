@@ -248,23 +248,6 @@ func TestQuestionIndexNeverMisses(t *testing.T) {
 	}
 }
 
-func TestQuestionIndexCovers(t *testing.T) {
-	qs := []*Question{qVec(0.01, map[packet.FieldIndex]float64{packet.FieldDstPort: 0.2})}
-	ix, err := NewQuestionIndex(qs, []float64{0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ix.Covers(0, 0.015) {
-		t.Fatal("Covers(0, 0.015) = false, want true (built at 0.02)")
-	}
-	if ix.Covers(0, 0.03) {
-		t.Fatal("Covers(0, 0.03) = true, want false")
-	}
-	if ix.Covers(-1, 0) || ix.Covers(1, 0) {
-		t.Fatal("out-of-range Covers must be false")
-	}
-}
-
 func TestQuestionIndexNilCandidateSet(t *testing.T) {
 	var cs *CandidateSet
 	if !cs.Contains(0) || !cs.Contains(12345) {

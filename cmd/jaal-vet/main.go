@@ -25,28 +25,20 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/detrand"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/lockcopy"
 	"repro/internal/analysis/mapiter"
-	"repro/internal/analysis/obshot"
 	"repro/internal/analysis/spanend"
 	"repro/internal/analysis/unusedhelper"
-	"repro/internal/analysis/wireerr"
 )
 
 // all registers every analyzer, in the order findings are attributed.
 var all = []*analysis.Analyzer{
-	atomicmix.Analyzer,
 	detrand.Analyzer,
 	hotalloc.Analyzer,
-	lockcopy.Analyzer,
 	mapiter.Analyzer,
-	obshot.Analyzer,
 	spanend.Analyzer,
 	unusedhelper.Analyzer,
-	wireerr.Analyzer,
 }
 
 func main() {

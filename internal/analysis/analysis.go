@@ -2,14 +2,14 @@
 // reimplementation of the core golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Diagnostic) plus a package loader and a suppression
 // convention, used by the jaal-vet multichecker (cmd/jaal-vet) to enforce
-// the repo's determinism, observability hot-path and concurrency
+// the repo's determinism, hot-path allocation, span and dead-code
 // invariants mechanically.
 //
 // The runtime determinism tests (TestPipelineParallelDeterminism,
 // TestPipelineObsDeterminism) only catch violations that happen to fire
 // during a test run; the analyzers here reject whole bug classes at
 // review time instead. Each analyzer lives in its own subpackage
-// (detrand, mapiter, obshot, atomicmix, lockcopy, wireerr) with
+// (detrand, mapiter, hotalloc, spanend, unusedhelper) with
 // analysistest fixtures under testdata/src.
 //
 // The API mirrors x/tools so the analyzers port verbatim if the real

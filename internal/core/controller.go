@@ -431,13 +431,13 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 		if r.fb != nil {
 			countVerdict(r.fb.Verdict)
 			if r.fb.Alerted {
-				alerts = append(alerts, inference.NewAlertFromFeedback(id, epoch, r.fb, c.clock)) //jaalvet:ignore hotalloc — alerts are rare; most epochs raise none
+				alerts = append(alerts, inference.NewAlertFromFeedback(id, epoch, r.fb, c.clock)) //jaalvet:ignore hotalloc — each alert already allocates its *Alert; growth adds O(log alerts) more
 			}
 			continue
 		}
 		if r.match.Alerted() {
 			cSimMatches.Inc()
-			alerts = append(alerts, inference.NewAlertFromMatch(id, epoch, r.match, c.clock)) //jaalvet:ignore hotalloc — alerts are rare; most epochs raise none
+			alerts = append(alerts, inference.NewAlertFromMatch(id, epoch, r.match, c.clock)) //jaalvet:ignore hotalloc — each alert already allocates its *Alert; growth adds O(log alerts) more
 		}
 	}
 	asp.End()

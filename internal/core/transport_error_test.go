@@ -249,10 +249,10 @@ func TestServerRefusesOversizedRawBatch(t *testing.T) {
 }
 
 // pollHandRolled polls a hand-rolled monitor that says hello as helloID
-// and answers the summary request with payload as its one summary frame.
-// It returns the poll's outcome and how far
+// and answers the summary request with one frame of type ty carrying
+// payload, then a decline. It returns the poll's outcome and how far
 // jaal_transport_decode_rejects_total moved.
-func pollHandRolled(t *testing.T, helloID int, payload []byte) (PollResult, int64) {
+func pollHandRolled(t *testing.T, helloID int, ty wire.MsgType, payload []byte) (PollResult, int64) {
 	t.Helper()
 	obs.SetEnabled(true)
 	defer func() { obs.SetEnabled(false); obs.ResetAll() }()
@@ -261,7 +261,7 @@ func pollHandRolled(t *testing.T, helloID int, payload []byte) (PollResult, int6
 	go func() {
 		wire.WriteFrame(server, wire.MsgHello, wire.EncodeHello(helloID))
 		wire.ReadFrame(server) // the summary request
-		wire.WriteFrame(server, wire.MsgSummary, payload)
+		wire.WriteFrame(server, ty, payload)
 		wire.WriteFrame(server, wire.MsgSummaryDecline, wire.EncodeSummaryDecline(helloID, 0, 0))
 	}()
 	rm, err := DialMonitorRetry(oneShot(client), RetryConfig{})
@@ -300,18 +300,30 @@ func TestRemotePollRejectsSummaryNamingAnotherMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, rejects := pollHandRolled(t, 4, payload)
+	res, rejects := pollHandRolled(t, 4, wire.MsgSummary, payload)
 	if res.Degraded || len(res.Summaries) != 1 || rejects != 0 {
 		t.Fatalf("monitor 4 shipping its own summary: degraded %v, %d summaries, %d rejects; want accepted",
 			res.Degraded, len(res.Summaries), rejects)
 	}
 
-	res, rejects = pollHandRolled(t, 3, payload)
+	res, rejects = pollHandRolled(t, 3, wire.MsgSummary, payload)
 	if !res.Degraded || len(res.Summaries) != 0 || len(res.Declines) != 1 || !res.Declines[0].Unreachable() {
 		t.Fatalf("monitor 3 shipping monitor 4's summary: degraded %v, %d summaries, declines %+v; want a failed poll",
 			res.Degraded, len(res.Summaries), res.Declines)
 	}
 	if rejects != 1 {
 		t.Fatalf("jaal_transport_decode_rejects_total moved by %d, want 1", rejects)
+	}
+}
+
+// TestRemotePollRejectsUnexpectedFrame answers the summary request with
+// an alert frame before the decline. A poll that skipped the frame would
+// succeed on the decline; it must fail instead, so the epoch is degraded
+// and the monitor counts as unreachable.
+func TestRemotePollRejectsUnexpectedFrame(t *testing.T) {
+	res, _ := pollHandRolled(t, 5, wire.MsgAlert, nil)
+	if !res.Degraded || len(res.Summaries) != 0 || len(res.Declines) != 1 || !res.Declines[0].Unreachable() {
+		t.Fatalf("alert frame in a summary reply: degraded %v, %d summaries, declines %+v; want a failed poll",
+			res.Degraded, len(res.Summaries), res.Declines)
 	}
 }

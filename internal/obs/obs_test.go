@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -120,6 +122,51 @@ func TestHandlerServesMetrics(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "test_counter_total 9") {
 		t.Fatalf("metrics body missing counter:\n%s", rec.Body.String())
+	}
+}
+
+// TestMetricsConcurrentReadWrite writes every metric kind from four
+// goroutines while the test goroutine renders the registry every way an
+// operator reads it. It holds the invariant that every metric field is a
+// typed atomic that nothing copies: a plain read beside an atomic write,
+// or a copy of Histogram.counts, is a data race. It bites only under
+// -race, which scripts/check.sh and CI use; plain go test passes either
+// way.
+func TestMetricsConcurrentReadWrite(t *testing.T) {
+	resetOn(t)
+	const writers, n = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				tCounter.Inc()
+				tInt.Add(1)
+				tGauge.Set(float64(i))
+				tHist.Observe(float64(i%20) / 2)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		WritePrometheus(io.Discard)
+		WriteTable(io.Discard)
+		CounterValues()
+		tHist.Quantile(0.99)
+		tHist.Mean()
+	}
+	if got := tCounter.Value(); got != writers*n {
+		t.Fatalf("counter = %d after %d concurrent increments", got, writers*n)
+	}
+	if got := tHist.Count(); got != writers*n {
+		t.Fatalf("histogram count = %d after %d concurrent observations", got, writers*n)
 	}
 }
 

@@ -42,14 +42,14 @@ fi
 echo "non-test Go lines: $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
 
 # Project-specific invariants: determinism (no wall clock / global RNG /
-# unsorted map walks in reproducible packages), obs disabled-path
-# allocation freedom, atomic-access and lock-copy discipline, wire
-# decode robustness, every span ended, no dead helpers, and hot-path
-# allocations (hotalloc). Codec symmetry and locks held across blocking
-# operations are held by tests instead (the decode→encode fuzzers and
-# TestChaosRawFetchStallCompletes). Any finding fails the build;
+# unsorted map walks in reproducible packages), every span ended, no
+# dead helpers, and hot-path allocations (hotalloc). Codec symmetry,
+# fail-closed decoding, locks held across blocking operations and metric
+# atomics are held by tests instead (the decode→encode fuzzers, the wire
+# unit tests, TestChaosRawFetchStallCompletes and
+# TestMetricsConcurrentReadWrite below). Any finding fails the build;
 # reviewed exceptions carry a //jaalvet:ignore <analyzer> — <reason>
-# comment, the one syntax for all nine analyzers. Stale suppressions
+# comment, the one syntax for all five analyzers. Stale suppressions
 # print as warnings.
 # -summary prints per-analyzer finding/suppression counts so a PR diff
 # of this output shows where new exceptions crept in. See DESIGN.md
@@ -69,6 +69,10 @@ go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|T
 # The estimator's row windows against a sweep over every row, and the
 # aggregate's sorted columns first used from many goroutines at once.
 go test -race -run 'TestEstimateWindowEqualsSweep|TestSortedColumnBuiltOnce' ./internal/inference/
+# Every metric field is a typed atomic that no reader copies: metrics
+# written from four goroutines while the registry is rendered. This test
+# is what holds that invariant, and it needs -race to see a violation.
+go test -race -run 'TestMetricsConcurrentReadWrite' ./internal/obs/
 
 # Detection accuracy gate: the scoreboard report must be byte-identical
 # across worker counts, and the quick-profile scores must stay within

@@ -81,6 +81,9 @@ func main() {
 		traceSlow   = flag.Duration("trace-slow", 0, "pin epochs slower than this as exemplars (0 = default 250ms, negative = off)")
 	)
 	flag.Parse()
+	if *epoch <= 0 {
+		log.Fatalf("jaal-controller: -epoch must be positive, got %v", *epoch)
+	}
 
 	retry := core.RetryConfig{
 		Timeout:     *timeout,

@@ -71,7 +71,7 @@ func main() {
 
 	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(2))
 	attack, err := trafficgen.NewAttack(rules.AttackDistributedSYNFlood,
-		trafficgen.AttackConfig{Seed: 2, Victim: 0x0A00002A, Sources: 200})
+		trafficgen.AttackConfig{Seed: 2, Victim: 0x0A00002A})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,10 +3,9 @@
 // packages whose outputs must be byte-identical across same-seed runs
 // (analysis.DeterministicPackages).
 //
-// Randomness must flow from an injected, seeded *rand.Rand (the
-// netsim Config.Rand / summary Config.Seed pattern); time must derive
-// from epoch counters or an injected clock (inference.Clock). The
-// analyzer flags:
+// Randomness must flow from a seeded *rand.Rand (the netsim and
+// summary Config.Seed pattern); time must derive from epoch counters or
+// an injected clock (inference.Clock). The analyzer flags:
 //
 //   - calls to math/rand package-level functions that read the global
 //     source (Intn, Float64, Perm, Shuffle, …) — constructors like

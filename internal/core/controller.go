@@ -62,9 +62,6 @@ type Controller struct {
 	// useFeedback enables the two-stage path for attacks with a
 	// feedback config.
 	useFeedback bool
-	// clock stamps alerts; epoch-derived by default so same-seed runs
-	// emit byte-identical alert streams.
-	clock inference.Clock
 	// workers bounds the per-question fan-out of ProcessEpoch
 	// (0 = GOMAXPROCS).
 	workers int
@@ -137,10 +134,6 @@ type ControllerConfig struct {
 	// sweep. Results merge in sorted attack-ID order, so alerts are
 	// identical for every worker count.
 	Workers int
-	// Clock stamps alerts. Nil selects inference.DefaultClock, which
-	// derives the timestamp from the epoch counter; install a wall
-	// clock only in live (non-reproducible) deployments.
-	Clock inference.Clock
 }
 
 // indexTauHeadroom widens the per-question τ bound the index is built
@@ -186,17 +179,12 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 			return nil, fmt.Errorf("core: feedback config for %s: %w", id, err)
 		}
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = inference.DefaultClock
-	}
 	c := &Controller{
 		env:         cfg.Env,
 		questions:   cfg.Questions,
 		feedback:    cfg.Feedback,
 		useFeedback: cfg.UseFeedback,
 		workers:     cfg.Workers,
-		clock:       clock,
 		sources:     make(map[int]rawBatcher),
 	}
 	// Fix the evaluation order once: attack IDs sorted ascending. Every
@@ -431,13 +419,13 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 		if r.fb != nil {
 			countVerdict(r.fb.Verdict)
 			if r.fb.Alerted {
-				alerts = append(alerts, inference.NewAlertFromFeedback(id, epoch, r.fb, c.clock)) //jaalvet:ignore hotalloc — each alert already allocates its *Alert; growth adds O(log alerts) more
+				alerts = append(alerts, inference.NewAlertFromFeedback(id, epoch, r.fb, inference.DefaultClock)) //jaalvet:ignore hotalloc — each alert already allocates its *Alert; growth adds O(log alerts) more
 			}
 			continue
 		}
 		if r.match.Alerted() {
 			cSimMatches.Inc()
-			alerts = append(alerts, inference.NewAlertFromMatch(id, epoch, r.match, c.clock)) //jaalvet:ignore hotalloc — each alert already allocates its *Alert; growth adds O(log alerts) more
+			alerts = append(alerts, inference.NewAlertFromMatch(id, epoch, r.match, inference.DefaultClock)) //jaalvet:ignore hotalloc — each alert already allocates its *Alert; growth adds O(log alerts) more
 		}
 	}
 	asp.End()

@@ -42,10 +42,6 @@ type PipelineConfig struct {
 	Sketch sketch.Config
 	// Controller configures the inference engine.
 	Controller ControllerConfig
-	// Groups optionally pre-defines flow groups. When nil, a single
-	// group containing every monitor is used (all flows can be seen by
-	// any monitor), which suits single-site experiments.
-	Groups *flowassign.GroupTable
 	// Workers is Engine.Workers: how many monitors RunEpoch polls
 	// concurrently.
 	Workers int
@@ -85,27 +81,17 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		ctrl.RegisterSource(i, m)
 		allIDs = append(allIDs, flowassign.MonitorID(i))
 	}
-	groups := cfg.Groups
-	if groups == nil {
-		groups = flowassign.NewGroupTable()
-		if err := groups.Define("all", allIDs); err != nil {
-			return nil, err
-		}
+	groups := flowassign.NewGroupTable()
+	if err := groups.Define(allGroup, allIDs); err != nil {
+		return nil, err
 	}
 	p.Assigner = flowassign.NewAssigner(flowassign.NewGreedy(), groups)
 	return p, nil
 }
 
-// groupOf maps a packet to its flow group. The default single-group
-// deployment uses "all"; topology-driven deployments override by
-// pre-defining groups keyed on prefix pairs.
-func (p *Pipeline) groupOf(h *packet.Header) flowassign.GroupKey {
-	if _, ok := p.Assigner.Table.MonitorGroup("all"); ok {
-		return "all"
-	}
-	g := h.PrefixGroup()
-	return flowassign.GroupKey(fmt.Sprintf("%d>%d", g.SrcPrefix, g.DstPrefix)) //jaalvet:ignore hotalloc — runs once per new flow, not per packet; the flow table memoizes the assignment
-}
+// allGroup is the pipeline's one flow group: every monitor can see
+// every flow, which suits the single-site deployment it models.
+const allGroup flowassign.GroupKey = "all"
 
 // Ingest routes one packet to its flow's monitor, assigning new flows
 // greedily (§6).
@@ -113,7 +99,7 @@ func (p *Pipeline) Ingest(h packet.Header) error {
 	key := h.Flow()
 	idx, ok := p.flowToMonitor[key]
 	if !ok {
-		mid, err := p.Assigner.Assign(flowassign.FlowID(key.FastHash()), p.groupOf(&h), 1)
+		mid, err := p.Assigner.Assign(flowassign.FlowID(key.FastHash()), allGroup, 1)
 		if err != nil {
 			return err
 		}

@@ -115,8 +115,8 @@ func verdictsFor(dim string, merged map[uint32]uint64, offered uint64, shareGate
 			out = append(out, VolumetricVerdict{Dimension: dim, Addr: addr, Packets: pkts, Share: share})
 		}
 	}
-	// Insertion sort: the list is ≤ TopK×monitors entries and staying
-	// off sort.Slice avoids boxing the slice per epoch.
+	// Insertion sort: the list is ≤ top-K length × monitors entries and
+	// staying off sort.Slice avoids boxing the slice per epoch.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {
 			a, b := out[j-1], out[j]

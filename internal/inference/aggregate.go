@@ -112,9 +112,6 @@ type Aggregator struct {
 	elems  int
 }
 
-// NewAggregator returns an empty Aggregator.
-func NewAggregator() *Aggregator { return &Aggregator{} }
-
 // Add appends one monitor summary. Split summaries are reconstructed
 // into full-width representatives (§5.1) in place in the slab.
 func (g *Aggregator) Add(s *summary.Summary) error {

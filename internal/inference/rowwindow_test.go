@@ -233,7 +233,7 @@ func TestAggregateSlabBitIdentical(t *testing.T) {
 	miscounted.Counts = miscounted.Counts[1:]
 	unknown := *ss[0]
 	unknown.Kind = summary.Kind(99)
-	g := NewAggregator()
+	g := &Aggregator{}
 	if err := g.Add(ss[1]); err != nil {
 		t.Fatal(err)
 	}

@@ -139,30 +139,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// Mul returns the matrix product a·b.
-// It returns an error when the inner dimensions disagree.
-func Mul(a, b *Matrix) (*Matrix, error) {
-	if a.cols != b.rows {
-		return nil, fmt.Errorf("linalg: dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols)
-	}
-	out := NewMatrix(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		ai := a.Row(i)
-		oi := out.Row(i)
-		for kk := 0; kk < a.cols; kk++ {
-			v := ai[kk]
-			if v == 0 {
-				continue
-			}
-			bk := b.Row(kk)
-			for j := 0; j < b.cols; j++ {
-				oi[j] += v * bk[j]
-			}
-		}
-	}
-	return out, nil
-}
-
 // Sub returns a − b. It returns an error on dimension mismatch.
 func Sub(a, b *Matrix) (*Matrix, error) {
 	if a.rows != b.rows || a.cols != b.cols {

@@ -131,27 +131,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestMul(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewMatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	got, err := Mul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := NewMatrixFromRows([][]float64{{19, 22}, {43, 50}})
-	if !Equal(got, want, 1e-12) {
-		t.Fatalf("a·b = %v, want %v", got, want)
-	}
-}
-
-func TestMulDimensionMismatch(t *testing.T) {
-	a := NewMatrix(2, 3)
-	b := NewMatrix(2, 3)
-	if _, err := Mul(a, b); err == nil {
-		t.Fatal("expected dimension mismatch error")
-	}
-}
-
 func TestSub(t *testing.T) {
 	a, _ := NewMatrixFromRows([][]float64{{5, 6}})
 	b, _ := NewMatrixFromRows([][]float64{{1, 2}})
@@ -266,28 +245,6 @@ func TestFrobeniusTransposeInvariantProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomMatrix(rng, 1+rng.Intn(12), 1+rng.Intn(12))
 		return math.Abs(m.FrobeniusNorm()-m.Transpose().FrobeniusNorm()) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: (A·B)ᵀ == Bᵀ·Aᵀ.
-func TestMulTransposeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n, m, p := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-		a := randomMatrix(rng, n, m)
-		b := randomMatrix(rng, m, p)
-		ab, err := Mul(a, b)
-		if err != nil {
-			return false
-		}
-		btat, err := Mul(b.Transpose(), a.Transpose())
-		if err != nil {
-			return false
-		}
-		return Equal(ab.Transpose(), btat, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

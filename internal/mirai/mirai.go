@@ -17,64 +17,42 @@ import (
 
 // Config parameterizes the emulation.
 type Config struct {
-	// Devices is the total device population reachable by scans.
-	Devices int
-	// Vulnerable is how many devices are vulnerable (the paper
-	// randomly selects 150 nodes).
-	Vulnerable int
-	// ScansPerBotPerSecond is each bot's scan rate.
-	ScansPerBotPerSecond float64
-	// HitProbability is the chance a single scan probe lands on a
-	// member of the device population (the rest of the address space
-	// is empty or immune).
-	HitProbability float64
 	// DetectionEnabled switches Jaal's detection/response on.
 	DetectionEnabled bool
-	// DetectionDelaySeconds is how long a bot scans before Jaal flags
-	// it. The paper measures detection within 3 s at 95 % accuracy.
-	DetectionDelaySeconds float64
-	// ResponseDelaySeconds is the additional time between Jaal's alert
-	// and the administrator actually disconnecting the device —
-	// ticket-driven human response, not part of Jaal itself.
-	ResponseDelaySeconds float64
-	// DetectionAccuracy is the probability a given bot is ever
-	// detected (per detection window).
-	DetectionAccuracy float64
 	// Seed drives the simulation.
 	Seed int64
 }
 
-// DefaultConfig mirrors the paper's experiment: 150 vulnerable devices,
-// detection within 3 s at 95 %.
-func DefaultConfig(detection bool) Config {
-	return Config{
-		Devices:               2000,
-		Vulnerable:            150,
-		ScansPerBotPerSecond:  40,
-		HitProbability:        0.02,
-		DetectionEnabled:      detection,
-		DetectionDelaySeconds: 3,
-		ResponseDelaySeconds:  18,
-		DetectionAccuracy:     0.95,
-		Seed:                  1,
-	}
-}
+// The paper's experiment: 150 vulnerable devices, detection within 3 s
+// at 95 %.
+const (
+	// population is the total device count reachable by scans.
+	population = 2000
+	// vulnerable is how many devices are vulnerable (the paper
+	// randomly selects 150 nodes).
+	vulnerable = 150
+	// scansPerBotPerSecond is each bot's scan rate.
+	scansPerBotPerSecond = 40
+	// hitProbability is the chance a single scan probe lands on a
+	// member of the device population (the rest of the address space
+	// is empty or immune).
+	hitProbability = 0.02
+	// detectionDelaySeconds is how long a bot scans before Jaal flags
+	// it.
+	detectionDelaySeconds = 3
+	// responseDelaySeconds is the additional time between Jaal's alert
+	// and the administrator actually disconnecting the device —
+	// ticket-driven human response, not part of Jaal itself.
+	responseDelaySeconds = 18
+	// detectionAccuracy is the probability a given bot is ever
+	// detected (per detection window).
+	detectionAccuracy = 0.95
+)
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	switch {
-	case c.Devices < 1:
-		return fmt.Errorf("mirai: device count %d < 1", c.Devices)
-	case c.Vulnerable < 1 || c.Vulnerable > c.Devices:
-		return fmt.Errorf("mirai: vulnerable count %d outside [1,%d]", c.Vulnerable, c.Devices)
-	case c.ScansPerBotPerSecond <= 0:
-		return fmt.Errorf("mirai: scan rate must be positive")
-	case c.HitProbability <= 0 || c.HitProbability > 1:
-		return fmt.Errorf("mirai: hit probability %v outside (0,1]", c.HitProbability)
-	case c.DetectionEnabled && (c.DetectionDelaySeconds < 0 || c.ResponseDelaySeconds < 0):
-		return fmt.Errorf("mirai: negative detection/response delay")
-	}
-	return nil
+// DefaultConfig returns the paper's experiment with detection on or
+// off.
+func DefaultConfig(detection bool) Config {
+	return Config{DetectionEnabled: detection, Seed: 1}
 }
 
 // deviceState tracks one vulnerable device.
@@ -115,15 +93,12 @@ type Result struct {
 // Run simulates the epidemic in dt-second steps for the given duration
 // and returns the trajectory sampled once per step.
 func Run(cfg Config, durationSeconds, dt float64) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if dt <= 0 || durationSeconds <= 0 {
 		return nil, fmt.Errorf("mirai: duration and dt must be positive")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	devices := make([]deviceState, cfg.Vulnerable)
+	devices := make([]deviceState, vulnerable)
 	// Patient zero: an external bot outside the vulnerable pool starts
 	// scanning; model it as one persistent active scanner.
 	externalBots := 1
@@ -147,8 +122,8 @@ func Run(cfg Config, durationSeconds, dt float64) (*Result, error) {
 			for i := range devices {
 				d := &devices[i]
 				if d.infected && !d.shutoff && !d.undetectable &&
-					now-d.infectedAt >= cfg.DetectionDelaySeconds+cfg.ResponseDelaySeconds {
-					if rng.Float64() < cfg.DetectionAccuracy {
+					now-d.infectedAt >= detectionDelaySeconds+responseDelaySeconds {
+					if rng.Float64() < detectionAccuracy {
 						d.shutoff = true
 						shutoff++
 					} else {
@@ -160,22 +135,22 @@ func Run(cfg Config, durationSeconds, dt float64) (*Result, error) {
 
 		// Scanning: each active bot sends rate·dt probes; each probe
 		// hits a random member of the device population with
-		// HitProbability, and a hit on an uninfected vulnerable device
+		// hitProbability, and a hit on an uninfected vulnerable device
 		// infects it.
-		probes := float64(active) * cfg.ScansPerBotPerSecond * dt
+		probes := float64(active) * scansPerBotPerSecond * dt
 		hits := 0
 		for p := 0.0; p < probes; p++ {
-			if rng.Float64() < cfg.HitProbability {
+			if rng.Float64() < hitProbability {
 				hits++
 			}
 		}
 		for h := 0; h < hits; h++ {
 			// A hit lands on a uniformly random device; only the
 			// vulnerable ones are modeled, scaled by their share.
-			if rng.Float64() >= float64(cfg.Vulnerable)/float64(cfg.Devices) {
+			if rng.Float64() >= float64(vulnerable)/float64(population) {
 				continue
 			}
-			i := rng.Intn(cfg.Vulnerable)
+			i := rng.Intn(vulnerable)
 			d := &devices[i]
 			if !d.infected {
 				d.infected = true

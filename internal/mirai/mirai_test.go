@@ -4,25 +4,6 @@ import (
 	"testing"
 )
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(true).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Config{
-		{Devices: 0, Vulnerable: 1, ScansPerBotPerSecond: 1, HitProbability: 0.1},
-		{Devices: 10, Vulnerable: 0, ScansPerBotPerSecond: 1, HitProbability: 0.1},
-		{Devices: 10, Vulnerable: 11, ScansPerBotPerSecond: 1, HitProbability: 0.1},
-		{Devices: 10, Vulnerable: 5, ScansPerBotPerSecond: 0, HitProbability: 0.1},
-		{Devices: 10, Vulnerable: 5, ScansPerBotPerSecond: 1, HitProbability: 0},
-		{Devices: 10, Vulnerable: 5, ScansPerBotPerSecond: 1, HitProbability: 2},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Fatalf("config %d must be invalid", i)
-		}
-	}
-}
-
 func TestRunBadArgs(t *testing.T) {
 	if _, err := Run(DefaultConfig(false), 0, 1); err == nil {
 		t.Fatal("zero duration must be rejected")

@@ -96,15 +96,11 @@ type Config struct {
 	// 20 Gbps) — queue overflow plus retransmission amplification.
 	// Zero or negative defaults to 1.
 	CollapseExponent float64
-	// Seed randomizes flow endpoints.
+	// Seed randomizes flow endpoints. Every Simulator owns a private
+	// rand.New(rand.NewSource(Seed)) — the package never touches the
+	// global math/rand state — so concurrent simulations with equal
+	// seeds are reproducible and race-free.
 	Seed int64
-	// Rand optionally supplies the RNG directly. When nil, New derives
-	// a private rand.New(rand.NewSource(Seed)). Every Simulator owns
-	// its RNG either way — the package never touches the global
-	// math/rand state — so concurrent simulations with equal seeds are
-	// reproducible and race-free. Supply Rand only to share a stream
-	// across stages of one single-goroutine scenario.
-	Rand *rand.Rand
 }
 
 // Validate checks the configuration.
@@ -221,13 +217,9 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
 	s := &Simulator{
 		cfg:              cfg,
-		rng:              rng,
+		rng:              rand.New(rand.NewSource(cfg.Seed)),
 		linkLoad:         make(map[[2]topology.NodeID]float64),
 		routerLoad:       make(map[topology.NodeID]float64),
 		normalRouterLoad: make(map[topology.NodeID]float64),

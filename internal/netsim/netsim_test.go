@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -182,8 +181,7 @@ func TestRunDeterministic(t *testing.T) {
 
 // TestRunConcurrentSameSeed runs several same-seed simulations in
 // parallel: each Simulator owns its RNG, so concurrent runs must be
-// race-free and byte-identical to a sequential one. An injected
-// Config.Rand must also override the seed.
+// race-free and byte-identical to a sequential one.
 func TestRunConcurrentSameSeed(t *testing.T) {
 	cfg := testConfig(t, 0.5)
 	run := func() *Result {
@@ -221,32 +219,5 @@ func TestRunConcurrentSameSeed(t *testing.T) {
 			res.OfferedRate != want.OfferedRate {
 			t.Fatalf("concurrent run %d diverged: %+v vs %+v", i, res, want)
 		}
-	}
-
-	// A caller-supplied RNG takes precedence over Seed: a different
-	// stream must change the random demand set.
-	override := cfg
-	override.Rand = rand.New(rand.NewSource(999))
-	sim, err := New(override)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := sim.RandomDemands(40, 4000, 0.1)
-	d2 := base.RandomDemands(40, 4000, 0.1)
-	same := len(d1) == len(d2)
-	if same {
-		for i := range d1 {
-			if d1[i] != d2[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("Config.Rand override produced the seed-default demand stream")
 	}
 }

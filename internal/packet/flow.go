@@ -45,18 +45,3 @@ func (k FlowKey) FastHash() uint64 {
 func (k FlowKey) String() string {
 	return fmt.Sprintf("%s:%d > %s:%d", u32ToAddr(k.SrcIP), k.SrcPort, u32ToAddr(k.DstIP), k.DstPort)
 }
-
-// PrefixKey identifies a flow group by source and destination /8 prefixes.
-// Jaal groups flows by routing: with shortest-path routing, flows sharing
-// source and destination prefixes traverse the same monitors (§7), so the
-// flow-assignment module operates on prefix pairs rather than individual
-// flows.
-type PrefixKey struct {
-	SrcPrefix uint8
-	DstPrefix uint8
-}
-
-// PrefixGroup returns the flow-group key of the packet.
-func (h *Header) PrefixGroup() PrefixKey {
-	return PrefixKey{SrcPrefix: uint8(h.SrcIP >> 24), DstPrefix: uint8(h.DstIP >> 24)}
-}

@@ -56,16 +56,6 @@ func (f FieldIndex) String() string {
 	return fieldNames[f]
 }
 
-// FieldByName returns the index of the named field.
-func FieldByName(name string) (FieldIndex, bool) {
-	for i, n := range fieldNames {
-		if n == name {
-			return FieldIndex(i), true
-		}
-	}
-	return 0, false
-}
-
 // fieldMax holds max(x) for every field, the denominator of the §4.1
 // normalization x̄ = x / max(x).
 var fieldMax = [NumFields]float64{

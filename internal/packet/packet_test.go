@@ -74,16 +74,6 @@ func TestNormalizeDenormalizeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFieldByName(t *testing.T) {
-	idx, ok := FieldByName("dst_port")
-	if !ok || idx != FieldDstPort {
-		t.Fatalf("FieldByName(dst_port) = %v, %v", idx, ok)
-	}
-	if _, ok := FieldByName("bogus"); ok {
-		t.Fatal("FieldByName must reject unknown names")
-	}
-}
-
 func TestFieldString(t *testing.T) {
 	if FieldSYN.String() != "syn" {
 		t.Fatalf("FieldSYN.String() = %q", FieldSYN.String())
@@ -307,14 +297,6 @@ func TestFastHashSpreads(t *testing.T) {
 		if frac < 0.03 || frac > 0.10 {
 			t.Fatalf("bucket %d holds %.1f%% of flows; hash is badly skewed", b, 100*frac)
 		}
-	}
-}
-
-func TestPrefixGroup(t *testing.T) {
-	h := sampleHeader()
-	g := h.PrefixGroup()
-	if g.SrcPrefix != 0xC0 || g.DstPrefix != 0x0A {
-		t.Fatalf("prefix group %+v, want {C0 0A}", g)
 	}
 }
 

@@ -30,9 +30,6 @@ type GenConfig struct {
 	// BaseSID numbers the rules BaseSID, BaseSID+1, … Non-positive
 	// defaults to 3000000, clear of the built-in library's 1000001–7.
 	BaseSID int
-	// HomeNetVar, when true, targets $HOME_NET instead of literal
-	// prefixes for the host-directed rule families.
-	HomeNetVar bool
 }
 
 // withDefaults fills zero values.
@@ -104,12 +101,6 @@ func genRule(rng *rand.Rand, cfg GenConfig, i int) *Rule {
 		Rev:       1,
 		Window:    -1,
 	}
-	dst := func() AddressSpec {
-		if cfg.HomeNetVar {
-			return AddressSpec{Var: "HOME_NET"}
-		}
-		return AddressSpec{Prefix: genPrefix(rng)}
-	}
 	port := func() uint16 {
 		if rng.Intn(100) < 70 {
 			return servicePorts[rng.Intn(len(servicePorts))]
@@ -121,7 +112,7 @@ func genRule(rng *rand.Rand, cfg GenConfig, i int) *Rule {
 	case pick < 35:
 		// Service probe: SYN to a pinned destination port, rate-gated.
 		p := port()
-		r.Dst = dst()
+		r.Dst = AddressSpec{Prefix: genPrefix(rng)}
 		r.DstPort = PortSpec{Port: p}
 		r.Flags = &FlagSpec{Set: packet.FlagSYN, Exact: true}
 		r.Filter = &DetectionFilter{Count: 5 + rng.Intn(40), Seconds: 1 + rng.Intn(60)}
@@ -138,7 +129,7 @@ func genRule(rng *rand.Rand, cfg GenConfig, i int) *Rule {
 		r.Protocol = ProtoUDP
 		p := port()
 		r.SrcPort = PortSpec{Port: p}
-		r.Dst = dst()
+		r.Dst = AddressSpec{Prefix: genPrefix(rng)}
 		r.Filter = &DetectionFilter{Count: 8 + rng.Intn(50), Seconds: 1 + rng.Intn(30)}
 		r.Msg = fmt.Sprintf("gen amp src/%d #%d", p, i)
 	case pick < 80:
@@ -157,13 +148,13 @@ func genRule(rng *rand.Rand, cfg GenConfig, i int) *Rule {
 		if hi < lo {
 			hi = lo
 		}
-		r.Dst = dst()
+		r.Dst = AddressSpec{Prefix: genPrefix(rng)}
 		r.DstPort = PortSpec{Ranged: true, Lo: lo, Hi: hi}
 		r.Filter = &DetectionFilter{Count: 10 + rng.Intn(30), Seconds: 1 + rng.Intn(5)}
 		r.Msg = fmt.Sprintf("gen scan flags/%s #%d", c.Set, i)
 	case pick < 90:
 		// Zero-window stall (Sockstress family) against a service.
-		r.Dst = dst()
+		r.Dst = AddressSpec{Prefix: genPrefix(rng)}
 		r.DstPort = PortSpec{Port: port()}
 		r.Flags = &FlagSpec{Set: packet.FlagACK, Exact: true}
 		r.Window = 0
@@ -179,7 +170,7 @@ func genRule(rng *rand.Rand, cfg GenConfig, i int) *Rule {
 			r.Flags = &FlagSpec{Set: packet.FlagSYN, Exact: true}
 			r.Msg = fmt.Sprintf("gen syn flood #%d", i)
 		}
-		r.Dst = dst()
+		r.Dst = AddressSpec{Prefix: genPrefix(rng)}
 		r.Filter = &DetectionFilter{Count: 20 + rng.Intn(80), Seconds: 1 + rng.Intn(5)}
 	}
 	// A sprinkle of by_src tracking mirrors the stock library's Mirai

@@ -1,6 +1,5 @@
-// Package sampling provides the packet-sampling baselines the paper
-// compares against (§8, Table 1): reservoir sampling (Vitter 1985) and
-// NetFlow-style uniform 1-in-N sampling.
+// Package sampling provides the packet-sampling baseline the paper
+// compares against (§8, Table 1): reservoir sampling (Vitter 1985).
 //
 // Reservoir sampling keeps a fixed-size uniform sample of the whole
 // stream; because attack packets sent over a short interval get diluted
@@ -72,26 +71,3 @@ func (r *Reservoir) ScaleFactor() float64 {
 	}
 	return float64(r.seen) / float64(len(r.buf))
 }
-
-// UniformSampler is NetFlow-style deterministic 1-in-N sampling.
-type UniformSampler struct {
-	n     int
-	count int
-}
-
-// NewUniformSampler samples every n-th packet.
-func NewUniformSampler(n int) (*UniformSampler, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("sampling: sample rate %d < 1", n)
-	}
-	return &UniformSampler{n: n}, nil
-}
-
-// Observe returns true when the packet is sampled.
-func (s *UniformSampler) Observe() bool {
-	s.count++
-	return s.count%s.n == 0
-}
-
-// Rate returns N of the 1-in-N configuration.
-func (s *UniformSampler) Rate() int { return s.n }

@@ -101,25 +101,3 @@ func TestReservoirSampleIsCopy(t *testing.T) {
 		t.Fatal("Sample must return a copy")
 	}
 }
-
-func TestUniformSampler(t *testing.T) {
-	s, err := NewUniformSampler(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rate() != 4 {
-		t.Fatalf("rate = %d", s.Rate())
-	}
-	sampled := 0
-	for i := 0; i < 100; i++ {
-		if s.Observe() {
-			sampled++
-		}
-	}
-	if sampled != 25 {
-		t.Fatalf("sampled %d of 100 at 1-in-4", sampled)
-	}
-	if _, err := NewUniformSampler(0); err == nil {
-		t.Fatal("rate 0 must be rejected")
-	}
-}

@@ -76,7 +76,7 @@ func sameCounters(t *testing.T, what string, got *CountMin, want *refCountMin) {
 // HLL, the top-K lists and the digest are the production ones (this PR
 // does not touch them).
 type refIngest struct {
-	cfg                           Config
+	watermark                     uint64
 	dst, src                      *refCountMin
 	flows                         *HLL
 	offered, shed, kept, miceTick uint64
@@ -84,13 +84,12 @@ type refIngest struct {
 }
 
 func newRefIngest(cfg Config, like *Ingest) *refIngest {
-	cfg = cfg.withDefaults()
 	return &refIngest{
-		cfg:    cfg,
-		dst:    newRefCountMin(like.dst.width, like.dst.Depth()),
-		src:    newRefCountMin(like.src.width, like.src.Depth()),
-		flows:  NewHLL(),
-		topDst: newTopK(cfg.TopK), topSrc: newTopK(cfg.TopK),
+		watermark: uint64(cfg.ShedWatermark),
+		dst:       newRefCountMin(like.dst.width, like.dst.Depth()),
+		src:       newRefCountMin(like.src.width, like.src.Depth()),
+		flows:     NewHLL(),
+		topDst:    newTopK(topKSize), topSrc: newTopK(topKSize),
 	}
 }
 
@@ -102,7 +101,7 @@ func (g *refIngest) Observe(srcIP, dstIP uint32, flowHash uint64) bool {
 
 	estDst := g.dst.Estimate(uint64(dstIP))
 	estSrc := g.src.Estimate(uint64(srcIP))
-	threshold := g.offered / uint64(g.cfg.HeavyDivisor)
+	threshold := g.offered / heavyDivisor
 	if threshold > 0 {
 		if estDst >= threshold {
 			g.topDst.touch(dstIP, estDst)
@@ -113,15 +112,15 @@ func (g *refIngest) Observe(srcIP, dstIP uint32, flowHash uint64) bool {
 	}
 
 	keep := true
-	if g.cfg.ShedWatermark > 0 && g.kept >= uint64(g.cfg.ShedWatermark) {
-		if g.kept >= uint64(g.cfg.HardLimitFactor)*uint64(g.cfg.ShedWatermark) {
+	if g.watermark > 0 && g.kept >= g.watermark {
+		if g.kept >= hardLimitFactor*g.watermark {
 			keep = false
 		} else {
-			heavy := g.offered >= uint64(g.cfg.MinTotal) && threshold > 0 &&
+			heavy := g.offered >= minTotal && threshold > 0 &&
 				(estDst >= threshold || estSrc >= threshold)
 			if !heavy {
 				g.miceTick++
-				keep = g.cfg.MiceKeep > 0 && g.miceTick%uint64(g.cfg.MiceKeep) == 0
+				keep = g.miceTick%miceKeep == 0
 			}
 		}
 	}
@@ -320,26 +319,22 @@ func TestIngestMatchesOracle(t *testing.T) {
 }
 
 // TestHeavyThresholdMatchesDivision pins the counted heavy threshold
-// against offered/HeavyDivisor after every packet, across a Reset.
+// against offered/heavyDivisor after every packet, across a Reset.
 func TestHeavyThresholdMatchesDivision(t *testing.T) {
-	for _, div := range []int{1, 2, 50, 1000} {
-		cfg := DefaultConfig(0)
-		cfg.HeavyDivisor = div
-		g, err := NewIngest(cfg)
-		if err != nil {
-			t.Fatal(err)
+	g, err := NewIngest(DefaultConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 0; epoch < 2; epoch++ {
+		for i := 0; i < 3*heavyDivisor+7; i++ {
+			g.Observe(uint32(i), 1, uint64(i))
+			if want := g.offered / heavyDivisor; g.threshold != want {
+				t.Fatalf("packet %d: threshold = %d, offered/divisor = %d", i, g.threshold, want)
+			}
 		}
-		for epoch := 0; epoch < 2; epoch++ {
-			for i := 0; i < 3*div+7; i++ {
-				g.Observe(uint32(i), 1, uint64(i))
-				if want := g.offered / uint64(div); g.threshold != want {
-					t.Fatalf("divisor %d packet %d: threshold = %d, offered/divisor = %d", div, i, g.threshold, want)
-				}
-			}
-			g.Reset()
-			if g.threshold != 0 {
-				t.Fatalf("divisor %d: Reset left threshold %d", div, g.threshold)
-			}
+		g.Reset()
+		if g.threshold != 0 {
+			t.Fatalf("Reset left threshold %d", g.threshold)
 		}
 	}
 }

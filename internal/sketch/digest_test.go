@@ -211,6 +211,16 @@ func TestIngestDisabled(t *testing.T) {
 	}
 }
 
+// A negative watermark is refused whether or not the pass is enabled:
+// a disabled config must not hide a bad -shed-watermark.
+func TestIngestRejectsNegativeWatermark(t *testing.T) {
+	for _, cfg := range []Config{{ShedWatermark: -1}, {Enabled: true, ShedWatermark: -1}} {
+		if g, err := NewIngest(cfg); err == nil {
+			t.Fatalf("NewIngest(%+v) = %v, nil; want an error", cfg, g)
+		}
+	}
+}
+
 func TestIngestKeepsEverythingBelowWatermark(t *testing.T) {
 	g, err := NewIngest(DefaultConfig(1000))
 	if err != nil {
@@ -239,22 +249,21 @@ func TestIngestZeroWatermarkNeverSheds(t *testing.T) {
 }
 
 // Above the watermark, heavy-hitter traffic survives and mice are
-// subsampled at 1-in-MiceKeep.
+// subsampled at 1-in-miceKeep.
 func TestIngestShedsMiceNotHeavy(t *testing.T) {
-	cfg := DefaultConfig(500)
-	// Lift the hard ceiling out of reach: this test pins the
-	// watermark-band semantics (heavy exempt, mice subsampled);
-	// TestIngestHardCeilingBoundsKept covers the ceiling itself.
-	cfg.HardLimitFactor = 1000
-	g, err := NewIngest(cfg)
+	// The watermark keeps the run inside the band between it and the hard
+	// ceiling: this test pins the band's semantics (heavy exempt, mice
+	// subsampled); TestIngestHardCeilingBoundsKept covers the ceiling.
+	const watermark = 6000
+	g, err := NewIngest(DefaultConfig(watermark))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const victim = uint32(0x0A00002A)
 	heavyKept, miceOffered, miceKept := 0, 0, 0
 	for i := 0; i < 20000; i++ {
-		if i%2 == 0 {
-			// Heavy flow: half of all traffic hits one victim.
+		if i%10 == 0 {
+			// Heavy flow: a tenth of all traffic hits one victim.
 			if g.Observe(uint32(0xC0A80000+i%4), victim, uint64(i%64)) {
 				heavyKept++
 			}
@@ -272,10 +281,13 @@ func TestIngestShedsMiceNotHeavy(t *testing.T) {
 	if g.shed == 0 {
 		t.Fatal("overloaded run must shed")
 	}
-	if heavyKept != 10000 {
-		t.Fatalf("heavy-hitter packets kept %d of 10000 — heavy traffic must never be shed", heavyKept)
+	if g.kept >= hardLimitFactor*watermark {
+		t.Fatalf("kept %d reached the hard ceiling; the run must stay inside the band", g.kept)
 	}
-	// Mice shed to roughly 1-in-MiceKeep past the watermark.
+	if heavyKept != 2000 {
+		t.Fatalf("heavy-hitter packets kept %d of 2000 — heavy traffic must never be shed", heavyKept)
+	}
+	// Mice shed to roughly 1-in-miceKeep past the watermark.
 	if miceKept >= miceOffered/2 {
 		t.Fatalf("mice kept %d of %d — subsampling not engaged", miceKept, miceOffered)
 	}
@@ -299,7 +311,7 @@ func TestIngestShedsMiceNotHeavy(t *testing.T) {
 	}
 }
 
-// Past HardLimitFactor × watermark kept packets, even heavy-hitter
+// Past hardLimitFactor × watermark kept packets, even heavy-hitter
 // traffic is shed: the epoch's slab admission is hard-bounded at any
 // offered load.
 func TestIngestHardCeilingBoundsKept(t *testing.T) {

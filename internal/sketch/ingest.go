@@ -5,80 +5,53 @@ import (
 	"slices"
 )
 
-// Config sizes and arms the ingest sketch pass. The zero value is
-// disabled; DefaultConfig returns the armed operating point.
+// Config arms the ingest sketch pass. The zero value is disabled;
+// DefaultConfig returns the armed operating point.
 type Config struct {
 	// Enabled puts the sketch pass on the ingest path. Off means the
 	// monitor behaves byte-identically to a sketchless build.
 	Enabled bool
-	// Epsilon/Delta size the count-min sketches (width ⌈e/ε⌉, depth
-	// ⌈ln 1/δ⌉). Zero selects the defaults (ε=0.005, δ=0.01: 544×5,
-	// ~21 KB per dimension).
-	Epsilon float64
-	Delta   float64
 	// ShedWatermark is the per-epoch admitted-packet budget: once this
 	// many packets have been admitted to the batch slab in the current
 	// epoch, further mice packets are shed/subsampled. 0 means never
 	// shed (sketch + digest only).
 	ShedWatermark int
-	// HeavyDivisor classifies a packet as heavy-hitter traffic when the
+}
+
+// The sketch pass runs at one sizing everywhere.
+const (
+	// epsilon/delta size the count-min sketches (width ⌈e/ε⌉, depth
+	// ⌈ln 1/δ⌉): 544×5, ~21 KB per dimension.
+	epsilon = 0.005
+	delta   = 0.01
+	// heavyDivisor classifies a packet as heavy-hitter traffic when the
 	// count-min estimate of its destination or source reaches
-	// offered/HeavyDivisor. Heavy packets are exempt from the mice
-	// watermark (shed only past the hard ceiling). Default 50 (≥ 2 % of
-	// epoch traffic).
-	HeavyDivisor int
-	// HardLimitFactor sets the epoch's hard admission ceiling at
-	// HardLimitFactor × ShedWatermark kept packets. Past the ceiling
+	// offered/heavyDivisor (≥ 2 % of epoch traffic). Heavy packets are
+	// exempt from the mice watermark (shed only past the hard ceiling).
+	heavyDivisor = 50
+	// hardLimitFactor sets the epoch's hard admission ceiling at
+	// hardLimitFactor × ShedWatermark kept packets. Past the ceiling
 	// everything is shed, heavy or not: backbone mixes are Zipf enough
 	// that heavy traffic alone can swamp the slab, and a bounded slab is
-	// the whole point of the watermark. Default 2; set it large to make
-	// heavy traffic effectively exempt at any load.
-	HardLimitFactor int
-	// MiceKeep subsamples mice flows above the watermark: 1 in MiceKeep
+	// the whole point of the watermark.
+	hardLimitFactor = 2
+	// miceKeep subsamples mice flows above the watermark: 1 in miceKeep
 	// mice packets is still admitted so background structure survives
-	// in the summaries. 0 sheds all mice above the watermark. Default 8.
-	MiceKeep int
-	// TopK is the number of heavy hitters tracked per dimension for the
-	// digest. Default 8, max 255.
-	TopK int
-	// MinTotal is the observed-packet floor before heavy classification
+	// in the summaries.
+	miceKeep = 8
+	// topKSize is the number of heavy hitters tracked per dimension for
+	// the digest (at most digestMaxHitters).
+	topKSize = 8
+	// minTotal is the observed-packet floor before heavy classification
 	// activates; below it every packet is mice for shedding purposes
-	// (but the watermark is rarely hit that early). Default 256.
-	MinTotal int
-}
+	// (but the watermark is rarely hit that early).
+	minTotal = 256
+)
 
 // DefaultConfig returns the armed default operating point with the
 // given watermark.
 func DefaultConfig(watermark int) Config {
 	return Config{Enabled: true, ShedWatermark: watermark}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.005
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.01
-	}
-	if c.HeavyDivisor == 0 {
-		c.HeavyDivisor = 50
-	}
-	if c.HardLimitFactor == 0 {
-		c.HardLimitFactor = 2
-	}
-	if c.MiceKeep == 0 {
-		c.MiceKeep = 8
-	}
-	if c.TopK == 0 {
-		c.TopK = 8
-	}
-	if c.TopK > digestMaxHitters {
-		c.TopK = digestMaxHitters
-	}
-	if c.MinTotal == 0 {
-		c.MinTotal = 256
-	}
-	return c
 }
 
 // topK tracks the heaviest keys seen so far with bounded memory: a
@@ -139,16 +112,17 @@ func (t *topK) sorted() []HeavyHitter {
 // watermark. Not safe for concurrent use; the monitor calls it under
 // its ingest lock. Observe is zero-alloc.
 type Ingest struct {
-	cfg   Config
-	dst   *CountMin
-	src   *CountMin
-	flows *HLL
+	// watermark is Config.ShedWatermark.
+	watermark uint64
+	dst       *CountMin
+	src       *CountMin
+	flows     *HLL
 
 	offered  uint64
 	shed     uint64
 	kept     uint64
 	miceTick uint64
-	// threshold is offered/HeavyDivisor, kept by counting: heavyTick is
+	// threshold is offered/heavyDivisor, kept by counting: heavyTick is
 	// the packets since it last rose.
 	threshold, heavyTick uint64
 
@@ -157,39 +131,38 @@ type Ingest struct {
 }
 
 // NewIngest builds the sketch pass. Returns nil (and no error) when the
-// config is disabled.
+// config is disabled; a negative watermark is an error either way.
 func NewIngest(cfg Config) (*Ingest, error) {
-	if !cfg.Enabled {
-		return nil, nil
-	}
-	cfg = cfg.withDefaults()
 	if cfg.ShedWatermark < 0 {
 		return nil, fmt.Errorf("sketch: negative shed watermark %d", cfg.ShedWatermark)
 	}
-	dst, err := NewCountMin(cfg.Epsilon, cfg.Delta)
+	if !cfg.Enabled {
+		return nil, nil
+	}
+	dst, err := NewCountMin(epsilon, delta)
 	if err != nil {
 		return nil, err
 	}
-	src, err := NewCountMin(cfg.Epsilon, cfg.Delta)
+	src, err := NewCountMin(epsilon, delta)
 	if err != nil {
 		return nil, err
 	}
 	return &Ingest{
-		cfg: cfg, dst: dst, src: src, flows: NewHLL(),
-		topDst: newTopK(cfg.TopK), topSrc: newTopK(cfg.TopK),
+		watermark: uint64(cfg.ShedWatermark), dst: dst, src: src, flows: NewHLL(),
+		topDst: newTopK(topKSize), topSrc: newTopK(topKSize),
 	}, nil
 }
 
 // Observe sketches one offered packet and reports whether the monitor
 // should admit it to the batch slab. Below the watermark everything is
 // admitted; between the watermark and the hard ceiling
-// (HardLimitFactor × watermark) only heavy-hitter traffic (destination
-// or source estimate ≥ offered/HeavyDivisor) and a deterministic
-// 1-in-MiceKeep mice subsample survive; past the ceiling everything is
+// (hardLimitFactor × watermark) only heavy-hitter traffic (destination
+// or source estimate ≥ offered/heavyDivisor) and a deterministic
+// 1-in-miceKeep mice subsample survive; past the ceiling everything is
 // shed, so the slab's epoch volume is bounded at any offered load.
 func (g *Ingest) Observe(srcIP, dstIP uint32, flowHash uint64) bool {
 	g.offered++
-	if g.heavyTick++; g.heavyTick == uint64(g.cfg.HeavyDivisor) {
+	if g.heavyTick++; g.heavyTick == heavyDivisor {
 		g.heavyTick = 0
 		g.threshold++
 	}
@@ -208,15 +181,15 @@ func (g *Ingest) Observe(srcIP, dstIP uint32, flowHash uint64) bool {
 	}
 
 	keep := true
-	if g.cfg.ShedWatermark > 0 && g.kept >= uint64(g.cfg.ShedWatermark) {
-		if g.kept >= uint64(g.cfg.HardLimitFactor)*uint64(g.cfg.ShedWatermark) {
+	if g.watermark > 0 && g.kept >= g.watermark {
+		if g.kept >= hardLimitFactor*g.watermark {
 			keep = false
 		} else {
-			heavy := g.offered >= uint64(g.cfg.MinTotal) && threshold > 0 &&
+			heavy := g.offered >= minTotal && threshold > 0 &&
 				(estDst >= threshold || estSrc >= threshold)
 			if !heavy {
 				g.miceTick++
-				keep = g.cfg.MiceKeep > 0 && g.miceTick%uint64(g.cfg.MiceKeep) == 0
+				keep = g.miceTick%miceKeep == 0
 			}
 		}
 	}

@@ -125,31 +125,21 @@ type GenerateConfig struct {
 	Name string
 	// Routers is the total router count.
 	Routers int
-	// BackboneFrac is the fraction of routers in the backbone core
-	// (default 0.05).
-	BackboneFrac float64
-	// GatewayFrac is the fraction of routers that are gateways
-	// (default 0.35 — RocketFuel maps are edge-heavy).
-	GatewayFrac float64
-	// Attachment is the number of preferential-attachment links each
-	// distribution router creates (default 2).
-	Attachment int
 	// Seed drives the generator.
 	Seed int64
 }
 
-func (c GenerateConfig) withDefaults() GenerateConfig {
-	if c.BackboneFrac <= 0 {
-		c.BackboneFrac = 0.05
-	}
-	if c.GatewayFrac <= 0 {
-		c.GatewayFrac = 0.35
-	}
-	if c.Attachment <= 0 {
-		c.Attachment = 2
-	}
-	return c
-}
+// The RocketFuel-like tier shape every generated topology shares.
+const (
+	// backboneFrac is the fraction of routers in the backbone core.
+	backboneFrac = 0.05
+	// gatewayFrac is the fraction of routers that are gateways
+	// (RocketFuel maps are edge-heavy).
+	gatewayFrac = 0.35
+	// attachment is the number of preferential-attachment links each
+	// distribution router creates.
+	attachment = 2
+)
 
 // Abovenet returns the paper's "topology 1" analogue: 367 routers.
 func Abovenet() *Topology {
@@ -171,17 +161,16 @@ func Exodus() *Topology {
 
 // Generate builds a connected RocketFuel-like topology.
 func Generate(cfg GenerateConfig) (*Topology, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Routers < 4 {
 		return nil, fmt.Errorf("topology: need ≥ 4 routers, got %d", cfg.Routers)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	nBackbone := int(float64(cfg.Routers) * cfg.BackboneFrac)
+	nBackbone := int(float64(cfg.Routers) * backboneFrac)
 	if nBackbone < 3 {
 		nBackbone = 3
 	}
-	nGateway := int(float64(cfg.Routers) * cfg.GatewayFrac)
+	nGateway := int(float64(cfg.Routers) * gatewayFrac)
 	if nBackbone+nGateway >= cfg.Routers {
 		return nil, fmt.Errorf("topology: backbone+gateway fractions leave no distribution tier")
 	}
@@ -228,7 +217,7 @@ func Generate(cfg GenerateConfig) (*Topology, error) {
 	}
 	for i := nBackbone; i < nBackbone+nDistribution; i++ {
 		id := NodeID(i)
-		for l := 0; l < cfg.Attachment; l++ {
+		for l := 0; l < attachment; l++ {
 			dst := targets[rng.Intn(len(targets))]
 			t.addEdge(id, dst)
 			targets = append(targets, dst)

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -29,9 +30,10 @@ func TestGenerateTooSmall(t *testing.T) {
 }
 
 func TestGenerateBadFractions(t *testing.T) {
-	_, err := Generate(GenerateConfig{Routers: 10, BackboneFrac: 0.6, GatewayFrac: 0.6})
-	if err == nil {
-		t.Fatal("expected error when tiers exhaust routers")
+	// Four routers: three backbone (the floor) plus one gateway.
+	_, err := Generate(GenerateConfig{Routers: 4})
+	if err == nil || !strings.Contains(err.Error(), "no distribution tier") {
+		t.Fatalf("expected the no-distribution-tier error when tiers exhaust routers, got %v", err)
 	}
 }
 

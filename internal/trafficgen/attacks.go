@@ -16,10 +16,11 @@ type AttackConfig struct {
 	Victim uint32
 	// VictimPort is the targeted service port where applicable.
 	VictimPort uint16
-	// Sources is the number of distinct attacking addresses for
-	// distributed attacks. The paper uses ≈200 (§8).
-	Sources int
 }
+
+// attackSources is the number of distinct attacking addresses for
+// distributed attacks. The paper uses ≈200 (§8).
+const attackSources = 200
 
 func (c AttackConfig) withDefaults() AttackConfig {
 	if c.Victim == 0 {
@@ -27,9 +28,6 @@ func (c AttackConfig) withDefaults() AttackConfig {
 	}
 	if c.VictimPort == 0 {
 		c.VictimPort = 80
-	}
-	if c.Sources <= 0 {
-		c.Sources = 200
 	}
 	return c
 }
@@ -50,19 +48,19 @@ func NewAttack(id rules.AttackID, cfg AttackConfig) (Attack, error) {
 	case rules.AttackSYNFlood:
 		return &synFlood{rng: rng, cfg: cfg, distributed: false}, nil
 	case rules.AttackDistributedSYNFlood:
-		return &synFlood{rng: rng, cfg: cfg, distributed: true, sources: randomSources(rng, cfg.Sources)}, nil
+		return &synFlood{rng: rng, cfg: cfg, distributed: true, sources: randomSources(rng, attackSources)}, nil
 	case rules.AttackPortScan:
 		return newPortScan(rng, cfg), nil
 	case rules.AttackSSHBruteForce:
-		return &sshBruteForce{rng: rng, cfg: cfg, sources: randomSources(rng, cfg.Sources)}, nil
+		return &sshBruteForce{rng: rng, cfg: cfg, sources: randomSources(rng, attackSources)}, nil
 	case rules.AttackSockstress:
-		return &sockstress{rng: rng, cfg: cfg, sources: randomSources(rng, cfg.Sources)}, nil
+		return &sockstress{rng: rng, cfg: cfg, sources: randomSources(rng, attackSources)}, nil
 	case rules.AttackMiraiScan:
 		return NewMiraiScan(rng, cfg), nil
 	case rules.AttackUDPFlood:
-		return &udpFlood{rng: rng, cfg: cfg, sources: randomSources(rng, cfg.Sources)}, nil
+		return &udpFlood{rng: rng, cfg: cfg, sources: randomSources(rng, attackSources)}, nil
 	case rules.AttackReflection:
-		return &reflectionFlood{rng: rng, cfg: cfg, reflectors: randomSources(rng, cfg.Sources)}, nil
+		return &reflectionFlood{rng: rng, cfg: cfg, reflectors: randomSources(rng, attackSources)}, nil
 	case rules.AttackSlowloris:
 		return &slowloris{rng: rng, cfg: cfg}, nil
 	case rules.AttackStealthScan:
@@ -148,7 +146,7 @@ var nmapTopPorts = []uint16{
 }
 
 func newPortScan(rng *rand.Rand, cfg AttackConfig) *portScan {
-	return &portScan{rng: rng, cfg: cfg, ports: nmapTopPorts, sources: randomSources(rng, cfg.Sources)}
+	return &portScan{rng: rng, cfg: cfg, ports: nmapTopPorts, sources: randomSources(rng, attackSources)}
 }
 
 func (a *portScan) ID() rules.AttackID { return rules.AttackPortScan }

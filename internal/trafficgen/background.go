@@ -43,13 +43,6 @@ type BackgroundConfig struct {
 	// Seed selects the trace: the experiments use Seed 1 as "Trace 1"
 	// and Seed 2 as "Trace 2", mirroring the two MAWI months.
 	Seed int64
-	// Hosts is the number of distinct client addresses in play.
-	Hosts int
-	// Servers is the number of distinct popular servers.
-	Servers int
-	// MeanFlowPackets is the mean of the (heavy-tailed) flow length
-	// distribution.
-	MeanFlowPackets float64
 	// UDPFraction is the share of benign packets that are UDP (DNS,
 	// QUIC, NTP). It defaults to 0: the paper's evaluation is TCP-only
 	// (its five attacks are all TCP, §8), and a UDP share raises the
@@ -57,17 +50,28 @@ type BackgroundConfig struct {
 	// every experiment is calibrated on. Set it explicitly for
 	// mixed-protocol workloads (the UDP-flood detection tests do).
 	UDPFraction float64
-	// HomeFraction is the share of servers inside the monitored
+}
+
+// The backbone mix every trace shares.
+const (
+	// bgHosts is the number of distinct client addresses in play.
+	bgHosts = 4000
+	// bgServers is the number of distinct popular servers.
+	bgServers = 300
+	// meanFlowPackets is the mean of the (heavy-tailed) flow length
+	// distribution.
+	meanFlowPackets = 12
+	// homeFraction is the share of servers inside the monitored
 	// network (10.0.0.0/8). An ISP's interesting traffic terminates at
 	// its customers, so most benign destinations are in HOME_NET —
 	// which is exactly what makes flood signatures a threshold
 	// tradeoff rather than trivially separable.
-	HomeFraction float64
-}
+	homeFraction = 0.6
+)
 
 // DefaultBackgroundConfig mirrors a busy backbone mix.
 func DefaultBackgroundConfig(seed int64) BackgroundConfig {
-	return BackgroundConfig{Seed: seed, Hosts: 4000, Servers: 300, MeanFlowPackets: 12, HomeFraction: 0.6}
+	return BackgroundConfig{Seed: seed}
 }
 
 // wellKnownServices weights destination ports the way backbone mixes
@@ -127,27 +131,18 @@ type bgFlow struct {
 
 // NewBackground builds the generator for a config.
 func NewBackground(cfg BackgroundConfig) *Background {
-	if cfg.Hosts <= 0 {
-		cfg.Hosts = 4000
-	}
-	if cfg.Servers <= 0 {
-		cfg.Servers = 300
-	}
-	if cfg.MeanFlowPackets <= 0 {
-		cfg.MeanFlowPackets = 12
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := &Background{cfg: cfg, rng: rng}
 	// Client space spreads over many /8s; servers concentrate in a few
 	// provider blocks, as in backbone captures.
-	b.hosts = make([]uint32, cfg.Hosts)
+	b.hosts = make([]uint32, bgHosts)
 	for i := range b.hosts {
 		b.hosts[i] = rng.Uint32()
 	}
-	b.servers = make([]uint32, cfg.Servers)
+	b.servers = make([]uint32, bgServers)
 	providerBlocks := []uint32{0x17000000, 0x68000000, 0x8D000000, 0xC7000000}
 	for i := range b.servers {
-		if rng.Float64() < cfg.HomeFraction {
+		if rng.Float64() < homeFraction {
 			// Customer-hosted server inside the monitored 10/8.
 			b.servers[i] = 0x0A000000 | uint32(rng.Intn(1<<24))
 		} else {
@@ -155,8 +150,8 @@ func NewBackground(cfg BackgroundConfig) *Background {
 			b.servers[i] = block | uint32(rng.Intn(1<<20))
 		}
 	}
-	b.zipfHost = rand.NewZipf(rng, 1.2, 1, uint64(cfg.Hosts-1))
-	b.zipfServer = rand.NewZipf(rng, 1.3, 1, uint64(cfg.Servers-1))
+	b.zipfHost = rand.NewZipf(rng, 1.2, 1, bgHosts-1)
+	b.zipfServer = rand.NewZipf(rng, 1.3, 1, bgServers-1)
 	return b
 }
 
@@ -176,7 +171,7 @@ func (b *Background) pickService() uint16 {
 
 // flowLength samples a heavy-tailed (log-normal-ish) flow length ≥ 1.
 func (b *Background) flowLength() int {
-	mu := math.Log(b.cfg.MeanFlowPackets) - 0.5
+	mu := math.Log(meanFlowPackets) - 0.5
 	n := int(math.Exp(b.rng.NormFloat64()*1.0 + mu))
 	if n < 1 {
 		n = 1

@@ -160,7 +160,7 @@ type StealthScan struct {
 // NewStealthScan builds a stealth scanner of the given variant.
 func NewStealthScan(rng *rand.Rand, cfg AttackConfig, variant StealthVariant) *StealthScan {
 	cfg = cfg.withDefaults()
-	return &StealthScan{rng: rng, cfg: cfg, variant: variant, sources: randomSources(rng, cfg.Sources)}
+	return &StealthScan{rng: rng, cfg: cfg, variant: variant, sources: randomSources(rng, attackSources)}
 }
 
 // ID implements Attack.
@@ -330,7 +330,7 @@ type FlashCrowd struct {
 func NewFlashCrowd(cfg AttackConfig) *FlashCrowd {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	return &FlashCrowd{rng: rng, cfg: cfg, clients: randomSources(rng, cfg.Sources)}
+	return &FlashCrowd{rng: rng, cfg: cfg, clients: randomSources(rng, attackSources)}
 }
 
 // Next produces the next surge packet.

@@ -125,7 +125,7 @@ func TestSYNFloodShape(t *testing.T) {
 }
 
 func TestDistributedSYNFloodSources(t *testing.T) {
-	a, _ := NewAttack(rules.AttackDistributedSYNFlood, AttackConfig{Seed: 3, Sources: 200})
+	a, _ := NewAttack(rules.AttackDistributedSYNFlood, AttackConfig{Seed: 3})
 	srcs := map[uint32]bool{}
 	for i := 0; i < 2000; i++ {
 		srcs[a.Next().SrcIP] = true

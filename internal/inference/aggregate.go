@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/packet"
+	"repro/internal/rules"
 	"repro/internal/summary"
 )
 
@@ -49,7 +50,9 @@ type Aggregate struct {
 
 // sortedColumn is one field of the aggregate in ascending value order
 // (NaNs first, the order of sort.Float64s): vals[i] is the value of row
-// rows[i]. The order among equal values is unspecified.
+// rows[i]. The order among equal values is unspecified, and no result
+// depends on it: a row window is a value interval, and the rows matched
+// in it are sorted by row.
 type sortedColumn struct {
 	once sync.Once
 	vals []float64
@@ -57,8 +60,9 @@ type sortedColumn struct {
 }
 
 // column returns field f's sorted view, sorting it on the first call of
-// the epoch. The question index and every question's row window read the
-// same slices, from any number of goroutines.
+// the epoch. The question index, which asks for its fields in parallel,
+// and every question's row window read the same slices, from any number
+// of goroutines.
 func (a *Aggregate) column(f packet.FieldIndex) *sortedColumn {
 	c := &a.cols[f]
 	c.once.Do(func() {
@@ -84,15 +88,38 @@ func (a *Aggregate) column(f packet.FieldIndex) *sortedColumn {
 	return c
 }
 
-// window returns the rows whose value v on this column can belong to a
-// match of a question pinned at q with per-field budget b: those with
-// |q − v| ≤ b, the very term Question.Distance adds (|q − v| is q − v
-// below q and v − q above it, and both are monotone in v, so each end is
-// one binary search). NaN values and a NaN budget select nothing.
-func (c *sortedColumn) window(q, b float64) []int32 {
-	lo := sort.Search(len(c.vals), func(i int) bool { return q-c.vals[i] <= b })
-	hi := lo + sort.Search(len(c.vals)-lo, func(i int) bool { return c.vals[lo+i]-q > b })
-	return c.rows[lo:hi]
+// window returns the rows of the narrowest per-field window of a
+// question with the given pins and per-field budget b: on some pinned
+// field f, the rows whose value v has |q_f − v| ≤ b, the very term
+// Question.Distance adds. |q − v| is q − v below q and v − q above it,
+// and both are monotone in v, so each end of a field's window is one
+// binary search. After the first field, a field only has to prove it
+// beats the best window so far: from its lower end lo, the window is
+// strictly shorter than best exactly when the row at lo+len(best)−1 lies
+// above it, and only then is the upper end searched, below that row. Of
+// equally short windows the first field's wins; once a window is empty,
+// no later column is read. NaN values and a NaN budget select nothing.
+func (a *Aggregate) window(pins []rules.Pin, b float64) []int32 {
+	var best []int32
+	for i, p := range pins {
+		if i > 0 && len(best) == 0 {
+			break
+		}
+		c := a.column(p.Field)
+		// False for NaN, which the column puts first.
+		lo := sort.Search(len(c.vals), func(j int) bool { return p.V-c.vals[j] <= b })
+		end := len(c.vals)
+		if i > 0 {
+			last := lo + len(best) - 1
+			if last < end && !(c.vals[last]-p.V > b) {
+				continue
+			}
+			end = min(last, end)
+		}
+		hi := lo + sort.Search(end-lo, func(j int) bool { return c.vals[lo+j]-p.V > b })
+		best = c.rows[lo:hi]
+	}
+	return best
 }
 
 // Rows returns the number of representative packets in the aggregate.

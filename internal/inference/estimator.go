@@ -2,6 +2,7 @@ package inference
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 
@@ -73,41 +74,43 @@ func EstimateSimilarity(agg *Aggregate, q *rules.Question) *MatchResult {
 // by at most the τ_d·n budget (rules.MatchBudget). The exact distance is
 // therefore measured only on the rows inside the narrowest such
 // per-field window of the aggregate's sorted columns; every row outside
-// it fails d_q ≤ τ_d, so the matched set — reported in ascending row
-// order — is the full sweep's.
+// it fails d_q ≤ τ_d. Each row's sum is rules.PinDistance over the
+// question's pins, the sum Question.Distance divides, so it has
+// Distance's bits; a row whose partial sum passes the budget fails
+// d_q ≤ τ_d too. The matched set — reported in ascending row order — is
+// the full sweep's.
 func estimateWithThreshold(agg *Aggregate, q *rules.Question, tauD float64) *MatchResult {
-	res := &MatchResult{Question: q, VariancePassed: true}
-	active := 0
-	for _, qf := range q.Vector {
-		if qf != rules.Irrelevant {
-			active++
-		}
-	}
-	var window []int32
-	if active == 0 {
+	var buf [packet.NumFields]rules.Pin
+	pins := q.AppendPins(buf[:0])
+	sc := scratchPool.Get().(*estimateScratch)
+	matched, count := sc.rows[:0], 0
+	if len(pins) == 0 {
 		// At distance +Inf from every row, which still matches at
 		// τ_d = +Inf: the question gets every row.
-		window = agg.column(0).rows
-	} else {
-		budget := rules.MatchBudget(tauD, active)
-		first := true
-		for f, qf := range q.Vector {
-			if qf == rules.Irrelevant {
-				continue
-			}
-			if w := agg.column(packet.FieldIndex(f)).window(qf, budget); first || len(w) < len(window) {
-				window, first = w, false
+		if math.IsInf(tauD, 1) {
+			for r := 0; r < agg.Rows(); r++ {
+				matched = append(matched, r)
+				count += agg.Counts[r]
 			}
 		}
-	}
-	for _, r := range window {
-		if q.Distance(agg.Representatives.Row(int(r))) <= tauD {
-			res.MatchedCount += agg.Counts[r]
-			res.MatchedRows = append(res.MatchedRows, int(r))
+	} else if agg.Rows() > 0 {
+		// Not only a shortcut: the zero Aggregate has no matrix to read.
+		budget := rules.MatchBudget(tauD, len(pins))
+		n := float64(len(pins))
+		data, stride := agg.Representatives.Data(), agg.Representatives.Cols()
+		for _, r := range agg.window(pins, budget) {
+			x := data[int(r)*stride : int(r)*stride+stride]
+			if sum, within := rules.PinDistance(pins, x, budget); within && sum/n <= tauD {
+				matched = append(matched, int(r))
+				count += agg.Counts[r]
+			}
 		}
+		slices.Sort(matched)
 	}
-	slices.Sort(res.MatchedRows)
-	return finishEstimate(agg, q, res)
+	res := finishEstimate(agg, q, sc, matched, count)
+	sc.rows = matched
+	scratchPool.Put(sc)
+	return res
 }
 
 // estimatePruned produces the result for a question the index proved
@@ -116,41 +119,108 @@ func estimateWithThreshold(agg *Aggregate, q *rules.Question, tauD float64) *Mat
 // the variance gate — so an index-pruned result is byte-identical to
 // the linear scan's result, whatever the thresholds.
 func estimatePruned(agg *Aggregate, q *rules.Question) *MatchResult {
-	return finishEstimate(agg, q, &MatchResult{Question: q, VariancePassed: true})
+	return finishEstimate(agg, q, nil, nil, 0)
 }
 
-// finishEstimate applies the post-scan stages of Algorithm 1 to a
-// result whose MatchedRows/MatchedCount hold the distance-matched set:
-// tracked-window narrowing, the count threshold, and the Algorithm 2
-// variance postprocessor.
-func finishEstimate(agg *Aggregate, q *rules.Question, res *MatchResult) *MatchResult {
-	res.AllMatchedRows = res.MatchedRows
-	res.CoreRows = res.MatchedRows
-	res.FetchRows = res.MatchedRows
-	if q.TrackBy >= 0 && q.TrackBy < packet.NumFields {
-		// "track by_dst" semantics on summaries: the rule fires only
-		// when the matched count concentrates on one tracked-field
-		// value. The matched set Q narrows to the winning window so
-		// the postprocessor analyzes the suspicious subset.
-		field := packet.FieldIndex(q.TrackBy)
-		w := trackWindow(q)
-		rows, count := maxWindowCount(agg, res.MatchedRows, field, w)
-		res.MatchedRows = rows
-		res.MatchedCount = count
-		// The micro-window isolates the single dominant tracked value
-		// (pure attack clusters sit exactly on the victim).
-		res.CoreRows, _ = maxWindowCount(agg, rows, field, w/10)
-		// The fetch window is 50× wider: a cluster holding victim
-		// packets plus strays has its centroid pulled at most a few
-		// window-widths off the victim.
-		res.FetchRows, _ = maxWindowCount(agg, res.AllMatchedRows, field, 50*w)
+// finishEstimate applies the post-scan stages of Algorithm 1 to the
+// distance-matched set — matched, in ascending row order, whose counts
+// sum to count: tracked-window narrowing, the count threshold, and the
+// Algorithm 2 variance postprocessor. matched may be scratch: the row
+// sets of the result are copied out of it, all of them into one
+// allocation. sc is only read when matched is not empty.
+func finishEstimate(agg *Aggregate, q *rules.Question, sc *estimateScratch, matched []int, count int) *MatchResult {
+	res := &MatchResult{Question: q, MatchedCount: count, VariancePassed: true}
+	switch {
+	case len(matched) == 0:
+	case q.TrackBy >= 0 && q.TrackBy < packet.NumFields:
+		sc.track(agg, res, matched, packet.FieldIndex(q.TrackBy), trackWindow(q))
+	default:
+		rows := slices.Clone(matched)
+		res.AllMatchedRows, res.MatchedRows, res.CoreRows, res.FetchRows = rows, rows, rows, rows
 	}
 	res.Matched = res.MatchedCount >= q.CountThreshold
 	if q.Variance != nil {
-		res.Variance = MatchedVariance(agg, res.CoreRows, q.Variance.Field)
+		res.Variance = sc.variance(agg, res.CoreRows, q.Variance.Field)
 		res.VariancePassed = res.Variance >= q.Variance.Threshold
 	}
 	return res
+}
+
+// track is "track by_dst" semantics on summaries: the rule fires only
+// when the matched count concentrates on one tracked-field value, so
+// the matched set Q narrows to the w-wide window of the tracked field
+// holding the largest count, and the postprocessor analyzes that
+// suspicious subset. Two more windows come out of the same order: the
+// micro-window (w/10) inside it isolates the single dominant tracked
+// value (pure attack clusters sit exactly on the victim), and the fetch
+// window (50w) over all matched rows reaches clusters holding victim
+// packets plus strays, whose centroids are pulled at most a few
+// window-widths off the victim.
+//
+// The matched rows are sorted once, by (value, row) — a total order, so
+// which of two rows tied on value falls inside a window's edge does not
+// depend on the sort — and each window is a sub-range of that order.
+// AllMatchedRows and the three windows' rows, each ascending, share one
+// allocation.
+func (sc *estimateScratch) track(agg *Aggregate, res *MatchResult, matched []int, field packet.FieldIndex, w float64) {
+	vals := sc.vals[:0]
+	for _, r := range matched {
+		vals = append(vals, fv{row: r, val: agg.Representatives.At(r, int(field))})
+	}
+	slices.SortFunc(vals, func(a, b fv) int {
+		if c := cmp.Compare(a.val, b.val); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+	sc.vals = vals
+	lo, hi, count := densest(agg, vals, w)
+	clo, chi, _ := densest(agg, vals[lo:hi], w/10)
+	flo, fhi, _ := densest(agg, vals, 50*w)
+
+	buf := make([]int, len(matched)+(hi-lo)+(chi-clo)+(fhi-flo))
+	res.AllMatchedRows, buf = rowsOf(vals, matched, buf)
+	res.MatchedRows, buf = rowsOf(vals[lo:hi], matched, buf)
+	res.CoreRows, buf = rowsOf(vals[lo+clo:lo+chi], matched, buf)
+	res.FetchRows, _ = rowsOf(vals[flo:fhi], matched, buf)
+	res.MatchedCount = count
+}
+
+// densest finds, over vals sorted by value, the window of the given
+// width with the maximum total membership count: vals[lo:hi] and its
+// count. Of equal counts the first window wins; with no positive count
+// that is vals[:1]. vals must not be empty.
+func densest(agg *Aggregate, vals []fv, width float64) (lo, hi, count int) {
+	bestLo, bestHi := 0, 0
+	l, c := 0, 0
+	for h := range vals {
+		c += agg.Counts[vals[h].row]
+		for vals[h].val-vals[l].val > width {
+			c -= agg.Counts[vals[l].row]
+			l++
+		}
+		if c > count {
+			bestLo, bestHi, count = l, h, c
+		}
+	}
+	return bestLo, bestHi + 1, count
+}
+
+// rowsOf writes the rows of window, a sub-range of the sorted matched
+// rows, in ascending order to the front of buf and returns them
+// (capacity capped) and the rest of buf. A window holding every matched
+// row is matched itself, already ascending.
+func rowsOf(window []fv, matched, buf []int) ([]int, []int) {
+	out := buf[:len(window):len(window)]
+	if len(window) == len(matched) {
+		copy(out, matched)
+	} else {
+		for i, v := range window {
+			out[i] = v.row
+		}
+		slices.Sort(out)
+	}
+	return out, buf[len(window):]
 }
 
 // trackWindow returns the question's tracking window width with default.
@@ -173,12 +243,13 @@ type fv struct {
 	val float64
 }
 
-// estimateScratch holds per-call working slices for the hot estimator
-// helpers. Only the MatchedRows/FetchRows/CoreRows result slices escape
-// into MatchResult; everything else is recycled through scratchPool, so
-// per-question cost stays flat across epochs (TestEstimatorScratchReuse
-// pins this).
+// estimateScratch holds per-call working slices for the estimator: the
+// matched rows, the tracked-field sort and the variance inputs. None of
+// them escapes into a MatchResult; they are recycled through
+// scratchPool, so per-question cost stays flat across epochs
+// (TestEstimatorScratchReuse pins this).
 type estimateScratch struct {
+	rows    []int
 	vals    []fv
 	values  []float64
 	weights []float64
@@ -186,52 +257,22 @@ type estimateScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(estimateScratch) }}
 
-// maxWindowCount finds, over the matched rows sorted by the tracked
-// field, the window of the given width with the maximum total membership
-// count. It returns the rows inside that window and their count.
-func maxWindowCount(agg *Aggregate, rows []int, field packet.FieldIndex, width float64) ([]int, int) {
-	if len(rows) == 0 {
-		return nil, 0
-	}
-	sc := scratchPool.Get().(*estimateScratch)
-	if cap(sc.vals) < len(rows) {
-		sc.vals = make([]fv, len(rows))
-	}
-	vals := sc.vals[:len(rows)]
-	for i, r := range rows {
-		vals[i] = fv{row: r, val: agg.Representatives.At(r, int(field))}
-	}
-	slices.SortFunc(vals, func(a, b fv) int { return cmp.Compare(a.val, b.val) })
-
-	bestLo, bestHi, bestCount := 0, 0, 0
-	lo, count := 0, 0
-	for hi := 0; hi < len(vals); hi++ {
-		count += agg.Counts[vals[hi].row]
-		for vals[hi].val-vals[lo].val > width {
-			count -= agg.Counts[vals[lo].row]
-			lo++
-		}
-		if count > bestCount {
-			bestLo, bestHi, bestCount = lo, hi, count
-		}
-	}
-	out := make([]int, 0, bestHi-bestLo+1)
-	for i := bestLo; i <= bestHi; i++ {
-		out = append(out, vals[i].row)
-	}
-	scratchPool.Put(sc)
-	slices.Sort(out)
-	return out, bestCount
-}
-
 // MatchedVariance runs Algorithm 2: the weighted variance of a
 // normalized header field over the matched representatives, where each
 // representative counts c_i times (the "add x_i(h) c_i times to Z" loop).
 func MatchedVariance(agg *Aggregate, rows []int, field packet.FieldIndex) float64 {
+	sc := scratchPool.Get().(*estimateScratch)
+	v := sc.variance(agg, rows, field)
+	scratchPool.Put(sc)
+	return v
+}
+
+// variance is MatchedVariance over sc's buffers, which it does not
+// touch when rows is empty.
+func (sc *estimateScratch) variance(agg *Aggregate, rows []int, field packet.FieldIndex) float64 {
 	if len(rows) == 0 {
 		return 0
 	}
-	sc := scratchPool.Get().(*estimateScratch)
 	if cap(sc.values) < len(rows) {
 		sc.values = make([]float64, len(rows))
 		sc.weights = make([]float64, len(rows))
@@ -241,7 +282,5 @@ func MatchedVariance(agg *Aggregate, rows []int, field packet.FieldIndex) float6
 		values[i] = agg.Representatives.At(r, int(field))
 		weights[i] = float64(agg.Counts[r])
 	}
-	v := linalg.WeightedVariance(values, weights)
-	scratchPool.Put(sc)
-	return v
+	return linalg.WeightedVariance(values, weights)
 }

@@ -175,10 +175,12 @@ func TestEvaluateAllParallelOrderPin10k(t *testing.T) {
 	}
 }
 
-// TestEstimatorScratchReuse pins the scratch-pooling satellite: after
+// TestEstimatorScratchReuse pins the estimator's allocations: after
 // pool warmup, a pruned question costs one allocation (its result) and
-// a matching tracked question stays O(result size) — the per-question
-// sort/scratch slices no longer allocate.
+// a matching tracked question two — its result and the one buffer its
+// four row sets share. The matched rows, the tracked-field sort and the
+// variance inputs come from the pool, which the race detector empties
+// at random, so under -race the tracked bound is the looser 12.
 func TestEstimatorScratchReuse(t *testing.T) {
 	agg := scaleAggregate(t, 15, 1000)
 	qs := scaleQuestions(t, 500, 4)
@@ -195,8 +197,12 @@ func TestEstimatorScratchReuse(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { estimatePruned(agg, hot) }); got > 1 {
 		t.Errorf("pruned estimate: %.1f allocs/op, want ≤ 1", got)
 	}
-	if got := testing.AllocsPerRun(100, func() { EstimateSimilarity(agg, hot) }); got > 12 {
-		t.Errorf("tracked estimate: %.1f allocs/op, want ≤ 12 (scratch must come from the pool)", got)
+	want := 2.0
+	if raceBuild {
+		want = 12
+	}
+	if got := testing.AllocsPerRun(100, func() { EstimateSimilarity(agg, hot) }); got > want {
+		t.Errorf("tracked estimate: %.1f allocs/op, want ≤ %.0f (scratch must come from the pool)", got, want)
 	}
 }
 

@@ -1,14 +1,19 @@
 package inference
 
 import (
+	"cmp"
+	"slices"
+
+	"repro/internal/packet"
 	"repro/internal/par"
 	"repro/internal/rules"
 )
 
 // sweepEstimate is Algorithm 1 as the paper writes it and as this package
 // ran it before the estimator pruned by row windows: d_q against every
-// representative, row after row, then the shared post-scan tail. It is
-// the reference estimateWithThreshold is compared with.
+// representative, row after row, then the post-scan tail as it ran
+// before the tracked field was sorted once — maxWindowCount per window.
+// It is the reference estimateWithThreshold is compared with.
 func sweepEstimate(agg *Aggregate, q *rules.Question, tauD float64) *MatchResult {
 	res := &MatchResult{Question: q, VariancePassed: true}
 	for i := 0; i < agg.Rows(); i++ {
@@ -17,7 +22,61 @@ func sweepEstimate(agg *Aggregate, q *rules.Question, tauD float64) *MatchResult
 			res.MatchedRows = append(res.MatchedRows, i)
 		}
 	}
-	return finishEstimate(agg, q, res)
+	res.AllMatchedRows = res.MatchedRows
+	res.CoreRows = res.MatchedRows
+	res.FetchRows = res.MatchedRows
+	if q.TrackBy >= 0 && q.TrackBy < packet.NumFields {
+		field := packet.FieldIndex(q.TrackBy)
+		w := trackWindow(q)
+		res.MatchedRows, res.MatchedCount = maxWindowCount(agg, res.AllMatchedRows, field, w)
+		res.CoreRows, _ = maxWindowCount(agg, res.MatchedRows, field, w/10)
+		res.FetchRows, _ = maxWindowCount(agg, res.AllMatchedRows, field, 50*w)
+	}
+	res.Matched = res.MatchedCount >= q.CountThreshold
+	if q.Variance != nil {
+		res.Variance = MatchedVariance(agg, res.CoreRows, q.Variance.Field)
+		res.VariancePassed = res.Variance >= q.Variance.Threshold
+	}
+	return res
+}
+
+// maxWindowCount finds, over the given rows sorted by the tracked field
+// (ties by row), the window of the given width with the maximum total
+// membership count, and returns the rows inside it, ascending, and their
+// count. Each call sorts its own copy of the rows.
+func maxWindowCount(agg *Aggregate, rows []int, field packet.FieldIndex, width float64) ([]int, int) {
+	if len(rows) == 0 {
+		return nil, 0
+	}
+	vals := make([]fv, len(rows))
+	for i, r := range rows {
+		vals[i] = fv{row: r, val: agg.Representatives.At(r, int(field))}
+	}
+	slices.SortFunc(vals, func(a, b fv) int {
+		if c := cmp.Compare(a.val, b.val); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+
+	bestLo, bestHi, bestCount := 0, 0, 0
+	lo, count := 0, 0
+	for hi := 0; hi < len(vals); hi++ {
+		count += agg.Counts[vals[hi].row]
+		for vals[hi].val-vals[lo].val > width {
+			count -= agg.Counts[vals[lo].row]
+			lo++
+		}
+		if count > bestCount {
+			bestLo, bestHi, bestCount = lo, hi, count
+		}
+	}
+	out := make([]int, 0, bestHi-bestLo+1)
+	for i := bestLo; i <= bestHi; i++ {
+		out = append(out, vals[i].row)
+	}
+	slices.Sort(out)
+	return out, bestCount
 }
 
 // sweepFeedback is the two-stage result a full sweep at τ_d1 and τ_d2

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/packet"
+	"repro/internal/par"
 )
 
 // This file implements the question index: Algorithm 1's matching cost
@@ -22,7 +23,9 @@ import (
 // centroid carrying one can match. The test is necessary, not
 // sufficient, so the estimator still runs on every candidate: the index
 // only skips questions whose match set is certainly empty, which keeps
-// indexed evaluation byte-identical to the linear sweep.
+// indexed evaluation byte-identical to the linear sweep. One epoch's
+// questions are tested in chunks of whole bitset words across the
+// worker pool.
 
 // bitset is a fixed-size bit vector over question indices.
 type bitset []uint64
@@ -52,14 +55,8 @@ type QuestionIndex struct {
 	pad []float64
 	// pins[start[i]:start[i+1]] holds question i's constrained fields. A
 	// question with none has +Inf Eq. 5 distance and is never a candidate.
-	pins  []pin
+	pins  []Pin
 	start []int
-}
-
-// pin is one question's value on one constrained field.
-type pin struct {
-	field packet.FieldIndex
-	v     float64
 }
 
 // NewQuestionIndex builds the index over qs. maxTau gives, per
@@ -85,13 +82,11 @@ func NewQuestionIndex(qs []*Question, maxTau []float64) (*QuestionIndex, error) 
 		if maxTau != nil && maxTau[i] > 0 {
 			tau = maxTau[i]
 		}
-		for f, v := range q.Vector {
-			if v != Irrelevant {
-				ix.pins = append(ix.pins, pin{field: packet.FieldIndex(f), v: v})
-				ix.used |= 1 << uint(f)
-			}
-		}
+		ix.pins = q.AppendPins(ix.pins)
 		ix.start[i+1] = len(ix.pins)
+		for _, p := range ix.pins[ix.start[i]:] {
+			ix.used |= 1 << uint(p.Field)
+		}
 		ix.pad[i] = MatchBudget(tau, ix.start[i+1]-ix.start[i])
 	}
 	return ix, nil
@@ -121,26 +116,56 @@ func (s *CandidateSet) Count() int { return s.bits.count() }
 // Len returns the number of questions the set ranges over.
 func (s *CandidateSet) Len() int { return s.n }
 
+// candidateChunk is how many questions one worker tests at a time: a
+// whole number of 64-question bitset words, so no two chunks write the
+// same word.
+const candidateChunk = 1024
+
 // Candidates computes the epoch's candidate set. column(f) must return
 // the epoch's centroid values on field f in ascending order, NaNs
 // first (the order of sort.Float64s); every column has one entry per
-// centroid. The index only reads the columns — the aggregate sorts each
-// once per epoch and the estimator's row windows share them. Cost is one
-// binary search per constrained field of each question, stopping at the
-// first field that exhausts the question's budget.
+// centroid. It is called once per constrained field, from several
+// goroutines at once, so the aggregate sorts its columns in parallel;
+// the index only reads them, and the estimator's row windows share
+// them. Cost is one binary search per constrained field of each
+// question, stopping at the first field that exhausts the question's
+// budget; the questions are tested in chunks spread over the worker
+// pool.
 func (ix *QuestionIndex) Candidates(column func(f packet.FieldIndex) []float64) *CandidateSet {
+	return ix.candidates(column, 0)
+}
+
+// candidates is Candidates across at most workers goroutines (0 means
+// the whole pool). The set does not depend on workers.
+func (ix *QuestionIndex) candidates(column func(f packet.FieldIndex) []float64, workers int) *CandidateSet {
 	out := &CandidateSet{bits: newBitset(ix.n), n: ix.n}
-	var cols [packet.NumFields][]float64
-	for f := range cols {
-		if ix.used&(1<<uint(f)) == 0 {
-			continue
+	var fields [packet.NumFields]packet.FieldIndex
+	used := 0
+	for f := range fields {
+		if ix.used&(1<<uint(f)) != 0 {
+			fields[used] = packet.FieldIndex(f)
+			used++
 		}
-		if cols[f] = column(packet.FieldIndex(f)); len(cols[f]) == 0 {
+	}
+	var cols [packet.NumFields][]float64
+	par.For(used, workers, func(i int) { cols[fields[i]] = column(fields[i]) })
+	for _, f := range fields[:used] {
+		if len(cols[f]) == 0 {
 			return out // no centroids: nothing can match
 		}
 	}
+	par.For((ix.n+candidateChunk-1)/candidateChunk, workers, func(c int) {
+		lo := c * candidateChunk
+		ix.test(&cols, out.bits, lo, min(lo+candidateChunk, ix.n))
+	})
+	return out
+}
+
+// test sets the bit of every question in [lo, hi) whose summed nearest
+// deviations stay within its budget.
+func (ix *QuestionIndex) test(cols *[packet.NumFields][]float64, bits bitset, lo, hi int) {
 questions:
-	for i := 0; i < ix.n; i++ {
+	for i := lo; i < hi; i++ {
 		pins := ix.pins[ix.start[i]:ix.start[i+1]]
 		if len(pins) == 0 {
 			continue
@@ -149,20 +174,19 @@ questions:
 		// settles the question.
 		sum := 0.0
 		for _, p := range pins {
-			col := cols[p.field]
-			at := sort.SearchFloat64s(col, p.v)
+			col := cols[p.Field]
+			at := sort.SearchFloat64s(col, p.V)
 			d := math.Inf(1)
 			if at < len(col) {
-				d = col[at] - p.v
+				d = col[at] - p.V
 			}
-			if at > 0 && p.v-col[at-1] < d {
-				d = p.v - col[at-1]
+			if at > 0 && p.V-col[at-1] < d {
+				d = p.V - col[at-1]
 			}
 			if sum += d; sum > ix.pad[i] {
 				continue questions
 			}
 		}
-		out.bits.set(i)
+		bits.set(i)
 	}
-	return out
 }

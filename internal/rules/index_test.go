@@ -3,11 +3,14 @@ package rules
 import (
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/par"
 )
 
 // qVec builds a question with the given sparse vector entries and τ_d.
@@ -161,6 +164,64 @@ func FuzzCandidatesEqualsBruteForce(f *testing.F) {
 			t.Fatalf("candidates %v, brute force %v", got.bits, want.bits)
 		}
 	})
+}
+
+// TestMain gives the worker pool — sized once, at first use — at least
+// two participants, so the chunked candidate pass runs on real helpers
+// even on a single-CPU machine.
+func TestMain(m *testing.M) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		runtime.GOMAXPROCS(2)
+	}
+	os.Exit(m.Run())
+}
+
+// TestCandidatesChunkBoundaries holds the chunked candidate pass to the
+// brute-force oracle at question counts on either side of a bitset word
+// and of a chunk, on one worker and on the whole pool: a chunk that
+// tested a question twice, skipped one, or shared a word with its
+// neighbour shows up here (under -race too), never in the fuzz target,
+// whose libraries stay below one word.
+func TestCandidatesChunkBoundaries(t *testing.T) {
+	if par.Size() < 2 {
+		t.Fatalf("worker pool has %d participant, want ≥ 2", par.Size())
+	}
+	rng := rand.New(rand.NewSource(5))
+	rows := make([][]float64, 40)
+	for r := range rows {
+		rows[r] = make([]float64, packet.NumFields)
+		for f := range rows[r] {
+			rows[r][f] = float64(rng.Intn(50)) / 50
+		}
+	}
+	rows[3][packet.FieldDstPort] = math.NaN()
+	taus := []float64{0, 0.005, 0.05}
+	for _, n := range []int{0, 1, 63, 64, 1023, 1024, 1025, 2500} {
+		qs := make([]*Question, n)
+		for i := range qs {
+			// One to four pinned fields (none for every 97th question),
+			// each on some row's value or a little off it.
+			entries := map[packet.FieldIndex]float64{}
+			for k := rng.Intn(4) + 1; k > 0 && i%97 != 96; k-- {
+				f := packet.FieldIndex(rng.Intn(packet.NumFields))
+				entries[f] = rows[rng.Intn(len(rows))][f] + float64(rng.Intn(3))*0.01
+			}
+			qs[i] = qVec(taus[rng.Intn(len(taus))], entries)
+		}
+		ix, err := NewQuestionIndex(qs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteForce(qs, nil, rows)
+		if n >= 64 && (want.Count() == 0 || want.Count() == n) {
+			t.Fatalf("%d questions: %d candidates — the comparison is vacuous", n, want.Count())
+		}
+		for _, workers := range []int{1, 0} {
+			if got := ix.candidates(columnsOf(rows...), workers); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d questions, workers=%d: %d candidates, brute force %d", n, workers, got.Count(), want.Count())
+			}
+		}
+	}
 }
 
 func fullRow(entries map[packet.FieldIndex]float64) []float64 {

@@ -85,25 +85,47 @@ func (q *Question) ActiveFields() []packet.FieldIndex {
 // Distance computes d_q(x) per Eq. 5: the mean absolute deviation over
 // the constrained entries. x must be a normalized field vector of length
 // p. A question with no constrained entries returns +Inf (it can never
-// match).
+// match). The estimator's row test sums the same pins with PinDistance,
+// so this is the distance its matches are held to.
 func (q *Question) Distance(x []float64) float64 {
-	var sum float64
-	var n int
-	// One length check here instead of one per field: it keeps the loop
-	// within 64 bytes of code, which made ruleset-bound epochs ~30 %
-	// slower or faster by where the linker happened to put the function.
-	x = x[:len(q.Vector)]
-	for j, qj := range q.Vector {
-		if qj == Irrelevant {
-			continue
-		}
-		sum += math.Abs(qj - x[j])
-		n++
-	}
-	if n == 0 {
+	var buf [packet.NumFields]Pin
+	pins := q.AppendPins(buf[:0])
+	if len(pins) == 0 {
 		return math.Inf(1)
 	}
-	return sum / float64(n)
+	sum, _ := PinDistance(pins, x[:len(q.Vector)], math.Inf(1))
+	return sum / float64(len(pins))
+}
+
+// Pin is one field a question constrains and the question's value on it.
+type Pin struct {
+	Field packet.FieldIndex
+	V     float64
+}
+
+// AppendPins appends q's constrained fields to pins in ascending field
+// order and returns the extended slice.
+func (q *Question) AppendPins(pins []Pin) []Pin {
+	for f, v := range q.Vector {
+		if v != Irrelevant {
+			pins = append(pins, Pin{Field: packet.FieldIndex(f), V: v})
+		}
+	}
+	return pins
+}
+
+// PinDistance adds |p.V − x[p.Field]| over pins, in order, and reports
+// whether the sum stayed within budget. It stops at the first partial sum
+// over budget: a floating-point sum of non-negatives only grows, so the
+// full sum would exceed budget too. With an infinite budget it is Eq. 5's
+// numerator, the sum Distance divides.
+func PinDistance(pins []Pin, x []float64, budget float64) (sum float64, within bool) {
+	for _, p := range pins {
+		if sum += math.Abs(p.V - x[p.Field]); sum > budget {
+			return sum, false
+		}
+	}
+	return sum, true
 }
 
 // MatchBudget bounds the deviation |q_f − x_f| any one constrained field

@@ -74,10 +74,19 @@ go test -race -run 'TestQuickFiguresGolden' ./internal/experiments/
 # The estimator's row windows against a sweep over every row, and the
 # aggregate's sorted columns first used from many goroutines at once.
 go test -race -run 'TestEstimateWindowEqualsSweep|TestSortedColumnBuiltOnce' ./internal/inference/
+# The question index's candidate pass tests its questions in chunks of
+# whole bitset words across the worker pool: against the brute-force
+# oracle at question counts around a word and a chunk edge, where two
+# chunks sharing a word would race.
+go test -race -run 'TestCandidatesChunkBoundaries' ./internal/rules/
 # Every metric field is a typed atomic that no reader copies: metrics
 # written from four goroutines while the registry is rendered. This test
 # is what holds that invariant, and it needs -race to see a violation.
 go test -race -run 'TestMetricsConcurrentReadWrite' ./internal/obs/
+# The estimator's allocation bound: a tracked estimate is its result and
+# one row buffer (≤ 2) only when sync.Pool keeps its scratch, which the
+# race detector prevents at random, so this one runs without -race.
+go test -run 'TestEstimatorScratchReuse' ./internal/inference/
 
 # Detection accuracy gate: the scoreboard report must be byte-identical
 # across worker counts, and the quick-profile scores must stay within

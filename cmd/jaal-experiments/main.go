@@ -8,12 +8,11 @@
 //
 // where <experiment> is one of: fig4 fig5 fig6 fig7 fig8 fig9 fig10
 // fig11 table1 headline varest adaptive multiwindow encoding coverage
-// sketchcost batchsize overload matchscale all. ("adaptive" is the
-// evasive-attacker ablation; "matchscale" is the indexed-matching
-// harness and is excluded from "all" because its numbers are wall-clock
-// timings; "overload" is the sketch-assisted load-shedding grid at
-// 1×/5×/10× offered load, excluded from "all" because it has its own
-// warn-only CI job.)
+// sketchcost batchsize overload scoreboard all. ("adaptive" is the
+// evasive-attacker ablation; "overload" is the sketch-assisted
+// load-shedding grid at 1×/5×/10× offered load, excluded from "all"
+// because it has its own warn-only CI job; "scoreboard" scores the
+// labelled scenario corpus and takes its own flags, see scoreboard.go.)
 //
 // -quick reduces trial counts for a fast smoke run; the default scale
 // mirrors the paper's averaging (15 runs per point). -stats prints the
@@ -37,7 +36,7 @@ func main() {
 	stats := flag.Bool("stats", false, "collect runtime metrics and print the observability summary table to stderr")
 	topoNum := flag.Int("topology", 1, "topology for fig7/fig9: 1 (Abovenet-like) or 2 (Exodus-like)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: jaal-experiments [-quick] <fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table1|headline|varest|adaptive|multiwindow|encoding|coverage|sketchcost|batchsize|overload|matchscale|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: jaal-experiments [-quick] <fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table1|headline|varest|adaptive|multiwindow|encoding|coverage|sketchcost|batchsize|overload|scoreboard|all>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -157,15 +156,6 @@ func run(name string, sc experiments.Scale, quick bool, top *topology.Topology) 
 		return render(tbl, err)
 	case "overload":
 		_, tbl, err := experiments.Overload(quick)
-		return render(tbl, err)
-	case "matchscale":
-		sizes := []int{100, 1000, 10000}
-		reps := 3
-		if quick {
-			sizes = []int{100, 1000}
-			reps = 1
-		}
-		_, tbl, err := experiments.MatchScale(sizes, reps)
 		return render(tbl, err)
 	case "all":
 		for _, sub := range []string{

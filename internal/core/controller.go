@@ -78,10 +78,6 @@ type Controller struct {
 	lastVolumetric *VolumetricReport
 }
 
-// wireSizeBytes is the per-header transfer cost used by the overhead
-// accounting; it matches the packet wire format.
-const wireSizeBytes = packet.WireSize
-
 // Stats tracks the communication accounting of §8.
 type Stats struct {
 	// SummaryElements is the total float64 elements received in
@@ -97,16 +93,16 @@ type Stats struct {
 	AlertsRaised int
 }
 
-// SummaryBytes estimates the bytes transferred for summaries (4 bytes
-// per float32 element on the wire).
-func (s Stats) SummaryBytes() int { return s.SummaryElements * 4 }
+// SummaryBytes estimates the bytes transferred for summaries (one
+// float32 per element on the wire).
+func (s Stats) SummaryBytes() int { return s.SummaryElements * summary.ElementSize }
 
 // RawHeaderBytes returns the bytes the equivalent raw-header transfer
 // would have cost, the baseline of the paper's overhead comparison.
-func (s Stats) RawHeaderBytes() int { return s.PacketsSummarized * wireSizeBytes }
+func (s Stats) RawHeaderBytes() int { return s.PacketsSummarized * packet.WireSize }
 
 // FeedbackBytes returns bytes spent on feedback raw fetches.
-func (s Stats) FeedbackBytes() int { return s.RawPacketsFetched * wireSizeBytes }
+func (s Stats) FeedbackBytes() int { return s.RawPacketsFetched * packet.WireSize }
 
 // OverheadFraction returns (summary + feedback bytes) / raw bytes: the
 // paper's headline "35 % of raw" metric.

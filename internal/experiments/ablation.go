@@ -7,6 +7,7 @@ import (
 	"repro/internal/inference"
 	"repro/internal/packet"
 	"repro/internal/rules"
+	"repro/internal/scenario"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
 )
@@ -55,8 +56,7 @@ func AdaptiveAttacker(trials int) (*AdaptiveAttackerResult, *Table, error) {
 	if trials < 1 {
 		trials = 10
 	}
-	env := Env()
-	q, err := rules.LibraryQuestion(rules.AttackDistributedSYNFlood, env, rules.TranslateConfig{
+	q, err := rules.LibraryQuestion(rules.AttackDistributedSYNFlood, scenario.Env(), rules.TranslateConfig{
 		DefaultDistanceThreshold: 0.05, VarianceThreshold: 0.003,
 	})
 	if err != nil {
@@ -76,20 +76,7 @@ func AdaptiveAttacker(trials int) (*AdaptiveAttackerResult, *Table, error) {
 			gen = &adaptiveAttack{inner: atk, rng: rand.New(rand.NewSource(seed + 7))}
 		}
 		mix := trafficgen.NewMixer(bg, gen, trafficgen.MixConfig{Seed: seed})
-		pkts := mix.Batch(n)
-		headers := make([]packet.Header, len(pkts))
-		for i, lp := range pkts {
-			headers[i] = lp.Header
-		}
-		szr, err := summary.NewSummarizer(summary.Config{BatchSize: n, Rank: 12, Centroids: 200, Seed: seed})
-		if err != nil {
-			return false, err
-		}
-		s, err := szr.Summarize(headers, 0, 0)
-		if err != nil {
-			return false, err
-		}
-		agg, err := inference.AggregateSummaries([]*summary.Summary{s})
+		agg, err := summarizeTrial(mix, summary.Config{BatchSize: n, Rank: 12, Centroids: 200, Seed: seed}, 1, 1, nil)
 		if err != nil {
 			return false, err
 		}
@@ -150,8 +137,7 @@ func MultiWindowCorrelation(trials int) ([]MultiWindowResult, *Table, error) {
 	if trials < 1 {
 		trials = 10
 	}
-	env := Env()
-	q, err := rules.LibraryQuestion(rules.AttackDistributedSYNFlood, env, rules.TranslateConfig{
+	q, err := rules.LibraryQuestion(rules.AttackDistributedSYNFlood, scenario.Env(), rules.TranslateConfig{
 		DefaultDistanceThreshold: 0.05, VarianceThreshold: 0.003,
 	})
 	if err != nil {
@@ -184,16 +170,7 @@ func MultiWindowCorrelation(trials int) ([]MultiWindowResult, *Table, error) {
 		}
 		fired := make([]bool, epochs)
 		for e := 0; e < epochs; e++ {
-			pkts := mix.Batch(n)
-			headers := make([]packet.Header, len(pkts))
-			for i, lp := range pkts {
-				headers[i] = lp.Header
-			}
-			s, err := szr.Summarize(headers, 0, uint64(e))
-			if err != nil {
-				return nil, err
-			}
-			agg, err := inference.AggregateSummaries([]*summary.Summary{s})
+			agg, err := summarizeBatch(szr, draw(mix, n), uint64(e))
 			if err != nil {
 				return nil, err
 			}
@@ -268,11 +245,10 @@ func MultiWindowCorrelation(trials int) ([]MultiWindowResult, *Table, error) {
 type SplitVsCombinedResult struct {
 	CombinedElements int
 	SplitElements    int
-	// ReconstructionGap is ‖reps_split − reps_combined‖_F relative to
-	// the combined representatives' norm: how much information the
-	// cheaper encoding gives up (it should be tiny — they are
-	// mathematically equivalent up to clustering in different spaces).
-	ReconstructionGap float64
+	// ApproximationError is the relative residual of representing the
+	// batch by the chosen encoding's representatives
+	// (summary.ApproximationError).
+	ApproximationError float64
 }
 
 // SplitVsCombined quantifies the §4.3 encoding choice at the paper's
@@ -299,25 +275,18 @@ func SplitVsCombined() (*SplitVsCombinedResult, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	reps, err := s.Representatives()
-	if err != nil {
-		return nil, nil, err
-	}
-	// Fidelity proxy: the relative residual of representing the batch
-	// by the chosen encoding's representatives.
 	approxErr, err := summary.ApproximationError(headers, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	res.ReconstructionGap = approxErr
-	_ = reps
+	res.ApproximationError = approxErr
 
 	table := &Table{
 		Title:   "§4.3 ablation — split vs combined summary encoding (n=1000, r=12, k=200)",
 		Columns: []string{"encoding", "elements", "bytes_f32"},
 		Rows: [][]string{
-			{"combined k(p+1)", fmt.Sprintf("%d", res.CombinedElements), fmt.Sprintf("%d", res.CombinedElements*4)},
-			{"split r(k+p+1)+k", fmt.Sprintf("%d", res.SplitElements), fmt.Sprintf("%d", res.SplitElements*4)},
+			{"combined k(p+1)", fmt.Sprintf("%d", res.CombinedElements), fmt.Sprintf("%d", res.CombinedElements*summary.ElementSize)},
+			{"split r(k+p+1)+k", fmt.Sprintf("%d", res.SplitElements), fmt.Sprintf("%d", res.SplitElements*summary.ElementSize)},
 		},
 		Notes: []string{
 			fmt.Sprintf("chosen encoding: %s; batch approximation error %.3f", s.Kind, approxErr),

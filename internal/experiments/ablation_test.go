@@ -56,8 +56,8 @@ func TestSplitVsCombined(t *testing.T) {
 	if res.SplitElements != summary.SplitSize(12, 200, 18) {
 		t.Fatalf("split size %d inconsistent", res.SplitElements)
 	}
-	if res.ReconstructionGap <= 0 || res.ReconstructionGap > 0.6 {
-		t.Fatalf("approximation error %.3f out of plausible range", res.ReconstructionGap)
+	if res.ApproximationError <= 0 || res.ApproximationError > 0.6 {
+		t.Fatalf("approximation error %.3f out of plausible range", res.ApproximationError)
 	}
 	if len(tbl.Rows) != 2 {
 		t.Fatal("table must list both encodings")

@@ -7,6 +7,7 @@ import (
 	"repro/internal/inference"
 	"repro/internal/packet"
 	"repro/internal/rules"
+	"repro/internal/scenario"
 	"repro/internal/sketch"
 	"repro/internal/summary"
 	"repro/internal/topology"
@@ -90,7 +91,7 @@ func SketchCost() (*Table, error) {
 	}
 	perSketch := cm.SizeBytes()
 	combo := sketch.CombinationCost(packet.NumFields, 500*1024)
-	jaalBytes := summary.SplitSize(12, 200, packet.NumFields) * 4
+	jaalBytes := summary.SplitSize(12, 200, packet.NumFields) * summary.ElementSize
 
 	table := &Table{
 		Title:   "§2 — per-epoch transfer cost: combinatorial sketching vs one Jaal summary",
@@ -120,8 +121,7 @@ func BatchSizeSweep(trials int) ([]BatchSizePoint, *Table, error) {
 	if trials < 1 {
 		trials = 10
 	}
-	env := Env()
-	q, err := rules.LibraryQuestion(rules.AttackDistributedSYNFlood, env, rules.TranslateConfig{
+	q, err := rules.LibraryQuestion(rules.AttackDistributedSYNFlood, scenario.Env(), rules.TranslateConfig{
 		DefaultDistanceThreshold: 0.05, VarianceThreshold: 0.003,
 	})
 	if err != nil {
@@ -146,20 +146,7 @@ func BatchSizeSweep(trials int) ([]BatchSizePoint, *Table, error) {
 				return nil, nil, err
 			}
 			mix := trafficgen.NewMixer(bg, atk, trafficgen.MixConfig{Seed: seed})
-			headers := make([]packet.Header, n)
-			for i, lp := range mix.Batch(n) {
-				headers[i] = lp.Header
-			}
-			k := n / 5
-			szr, err := summary.NewSummarizer(summary.Config{BatchSize: n, Rank: 12, Centroids: k, Seed: seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			s, err := szr.Summarize(headers, 0, 0)
-			if err != nil {
-				return nil, nil, err
-			}
-			agg, err := inference.AggregateSummaries([]*summary.Summary{s})
+			agg, err := summarizeTrial(mix, summary.Config{BatchSize: n, Rank: 12, Centroids: n / 5, Seed: seed}, 1, 1, nil)
 			if err != nil {
 				return nil, nil, err
 			}

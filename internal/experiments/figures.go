@@ -13,6 +13,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/rules"
+	"repro/internal/scenario"
 	"repro/internal/snort"
 	"repro/internal/summary"
 	"repro/internal/topology"
@@ -28,9 +29,8 @@ var EvaluatedAttacks = []rules.AttackID{
 	rules.AttackSockstress,
 }
 
-// Scale trades experiment fidelity for runtime: the full paper-scale
-// sweeps (Scale=1) run in cmd/jaal-experiments and the benches; tests use
-// a reduced Scale.
+// Scale trades experiment fidelity for runtime: cmd/jaal-experiments
+// runs FullScale, or QuickScale under -quick; tests use a reduced Scale.
 type Scale struct {
 	// Trials per configuration (paper: 15 runs per point).
 	Trials int
@@ -137,7 +137,7 @@ func Fig6Feedback(sc Scale) ([]Fig6Point, *Table, error) {
 		},
 	}
 
-	matcher := snort.RawMatcher{Env: Env()}
+	matcher := snort.RawMatcher{Env: scenario.Env()}
 
 	// Campaigns (the expensive summarization work) are built once per
 	// attack and reused across the τ_d2 sweep.
@@ -181,9 +181,9 @@ func Fig6Feedback(sc Scale) ([]Fig6Point, *Table, error) {
 				if res.Alerted {
 					tp++
 				}
-				summaryBytes += tr.agg.Elements * 4
-				rawFetchedBytes += res.RawPackets * 33
-				rawBaselineBytes += tr.agg.TotalPackets * 33
+				summaryBytes += tr.agg.Elements * summary.ElementSize
+				rawFetchedBytes += res.RawPackets * packet.WireSize
+				rawBaselineBytes += tr.agg.TotalPackets * packet.WireSize
 			}
 			for _, tr := range camp.negative {
 				res, err := inference.RunFeedbackIndexed(tr.agg, camp.question, cfg, tr.fetcher, matcher, true)
@@ -194,9 +194,9 @@ func Fig6Feedback(sc Scale) ([]Fig6Point, *Table, error) {
 				if res.Alerted {
 					fp++
 				}
-				summaryBytes += tr.agg.Elements * 4
-				rawFetchedBytes += res.RawPackets * 33
-				rawBaselineBytes += tr.agg.TotalPackets * 33
+				summaryBytes += tr.agg.Elements * summary.ElementSize
+				rawFetchedBytes += res.RawPackets * packet.WireSize
+				rawBaselineBytes += tr.agg.TotalPackets * packet.WireSize
 			}
 		}
 		p := Fig6Point{
@@ -243,8 +243,7 @@ func (f *monitorFetcher) FetchRaw(ref inference.CentroidRef) ([]packet.Header, i
 // buildFeedbackCampaign generates trials that retain raw packets so the
 // feedback loop can fetch them.
 func buildFeedbackCampaign(id rules.AttackID, n, r, k int, sc Scale) (*feedbackCampaign, error) {
-	env := Env()
-	q, err := rules.LibraryQuestion(id, env, rules.TranslateConfig{
+	q, err := rules.LibraryQuestion(id, scenario.Env(), rules.TranslateConfig{
 		DefaultDistanceThreshold: 0.05, VarianceThreshold: 0.003,
 	})
 	if err != nil {
@@ -265,33 +264,8 @@ func buildFeedbackCampaign(id rules.AttackID, n, r, k int, sc Scale) (*feedbackC
 		}
 		mix := trafficgen.NewMixer(bg, atk, trafficgen.MixConfig{Seed: seed})
 		fetch := &monitorFetcher{buffers: make(map[int]*summary.Buffer)}
-		var sums []*summary.Summary
-		for m := 0; m < sc.Monitors; m++ {
-			buf := summary.NewBuffer(n)
-			fetch.buffers[m] = buf
-			szr, err := summary.NewSummarizer(summary.Config{
-				BatchSize: n, Rank: r, Centroids: k, Seed: seed + int64(m),
-			})
-			if err != nil {
-				return feedbackTrial{}, err
-			}
-			for b := 0; b < sc.BatchesPerTrial; b++ {
-				var batch *summary.Batch
-				for _, lp := range mix.Batch(n) {
-					batch, _ = buf.Add(lp.Header)
-				}
-				if batch == nil {
-					return feedbackTrial{}, fmt.Errorf("experiments: batch not sealed")
-				}
-				s, err := szr.Summarize(batch.Headers, m, batch.Epoch)
-				if err != nil {
-					return feedbackTrial{}, err
-				}
-				buf.Retain(batch, s)
-				sums = append(sums, s)
-			}
-		}
-		agg, err := inference.AggregateSummaries(sums)
+		agg, err := summarizeTrial(mix, summary.Config{BatchSize: n, Rank: r, Centroids: k, Seed: seed},
+			sc.Monitors, sc.BatchesPerTrial, fetch)
 		if err != nil {
 			return feedbackTrial{}, err
 		}
@@ -729,21 +703,12 @@ func variancePointError(n, k int, seed int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	mix := trafficgen.NewMixer(bg, atk, trafficgen.MixConfig{Seed: seed})
-	pkts := mix.Batch(n)
-	headers := make([]packet.Header, len(pkts))
-	for i, lp := range pkts {
-		headers[i] = lp.Header
-	}
+	headers := draw(trafficgen.NewMixer(bg, atk, trafficgen.MixConfig{Seed: seed}), n)
 	szr, err := summary.NewSummarizer(summary.Config{BatchSize: n, Rank: 12, Centroids: k, Seed: seed})
 	if err != nil {
 		return 0, err
 	}
-	s, err := szr.Summarize(headers, 0, 0)
-	if err != nil {
-		return 0, err
-	}
-	agg, err := inference.AggregateSummaries([]*summary.Summary{s})
+	agg, err := summarizeBatch(szr, headers, 0)
 	if err != nil {
 		return 0, err
 	}

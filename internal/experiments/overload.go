@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/rules"
+	"repro/internal/scenario"
 	"repro/internal/sketch"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
@@ -82,7 +83,7 @@ func Overload(quick bool) (*OverloadResult, *Table, error) {
 	}
 	loads := []int{1, 5, 10}
 
-	env := Env()
+	env := scenario.Env()
 	questions, err := rules.LibraryQuestions(env, rules.TranslateConfig{
 		DefaultDistanceThreshold: 0.05,
 		VarianceThreshold:        0.003,
@@ -155,7 +156,7 @@ func runOverloadCell(questions map[rules.AttackID]*rules.Question, base, load, e
 			BatchSize: 500, Rank: 12, Centroids: 100, MinBatch: 100, Seed: 11,
 		},
 		Sketch:     scfg,
-		Controller: core.ControllerConfig{Env: Env(), Questions: questions},
+		Controller: core.ControllerConfig{Env: scenario.Env(), Questions: questions},
 	})
 	if err != nil {
 		return nil, err

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 
 	"repro/internal/inference"
-	"repro/internal/packet"
 	"repro/internal/rules"
 	"repro/internal/sampling"
+	"repro/internal/scenario"
 	"repro/internal/snort"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
@@ -43,7 +43,7 @@ func Table1Reservoir(sc Scale) ([]Table1Row, *Table, error) {
 		k              = 200
 		batchesPerTrio = 5 // stream length in batches; burst spans two
 	)
-	env := Env()
+	env := scenario.Env()
 	table := &Table{
 		Title:   "Table 1 — detection accuracy: reservoir sampling (250/1000) vs Jaal (r=12, k=200, n=1000)",
 		Columns: []string{"attack", "reservoir", "jaal"},
@@ -106,10 +106,7 @@ func Table1Reservoir(sc Scale) ([]Table1Row, *Table, error) {
 				} else {
 					mix = trafficgen.NewMixer(bg, nil, trafficgen.MixConfig{Seed: seed + int64(b)})
 				}
-				headers := make([]packet.Header, n)
-				for i, lp := range mix.Batch(n) {
-					headers[i] = lp.Header
-				}
+				headers := draw(mix, n)
 
 				// Reservoir: runs over the whole stream, checked at
 				// each shipping point. The reservoir's dilution over
@@ -125,11 +122,7 @@ func Table1Reservoir(sc Scale) ([]Table1Row, *Table, error) {
 				}
 
 				// Jaal: each batch is its own summarized epoch.
-				s, err := szr.Summarize(headers, 0, uint64(b))
-				if err != nil {
-					return nil, nil, err
-				}
-				agg, err := inference.AggregateSummaries([]*summary.Summary{s})
+				agg, err := summarizeBatch(szr, headers, uint64(b))
 				if err != nil {
 					return nil, nil, err
 				}

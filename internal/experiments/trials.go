@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"net/netip"
 
 	"repro/internal/inference"
-	"repro/internal/packet"
 	"repro/internal/rules"
+	"repro/internal/scenario"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
 )
@@ -54,14 +53,6 @@ type TrialSet struct {
 	Env *rules.Environment
 }
 
-// Env returns the standard evaluation environment: HOME_NET = 10/8,
-// matching the victim addresses the attack generators use.
-func Env() *rules.Environment {
-	env := rules.NewEnvironment()
-	env.Set("HOME_NET", netip.MustParsePrefix("10.0.0.0/8"))
-	return env
-}
-
 // BuildTrialSet generates traffic, summarizes it and aggregates the
 // summaries for every trial of a campaign. This is the expensive part of
 // every ROC experiment; sweeps over τ thresholds afterwards are cheap.
@@ -69,7 +60,7 @@ func BuildTrialSet(cfg TrialConfig) (*TrialSet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	env := Env()
+	env := scenario.Env()
 	q, err := rules.LibraryQuestion(cfg.Attack, env, rules.TranslateConfig{
 		DefaultDistanceThreshold: 0.05,
 		VarianceThreshold:        0.003,
@@ -109,33 +100,9 @@ func runOneTrial(cfg TrialConfig, seed int64, withAttack bool) (*inference.Aggre
 		}
 	}
 	mix := trafficgen.NewMixer(bg, atk, trafficgen.MixConfig{Seed: seed})
-
-	var sums []*summary.Summary
-	for m := 0; m < cfg.Monitors; m++ {
-		szr, err := summary.NewSummarizer(summary.Config{
-			BatchSize: cfg.BatchSize,
-			Rank:      cfg.Rank,
-			Centroids: cfg.Centroids,
-			Seed:      seed + int64(m),
-		})
-		if err != nil {
-			return nil, err
-		}
-		for b := 0; b < cfg.BatchesPerTrial; b++ {
-			// Draw the monitor's share of the mixed stream.
-			pkts := mix.Batch(cfg.BatchSize)
-			headers := make([]packet.Header, len(pkts))
-			for i, lp := range pkts {
-				headers[i] = lp.Header
-			}
-			s, err := szr.Summarize(headers, m, uint64(b))
-			if err != nil {
-				return nil, err
-			}
-			sums = append(sums, s)
-		}
-	}
-	return inference.AggregateSummaries(sums)
+	return summarizeTrial(mix, summary.Config{
+		BatchSize: cfg.BatchSize, Rank: cfg.Rank, Centroids: cfg.Centroids, Seed: seed,
+	}, cfg.Monitors, cfg.BatchesPerTrial, nil)
 }
 
 // Volume returns the packets one trial aggregates — the epoch volume

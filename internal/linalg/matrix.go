@@ -151,14 +151,6 @@ func Sub(a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// Scale multiplies every element of m by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
 // FrobeniusNorm returns the Frobenius norm of m: sqrt(Σ m_ij²).
 func (m *Matrix) FrobeniusNorm() float64 {
 	var ss float64

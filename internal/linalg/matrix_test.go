@@ -146,14 +146,6 @@ func TestSub(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	m, _ := NewMatrixFromRows([][]float64{{1, -2}})
-	m.Scale(3)
-	if m.At(0, 0) != 3 || m.At(0, 1) != -6 {
-		t.Fatalf("scaled = %v", m)
-	}
-}
-
 func TestFrobeniusNorm(t *testing.T) {
 	m, _ := NewMatrixFromRows([][]float64{{3, 4}})
 	if got := m.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {

@@ -286,26 +286,6 @@ func identity(n int) *Matrix {
 	return m
 }
 
-// Rank returns the numerical rank of the decomposition: the number of
-// singular values exceeding tol · s_max. A tol ≤ 0 defaults to a
-// machine-precision based threshold.
-func (d *SVD) Rank(tol float64) int {
-	if len(d.S) == 0 || d.S[0] == 0 {
-		return 0
-	}
-	if tol <= 0 {
-		tol = float64(max(d.U.Rows(), d.V.Rows())) * 2.220446049250313e-16
-	}
-	cut := tol * d.S[0]
-	r := 0
-	for _, sv := range d.S {
-		if sv > cut {
-			r++
-		}
-	}
-	return r
-}
-
 // EnergyRank returns the smallest r such that the top-r singular values
 // retain at least frac of the total squared singular-value mass
 // (Σ_{i<r} s_i² ≥ frac · Σ s_i²). The paper uses frac = 0.90 to argue the

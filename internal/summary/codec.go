@@ -42,12 +42,12 @@ func (s *Summary) Marshal() ([]byte, error) {
 	if len(s.Counts) != k {
 		return nil, fmt.Errorf("summary: %d counts for %d centroids", len(s.Counts), k)
 	}
-	size := codecHeaderSize + 4*k + elementSize*k*w
+	size := codecHeaderSize + 4*k + ElementSize*k*w
 	if s.Kind == KindSplit {
 		if s.V == nil || len(s.Sigma) != s.Rank || s.V.Cols() != s.Rank {
 			return nil, fmt.Errorf("summary: malformed split summary (rank %d, |Σ|=%d)", s.Rank, len(s.Sigma))
 		}
-		size += 2 + elementSize*len(s.Sigma) + elementSize*s.V.Rows()*s.V.Cols()
+		size += 2 + ElementSize*len(s.Sigma) + ElementSize*s.V.Rows()*s.V.Cols()
 	}
 	buf := make([]byte, 0, size)
 
@@ -91,7 +91,7 @@ func Unmarshal(data []byte) (*Summary, error) {
 	if k == 0 || w == 0 {
 		return nil, fmt.Errorf("summary: empty centroid block k=%d w=%d", k, w)
 	}
-	need := 4*k + elementSize*k*w
+	need := 4*k + ElementSize*k*w
 	if len(data)-off < need {
 		return nil, fmt.Errorf("summary: truncated body: have %d, need %d", len(data)-off, need)
 	}
@@ -128,7 +128,7 @@ func Unmarshal(data []byte) (*Summary, error) {
 		if w != s.Rank {
 			return nil, fmt.Errorf("summary: split centroid width %d != rank %d", w, s.Rank)
 		}
-		need = elementSize*s.Rank + elementSize*p*s.Rank
+		need = ElementSize*s.Rank + ElementSize*p*s.Rank
 		if len(data)-off < need {
 			return nil, fmt.Errorf("summary: truncated split factors: have %d, need %d", len(data)-off, need)
 		}
@@ -168,13 +168,13 @@ func EncodedLen(data []byte) (int, error) {
 	rank := int(binary.BigEndian.Uint16(data[17:]))
 	k := int(binary.BigEndian.Uint16(data[19:]))
 	w := int(binary.BigEndian.Uint16(data[21:]))
-	n := codecHeaderSize + 4*k + elementSize*k*w
+	n := codecHeaderSize + 4*k + ElementSize*k*w
 	if kind == KindSplit {
 		if len(data) < n+2 {
 			return 0, fmt.Errorf("summary: truncated split block")
 		}
 		p := int(binary.BigEndian.Uint16(data[n:]))
-		n += 2 + elementSize*rank + elementSize*p*rank
+		n += 2 + ElementSize*rank + ElementSize*p*rank
 	}
 	if len(data) < n {
 		return 0, fmt.Errorf("summary: truncated body: have %d, need %d", len(data), n)
@@ -182,8 +182,9 @@ func EncodedLen(data []byte) (int, error) {
 	return n, nil
 }
 
-// elementSize is the wire size of one summary element (float32).
-const elementSize = 4
+// ElementSize is the wire size in bytes of one summary element (a
+// float32).
+const ElementSize = 4
 
 func appendFloats(buf []byte, xs []float64) []byte {
 	for _, x := range xs {

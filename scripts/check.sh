@@ -66,10 +66,13 @@ go run ./cmd/jaal-vet -summary ./...
 # The parity test runs the same traffic through the engine's in-process
 # and wire endpoints and wants the same alerts and stats.
 go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|TestPipelineTraceDeterminism|TestPipelineTraceGolden|TestEngineInProcessWireParity' ./internal/core/
-# The -quick Fig. 7/8/9 tables (topology, netsim, Mirai and flow
-# assignment) byte for byte against
-# internal/experiments/testdata/figures_quick.golden; regenerate with
-# -update-figure-golden after an intentional model change.
+# Every table `jaal-experiments -quick all` prints, byte for byte
+# against internal/experiments/testdata/figures_quick.golden; regenerate
+# with -update-figure-golden after an intentional model change. The
+# whole set runs without -race (~3 s, against ~30 s under it); the -race
+# run checks the Fig. 7/8/9 tables (topology, netsim, Mirai and flow
+# assignment) only.
+go test -run 'TestQuickFiguresGolden' ./internal/experiments/
 go test -race -run 'TestQuickFiguresGolden' ./internal/experiments/
 # The estimator's row windows against a sweep over every row, and the
 # aggregate's sorted columns first used from many goroutines at once.

@@ -26,8 +26,13 @@
 // -obs enables metric collection and serves Prometheus-text
 // GET /metrics plus net/http/pprof on the given address (default off);
 // the jaal_controller_compression_ratio gauge there is the live
-// Fig. 12 overhead-vs-raw view. -epochlog appends one JSON record per
-// inference round.
+// Fig. 12 overhead-vs-raw view.
+//
+// -epochlog appends one JSON line per inference round: the epoch's
+// counts (summaries, declines, degraded, alerts, overhead_fraction) and
+// its sealed trace, the same EpochTrace /trace serves, whose epoch,
+// ship, collect and infer spans say where the epoch's time went.
+// -epochlog implies -trace.
 //
 // -trace records one causal timeline per epoch — capture/summarize/
 // encode spans shipped by tracing monitors inside their summary frames,
@@ -41,6 +46,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"log"
 	"net"
@@ -74,7 +80,7 @@ func main() {
 		backoffMax  = flag.Duration("backoff-max", 5*time.Second, "cap on the exponential backoff")
 		alertAddr   = flag.String("alert-addr", "", "ship alerts as MsgAlert frames to this sink address (empty = log only)")
 		obsAddr     = flag.String("obs", "", "serve /metrics and /debug/pprof on this address (empty = observability off)")
-		epochLog    = flag.String("epochlog", "", "append JSON-lines epoch log to this file (empty = off)")
+		epochLog    = flag.String("epochlog", "", "append one JSON line per epoch, with its sealed trace, to this file; implies -trace (empty = off)")
 		traceOn     = flag.Bool("trace", false, "record per-epoch stage timelines (serve them at /trace on the -obs address)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event file (Perfetto-loadable) on shutdown; implies -trace")
 		traceRing   = flag.Int("trace-ring", 0, "epoch traces retained for /trace and -trace-out (0 = default 64)")
@@ -95,7 +101,7 @@ func main() {
 		JitterSeed: time.Now().UnixNano(),
 	}
 
-	if *traceOut != "" {
+	if *traceOut != "" || *epochLog != "" {
 		*traceOn = true
 	}
 	if *traceOn {
@@ -125,14 +131,14 @@ func main() {
 			os.Exit(0)
 		}()
 	}
-	var epochLogger *obs.EpochLogger
+	var records *json.Encoder
 	if *epochLog != "" {
 		f, err := os.OpenFile(*epochLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			log.Fatalf("jaal-controller: epochlog: %v", err)
 		}
 		defer f.Close()
-		epochLogger = obs.NewEpochLogger(f)
+		records = json.NewEncoder(f)
 	}
 
 	prefix, err := netip.ParsePrefix(*home)
@@ -197,7 +203,7 @@ func main() {
 
 	log.Printf("polling %d monitors every %v (feedback=%v, timeout=%v, retries=%d)",
 		len(endpoints), *epoch, *feedback, *timeout, *retries)
-	engine := &core.Engine{Controller: ctrl, Endpoints: endpoints, EpochLog: epochLogger}
+	engine := &core.Engine{Controller: ctrl, Endpoints: endpoints}
 	ticker := time.NewTicker(*epoch)
 	defer ticker.Stop()
 	for range ticker.C {
@@ -232,9 +238,38 @@ func main() {
 			}
 		}
 		st := ctrl.Stats()
+		if records != nil {
+			if err := writeEpochRecord(records, res, st); err != nil {
+				log.Printf("jaal-controller: epochlog: %v", err)
+			}
+		}
 		log.Printf("epoch %d: %d summaries, %d packets summarized, overhead %.1f%% of raw",
 			res.Epoch, len(res.Summaries), st.PacketsSummarized, 100*st.OverheadFraction())
 	}
+}
+
+// epochRecord is one -epochlog line.
+type epochRecord struct {
+	Epoch            uint64            `json:"epoch"`
+	Summaries        int               `json:"summaries"`
+	Declines         int               `json:"declines"`
+	Degraded         bool              `json:"degraded"`
+	Alerts           int               `json:"alerts"`
+	OverheadFraction float64           `json:"overhead_fraction"`
+	Trace            *trace.EpochTrace `json:"trace"`
+}
+
+// writeEpochRecord encodes one epoch's record as a JSON line.
+func writeEpochRecord(enc *json.Encoder, res core.EpochResult, st core.Stats) error {
+	return enc.Encode(epochRecord{
+		Epoch:            res.Epoch,
+		Summaries:        len(res.Summaries),
+		Declines:         len(res.Declines),
+		Degraded:         res.Degraded,
+		Alerts:           len(res.Alerts),
+		OverheadFraction: st.OverheadFraction(),
+		Trace:            res.Trace,
+	})
 }
 
 // ipString renders a uint32 IPv4 address as a dotted quad for logs.

@@ -7,19 +7,19 @@
 //
 //	jaal-monitor -listen :7101 -id 0 [-batch 1000] [-rank 12] [-k 200]
 //	             [-nmin 600] [-trace-seed 1] [-attack distributed_syn_flood]
-//	             [-pps 5000] [-obs :9101] [-epochlog monitor.jsonl] [-trace]
+//	             [-pps 5000] [-obs :9101] [-trace]
 //	             [-sketch] [-shed-watermark 0] [-write-timeout 30s]
 //
 // -obs enables metric collection and serves Prometheus-text
-// GET /metrics plus net/http/pprof on the given address (default off).
-// -epochlog appends one JSON record per summary poll with stage
-// timings and queue depths.
+// GET /metrics plus net/http/pprof on the given address (default off);
+// jaal_monitor_summaries_total and jaal_monitor_pending_packets there
+// are this monitor's queue.
 //
 // -trace stamps capture/summarize/collect/encode spans on each batch
 // and ships them to the controller inside the summary frames (a
 // version-tolerant trailer old controllers ignore), where they join the
-// controller's per-epoch timeline at /trace. Off by default; off means
-// wire frames identical to pre-trace builds.
+// controller's per-epoch timeline at /trace and in its -epochlog. Off
+// by default; off means wire frames identical to pre-trace builds.
 //
 // -sketch runs the count-min/HLL ingest pass and ships a compact
 // volumetric digest with each epoch's first summary frame (another
@@ -40,8 +40,6 @@ import (
 	"log"
 	"net"
 	"time"
-
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -67,10 +65,12 @@ func main() {
 		sketchOn  = flag.Bool("sketch", false, "run the count-min/HLL ingest sketch and ship a volumetric digest with each summary")
 		shedMark  = flag.Int("shed-watermark", 0, "per-epoch admitted-packet budget; past it mice flows are shed/subsampled and past 2x everything is (0 = sketch only, never shed; implies -sketch when set)")
 		obsAddr   = flag.String("obs", "", "serve /metrics and /debug/pprof on this address (empty = observability off)")
-		epochLog  = flag.String("epochlog", "", "append JSON-lines epoch log to this file (empty = off)")
 		writeTO   = flag.Duration("write-timeout", 30*time.Second, "per-response write deadline; a stalled controller cannot wedge a serving goroutine (0 = none)")
 	)
 	flag.Parse()
+	if *pps <= 0 {
+		log.Fatalf("jaal-monitor: -pps must be positive, got %d", *pps)
+	}
 
 	if *traceOn {
 		trace.SetEnabled(true)
@@ -82,15 +82,6 @@ func main() {
 			log.Fatalf("jaal-monitor: obs: %v", err)
 		}
 		log.Printf("observability on %s (/metrics, /debug/pprof)", addr)
-	}
-	var epochLogger *obs.EpochLogger
-	if *epochLog != "" {
-		f, err := os.OpenFile(*epochLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("jaal-monitor: epochlog: %v", err)
-		}
-		defer f.Close()
-		epochLogger = obs.NewEpochLogger(f)
 	}
 
 	scfg := sketch.Config{Enabled: *sketchOn || *shedMark > 0, ShedWatermark: *shedMark}
@@ -114,13 +105,15 @@ func main() {
 	}
 	mix := trafficgen.NewMixer(bg, atk, trafficgen.MixConfig{Seed: int64(*id) + 7})
 
-	// Ingest loop: synthesize traffic at the requested rate.
+	// Ingest loop: synthesize traffic at the requested rate, ten ticks a
+	// second.
 	go func() {
 		tick := time.NewTicker(100 * time.Millisecond)
 		defer tick.Stop()
-		per := *pps / 10
-		for range tick.C {
-			for i := 0; i < per; i++ {
+		for t := 0; ; t = (t + 1) % 10 {
+			<-tick.C
+			n := tickQuota(*pps, t)
+			for i := 0; i < n; i++ {
 				if err := mon.Ingest(mix.Next().Header); err != nil {
 					log.Printf("jaal-monitor: ingest: %v", err)
 				}
@@ -135,7 +128,7 @@ func main() {
 	log.Printf("jaal-monitor %d listening on %s (batch=%d rank=%d k=%d attack=%q)",
 		*id, ln.Addr(), *batch, *rank, *k, *attack)
 
-	srv := &core.MonitorServer{Monitor: mon, EpochLog: epochLogger, WriteTimeout: *writeTO}
+	srv := &core.MonitorServer{Monitor: mon, WriteTimeout: *writeTO}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -151,4 +144,12 @@ func main() {
 			}
 		}(conn)
 	}
+}
+
+// tickQuota is how many packets tick t of a second (0–9) synthesizes
+// at pps packets per second: the step of the cumulative target
+// (t+1)·pps/10, so every second makes exactly pps packets, not pps
+// floored to a multiple of 10.
+func tickQuota(pps, t int) int {
+	return (t+1)*pps/10 - t*pps/10
 }

@@ -34,9 +34,9 @@ func chained(epoch uint64) {
 
 // Bind, work, End — including an End inside a closure.
 func boundAndEnded(epoch uint64) {
-	sp := trace.StartSpanWhen(true, nil, trace.StageCollect, 0, epoch)
+	sp := trace.StartSpan(nil, trace.StageCollect, 0, epoch)
 	sp.End()
-	sp2 := trace.StartMonitorSpanWhen(false, nil, trace.StageEncode, 1, epoch)
+	sp2 := trace.StartMonitorSpan(nil, trace.StageEncode, 1, epoch)
 	func() { sp2.End() }()
 }
 

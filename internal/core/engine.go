@@ -1,10 +1,7 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/inference"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sketch"
 	"repro/internal/summary"
@@ -132,10 +129,6 @@ type Engine struct {
 	// Summaries are joined in endpoint order, so every worker count yields
 	// identical epochs for the same seed and traffic.
 	Workers int
-	// EpochLog, when non-nil, receives the controller's record of each
-	// epoch. An output-only side channel: alerts and stats are identical
-	// with or without it.
-	EpochLog *obs.EpochLogger
 }
 
 // EpochResult is what one epoch produced.
@@ -148,6 +141,9 @@ type EpochResult struct {
 	Volumetric *VolumetricReport
 	// Alerts are the alerts the inference round raised.
 	Alerts []*inference.Alert
+	// Trace is the epoch's sealed timeline (what /trace serves), nil
+	// while tracing is off. Output only: nothing in the epoch reads it.
+	Trace *trace.EpochTrace
 }
 
 // RunEpoch runs one epoch. A monitor that fails its poll degrades the
@@ -159,34 +155,17 @@ type EpochResult struct {
 // the epoch's trace is sealed on that path too.
 func (e *Engine) RunEpoch() (EpochResult, error) {
 	res := EpochResult{Epoch: e.Controller.Epoch()}
-	// Epoch-log timings force the span timer even with metrics and
-	// tracing both off; they never influence the epoch itself.
-	epochSpan := trace.StartSpanWhen(e.EpochLog != nil, hRunEpochSeconds, trace.StageEpoch, trace.ControllerProc, res.Epoch)
+	epochSpan := trace.StartSpan(hRunEpochSeconds, trace.StageEpoch, trace.ControllerProc, res.Epoch)
 	res.PollResult = pollAll(e.Endpoints, e.Workers, res.Epoch)
 	// The digests are a read-only side channel: alerts are identical with
 	// the sketch on or off as long as nothing was shed.
 	res.Volumetric = e.Controller.ObserveDigests(res.Epoch, res.Digests)
-	var polled time.Time
-	if e.EpochLog != nil {
-		polled = time.Now() //jaalvet:ignore detrand — stage timing feeds only the epoch log; alerts and stats never depend on it
-	}
 	alerts, err := e.Controller.ProcessEpoch(res.Summaries)
 	res.Alerts = alerts
-	total := epochSpan.End()
-	if e.EpochLog != nil && err == nil {
-		inferDur := time.Since(polled) //jaalvet:ignore detrand — inference timing is epoch-log-only output, never an input
-		e.EpochLog.Log("controller", res.Epoch,
-			obs.KV{K: "summaries", V: len(res.Summaries)},
-			obs.KV{K: "declines", V: len(res.Declines)},
-			obs.KV{K: "degraded", V: res.Degraded},
-			obs.KV{K: "alerts", V: len(alerts)},
-			obs.KV{K: "poll_ms", V: total - inferDur},
-			obs.KV{K: "infer_ms", V: inferDur},
-			obs.KV{K: "overhead_fraction", V: e.Controller.Stats().OverheadFraction()})
-	}
+	epochSpan.End()
 	// Seal the epoch's timeline: every span staged for this epoch — the
 	// controller's own plus the monitors' adopted or wire-shipped ones —
 	// is assembled, the critical path computed, and the trace ringed.
-	trace.FinishEpoch(res.Epoch, len(alerts))
+	res.Trace = trace.FinishEpoch(res.Epoch, len(alerts))
 	return res, err
 }

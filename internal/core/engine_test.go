@@ -184,7 +184,7 @@ func TestEngineInProcessWireParity(t *testing.T) {
 			d.mons = append(d.mons, m)
 			if !wire {
 				ctrl.RegisterSource(i, m)
-				d.engine.Endpoints = append(d.engine.Endpoints, localEndpoint{m, nil})
+				d.engine.Endpoints = append(d.engine.Endpoints, localEndpoint{m})
 				continue
 			}
 			client, server := net.Pipe()

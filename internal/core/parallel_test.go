@@ -1,12 +1,8 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -20,12 +16,6 @@ import (
 // through it, and returns a textual trace of the alerts plus the final
 // stats.
 func runSeededWorkload(t *testing.T, workers int) (string, Stats) {
-	return runSeededWorkloadLog(t, workers, nil)
-}
-
-// runSeededWorkloadLog is runSeededWorkload with an optional epoch-log
-// sink attached to the pipeline.
-func runSeededWorkloadLog(t *testing.T, workers int, epochLog io.Writer) (string, Stats) {
 	t.Helper()
 	p, err := NewPipeline(PipelineConfig{
 		NumMonitors: 4,
@@ -35,8 +25,7 @@ func runSeededWorkloadLog(t *testing.T, workers int, epochLog io.Writer) (string
 			Questions: testQuestions(t, 2500),
 			Workers:   workers,
 		},
-		Workers:  workers,
-		EpochLog: epochLog,
+		Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,10 +77,9 @@ func TestPipelineParallelDeterminism(t *testing.T) {
 }
 
 // TestPipelineObsDeterminism locks in the observability layer's hard
-// constraint: metrics, spans and the epoch log are write-only side
-// channels, so the same seeded workload produces byte-identical alerts
-// and identical accounting whether collection is off (the default),
-// enabled, or enabled with an epoch log attached.
+// constraint: metrics and spans are write-only side channels, so the
+// same seeded workload produces byte-identical alerts and identical
+// accounting whether collection is off (the default) or enabled.
 func TestPipelineObsDeterminism(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	offTrace, offStats := runSeededWorkload(t, workers)
@@ -100,9 +88,6 @@ func TestPipelineObsDeterminism(t *testing.T) {
 	defer func() { obs.SetEnabled(false) }()
 	onTrace, onStats := runSeededWorkload(t, workers)
 
-	var logBuf bytes.Buffer
-	logTrace, logStats := runSeededWorkloadLog(t, workers, &logBuf)
-
 	if offTrace != onTrace {
 		t.Errorf("alert traces differ with observability on vs off:\n--- off ---\n%s--- on ---\n%s",
 			offTrace, onTrace)
@@ -110,33 +95,6 @@ func TestPipelineObsDeterminism(t *testing.T) {
 	if offStats != onStats {
 		t.Errorf("stats differ with observability on vs off: %+v vs %+v", offStats, onStats)
 	}
-	if logTrace != offTrace || logStats != offStats {
-		t.Errorf("epoch logging changed the run: trace match=%v, stats %+v vs %+v",
-			logTrace == offTrace, logStats, offStats)
-	}
-
-	// The epoch log must hold one valid JSON record per epoch per
-	// component: 3 epochs × (4 monitors + 1 controller).
-	lines := strings.Split(strings.TrimSuffix(logBuf.String(), "\n"), "\n")
-	if want := 3 * 5; len(lines) != want {
-		t.Fatalf("epoch log has %d records, want %d:\n%s", len(lines), want, logBuf.String())
-	}
-	components := map[string]int{}
-	for _, line := range lines {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("epoch log line is not valid JSON: %v\n%s", err, line)
-		}
-		comp, _ := rec["component"].(string)
-		components[comp]++
-		if _, ok := rec["epoch"]; !ok {
-			t.Fatalf("epoch log record missing epoch: %s", line)
-		}
-	}
-	if components["monitor"] != 12 || components["controller"] != 3 {
-		t.Fatalf("epoch log component mix = %v, want 12 monitor + 3 controller", components)
-	}
-
 	// With collection enabled the registry must actually have seen the
 	// workload (guards against a silently disabled layer).
 	if rows := obs.Snapshot(); len(rows) == 0 {

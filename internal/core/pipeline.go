@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/flowassign"
 	"repro/internal/inference"
-	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/sketch"
 	"repro/internal/summary"
@@ -45,10 +43,6 @@ type PipelineConfig struct {
 	// Workers is Engine.Workers: how many monitors RunEpoch polls
 	// concurrently.
 	Workers int
-	// EpochLog, when non-nil, receives the structured JSON-lines epoch
-	// log: one record per epoch per monitor plus the engine's one for
-	// the controller, carrying stage timings and queue depths.
-	EpochLog io.Writer
 }
 
 // NewPipeline builds and wires the system.
@@ -60,10 +54,9 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	epochLog := obs.NewEpochLogger(cfg.EpochLog)
 	p := &Pipeline{
 		Controller:    ctrl,
-		engine:        &Engine{Controller: ctrl, Workers: cfg.Workers, EpochLog: epochLog},
+		engine:        &Engine{Controller: ctrl, Workers: cfg.Workers},
 		flowToMonitor: make(map[packet.FlowKey]int),
 		monitorIndex:  make(map[int]int),
 	}
@@ -76,7 +69,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 			return nil, err
 		}
 		p.Monitors = append(p.Monitors, m)
-		p.engine.Endpoints = append(p.engine.Endpoints, localEndpoint{m, epochLog})
+		p.engine.Endpoints = append(p.engine.Endpoints, localEndpoint{m})
 		p.monitorIndex[i] = i
 		ctrl.RegisterSource(i, m)
 		allIDs = append(allIDs, flowassign.MonitorID(i))
@@ -127,26 +120,17 @@ func (p *Pipeline) RunEpoch() ([]*inference.Alert, error) {
 }
 
 // localEndpoint is a Monitor polled from its own process. It adds what
-// the wire gives a remote one: the controller-side collect span, the
-// monitor's staged spans (capture, summarize) joining the epoch — stamped
-// on the same clock, so no offset normalization — and the monitor's
-// epoch-log record.
+// the wire gives a remote one: the controller-side collect span and the
+// monitor's staged spans (capture, summarize) joining the epoch —
+// stamped on the same clock, so no offset normalization.
 type localEndpoint struct {
 	*Monitor
-	log *obs.EpochLogger
 }
 
 func (l localEndpoint) Poll(epoch uint64) ([]*summary.Summary, int, *sketch.Digest, error) {
-	sp := trace.StartSpanWhen(l.log != nil, hCollectSeconds, trace.StageCollect, l.ID(), epoch)
+	sp := trace.StartSpan(hCollectSeconds, trace.StageCollect, l.ID(), epoch)
 	ss, pending, digest, err := l.Monitor.Poll(epoch)
-	collectDur := sp.End()
+	sp.End()
 	trace.AdoptMonitorSpans(epoch, l.ID())
-	if l.log != nil {
-		l.log.Log("monitor", epoch,
-			obs.KV{K: "id", V: l.ID()},
-			obs.KV{K: "summaries", V: len(ss)},
-			obs.KV{K: "pending", V: pending},
-			obs.KV{K: "collect_ms", V: collectDur})
-	}
 	return ss, pending, digest, err
 }

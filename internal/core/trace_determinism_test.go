@@ -33,7 +33,9 @@ func withEpochTracing(t *testing.T) {
 // TestPipelineTraceDeterminism locks in the tracing layer's hard
 // constraint: epoch tracing is a write-only side channel, so the same
 // seeded workload produces byte-identical alerts and identical
-// accounting with tracing off or on, sequentially or fanned out.
+// accounting with tracing off or on, sequentially or fanned out. The
+// controller's epoch log is a reader of the sealed trace, so this is
+// also what holds that writing one changes no alert.
 func TestPipelineTraceDeterminism(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	offSeq, offSeqStats := runSeededWorkload(t, 1)

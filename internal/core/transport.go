@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/sketch"
 	"repro/internal/summary"
@@ -25,9 +24,6 @@ import (
 // accepted connection as a fresh session.
 type MonitorServer struct {
 	Monitor *Monitor
-	// EpochLog, when non-nil, receives one structured record per
-	// summary poll: the monitor-side epoch log of a wire deployment.
-	EpochLog *obs.EpochLogger
 	// WriteTimeout bounds each response write so a stalled controller
 	// cannot wedge the serving goroutine forever. Zero disables the
 	// deadline.
@@ -81,21 +77,13 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 		if err != nil {
 			return err
 		}
-		// One span feeds the epoch log and, when tracing, the staged
-		// collect stage that ships with this poll's trace context.
-		csp := trace.StartMonitorSpanWhen(s.EpochLog != nil, nil,
-			trace.StageCollect, s.Monitor.ID(), epoch)
+		// When tracing, the collect stage ships with this poll's trace
+		// context.
+		csp := trace.StartMonitorSpan(nil, trace.StageCollect, s.Monitor.ID(), epoch)
 		ss, pending, digest, err := s.Monitor.Poll(epoch)
-		collectDur := csp.End()
+		csp.End()
 		if err != nil {
 			return err
-		}
-		if s.EpochLog != nil {
-			s.EpochLog.Log("monitor", epoch,
-				obs.KV{K: "id", V: s.Monitor.ID()},
-				obs.KV{K: "summaries", V: len(ss)},
-				obs.KV{K: "pending", V: pending},
-				obs.KV{K: "collect_ms", V: collectDur})
 		}
 		if len(ss) == 0 {
 			// Nothing to ship: the monitor's epoch stays open (see
@@ -405,9 +393,10 @@ type RemoteMonitor struct {
 // NewRemoteMonitor builds a handle for a monitor whose identity is
 // known from deployment configuration, without requiring it to be
 // reachable yet: the connection is established lazily by the first
-// exchange, under the retry policy. This is how a controller starts
-// against a monitor fleet where some members may be down — a dead
-// monitor costs declines, not startup.
+// exchange, under the retry policy, so a dead monitor costs declines,
+// not startup. Callers that know monitor IDs up front use it, as do
+// the chaos tests; cmd/jaal-controller instead learns each ID from the
+// hello (DialMonitorRetry) and exits on an unreachable monitor.
 func NewRemoteMonitor(id int, dial DialFunc, rc RetryConfig) *RemoteMonitor {
 	return &RemoteMonitor{c: wireClient{dial: dial, retry: rc, hello: true, id: id, jitter: rc.jitterSource(int64(id))}}
 }

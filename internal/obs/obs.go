@@ -1,8 +1,9 @@
 // Package obs is Jaal's stdlib-only observability layer: atomic
-// counters, gauges, fixed-bucket histograms and lightweight spans
-// behind a process-wide registry, exported three ways — Prometheus
-// text over HTTP (plus pprof), a structured JSON-lines epoch log, and
-// an end-of-run summary table.
+// counters, gauges and fixed-bucket histograms behind a process-wide
+// registry, exported two ways — Prometheus text over HTTP (plus pprof)
+// and an end-of-run summary table. Stage timings are internal/trace
+// spans, which observe into these histograms; the controller's
+// JSON-lines epoch log is a reader of the sealed epoch trace.
 //
 // The paper's whole premise is a measurable trade (summaries cut
 // monitor→engine communication by ~4 orders of magnitude while keeping

@@ -2,13 +2,11 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // Metrics here are created once at package scope: the registry is
@@ -168,39 +166,6 @@ func TestMetricsConcurrentReadWrite(t *testing.T) {
 	if got := tHist.Count(); got != writers*n {
 		t.Fatalf("histogram count = %d after %d concurrent observations", got, writers*n)
 	}
-}
-
-func TestEpochLoggerJSONLines(t *testing.T) {
-	var b bytes.Buffer
-	l := NewEpochLogger(&b)
-	l.Log("monitor", 3,
-		KV{K: "id", V: 1},
-		KV{K: "summaries", V: 2},
-		KV{K: "collect_ms", V: 1500 * time.Microsecond},
-		KV{K: "ratio", V: 0.35},
-		KV{K: "note", V: `quote"me`},
-		KV{K: "ok", V: true})
-	l.Log("controller", 3, KV{K: "alerts", V: int64(0)})
-	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2: %q", len(lines), b.String())
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("line 0 is not valid JSON: %v\n%s", err, lines[0])
-	}
-	if rec["component"] != "monitor" || rec["epoch"] != float64(3) {
-		t.Fatalf("bad record: %v", rec)
-	}
-	if rec["collect_ms"] != 1.5 {
-		t.Fatalf("duration encoding = %v, want 1.5 ms", rec["collect_ms"])
-	}
-	if rec["note"] != `quote"me` {
-		t.Fatalf("string escaping broken: %v", rec["note"])
-	}
-	// Nil loggers must be safe to use.
-	var nilLogger *EpochLogger
-	nilLogger.Log("x", 0)
 }
 
 func TestTableSkipsZeros(t *testing.T) {

@@ -11,19 +11,18 @@ import (
 // obs/trace gates are not re-read at End, so a mid-span toggle cannot
 // produce a half-recorded stage.
 const (
-	spanTimed  uint8 = 1 << iota // the timer ran (any consumer, or forced)
-	spanHist                     // observe seconds into the histogram
+	spanHist   uint8 = 1 << iota // observe seconds into the histogram
 	spanTrace                    // record a SpanRecord
 	spanStaged                   // monitor-side: stage for ship/adoption
 )
 
-// Span times one pipeline stage into up to three consumers from one
-// instrumentation point: the obs histogram (aggregate view), the active
-// epoch trace (timeline view), and — via End's return value — the
-// caller's epoch log. It subsumes the old obs.Span. It is a value
-// type: with every consumer disabled, Start* returns a zero Span and
-// the whole construct costs two atomic loads and no allocation
-// (BenchmarkTraceDisabled).
+// Span times one pipeline stage into up to two consumers from one
+// instrumentation point: the obs histogram (aggregate view) and the
+// active epoch trace (timeline view, which /trace, -trace-out and the
+// controller's epoch log all read). It subsumes the old obs.Span. It is
+// a value type: with both consumers disabled, Start* returns a zero
+// Span and the whole construct costs two atomic loads and no
+// allocation (BenchmarkTraceDisabled).
 //
 // Usage:
 //
@@ -42,15 +41,7 @@ type Span struct {
 // stages without an aggregate histogram; monitor is the monitor the
 // stage concerns, or ControllerProc.
 func StartSpan(h *obs.Histogram, st Stage, monitor int, seq uint64) Span {
-	return startSpan(false, false, h, st, monitor, seq)
-}
-
-// StartSpanWhen is StartSpan with a force switch: when force is true
-// the timer runs even with obs and tracing both disabled, so End still
-// returns a real duration — for callers feeding an epoch log that has
-// its own enablement (a non-nil EpochLogger).
-func StartSpanWhen(force bool, h *obs.Histogram, st Stage, monitor int, seq uint64) Span {
-	return startSpan(false, force, h, st, monitor, seq)
+	return startSpan(false, h, st, monitor, seq)
 }
 
 // StartMonitorSpan begins timing a monitor-side stage: the finished
@@ -59,16 +50,10 @@ func StartSpanWhen(force bool, h *obs.Histogram, st Stage, monitor int, seq uint
 // monitor's batch sequence number, or the polled epoch for poll-scoped
 // stages.
 func StartMonitorSpan(h *obs.Histogram, st Stage, monitorID int, seq uint64) Span {
-	return startSpan(true, false, h, st, monitorID, seq)
+	return startSpan(true, h, st, monitorID, seq)
 }
 
-// StartMonitorSpanWhen is StartMonitorSpan with StartSpanWhen's force
-// switch.
-func StartMonitorSpanWhen(force bool, h *obs.Histogram, st Stage, monitorID int, seq uint64) Span {
-	return startSpan(true, force, h, st, monitorID, seq)
-}
-
-func startSpan(staged, force bool, h *obs.Histogram, st Stage, monitor int, seq uint64) Span {
+func startSpan(staged bool, h *obs.Histogram, st Stage, monitor int, seq uint64) Span {
 	var fl uint8
 	if h != nil && obs.Enabled() {
 		fl |= spanHist
@@ -79,7 +64,7 @@ func startSpan(staged, force bool, h *obs.Histogram, st Stage, monitor int, seq 
 			fl |= spanStaged
 		}
 	}
-	if fl == 0 && !force {
+	if fl == 0 {
 		return Span{}
 	}
 	return Span{
@@ -88,16 +73,15 @@ func startSpan(staged, force bool, h *obs.Histogram, st Stage, monitor int, seq 
 		seq:     seq,
 		monitor: int32(monitor),
 		stage:   st,
-		flags:   fl | spanTimed,
+		flags:   fl,
 	}
 }
 
-// End stops the span, records it into every consumer armed at Start,
-// and returns the elapsed time. Inert (zero) spans return 0 and record
-// nothing.
-func (s Span) End() time.Duration {
-	if s.flags&spanTimed == 0 {
-		return 0
+// End stops the span and records it into every consumer armed at
+// Start. An inert (zero) span records nothing.
+func (s Span) End() {
+	if s.flags == 0 {
+		return
 	}
 	d := time.Since(s.start)
 	if s.flags&spanHist != 0 {
@@ -119,5 +103,4 @@ func (s Span) End() time.Duration {
 			col.stageEpoch(s.seq, rec)
 		}
 	}
-	return d
 }

@@ -64,8 +64,10 @@ go run ./cmd/jaal-vet -summary ./...
 # internal/core/testdata/trace_topology.golden; regenerate with
 # -update-trace-golden after an intentional instrumentation change.
 # The parity test runs the same traffic through the engine's in-process
-# and wire endpoints and wants the same alerts and stats.
-go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|TestPipelineTraceDeterminism|TestPipelineTraceGolden|TestEngineInProcessWireParity' ./internal/core/
+# and wire endpoints and wants the same alerts and stats. The epoch-log
+# record test runs traced epochs over two wire monitors and reads each
+# epoch's line back against its result and its sealed trace.
+go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|TestPipelineTraceDeterminism|TestEpochRecordReadsTrace|TestPipelineTraceGolden|TestEngineInProcessWireParity' ./internal/core/ ./cmd/jaal-controller/
 # Every table `jaal-experiments -quick all` prints, byte for byte
 # against internal/experiments/testdata/figures_quick.golden; regenerate
 # with -update-figure-golden after an intentional model change. The

@@ -5,14 +5,13 @@
 package inference
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/packet"
+	"repro/internal/radix"
 	"repro/internal/rules"
 	"repro/internal/summary"
 )
@@ -48,21 +47,23 @@ type Aggregate struct {
 	cols [packet.NumFields]sortedColumn
 }
 
-// sortedColumn is one field of the aggregate in ascending value order
-// (NaNs first, the order of sort.Float64s): vals[i] is the value of row
-// rows[i]. The order among equal values is unspecified, and no result
-// depends on it: a row window is a value interval, and the rows matched
-// in it are sorted by row.
+// sortedColumn is one field of the aggregate in ascending value order,
+// ties in row order: vals[i] is the value of row rows[i], and rank[r] is
+// row r's position, so rows[rank[r]] == r. The order is cmp.Compare's on
+// the value, then the row's: NaNs first and tied, −0 tied with +0. A
+// row window is a value interval of it, and a tracked question's matched
+// rows, listed by rank, come out in that same (value, row) order.
 type sortedColumn struct {
 	once sync.Once
 	vals []float64
 	rows []int32
+	rank []int32
 }
 
-// column returns field f's sorted view, sorting it on the first call of
-// the epoch. The question index, which asks for its fields in parallel,
-// and every question's row window read the same slices, from any number
-// of goroutines.
+// column returns field f's sorted view, building it on the first call of
+// the epoch with one radix sort. The question index, which asks for its
+// fields in parallel, and every question's row window read the same
+// slices, from any number of goroutines.
 func (a *Aggregate) column(f packet.FieldIndex) *sortedColumn {
 	c := &a.cols[f]
 	c.once.Do(func() {
@@ -70,19 +71,15 @@ func (a *Aggregate) column(f packet.FieldIndex) *sortedColumn {
 		if n == 0 {
 			return
 		}
-		type cell struct {
-			val float64
-			row int32
-		}
-		cells := make([]cell, n)
 		data, stride := a.Representatives.Data(), a.Representatives.Cols()
-		for r := range cells {
-			cells[r] = cell{val: data[r*stride+int(f)], row: int32(r)}
+		keys, idx := make([]uint64, 2*n), make([]int32, 2*n)
+		for r := range n {
+			keys[r], idx[r] = radix.Key(data[r*stride+int(f)]), int32(r)
 		}
-		slices.SortFunc(cells, func(x, y cell) int { return cmp.Compare(x.val, y.val) })
-		c.vals, c.rows = make([]float64, n), make([]int32, n)
-		for i, e := range cells {
-			c.vals[i], c.rows[i] = e.val, e.row
+		c.rows = radix.Sort(keys[:n], keys[n:], idx[:n], idx[n:])
+		c.vals, c.rank = make([]float64, n), make([]int32, n)
+		for i, r := range c.rows {
+			c.vals[i], c.rank[r] = data[int(r)*stride+int(f)], int32(i)
 		}
 	})
 	return c

@@ -40,6 +40,13 @@ func sweepEstimate(agg *Aggregate, q *rules.Question, tauD float64) *MatchResult
 	return res
 }
 
+// fv pairs a matched row with its tracked-field value for the window
+// sort.
+type fv struct {
+	row int
+	val float64
+}
+
 // maxWindowCount finds, over the given rows sorted by the tracked field
 // (ties by row), the window of the given width with the maximum total
 // membership count, and returns the rows inside it, ascending, and their

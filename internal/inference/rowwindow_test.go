@@ -261,13 +261,15 @@ func TestAggregateSlabBitIdentical(t *testing.T) {
 
 // TestSortedColumnBuiltOnce: the first use of a column from many
 // goroutines at once sorts it once, and every goroutine sees that one
-// pair of slices — while others are already estimating over it.
+// set of slices — values, rows and ranks — while others are already
+// estimating over it.
 func TestSortedColumnBuiltOnce(t *testing.T) {
 	qs := windowQuestions(t, 2)
 	agg := plantedAggregate(rand.New(rand.NewSource(8)), 500, qs)
 	const goroutines = 16
 	vals := make([][]float64, goroutines)
 	rows := make([][]int32, goroutines)
+	ranks := make([][]int32, goroutines)
 	results := make([][]*MatchResult, goroutines)
 	var start, done sync.WaitGroup
 	start.Add(1)
@@ -277,7 +279,7 @@ func TestSortedColumnBuiltOnce(t *testing.T) {
 			defer done.Done()
 			start.Wait()
 			c := agg.column(packet.FieldDstPort)
-			vals[g], rows[g] = c.vals, c.rows
+			vals[g], rows[g], ranks[g] = c.vals, c.rows, c.rank
 			for _, q := range qs {
 				results[g] = append(results[g], EstimateSimilarity(agg, q))
 			}
@@ -292,9 +294,12 @@ func TestSortedColumnBuiltOnce(t *testing.T) {
 		if agg.Representatives.At(int(r), int(packet.FieldDstPort)) != vals[0][i] {
 			t.Fatalf("column entry %d: value %v is not row %d's", i, vals[0][i], r)
 		}
+		if ranks[0][r] != int32(i) {
+			t.Fatalf("rank of row %d is %d, want its column position %d", r, ranks[0][r], i)
+		}
 	}
 	for g := 1; g < goroutines; g++ {
-		if &vals[g][0] != &vals[0][0] || &rows[g][0] != &rows[0][0] {
+		if &vals[g][0] != &vals[0][0] || &rows[g][0] != &rows[0][0] || &ranks[g][0] != &ranks[0][0] {
 			t.Fatalf("goroutine %d saw a different build of the column", g)
 		}
 		if !reflect.DeepEqual(results[g], results[0]) {

@@ -83,6 +83,55 @@ func bruteForce(qs []*Question, maxTau []float64, rows [][]float64) *CandidateSe
 	return out
 }
 
+// searchCandidates is the candidate pass as it ran before the index
+// ordered its pins: each pin binary-searches its field's column for the
+// first value at or above it (sort.SearchFloat64s), its deviation is the
+// smaller of the distances to that value and to the one before, and a
+// question's deviations are summed in pin order until one passes its
+// budget. It is the reference the merged walk must match bit for bit,
+// NaN pins (+Inf away) and columns with leading NaNs included.
+func searchCandidates(qs []*Question, maxTau []float64, column func(packet.FieldIndex) []float64) *CandidateSet {
+	out := &CandidateSet{bits: newBitset(len(qs)), n: len(qs)}
+	var cols [packet.NumFields][]float64
+	for _, q := range qs {
+		for _, p := range q.AppendPins(nil) {
+			if cols[p.Field] == nil {
+				if cols[p.Field] = column(p.Field); len(cols[p.Field]) == 0 {
+					return out
+				}
+			}
+		}
+	}
+questions:
+	for i, q := range qs {
+		pins := q.AppendPins(nil)
+		if len(pins) == 0 {
+			continue
+		}
+		tau := q.DistanceThreshold
+		if maxTau != nil && maxTau[i] > 0 {
+			tau = maxTau[i]
+		}
+		sum := 0.0
+		for _, p := range pins {
+			col := cols[p.Field]
+			at := sort.SearchFloat64s(col, p.V)
+			d := math.Inf(1)
+			if at < len(col) {
+				d = col[at] - p.V
+			}
+			if at > 0 && p.V-col[at-1] < d {
+				d = p.V - col[at-1]
+			}
+			if sum += d; sum > MatchBudget(tau, len(pins)) {
+				continue questions
+			}
+		}
+		out.bits.set(i)
+	}
+	return out
+}
+
 // candidates runs the index over the centroids and checks, on every
 // corpus of this file, that it keeps exactly the questions the
 // brute-force oracle keeps.
@@ -166,6 +215,92 @@ func FuzzCandidatesEqualsBruteForce(f *testing.F) {
 	})
 }
 
+// FuzzCandidatesEqualSearch holds the merged candidate pass to the
+// per-pin search it replaced, bit for bit, where the brute-force oracle
+// cannot follow: raw float64 pins and thresholds, NaN and infinite pins
+// and column values, columns with leading NaNs, pins copied from column
+// values and duplicated across questions, thresholds given as τ_d or
+// through maxTau.
+func FuzzCandidatesEqualSearch(f *testing.F) {
+	f.Add([]byte{})
+	rng := rand.New(rand.NewSource(2))
+	for range 4 {
+		data := make([]byte, 512)
+		rng.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1}
+		// A byte picks an odd value, a point on a coarse grid, or the
+		// bits of the next eight bytes.
+		value := func() float64 {
+			switch b := next(); {
+			case b < 32:
+				return odd[int(b)%len(odd)]
+			case b < 224:
+				return float64(b-32) / 128
+			default:
+				var bits uint64
+				for range 8 {
+					bits = bits<<8 | uint64(next())
+				}
+				return math.Float64frombits(bits)
+			}
+		}
+		rows := make([][]float64, next()%12)
+		for r := range rows {
+			rows[r] = make([]float64, packet.NumFields)
+			for fi := range rows[r] {
+				rows[r][fi] = value()
+			}
+		}
+		var seen []float64
+		qs := make([]*Question, next()%12)
+		for i := range qs {
+			mask := uint32(next()) | uint32(next())<<8 | uint32(next())<<16
+			entries := make(map[packet.FieldIndex]float64)
+			for fi := 0; fi < packet.NumFields; fi++ {
+				if mask&(1<<fi) == 0 {
+					continue
+				}
+				switch b := next(); {
+				case b < 64 && len(rows) > 0:
+					entries[packet.FieldIndex(fi)] = rows[int(b)%len(rows)][fi]
+				case b < 128 && len(seen) > 0:
+					entries[packet.FieldIndex(fi)] = seen[int(b)%len(seen)]
+				default:
+					entries[packet.FieldIndex(fi)] = value()
+				}
+				seen = append(seen, entries[packet.FieldIndex(fi)])
+			}
+			qs[i] = qVec(value(), entries)
+		}
+		var maxTau []float64
+		if next()%2 == 1 {
+			maxTau = make([]float64, len(qs))
+			for i := range maxTau {
+				maxTau[i] = value()
+			}
+		}
+		ix, err := NewQuestionIndex(qs, maxTau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ix.Candidates(columnsOf(rows...))
+		if want := searchCandidates(qs, maxTau, columnsOf(rows...)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("merged pass %v, per-pin search %v", got.bits, want.bits)
+		}
+	})
+}
+
 // TestMain gives the worker pool — sized once, at first use — at least
 // two participants, so the chunked candidate pass runs on real helpers
 // even on a single-CPU machine.
@@ -177,11 +312,14 @@ func TestMain(m *testing.M) {
 }
 
 // TestCandidatesChunkBoundaries holds the chunked candidate pass to the
-// brute-force oracle at question counts on either side of a bitset word
-// and of a chunk, on one worker and on the whole pool: a chunk that
-// tested a question twice, skipped one, or shared a word with its
-// neighbour shows up here (under -race too), never in the fuzz target,
-// whose libraries stay below one word.
+// brute-force oracle and to the per-pin search at question counts on
+// either side of a bitset word and of a chunk, on one worker and on the
+// whole pool: a chunk that tested a question twice, skipped one, or
+// shared a word with its neighbour shows up here (under -race too),
+// never in the fuzz targets, whose libraries stay below one word. The
+// column of every field has a NaN, the destination port's first; pins
+// sit on column values or a little off them, repeat, and every 89th
+// question has a NaN pin.
 func TestCandidatesChunkBoundaries(t *testing.T) {
 	if par.Size() < 2 {
 		t.Fatalf("worker pool has %d participant, want ≥ 2", par.Size())
@@ -194,7 +332,9 @@ func TestCandidatesChunkBoundaries(t *testing.T) {
 			rows[r][f] = float64(rng.Intn(50)) / 50
 		}
 	}
-	rows[3][packet.FieldDstPort] = math.NaN()
+	for f := range packet.NumFields {
+		rows[(3+f)%len(rows)][f] = math.NaN()
+	}
 	taus := []float64{0, 0.005, 0.05}
 	for _, n := range []int{0, 1, 63, 64, 1023, 1024, 1025, 2500} {
 		qs := make([]*Question, n)
@@ -206,6 +346,9 @@ func TestCandidatesChunkBoundaries(t *testing.T) {
 				f := packet.FieldIndex(rng.Intn(packet.NumFields))
 				entries[f] = rows[rng.Intn(len(rows))][f] + float64(rng.Intn(3))*0.01
 			}
+			if i%89 == 88 {
+				entries[packet.FieldDstPort] = math.NaN()
+			}
 			qs[i] = qVec(taus[rng.Intn(len(taus))], entries)
 		}
 		ix, err := NewQuestionIndex(qs, nil)
@@ -216,9 +359,12 @@ func TestCandidatesChunkBoundaries(t *testing.T) {
 		if n >= 64 && (want.Count() == 0 || want.Count() == n) {
 			t.Fatalf("%d questions: %d candidates — the comparison is vacuous", n, want.Count())
 		}
+		if search := searchCandidates(qs, nil, columnsOf(rows...)); !reflect.DeepEqual(search, want) {
+			t.Fatalf("%d questions: per-pin search keeps %d, brute force %d", n, search.Count(), want.Count())
+		}
 		for _, workers := range []int{1, 0} {
 			if got := ix.candidates(columnsOf(rows...), workers); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d questions, workers=%d: %d candidates, brute force %d", n, workers, got.Count(), want.Count())
+				t.Fatalf("%d questions, workers=%d: %d candidates, brute force and per-pin search %d", n, workers, got.Count(), want.Count())
 			}
 		}
 	}

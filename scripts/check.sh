@@ -76,21 +76,25 @@ go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|T
 # assignment) only.
 go test -run 'TestQuickFiguresGolden' ./internal/experiments/
 go test -race -run 'TestQuickFiguresGolden' ./internal/experiments/
-# The estimator's row windows against a sweep over every row, and the
-# aggregate's sorted columns first used from many goroutines at once.
-go test -race -run 'TestEstimateWindowEqualsSweep|TestSortedColumnBuiltOnce' ./internal/inference/
+# The estimator's row windows against a sweep over every row, the
+# aggregate's radix-sorted columns against a comparison sort (and their
+# ranks against its inverse), and those columns first used from many
+# goroutines at once.
+go test -race -run 'TestEstimateWindowEqualsSweep|TestSortedColumnBuiltOnce|TestRadixOrder|FuzzRadixOrder' ./internal/inference/
 # The question index's candidate pass tests its questions in chunks of
 # whole bitset words across the worker pool: against the brute-force
-# oracle at question counts around a word and a chunk edge, where two
-# chunks sharing a word would race.
-go test -race -run 'TestCandidatesChunkBoundaries' ./internal/rules/
+# oracle and the per-pin search at question counts around a word and a
+# chunk edge, where two chunks sharing a word would race; and its merged
+# per-field walk against the per-pin search on the fuzz seeds.
+go test -race -run 'TestCandidatesChunkBoundaries|FuzzCandidatesEqualSearch' ./internal/rules/
 # Every metric field is a typed atomic that no reader copies: metrics
 # written from four goroutines while the registry is rendered. This test
 # is what holds that invariant, and it needs -race to see a violation.
 go test -race -run 'TestMetricsConcurrentReadWrite' ./internal/obs/
-# The estimator's allocation bound: a tracked estimate is its result and
-# one row buffer (≤ 2) only when sync.Pool keeps its scratch, which the
-# race detector prevents at random, so this one runs without -race.
+# The estimator's allocation bound: a pruned estimate allocates nothing
+# and a tracked one its row buffer (≤ 1) only when sync.Pool keeps its
+# scratch and chunk of results, which the race detector prevents at
+# random, so this one runs without -race.
 go test -run 'TestEstimatorScratchReuse' ./internal/inference/
 
 # Detection accuracy gate: the scoreboard report must be byte-identical

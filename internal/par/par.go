@@ -4,12 +4,12 @@
 // The pool is shared process-wide and sized to runtime.GOMAXPROCS at
 // first use: GOMAXPROCS−1 helper goroutines plus the dispatching
 // goroutine, which always participates in its own work. Work is handed
-// out one index at a time from an atomic counter, and each index is run
-// exactly once — a caller that stores per-index results and reduces
-// them in index order gets byte-identical output whether the work ran
-// on 1 worker or 64. That property is what lets the pipeline
-// parallelize monitor polling, question matching and scenario sweeps
-// while keeping same-seed runs reproducible (see DESIGN.md,
+// out in runs of consecutive indices from an atomic counter, and each
+// index is run exactly once — a caller that stores per-index results
+// and reduces them in index order gets byte-identical output whether
+// the work ran on 1 worker or 64. That property is what lets the
+// pipeline parallelize monitor polling, question matching and scenario
+// sweeps while keeping same-seed runs reproducible (see DESIGN.md,
 // "Performance").
 //
 // Dispatch is allocation-free in steady state: task descriptors are
@@ -52,21 +52,38 @@ var (
 
 // task is one dispatch, shared by every worker helping with it.
 type task struct {
-	fn   func(i int)
-	n    int
-	next atomic.Int64
-	wg   sync.WaitGroup
+	fn    func(i int)
+	n     int
+	chunk int
+	next  atomic.Int64
+	wg    sync.WaitGroup
 }
 
-// run claims indices until the counter passes n. Several goroutines run
-// the same task concurrently; each index is claimed exactly once.
+// maxChunk caps how many consecutive indices one claim takes.
+const maxChunk = 64
+
+// chunkFor is the run length For claims at: one index while n is small
+// beside the workers, so a few coarse tasks still spread out, and up to
+// maxChunk once each worker would get at least eight runs. Many cheap
+// indices — a 10k-question library, most of it pruned — would
+// otherwise pass the shared counter between workers once per index.
+func chunkFor(n, workers int) int {
+	return min(max(n/(8*workers), 1), maxChunk)
+}
+
+// run claims runs of chunk indices until the counter passes n. Several
+// goroutines run the same task concurrently; each index is claimed
+// exactly once.
 func (t *task) run() {
 	for {
-		i := int(t.next.Add(1)) - 1
-		if i >= t.n {
+		hi := int(t.next.Add(int64(t.chunk)))
+		lo := hi - t.chunk
+		if lo >= t.n {
 			return
 		}
-		t.fn(i)
+		for i := lo; i < min(hi, t.n); i++ {
+			t.fn(i)
+		}
 	}
 }
 
@@ -116,10 +133,12 @@ func Size() int {
 
 // For runs fn(i) once for every i in [0, n) across at most workers
 // goroutines including the caller (workers <= 0 selects GOMAXPROCS),
-// blocking until all of them have run. It suits coarse, heterogeneous
-// tasks — polling a monitor, matching one question — where per-index
-// imbalance dominates. fn must be safe for concurrent calls on distinct
-// indices.
+// blocking until all of them have run. Workers claim runs of
+// consecutive indices (chunkFor), one index at a time while n is small,
+// so it suits coarse, heterogeneous tasks — polling a monitor, running
+// one scenario — as well as many cheap ones, such as matching each
+// question of a large library. fn must be safe for concurrent calls on
+// distinct indices.
 func For(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -140,7 +159,7 @@ func For(n, workers int, fn func(i int)) {
 	}
 	cDispatch.Inc()
 	t := taskPool.Get().(*task)
-	t.fn, t.n = fn, n
+	t.fn, t.n, t.chunk = fn, n, chunkFor(n, workers)
 	t.next.Store(0)
 	helpers := workers - 1
 	t.wg.Add(helpers)

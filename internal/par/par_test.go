@@ -17,9 +17,10 @@ func TestMain(m *testing.M) {
 }
 
 // TestForCoversExactly checks every index in [0, n) is visited exactly
-// once, across the inline path and the dispatched one.
+// once, across the inline path and the dispatched one, with one-index
+// claims and with runs that do and do not divide n.
 func TestForCoversExactly(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 4096} {
+	for _, n := range []int{0, 1, 7, 100, 1000, 4096} {
 		for _, workers := range []int{0, 1, 3, 8} {
 			hits := make([]int32, n)
 			For(n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) })

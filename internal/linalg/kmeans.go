@@ -94,12 +94,12 @@ func KMeans(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig) (*KMeansResult, 
 //
 // The scans are exhaustive: seeding measures every new seed, and each
 // assignment step every centre, against all rows of the column-major
-// copy with columnDistances (lowest centre index on ties). The result,
-// non-finite inputs included, is bit for bit that of the row-by-row
-// reference in kmeans_oracle_test.go. Seeding records each row's nearest
-// seed as it maintains the D² vector, so the first Lloyd assignment is
-// that table. All of it is sequential on rng and on the calling
-// goroutine.
+// copy (lowest centre index on ties), through the selected kernels'
+// seedRound and nearest leaves. The result, non-finite inputs included,
+// is bit for bit that of the row-by-row reference in
+// kmeans_oracle_test.go. Seeding records each row's nearest seed as it
+// maintains the D² vector, so the first Lloyd assignment is that table.
+// All of it is sequential on rng and on the calling goroutine.
 func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch, out *Matrix, assign []int, counts []int) (inertia float64, iters int, err error) {
 	if x.Rows() == 0 || x.Cols() == 0 {
 		return 0, 0, ErrEmptyMatrix
@@ -133,25 +133,26 @@ func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch,
 	cur := sc.Matrix(k, p)
 	next := sc.Matrix(k, p)
 	dist := sc.Floats(n)
-	tmp := sc.Floats(n)
+	sums := sc.Floats(n)
 	xt := sc.Floats(p * n)
 	transposeInto(xt, x)
+	packed := sc.Floats(4 * p * ((k + 3) / 4))
 
 	// Seeding leaves the first assignment step's answer in assign/dist,
 	// except for a row whose distance to the first seed is NaN: D² keeps
 	// that NaN, where a scan from +Inf moves on to the next centre. The
 	// objective is then NaN, and only a full pass reproduces the scan.
-	seedPlusPlus(x, xt, cur, rng, assign, dist, tmp)
+	seedPlusPlus(x, xt, cur, rng, assign, dist, sums)
 	prevObj := math.Inf(1)
 	var obj float64
 
 	for ; iters < cfg.MaxIterations; iters++ {
 		// Assignment step.
 		if iters > 0 {
-			assignRows(xt, cur, tmp, assign, dist)
+			assignRows(xt, cur, packed, assign, dist)
 		}
 		if obj = tally(assign, dist, counts); math.IsNaN(obj) {
-			assignRows(xt, cur, tmp, assign, dist)
+			assignRows(xt, cur, packed, assign, dist)
 			obj = tally(assign, dist, counts)
 		}
 
@@ -199,7 +200,7 @@ func KMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *Scratch,
 	}
 
 	// Final assignment against the last centroid update.
-	assignRows(xt, cur, tmp, assign, dist)
+	assignRows(xt, cur, packed, assign, dist)
 	obj = tally(assign, dist, counts)
 	copy(out.data, cur.data)
 	return obj, iters, nil
@@ -235,21 +236,11 @@ func farthestRow(x, cents *Matrix, assign []int) int {
 
 // assignRows runs one Lloyd assignment step: assign[i] becomes the
 // centre of cents nearest to row i (lowest index on ties) and dist[i]
-// the squared distance to it. xt is the rows column-major; tmp (length
-// n) receives one centre's distances to every row.
-func assignRows(xt []float64, cents *Matrix, tmp []float64, assign []int, dist []float64) {
-	for i := range dist {
-		assign[i], dist[i] = 0, math.Inf(1)
-	}
-	tmp, assign = tmp[:len(dist)], assign[:len(dist)]
-	for c := 0; c < cents.rows; c++ {
-		columnDistances(cents.Row(c), xt, len(dist), tmp)
-		for i, v := range tmp {
-			if v < dist[i] {
-				assign[i], dist[i] = c, v
-			}
-		}
-	}
+// the squared distance to it. xt is the rows column-major; packed
+// (length 4·p·⌈k/4⌉) receives the centres in the nearest leaf's layout.
+func assignRows(xt []float64, cents *Matrix, packed []float64, assign []int, dist []float64) {
+	packCentres(packed, cents)
+	kernels.nearest(packed, cents.cols, xt, len(dist), assign, dist)
 }
 
 // seedPlusPlus picks k initial centroids with the k-means++ D² weighting:
@@ -260,25 +251,27 @@ func assignRows(xt []float64, cents *Matrix, tmp []float64, assign []int, dist [
 // each entry of d2 was measured to — the lowest index on ties, because
 // only a strictly smaller distance replaces it.
 //
-// Each round measures the new seed against every row into sums, then
-// one pass folds those distances into d2 and overwrites sums with the
-// running sums of d2 in row order: the last is the next round's D²
-// total, and the draw is a search in them, which lands on the row a
-// linear accumulation would have stopped at because the sums never
-// decrease (a NaN total makes both pick the last row). Seeding is
-// strictly sequential: every draw consumes rng in a fixed order, which
-// is what keeps same-seed runs reproducible (§4.3).
+// The first seed's distances are measured row by row, so a NaN one
+// enters d2 as it does in the reference (and stays: no comparison
+// replaces it). Each later round is one seedRound pass, which folds the
+// new seed's distances into d2 and near and leaves the running sums of
+// d2 in row order in sums: the last is the next round's D² total, and
+// the draw is a search in them, which lands on the row a linear
+// accumulation would have stopped at because the sums never decrease (a
+// NaN total makes both pick the last row). Seeding is strictly
+// sequential: every draw consumes rng in a fixed order, which is what
+// keeps same-seed runs reproducible (§4.3).
 func seedPlusPlus(x *Matrix, xt []float64, cur *Matrix, rng *rand.Rand, near []int, d2, sums []float64) {
 	n, p := x.rows, x.cols
 	k := cur.rows
 	near, d2, sums = near[:n], d2[:n], sums[:n]
 	first := rng.Intn(n)
 	copy(cur.data[:p], x.data[first*p:(first+1)*p])
-	columnDistances(cur.data[:p], xt, n, d2)
 	var total float64
-	for i, d := range d2 {
+	for i := range d2 {
+		d2[i] = SquaredDistance(x.data[i*p:(i+1)*p], cur.data[:p])
 		near[i] = 0
-		total += d
+		total += d2[i]
 		sums[i] = total
 	}
 	for c := 1; c < k; c++ {
@@ -295,44 +288,7 @@ func seedPlusPlus(x *Matrix, xt []float64, cur *Matrix, rng *rand.Rand, near []i
 		}
 		seed := cur.data[c*p : (c+1)*p]
 		copy(seed, x.data[pick*p:(pick+1)*p])
-		columnDistances(seed, xt, n, sums)
-		total = 0
-		for i, v := range sums {
-			if v < d2[i] {
-				d2[i] = v
-				near[i] = c
-			}
-			total += d2[i]
-			sums[i] = total
-		}
-	}
-}
-
-// columnDistances sets out[i] to SquaredDistance(a, column i of xt),
-// where xt holds len(a) rows of stride ≥ len(out) values and column i is
-// xt[i], xt[stride+i], … . It is the leaf every k-means scan runs:
-// goColumnDistances, or a vector kernel the package's init selects when
-// the CPU has one. Each kernel adds a column's terms in SquaredDistance's
-// order, starting from +0 and rounding every product, so all agree with
-// that function bit for bit (FuzzColumnDistances).
-var columnDistances = goColumnDistances
-
-// goColumnDistances is the portable columnDistances. Walking xt row by
-// row keeps every column's sum in its own out slot, so the sums are
-// independent chains the CPU can overlap.
-func goColumnDistances(a, xt []float64, stride int, out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
-	for j, av := range a {
-		col := xt[j*stride : j*stride+len(out)]
-		out := out[:len(col)]
-		for i, v := range col {
-			d := av - v
-			// The conversion forbids fusing the multiply into the add,
-			// which would round differently from the vector kernel.
-			out[i] += float64(d * d)
-		}
+		total = kernels.seedRound(seed, xt, n, c, near, d2, sums, 0)
 	}
 }
 

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -187,28 +186,29 @@ func withDuplicates(m *Matrix, distinct int) *Matrix {
 	return m
 }
 
-// leaf is one columnDistances implementation.
+// leaf is one kernel set under the name the tests and benchmarks
+// report it by.
 type leaf struct {
 	name string
-	fn   func(a, xt []float64, stride int, out []float64)
+	set  kernelSet
 }
 
-// leaves lists the columnDistances implementations this machine runs:
-// the portable loop, and the kernel init selected if it is another one.
+// leaves lists the kernel sets this machine runs: the portable one, and
+// the one init selected if it is another.
 func leaves() []leaf {
-	ls := []leaf{{"go", goColumnDistances}}
-	if reflect.ValueOf(columnDistances).Pointer() != reflect.ValueOf(goColumnDistances).Pointer() {
-		ls = append(ls, leaf{"kernel", columnDistances})
+	ls := []leaf{{"go", goKernels}}
+	if reflect.ValueOf(kernels.nearest).Pointer() != reflect.ValueOf(goKernels.nearest).Pointer() {
+		ls = append(ls, leaf{"kernel", kernels})
 	}
 	return ls
 }
 
-// forEachLeaf runs f once per leaf, with columnDistances set to it.
+// forEachLeaf runs f once per leaf, with kernels set to it.
 func forEachLeaf(f func(l leaf)) {
-	selected := columnDistances
-	defer func() { columnDistances = selected }()
+	selected := kernels
+	defer func() { kernels = selected }()
 	for _, l := range leaves() {
-		columnDistances = l.fn
+		kernels = l.set
 		f(l)
 	}
 }
@@ -241,7 +241,7 @@ func withNaNRows(m *Matrix) *Matrix {
 }
 
 // checkKMeansAgainstReference runs refKMeansInto and then, once per
-// leaf with columnDistances set to it, KMeansInto on the same input and
+// leaf with kernels set to it, KMeansInto on the same input and
 // seed, and wants every output and the rng state after the call equal
 // with ==; a NaN matches any NaN.
 func checkKMeansAgainstReference(t *testing.T, x *Matrix, k int, cfg KMeansConfig, seed int64, wantRepairs bool) {
@@ -336,12 +336,12 @@ func TestKMeansMatchesExhaustiveReference(t *testing.T) {
 			})
 		}
 	}
-	// The grid: row counts that leave every remainder of the kernel's
-	// 16- and 4-lane blocks, the extreme cluster counts, and widths from
+	// The grid: row counts that leave every remainder of the kernels'
+	// 16-, 8- and 4-row blocks, the extreme cluster counts, and widths from
 	// one column to the raw header's 18. A non-finite objective defeats
 	// the stop test, so those cases cap Lloyd at two iterations rather than
 	// the default 50.
-	for _, n := range []int{1, 5, 17, 999, 1000, 1003} {
+	for _, n := range []int{1, 5, 12, 17, 29, 999, 1000, 1003} {
 		ks := []int{1, 2, 199, n - 1, n}
 		for ki, k := range ks {
 			if k < 1 || k > n || slices.Index(ks, k) < ki {
@@ -374,65 +374,4 @@ func TestKMeansDefaultStopsAfterOneIteration(t *testing.T) {
 			t.Fatalf("default config ran %d Lloyd iterations, want 1", res.Iterations)
 		}
 	}
-}
-
-// FuzzColumnDistances wants every leaf to return SquaredDistance's value
-// for every column, bit for bit (any NaN matching any NaN). The values
-// are the fuzzer's bytes read as float64s, so −0, subnormals, infinities
-// and NaNs all occur; p runs 1–32 and the stride may exceed n.
-func FuzzColumnDistances(f *testing.F) {
-	le := binary.LittleEndian
-	special := make([]byte, 0, 64)
-	for _, v := range []float64{0, math.Copysign(0, -1), 5e-324, -2.2250738585072009e-308, math.Inf(1), math.Inf(-1), math.NaN(), 1.5} {
-		special = le.AppendUint64(special, math.Float64bits(v))
-	}
-	// Inexact products, where a fused multiply-add would round
-	// differently; n = 1003 runs the 16- and 4-lane blocks and the tail.
-	inexact := make([]byte, 0, 64)
-	for _, v := range []float64{math.Pi, -math.E, math.Sqrt2, 1.0 / 3, -7.1, 0.1, 1e-3, 12345.678} {
-		inexact = le.AppendUint64(inexact, math.Float64bits(v))
-	}
-	f.Add(uint8(11), uint16(1003), uint8(0), inexact)
-	f.Add(uint8(11), uint16(1000), uint8(0), special)
-	f.Add(uint8(17), uint16(200), uint8(0), []byte{1, 2, 3})
-	f.Add(uint8(0), uint16(17), uint8(3), special)
-	f.Add(uint8(31), uint16(5), uint8(7), special[8:40])
-	f.Add(uint8(2), uint16(0), uint8(1), []byte{})
-	f.Fuzz(func(t *testing.T, pb uint8, nb uint16, pad uint8, data []byte) {
-		p, n := 1+int(pb)%32, int(nb)%1100
-		stride := n + int(pad)%9
-		value := func(i int) float64 {
-			if len(data) < 8 {
-				return float64(i%7) - 3
-			}
-			off := i % (len(data) / 8) * 8
-			return math.Float64frombits(le.Uint64(data[off:]))
-		}
-		a := make([]float64, p)
-		for j := range a {
-			a[j] = value(j)
-		}
-		xt := make([]float64, p*stride)
-		for i := range xt {
-			xt[i] = value(p + i)
-		}
-		col := make([]float64, p)
-		for _, l := range leaves() {
-			out := make([]float64, n)
-			for i := range out {
-				out[i] = float64(i) // the leaf must overwrite, not add
-			}
-			l.fn(a, xt, stride, out)
-			for i, got := range out {
-				for j := range col {
-					col[j] = xt[j*stride+i]
-				}
-				want := SquaredDistance(a, col)
-				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-					t.Fatalf("%s leaf p=%d n=%d stride=%d: column %d is %v (%#x), SquaredDistance %v (%#x)",
-						l.name, p, n, stride, i, got, math.Float64bits(got), want, math.Float64bits(want))
-				}
-			}
-		}
-	})
 }

@@ -9,10 +9,11 @@
 // p×p triangular factor with one Householder pass and runs one-sided
 // Jacobi — exact and numerically robust — on that factor, so only the
 // reduction and the lift of U scale with n. k-means is k-means++ seeding
-// followed by Lloyd steps, with every distance evaluation that the
-// triangle inequality proves irrelevant left out: the results are those
-// of the exhaustive algorithm bit for bit (the exhaustive versions are
-// the test oracles in this package's _test.go files).
+// followed by Lloyd steps, each an exhaustive scan. The loops that scale
+// with n run through one kernel set (kernels.go): portable Go, or AVX2
+// kernels four lanes wide where the CPU has them. Either set reproduces
+// the scalar references kept as test oracles in this package's _test.go
+// files bit for bit.
 package linalg
 
 import (
@@ -204,21 +205,23 @@ var ErrEmptyMatrix = errors.New("linalg: empty matrix")
 // It panics when the lengths differ; callers control both inputs.
 // Four partial sums break the floating-point add dependency chain (the
 // SVD's Householder pass is made of long dot products): the value is
-// correct to rounding, not the left-to-right sum.
+// correct to rounding, not the left-to-right sum. Every product is
+// rounded before it is added, on every architecture, as the SVD's
+// vector kernels do.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("linalg: dot of length %d and %d", len(a), len(b)))
 	}
 	var s0, s1, s2, s3 float64
 	for len(a) >= 4 && len(b) >= 4 {
-		s0 += a[0] * b[0]
-		s1 += a[1] * b[1]
-		s2 += a[2] * b[2]
-		s3 += a[3] * b[3]
+		s0 += float64(a[0] * b[0])
+		s1 += float64(a[1] * b[1])
+		s2 += float64(a[2] * b[2])
+		s3 += float64(a[3] * b[3])
 		a, b = a[4:], b[4:]
 	}
 	for i, x := range a {
-		s0 += x * b[i]
+		s0 += float64(x * b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }

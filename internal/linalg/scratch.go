@@ -6,8 +6,8 @@ import "sync"
 // summarization hot path: the SVD's transposed working copy (which ends
 // up holding the Householder reflectors), its p×p triangular factor and
 // rotation accumulator, the k-means ping-pong centroid buffers, distance
-// vectors and column-major copy of the rows, and the rank-r
-// reconstruction. Handing these out of an arena instead of make() is
+// vectors, column-major copy of the rows and packed centres, and the
+// rank-r reconstruction. Handing these out of an arena instead of make() is
 // what takes a batch summarization from ~30 heap allocations to none
 // (summary.BenchmarkSummarizeBatch).
 //

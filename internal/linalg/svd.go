@@ -65,7 +65,11 @@ func ComputeSVD(a *Matrix) (*SVD, error) {
 // those of A — but each rotation touches p-long columns instead of
 // n-long ones. Finally U = Q·Ũ is lifted by applying the reflectors to
 // the n×r block [Ũ_r; 0], which keeps U orthonormal to rounding even
-// where A·V·Σ⁻¹ would not (small singular values).
+// where A·V·Σ⁻¹ would not (small singular values). The two loops that
+// scale with n, applying a reflector to the trailing columns and to the
+// lifted block, are the reflect and lift leaves of the kernel set.
+// scalarSVDInto in svd_oracle_test.go is this decomposition with scalar
+// loops, and every set reproduces it bit for bit.
 func svdInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scratch) {
 	n, p := a.Rows(), a.Cols()
 
@@ -95,9 +99,8 @@ func svdInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scratch) {
 		}
 		h[0] = 1
 		rt.data[j*p+j] = alpha
-		for k := j + 1; k < p; k++ {
-			col := wt.data[k*n+j : (k+1)*n]
-			axpy(-tau[j]*Dot(h, col), h, col)
+		if j+1 < p {
+			kernels.reflect(h, -tau[j], wt.data[(j+1)*n+j:], n, p-j-1)
 		}
 	}
 	for k := 1; k < p; k++ {
@@ -190,30 +193,11 @@ func svdInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scratch) {
 	// Q = H_0·H_1⋯H_{p−1}, so the lift applies the reflectors last to
 	// first. Reflector j acts on rows j..n−1; per reflector one pass
 	// forms h_jᵀ·U, a second subtracts the rank-one update.
-	hu := sc.Floats(r)
 	for j := p - 1; j >= 0; j-- {
 		if tau[j] == 0 {
 			continue
 		}
-		h := wt.data[j*n+j : (j+1)*n]
-		rows := u.data[j*r:]
-		for c := range hu {
-			hu[c] = 0
-		}
-		for i, hi := range h {
-			for c, y := range rows[i*r : (i+1)*r] {
-				hu[c] += hi * y
-			}
-		}
-		for c := range hu {
-			hu[c] *= tau[j]
-		}
-		for i, hi := range h {
-			row := rows[i*r : (i+1)*r]
-			for c, w := range hu {
-				row[c] -= hi * w
-			}
-		}
+		kernels.lift(wt.data[j*n+j:(j+1)*n], tau[j], u.data[j*r:], r, r)
 	}
 }
 
@@ -221,7 +205,7 @@ func svdInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scratch) {
 func axpy(alpha float64, x, y []float64) {
 	y = y[:len(x)]
 	for i, xv := range x {
-		y[i] += alpha * xv
+		y[i] += float64(alpha * xv)
 	}
 }
 
@@ -276,14 +260,6 @@ func TruncatedSVDInto(a *Matrix, r int, ur *Matrix, sr []float64, vr *Matrix, sc
 	}
 	svdInto(a, r, ur, sr, vr, sc)
 	return nil
-}
-
-func identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
 }
 
 // EnergyRank returns the smallest r such that the top-r singular values

@@ -259,17 +259,25 @@ func svdTruncatedOp(tb testing.TB) func() {
 	return svd
 }
 
+// BenchmarkSVDTruncated times svdTruncatedOp once per leaf: leaf=go is
+// what a host without the vector kernels pays.
 func BenchmarkSVDTruncated(b *testing.B) {
-	svd := svdTruncatedOp(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svd()
-	}
+	forEachLeaf(func(l leaf) {
+		b.Run("leaf="+l.name, func(b *testing.B) {
+			svd := svdTruncatedOp(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				svd()
+			}
+		})
+	})
 }
 
 func TestSVDTruncatedZeroAlloc(t *testing.T) {
-	if n := testing.AllocsPerRun(50, svdTruncatedOp(t)); n != 0 {
-		t.Fatalf("TruncatedSVDInto made %v allocations per call, want 0", n)
-	}
+	forEachLeaf(func(l leaf) {
+		if n := testing.AllocsPerRun(50, svdTruncatedOp(t)); n != 0 {
+			t.Fatalf("leaf=%s: TruncatedSVDInto made %v allocations per call, want 0", l.name, n)
+		}
+	})
 }

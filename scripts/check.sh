@@ -18,22 +18,32 @@ fi
 go vet ./...
 go build ./...
 
-# The k-means distance leaves round every product before adding it: the
-# amd64 vector kernel does, and KMeansInto is compared bit for bit with a
-# reference built on SquaredDistance (DESIGN.md, "k-means"). arm64 has a
-# fused multiply-add the compiler uses for s += d*d unless the product is
-# converted explicitly, so vet that port and look at its machine code.
+# The summarization leaves round every product before adding it: the
+# amd64 vector kernels do, and KMeansInto and the SVD are compared bit for
+# bit with references built on SquaredDistance and on the scalar SVD
+# (DESIGN.md, "Performance"). arm64 has a fused multiply-add the compiler
+# uses for s += d*d unless the product is converted explicitly, so vet
+# that port and look at the machine code of every portable leaf (axpy is
+# inlined into goReflect, which the check covers).
 GOARCH=arm64 go vet ./...
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 GOARCH=arm64 go test -c -o "$tmp/linalg.test" ./internal/linalg
-leaves=$(go tool objdump -s 'linalg\.(SquaredDistance|goColumnDistances)$' "$tmp/linalg.test")
-if [ "$(echo "$leaves" | grep -c '^TEXT')" -ne 2 ] || echo "$leaves" | grep -E 'FN?M(ADD|SUB)D'; then
-	echo "arm64: a distance leaf is missing or fuses multiply and add" >&2
+goleaves='SquaredDistance|Dot|columnSums|goSeedRound|goNearest|goReflect|goLift'
+leaves=$(go tool objdump -s "linalg\.($goleaves)\$" "$tmp/linalg.test")
+if [ "$(echo "$leaves" | grep -c '^TEXT')" -ne 7 ] || echo "$leaves" | grep -E 'FN?M(ADD|SUB)D'; then
+	echo "arm64: a summarization leaf is missing or fuses multiply and add" >&2
 	exit 1
 fi
 if grep -nE 'VFN?M(ADD|SUB)' internal/linalg/*.s; then
-	echo "fused multiply-add in the amd64 distance kernel" >&2
+	echo "fused multiply-add in an amd64 summarization kernel" >&2
+	exit 1
+fi
+# Legacy (non-VEX) SSE inside an AVX loop costs a state transition on
+# every iteration on some cores: the kernels use VEX forms only (VMOVQ,
+# VMOVSD, VADDSD, ...). Flag SSE mnemonics and a MOVQ into an X register.
+if grep -nE '^[[:space:]]+(MOV(SD|SS|UPD|UPS|APD|APS|DQU|DQA)|(ADD|SUB|MUL|DIV|MIN|MAX|SQRT)(SD|PD|SS|PS)|UCOMISD|COMISD|CVT[A-Z0-9]+|XORPS|XORPD|PXOR|SHUFPD|UNPCK[LH]PD|MOVQ[[:space:]].*,[[:space:]]*X[0-9]+)([[:space:]]|$)' internal/linalg/*.s; then
+	echo "non-VEX SSE instruction in an amd64 summarization kernel" >&2
 	exit 1
 fi
 
@@ -87,6 +97,10 @@ go test -race -run 'TestEstimateWindowEqualsSweep|TestSortedColumnBuiltOnce|Test
 # chunk edge, where two chunks sharing a word would race; and its merged
 # per-field walk against the per-pin search on the fuzz seeds.
 go test -race -run 'TestCandidatesChunkBoundaries|FuzzCandidatesEqualSearch' ./internal/rules/
+# Two k-means runs at once on separate Scratches must equal the serial
+# runs: every buffer a call uses, the packed centres included, comes
+# from its own Scratch.
+go test -race -run 'TestKMeansConcurrentScratch' ./internal/linalg/
 # Every metric field is a typed atomic that no reader copies: metrics
 # written from four goroutines while the registry is rendered. This test
 # is what holds that invariant, and it needs -race to see a violation.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -21,10 +22,13 @@ type AlertSink struct {
 }
 
 // Serve consumes alert frames from one controller connection until
-// EOF. Any frame other than MsgAlert is a protocol error.
+// EOF. Any frame other than MsgAlert is a protocol error. It reads
+// through a buffer, so a burst of alerts costs a read call per buffer,
+// not two per frame.
 func (s *AlertSink) Serve(conn net.Conn) error {
+	r := bufio.NewReader(conn)
 	for {
-		msg, err := wire.ReadFrame(conn)
+		msg, err := wire.ReadFrame(r)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil

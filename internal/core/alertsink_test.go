@@ -1,7 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,5 +114,68 @@ func TestAlertSinkRejectsNonAlertFrames(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("sink did not reject the frame")
+	}
+}
+
+// TestAlertSinkReadsBurst writes 1000 alert frames in one Write and
+// wants all of them handed on in order, then a clean return at EOF.
+func TestAlertSinkReadsBurst(t *testing.T) {
+	var burst bytes.Buffer
+	var want []string
+	for i := range 1000 {
+		line := fmt.Sprintf("alert %d %s", i, strings.Repeat("x", i%50))
+		want = append(want, line)
+		if err := wire.WriteFrame(&burst, wire.MsgAlert, []byte(line)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client, server := net.Pipe()
+	var got []string
+	sink := &AlertSink{Handler: func(line string) { got = append(got, line) }}
+	errCh := make(chan error, 1)
+	go func() { errCh <- sink.Serve(server) }()
+	if _, err := client.Write(burst.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	client.Close()
+	if err := <-errCh; err != nil {
+		t.Fatalf("Serve returned %v at EOF, want nil", err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("sink handed on %d alerts, want the %d written, in order", len(got), len(want))
+	}
+}
+
+// TestAlertSinkShortFrames wants a connection that ends inside a frame
+// — in its header or its payload — to be an unexpected-EOF error after
+// the whole frames before it were handed on.
+func TestAlertSinkShortFrames(t *testing.T) {
+	var whole bytes.Buffer
+	if err := wire.WriteFrame(&whole, wire.MsgAlert, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	var long bytes.Buffer
+	if err := wire.WriteFrame(&long, wire.MsgAlert, []byte("a payload cut short")); err != nil {
+		t.Fatal(err)
+	}
+	for name, cut := range map[string][]byte{
+		"header":  long.Bytes()[:3],
+		"payload": long.Bytes()[:long.Len()-4],
+	} {
+		client, server := net.Pipe()
+		var got []string
+		sink := &AlertSink{Handler: func(line string) { got = append(got, line) }}
+		errCh := make(chan error, 1)
+		go func() { errCh <- sink.Serve(server) }()
+		if _, err := client.Write(append(slices.Clone(whole.Bytes()), cut...)); err != nil {
+			t.Fatal(err)
+		}
+		client.Close()
+		if err := <-errCh; !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("frame cut in its %s: Serve returned %v, want an unexpected EOF", name, err)
+		}
+		if !slices.Equal(got, []string{"first"}) {
+			t.Errorf("frame cut in its %s: handed on %q, want the whole frame before it", name, got)
+		}
 	}
 }

@@ -65,6 +65,10 @@ type Controller struct {
 	// workers bounds the per-question fan-out of ProcessEpoch
 	// (0 = GOMAXPROCS).
 	workers int
+	// spare holds the storage of the last finished round for the next
+	// ProcessEpoch. Rounds may run concurrently: one that finds it taken
+	// builds its own, and one that finds it full drops its own.
+	spare chan *round
 
 	// mu guards the fields below it. Everything above is fixed in
 	// NewController, so the per-question fan-out reads it unlocked.
@@ -182,6 +186,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		useFeedback: cfg.UseFeedback,
 		workers:     cfg.Workers,
 		sources:     make(map[int]rawBatcher),
+		spare:       make(chan *round, 1),
 	}
 	// Fix the evaluation order once: attack IDs sorted ascending. Every
 	// epoch reuses it, and the question index is aligned to it.
@@ -345,14 +350,39 @@ func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, res
 	return transferred
 }
 
+// round is the storage one ProcessEpoch works in: the aggregate, with
+// its sorted columns, and the per-question results. Nothing of it
+// outlives the call — an alert copies what it reports — so the next call
+// reuses all of it.
+type round struct {
+	agg     inference.Aggregator
+	results []qresult
+}
+
 // ProcessEpoch runs one inference round over the summaries collected
 // from all monitors and returns the alerts raised (§5.1–§5.3).
 func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Alert, error) {
 	defer trace.StartSpan(hEpochSeconds, trace.StageInfer, trace.ControllerProc, c.Epoch()).End()
-	agg, err := inference.AggregateSummaries(summaries)
-	if err != nil {
-		return nil, err
+	var rd *round
+	select {
+	case rd = <-c.spare:
+	default:
+		rd = new(round)
 	}
+	defer func() {
+		clear(rd.results) // drop the results' row sets until the next round
+		select {
+		case c.spare <- rd:
+		default:
+		}
+	}()
+	rd.agg.Reset()
+	for _, s := range summaries {
+		if err := rd.agg.Add(s); err != nil {
+			return nil, err
+		}
+	}
+	agg := rd.agg.Build()
 
 	c.mu.Lock()
 	epoch := c.epoch
@@ -384,7 +414,11 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	// the output is identical for every worker count.
 	ids := c.ids
 
-	results := make([]qresult, len(ids))
+	if cap(rd.results) < len(ids) {
+		rd.results = make([]qresult, len(ids))
+	}
+	results := rd.results[:len(ids)]
+	rd.results = results
 	par.For(len(ids), c.workers, func(i int) {
 		id := ids[i]
 		q := c.qs[i]

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/inference"
 	"repro/internal/rules"
+	"repro/internal/sketch"
+	"repro/internal/summary"
 	"repro/internal/trafficgen"
 )
 
@@ -183,5 +186,86 @@ func TestControllerIndexScale(t *testing.T) {
 	}
 	if linStats != ixStats {
 		t.Errorf("stats differ: linear %+v, indexed %+v", linStats, ixStats)
+	}
+}
+
+// TestControllerReusesRoundStorage wants two consecutive ProcessEpoch
+// calls on one controller to give what two fresh controllers give, one
+// epoch each: the same alerts (their epoch stamps aside) and, summed, the
+// same stats. The first epoch aggregates more summaries than the second,
+// so the second round runs in storage that still holds a larger round.
+func TestControllerReusesRoundStorage(t *testing.T) {
+	qs := testQuestions(t, 1500)
+	cfg := ControllerConfig{Env: testEnv(), Questions: qs, Feedback: uniformFeedbackConfigs(qs), UseFeedback: true, Workers: 2}
+	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(5))
+	atk, err := trafficgen.NewAttack(rules.AttackDistributedSYNFlood, trafficgen.AttackConfig{Seed: 5, Victim: 0x0A000001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := trafficgen.NewMixer(bg, atk, trafficgen.MixConfig{Seed: 5})
+	var epochs [2][]*summary.Summary
+	for e, monitors := range []int{3, 1} {
+		for id := range monitors {
+			m, err := NewMonitorSketch(id, smallSummaryConfig(), sketch.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lp := range mix.Batch(1500) {
+				if err := m.Ingest(lp.Header); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ss, _, err := m.CollectSummaries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			epochs[e] = append(epochs[e], ss...)
+		}
+	}
+	// unstamped renders alerts without the epoch they were raised in.
+	unstamped := func(as []*inference.Alert) string {
+		s := ""
+		for _, a := range as {
+			b := *a
+			b.Epoch, b.Time = 0, time.Time{}
+			s += fmt.Sprintf("%+v\n", b)
+		}
+		return s
+	}
+	reused, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh Stats
+	alerts := 0
+	for e, ss := range epochs {
+		got, err := reused.ProcessEpoch(ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := NewController(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := one.ProcessEpoch(ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := unstamped(got), unstamped(want); g != w {
+			t.Fatalf("epoch %d on a reused controller raised\n%s\na fresh controller\n%s", e, g, w)
+		}
+		alerts += len(got)
+		st := one.Stats()
+		fresh.Epochs += st.Epochs
+		fresh.SummaryElements += st.SummaryElements
+		fresh.PacketsSummarized += st.PacketsSummarized
+		fresh.RawPacketsFetched += st.RawPacketsFetched
+		fresh.AlertsRaised += st.AlertsRaised
+	}
+	if alerts == 0 {
+		t.Fatal("no alerts: the comparison shows nothing")
+	}
+	if got := reused.Stats(); got != fresh {
+		t.Fatalf("reused controller's stats %+v, fresh controllers' summed %+v", got, fresh)
 	}
 }

@@ -58,31 +58,48 @@ type sortedColumn struct {
 	vals []float64
 	rows []int32
 	rank []int32
+	// keys and idx hold the radix sort's keys and indices, twice the
+	// row count each (the second halves are its scratch); rows is the
+	// front of idx. An Aggregator's reused Aggregate keeps all five
+	// slices' storage from one round to the next.
+	keys []uint64
+	idx  []int32
 }
 
 // column returns field f's sorted view, building it on the first call of
-// the epoch with one radix sort. The question index, which asks for its
-// fields in parallel, and every question's row window read the same
-// slices, from any number of goroutines.
+// the epoch with one radix sort, in the storage the column kept from an
+// earlier round when it is large enough. The question index, which asks
+// for its fields in parallel, and every question's row window read the
+// same slices, from any number of goroutines.
 func (a *Aggregate) column(f packet.FieldIndex) *sortedColumn {
 	c := &a.cols[f]
 	c.once.Do(func() {
 		n := a.Rows()
 		if n == 0 {
+			c.vals, c.rows, c.rank = c.vals[:0], c.rows[:0], c.rank[:0]
 			return
 		}
 		data, stride := a.Representatives.Data(), a.Representatives.Cols()
-		keys, idx := make([]uint64, 2*n), make([]int32, 2*n)
+		c.keys, c.idx = carve(c.keys, 2*n), carve(c.idx, 2*n)
 		for r := range n {
-			keys[r], idx[r] = radix.Key(data[r*stride+int(f)]), int32(r)
+			c.keys[r], c.idx[r] = radix.Key(data[r*stride+int(f)]), int32(r)
 		}
-		c.rows = radix.Sort(keys[:n], keys[n:], idx[:n], idx[n:])
-		c.vals, c.rank = make([]float64, n), make([]int32, n)
+		c.rows = radix.Sort(c.keys[:n], c.keys[n:], c.idx[:n], c.idx[n:])
+		c.vals, c.rank = carve(c.vals, n), carve(c.rank, n)
 		for i, r := range c.rows {
 			c.vals[i], c.rank[r] = data[int(r)*stride+int(f)], int32(i)
 		}
 	})
 	return c
+}
+
+// carve returns s at length n, in s's own storage when it holds n.
+// Whatever it held is left in place: the caller overwrites all of it.
+func carve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // window returns the rows of the narrowest per-field window of a
@@ -128,12 +145,27 @@ func (a *Aggregate) Rows() int {
 }
 
 // Aggregator accumulates summaries for one round into one row-major slab
-// of representatives.
+// of representatives. Reset readies it for the next round and keeps its
+// storage — the slab, the counts and refs, and the matrix and sorted
+// columns of the Aggregate Build returns — so a controller that keeps one
+// Aggregator across epochs aggregates without allocating once its
+// buffers have grown to the round's size. An Aggregator must not be
+// copied after first use.
 type Aggregator struct {
 	slab   []float64
 	counts []int
 	refs   []CentroidRef
 	elems  int
+
+	// agg is what Build returns, reps its matrix header.
+	agg  Aggregate
+	reps linalg.Matrix
+}
+
+// Reset empties the aggregator for a new round. The Aggregate the last
+// Build returned must not be used after it.
+func (g *Aggregator) Reset() {
+	g.slab, g.counts, g.refs, g.elems = g.slab[:0], g.counts[:0], g.refs[:0], 0
 }
 
 // Add appends one monitor summary. Split summaries are reconstructed
@@ -157,21 +189,25 @@ func (g *Aggregator) Add(s *summary.Summary) error {
 }
 
 // Build finalizes the round into an Aggregate. An empty aggregator yields
-// an Aggregate with zero rows.
-func (g *Aggregator) Build() (*Aggregate, error) {
-	reps, err := linalg.NewMatrixFromData(len(g.counts), packet.NumFields, g.slab)
-	if err != nil {
-		return nil, err
-	}
-	agg := &Aggregate{Representatives: reps, Counts: g.counts, Refs: g.refs, Elements: g.elems}
+// an Aggregate with zero rows. The Aggregate is the aggregator's own: it
+// reads the aggregator's slab, counts and refs, and it is valid until the
+// next Reset or Build.
+func (g *Aggregator) Build() *Aggregate {
+	g.reps = linalg.WrapMatrix(len(g.counts), packet.NumFields, g.slab)
+	a := &g.agg
+	a.Representatives, a.Counts, a.Refs = &g.reps, g.counts, g.refs
+	a.TotalPackets, a.Elements = 0, g.elems
 	for _, c := range g.counts {
-		agg.TotalPackets += c
+		a.TotalPackets += c
 	}
-	return agg, nil
+	for f := range a.cols {
+		a.cols[f].once = sync.Once{}
+	}
+	return a
 }
 
 // AggregateSummaries is a convenience that aggregates a slice of
-// summaries in one call.
+// summaries in one call, into storage of its own.
 func AggregateSummaries(ss []*summary.Summary) (*Aggregate, error) {
 	rows := 0
 	for _, s := range ss {
@@ -187,5 +223,5 @@ func AggregateSummaries(ss []*summary.Summary) (*Aggregate, error) {
 			return nil, err
 		}
 	}
-	return g.Build()
+	return g.Build(), nil
 }

@@ -76,15 +76,19 @@ var oddFloats = []float64{
 }
 
 // TestRadixOrder checks the column order on sizes around one radix
-// digit (255, 256, 257 rows) and the degenerate ones, over the odd
+// digit (255, 256, 257 rows), around the largest run the sort finishes
+// by insertion (23, 24, 25) and the degenerate ones, over the odd
 // values, duplicates of them, values that share all but one byte (so
-// the sort skips passes) and ordinary [0, 1) values.
+// the sort skips bytes), all but the lowest byte, all bytes (one key),
+// and ordinary [0, 1) values.
 func TestRadixOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	mixes := map[string]func() float64{
-		"odd":      func() float64 { return oddFloats[rng.Intn(len(oddFloats))] },
-		"one-byte": func() float64 { return math.Float64frombits(0x3fd0000000000000 | uint64(rng.Intn(256))<<24) },
-		"uniform":  rng.Float64,
+		"odd":       func() float64 { return oddFloats[rng.Intn(len(oddFloats))] },
+		"one-byte":  func() float64 { return math.Float64frombits(0x3fd0000000000000 | uint64(rng.Intn(256))<<24) },
+		"uniform":   rng.Float64,
+		"low-byte":  func() float64 { return math.Float64frombits(0xbfe5555555555500 | uint64(rng.Intn(256))) },
+		"all-equal": func() float64 { return 0.3 },
 		"mixed": func() float64 {
 			if rng.Intn(3) == 0 {
 				return oddFloats[rng.Intn(len(oddFloats))]
@@ -92,7 +96,7 @@ func TestRadixOrder(t *testing.T) {
 			return float64(rng.Intn(20)) / 16
 		},
 	}
-	for _, n := range []int{0, 1, 2, 255, 256, 257} {
+	for _, n := range []int{0, 1, 2, 255, 256, 257, 23, 24, 25} {
 		for name, draw := range mixes {
 			t.Run(fmt.Sprintf("n=%d/%s", n, name), func(t *testing.T) {
 				vals := make([]float64, n)
@@ -118,6 +122,17 @@ func FuzzRadixOrder(f *testing.F) {
 		rng.Read(data)
 		f.Add(data)
 	}
+	// Around the insertion-sort cut (23, 24, 25 values): keys that all
+	// tie, and keys that differ only in their lowest byte.
+	for _, n := range []int{23, 24, 25} {
+		f.Add(make([]byte, n))
+		var low []byte
+		for i := range n {
+			low = append(low, 1)
+			low = binary.LittleEndian.AppendUint64(low, 0x3fe0000000000000|uint64((i*37)%256))
+		}
+		f.Add(low)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var vals []float64
 		for len(data) > 0 {
@@ -132,4 +147,19 @@ func FuzzRadixOrder(f *testing.F) {
 		}
 		checkColumnOrder(t, vals)
 	})
+}
+
+// BenchmarkSortedColumns builds every field's sorted column of an
+// 867-row aggregate (4335 packets into k = 867, the backbone workload's
+// epoch size) in a fresh Aggregate each time: the radix sorts and the
+// column fill, without the storage an Aggregator's Aggregate reuses.
+func BenchmarkSortedColumns(b *testing.B) {
+	agg := scaleAggregate(b, 16, 4335)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		epoch := &Aggregate{Representatives: agg.Representatives, Counts: agg.Counts, Refs: agg.Refs}
+		for f := range packet.NumFields {
+			epoch.column(packet.FieldIndex(f))
+		}
+	}
 }

@@ -1,7 +1,11 @@
 package linalg
 
 func init() {
-	if hasAVX2() {
+	switch {
+	case !hasAVX2():
+	case hasAVX512():
+		kernels = avx512Kernels
+	default:
 		kernels = avx2Kernels
 	}
 }
@@ -31,6 +35,34 @@ func hasAVX2() bool {
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2 = 1 << 5
 	return ebx7&avx2 != 0
+}
+
+// avx512Kernels runs the two k-means scans eight lanes wide, in blocks
+// of 64 (seedRound) and 16 (nearest) rows, and hands the rows past the
+// last block to the AVX2 leaf, which goes on from the running total;
+// the SVD leaves stay AVX2. Eight lanes change no rounding: a lane is
+// still one row's own chain of SquaredDistance's operations.
+var avx512Kernels = kernelSet{avx512SeedRound, avx512Nearest, avx2Reflect, avx2Lift}
+
+// hasAVX512 reports whether avx512Usable holds for this CPU and OS. It
+// may only be asked once hasAVX2 holds, which proves CPUID leaf 7 and
+// XGETBV exist.
+func hasAVX512() bool {
+	_, ebx7, _, _ := cpuid(7, 0)
+	xcr0, _ := xgetbv()
+	return avx512Usable(ebx7, xcr0)
+}
+
+// avx512Usable reports whether the AVX-512 kernels may run, given
+// CPUID.(EAX=7,ECX=0):EBX and the low half of XCR0: the CPU has
+// AVX512F (all the kernels use), and the OS saves the SSE, AVX, opmask,
+// ZMM_Hi256 and Hi16_ZMM state (XCR0 bits 1, 2, 5, 6 and 7). A CPU with
+// AVX-512 under an OS that does not save the ZMM and opmask registers
+// gets the AVX2 set.
+func avx512Usable(ebx7, xcr0 uint32) bool {
+	const avx512f = 1 << 16
+	const state = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
+	return ebx7&avx512f != 0 && xcr0&state == state
 }
 
 func avx2SeedRound(seed, xt []float64, stride, c int, near []int, d2, sums []float64, total float64) float64 {
@@ -66,6 +98,39 @@ func avx2Nearest(packed []float64, p int, xt []float64, stride int, assign []int
 	}
 	if m < len(dist) {
 		goNearest(packed, p, xt[m:], stride, assign[m:], dist[m:])
+	}
+}
+
+func avx512SeedRound(seed, xt []float64, stride, c int, near []int, d2, sums []float64, total float64) float64 {
+	m := len(d2) &^ 63
+	if len(seed) == 0 {
+		m = 0
+	}
+	if m > 0 {
+		_, _, _ = near[m-1], sums[m-1], xt[(len(seed)-1)*stride+m-1]
+		total = seedRoundAVX512(seed, xt, stride, c, near, d2[:m], sums, total)
+	}
+	if m < len(d2) {
+		total = avx2SeedRound(seed, xt[m:], stride, c, near[m:], d2[m:], sums[m:], total)
+	}
+	return total
+}
+
+func avx512Nearest(packed []float64, p int, xt []float64, stride int, assign []int, dist []float64) {
+	m := len(dist) &^ 15
+	groups := 0
+	if p > 0 {
+		groups = len(packed) / (4 * p)
+	}
+	if groups == 0 {
+		m = 0
+	}
+	if m > 0 {
+		_, _ = assign[m-1], xt[(p-1)*stride+m-1]
+		nearestAVX512(packed[:groups*4*p], p, xt, stride, assign, dist[:m])
+	}
+	if m < len(dist) {
+		avx2Nearest(packed, p, xt[m:], stride, assign[m:], dist[m:])
 	}
 }
 
@@ -107,6 +172,21 @@ func seedRoundAVX2(seed, xt []float64, stride, c int, near []int, d2, sums []flo
 //
 //go:noescape
 func nearestAVX2(packed []float64, p int, xt []float64, stride int, assign []int, dist []float64)
+
+// seedRoundAVX512 is seedRound for len(d2) a multiple of 64 and
+// len(seed) ≥ 1: sixty-four rows at a time, the running total over one
+// block extended inside the next block's distance loop.
+//
+//go:noescape
+func seedRoundAVX512(seed, xt []float64, stride, c int, near []int, d2, sums []float64, total float64) float64
+
+// nearestAVX512 is nearest for len(dist) a multiple of 16 and at least
+// one group in packed: sixteen rows at a time against four centres at a
+// time, the running minimum and its centre kept in registers across all
+// groups.
+//
+//go:noescape
+func nearestAVX512(packed []float64, p int, xt []float64, stride int, assign []int, dist []float64)
 
 // reflectAVX2 is reflect for len(h) ≥ 1 and m ≥ 1: four columns at a
 // time, then one. Lane q of a column's dot accumulator holds Dot's s_q,

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -45,8 +47,8 @@ func sameBits(a, b float64) bool {
 
 // FuzzSeedRound wants every leaf's seedRound to equal a row-by-row round
 // on SquaredDistance bit for bit: d2, near, every running sum and the
-// returned total. p runs 1–32, n 0–1099 (every remainder of the 16- and
-// 4-row blocks), and the stride may exceed n.
+// returned total. p runs 1–32, n 0–1099 (every remainder of the 64-,
+// 16- and 4-row blocks), and the stride may exceed n.
 func FuzzSeedRound(f *testing.F) {
 	special, inexact := fuzzSeeds()
 	f.Add(uint8(11), uint16(1003), uint8(3), uint8(0), inexact)
@@ -56,6 +58,15 @@ func FuzzSeedRound(f *testing.F) {
 	f.Add(uint8(31), uint16(5), uint8(7), uint8(7), special[8:40])
 	f.Add(uint8(2), uint16(0), uint8(1), uint8(1), []byte{})
 	f.Add(uint8(5), uint16(30), uint8(4), uint8(2), append(inexact, special...))
+	// The AVX-512 leaf's 64-row blocks and their handoff to the AVX2 leaf
+	// (n = 64, 127, 81, 1100 − 1): ties, NaN and ±Inf in and across it,
+	// and p = 3, fewer dimension steps than the eight it takes to carry
+	// the running sum over the previous block (n = 200).
+	f.Add(uint8(11), uint16(64), uint8(5), uint8(0), []byte{9})
+	f.Add(uint8(11), uint16(127), uint8(6), uint8(1), special)
+	f.Add(uint8(2), uint16(81), uint8(3), uint8(4), append(special, inexact...))
+	f.Add(uint8(17), uint16(1099), uint8(8), uint8(0), special[48:])
+	f.Add(uint8(2), uint16(200), uint8(1), uint8(0), inexact)
 	f.Fuzz(func(t *testing.T, pb uint8, nb uint16, c uint8, pad uint8, data []byte) {
 		p, n := 1+int(pb)%32, int(nb)%1100
 		stride := n + int(pad)%9
@@ -114,8 +125,8 @@ func FuzzSeedRound(f *testing.F) {
 // FuzzNearest wants every leaf's nearest to equal a scan of the centres
 // in index order on SquaredDistance with a strict compare, bit for bit:
 // each row's distance and centre. p runs 1–32, n 0–1099 (every
-// remainder of the 8- and 4-row blocks), k 1–40 (every remainder of
-// the four-centre groups), and the stride may exceed n.
+// remainder of the 16-, 8- and 4-row blocks), k 1–40 (every remainder
+// of the four-centre groups), and the stride may exceed n.
 func FuzzNearest(f *testing.F) {
 	special, inexact := fuzzSeeds()
 	f.Add(uint8(11), uint16(1003), uint8(199), uint8(0), inexact)
@@ -125,6 +136,12 @@ func FuzzNearest(f *testing.F) {
 	f.Add(uint8(31), uint16(5), uint8(7), uint8(7), special[8:40])
 	f.Add(uint8(2), uint16(0), uint8(1), uint8(1), []byte{})
 	f.Add(uint8(5), uint16(29), uint8(4), uint8(2), append(inexact, special...))
+	// The AVX-512 leaf's 16-row blocks and their handoff to the AVX2 leaf
+	// (n = 16, 31, 83, 1099) against k % 4 ≠ 0: ties, NaN and ±Inf.
+	f.Add(uint8(11), uint16(16), uint8(4), uint8(0), []byte{7})
+	f.Add(uint8(11), uint16(31), uint8(6), uint8(1), special)
+	f.Add(uint8(2), uint16(83), uint8(2), uint8(5), append(special, inexact...))
+	f.Add(uint8(17), uint16(1099), uint8(200), uint8(0), special[48:])
 	f.Fuzz(func(t *testing.T, pb uint8, nb uint16, kb uint8, pad uint8, data []byte) {
 		p, n, k := 1+int(pb)%32, int(nb)%1100, 1+int(kb)%40
 		stride := n + int(pad)%9
@@ -219,4 +236,23 @@ func TestKMeansConcurrentScratch(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestKernelSetsRun logs which kernel sets the leaf tests run on this
+// machine and which one init selected, so a test log shows whether the
+// AVX-512 set was exercised, and wants init to have picked the widest.
+func TestKernelSetsRun(t *testing.T) {
+	ls := leaves()
+	names := make([]string, len(ls))
+	selected := ""
+	for i, l := range ls {
+		names[i] = l.name
+		if reflect.ValueOf(l.set.nearest).Pointer() == reflect.ValueOf(kernels.nearest).Pointer() {
+			selected = l.name
+		}
+	}
+	t.Logf("kernel sets tested: %s; init selected: %s", strings.Join(names, ", "), selected)
+	if selected != names[len(names)-1] {
+		t.Fatalf("init selected %q, want the widest set this machine runs, %q", selected, names[len(names)-1])
+	}
 }

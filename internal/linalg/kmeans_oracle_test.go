@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -193,14 +192,11 @@ type leaf struct {
 	set  kernelSet
 }
 
-// leaves lists the kernel sets this machine runs: the portable one, and
-// the one init selected if it is another.
+// leaves lists every kernel set this machine can run: the portable one,
+// then each vector set the CPU and OS support (vectorLeaves), whichever
+// of them init selected.
 func leaves() []leaf {
-	ls := []leaf{{"go", goKernels}}
-	if reflect.ValueOf(kernels.nearest).Pointer() != reflect.ValueOf(goKernels.nearest).Pointer() {
-		ls = append(ls, leaf{"kernel", kernels})
-	}
-	return ls
+	return append([]leaf{{"go", goKernels}}, vectorLeaves()...)
 }
 
 // forEachLeaf runs f once per leaf, with kernels set to it.
@@ -337,11 +333,11 @@ func TestKMeansMatchesExhaustiveReference(t *testing.T) {
 		}
 	}
 	// The grid: row counts that leave every remainder of the kernels'
-	// 16-, 8- and 4-row blocks, the extreme cluster counts, and widths from
-	// one column to the raw header's 18. A non-finite objective defeats
-	// the stop test, so those cases cap Lloyd at two iterations rather than
-	// the default 50.
-	for _, n := range []int{1, 5, 12, 17, 29, 999, 1000, 1003} {
+	// 64-, 16-, 8- and 4-row blocks, the extreme cluster counts, and widths
+	// from one column to the raw header's 18. A non-finite objective
+	// defeats the stop test, so those cases cap Lloyd at two iterations
+	// rather than the default 50.
+	for _, n := range []int{1, 5, 12, 17, 29, 999, 1000, 1003, 127} {
 		ks := []int{1, 2, 199, n - 1, n}
 		for ki, k := range ks {
 			if k < 1 || k > n || slices.Index(ks, k) < ki {

@@ -1,9 +1,12 @@
-// Package radix orders float64 values with a stable least-significant-
+// Package radix orders float64 values with a stable most-significant-
 // digit radix sort: the one sort behind the aggregate's per-field
 // columns and the question index's per-field pins.
 package radix
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Key maps v to a uint64 whose unsigned order is cmp.Compare's order on
 // float64: every NaN maps to 0, below −Inf, so all NaNs tie, and −0
@@ -24,42 +27,78 @@ func Key(v float64) uint64 {
 	return b | 1<<63
 }
 
-// Sort orders idx by keys, ascending, with a stable 8-bit LSD radix
-// sort: entries with equal keys keep their input order. tk and ti are
-// scratch as long as keys. A pass whose byte is the same in every key is
-// skipped. It returns the sorted indices, which are either idx or ti;
-// keys, tk and the other index slice are left clobbered.
+// insertionMax is the largest run Sort finishes by insertion sort
+// instead of distributing it by another digit.
+const insertionMax = 24
+
+// Sort orders idx by keys, ascending, and stably: entries with equal
+// keys keep their input order. It is a most-significant-digit radix
+// sort on 8-bit digits: a run is distributed by the eight bits that
+// start at the highest bit in which its keys differ (bits every key of
+// the run shares cost nothing), each bucket is then sorted the same way,
+// and a run of at most insertionMax keys is finished by insertion sort.
+// tk and ti are scratch as long as keys. It returns idx, sorted; keys is
+// left sorted with it, tk and ti clobbered.
 func Sort(keys, tk []uint64, idx, ti []int32) []int32 {
-	if len(keys) == 0 {
-		return idx
-	}
-	var counts [8][256]int32
-	for _, k := range keys {
-		counts[0][byte(k)]++
-		counts[1][byte(k>>8)]++
-		counts[2][byte(k>>16)]++
-		counts[3][byte(k>>24)]++
-		counts[4][byte(k>>32)]++
-		counts[5][byte(k>>40)]++
-		counts[6][byte(k>>48)]++
-		counts[7][byte(k>>56)]++
-	}
-	for p := range counts {
-		c, shift := &counts[p], 8*p
-		if int(c[byte(keys[0]>>shift)]) == len(keys) {
-			continue
-		}
-		var sum int32
-		for b, n := range c {
-			c[b], sum = sum, sum+n
-		}
-		for i, k := range keys {
-			b := byte(k >> shift)
-			tk[c[b]], ti[c[b]] = k, idx[i]
-			c[b]++
-		}
-		keys, tk = tk, keys
-		idx, ti = ti, idx
-	}
+	sortRun(keys, tk[:len(keys)], idx[:len(keys)], ti[:len(keys)])
 	return idx
+}
+
+// sortRun sorts one run of Sort in place, through tk and ti. The
+// highest bit in which the run's keys differ is the highest bit of
+// min ^ max, so the keys agree above the digit and order by it, and
+// every key's digit lies between min's and max's: only those buckets
+// are visited.
+func sortRun(keys, tk []uint64, idx, ti []int32) {
+	if len(keys) <= insertionMax {
+		insertion(keys, idx)
+		return
+	}
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if lo == hi {
+		return // all keys tie: the input order is the stable one
+	}
+	shift := max(0, 63-bits.LeadingZeros64(lo^hi)-7)
+	first, last := int(byte(lo>>shift)), int(byte(hi>>shift))
+	// next[b] counts bucket b's keys, then points at its first free
+	// slot, and ends at its end.
+	var next [256]int32
+	for _, k := range keys {
+		next[byte(k>>shift)]++
+	}
+	var sum int32
+	for b := first; b <= last; b++ {
+		next[b], sum = sum, sum+next[b]
+	}
+	for i, k := range keys {
+		b := byte(k >> shift)
+		tk[next[b]], ti[next[b]] = k, idx[i]
+		next[b]++
+	}
+	copy(keys, tk)
+	copy(idx, ti)
+	var start int32
+	for _, end := range next[first : last+1] {
+		if end-start > 1 {
+			sortRun(keys[start:end], tk[start:end], idx[start:end], ti[start:end])
+		}
+		start = end
+	}
+}
+
+// insertion sorts a short run in place; a key moves only past strictly
+// larger ones, so ties keep their order.
+func insertion(keys []uint64, idx []int32) {
+	idx = idx[:len(keys)]
+	for i := 1; i < len(keys); i++ {
+		k, x := keys[i], idx[i]
+		j := i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j], idx[j] = keys[j-1], idx[j-1]
+		}
+		keys[j], idx[j] = k, x
+	}
 }

@@ -233,28 +233,69 @@ func (s *Summary) AppendRepresentatives(dst []float64, p int) ([]float64, error)
 		at := len(dst)
 		dst = slices.Grow(dst, k*p)[:at+k*p]
 		// Each output is Σ_t (u_it·σ_t)·v_jt over the non-zero u_it·σ_t
-		// in ascending t. V's row j is read contiguously.
-		us := make([]float64, r)
+		// in ascending t, every product rounded before it is added. A
+		// centroid's outputs are formed six at a time (reconstruct) from
+		// V_rᵀ regrouped six outputs to an entry; at the paper's 18
+		// fields it and the u·σ terms live on the stack.
+		var vtBuf [packet.NumFields / 6 * packet.NumFields][6]float64
+		var usBuf [packet.NumFields]float64
+		vt6, us := vtBuf[:], usBuf[:]
+		if p/6*r > len(vt6) || r > len(us) {
+			vt6, us = make([][6]float64, p/6*r), make([]float64, r)
+		}
+		vt6, us = vt6[:p/6*r], us[:r]
+		for j := 0; j < p/6*6; j++ {
+			for t, v := range s.V.Row(j)[:r] {
+				vt6[j/6*r+t][j%6] = v
+			}
+		}
 		for i := 0; i < k; i++ {
-			ui := s.Centroids.Row(i)
+			ui := s.Centroids.Row(i)[:r]
 			for t := range us {
 				us[t] = ui[t] * s.Sigma[t]
 			}
-			oi := dst[at+i*p : at+(i+1)*p]
-			for j := range oi {
-				vj := s.V.Row(j)[:r]
-				var acc float64
-				for t, u := range us {
-					if u != 0 {
-						acc += u * vj[t]
-					}
-				}
-				oi[j] = acc
-			}
+			reconstruct(dst[at+i*p:at+(i+1)*p], us, vt6, s.V)
 		}
 		return dst, nil
 	default:
 		return dst, fmt.Errorf("summary: unknown kind %v", s.Kind)
+	}
+}
+
+// reconstruct writes one centroid's representative to out: out[j] is
+// Σ_t us[t]·v_jt over the non-zero us[t] in ascending t, every product
+// rounded before it is added. Outputs are formed six at a time, each in
+// its own register, from vt6, where group g's entry t holds v_jt for
+// j = 6g … 6g+5; the outputs past a multiple of six read v's rows.
+func reconstruct(out, us []float64, vt6 [][6]float64, v *linalg.Matrix) {
+	r := len(us)
+	j := 0
+	for ; j+6 <= len(out); j += 6 {
+		w := vt6[j/6*r:][:r]
+		var a0, a1, a2, a3, a4, a5 float64
+		for t, u := range us {
+			if u == 0 {
+				continue
+			}
+			x := &w[t]
+			a0 += float64(u * x[0])
+			a1 += float64(u * x[1])
+			a2 += float64(u * x[2])
+			a3 += float64(u * x[3])
+			a4 += float64(u * x[4])
+			a5 += float64(u * x[5])
+		}
+		*(*[6]float64)(out[j:]) = [6]float64{a0, a1, a2, a3, a4, a5}
+	}
+	for ; j < len(out); j++ {
+		vj := v.Row(j)[:r]
+		var acc float64
+		for t, u := range us {
+			if u != 0 {
+				acc += float64(u * vj[t])
+			}
+		}
+		out[j] = acc
 	}
 }
 

@@ -46,6 +46,27 @@ if grep -nE '^[[:space:]]+(MOV(SD|SS|UPD|UPS|APD|APS|DQU|DQA)|(ADD|SUB|MUL|DIV|M
 	echo "non-VEX SSE instruction in an amd64 summarization kernel" >&2
 	exit 1
 fi
+# The AVX-512 kernels run only where init found AVX512F and the OS's ZMM
+# and opmask state: a host without them would die on SIGILL at the first
+# EVEX instruction. So every EVEX-only operand or mnemonic — a Z or K
+# register, X16–X31 or Y16–Y31, a .Z/.BCST/rounding suffix, a D/Q-typed
+# logic op, a 32/64-typed move, VPBROADCAST from a general register —
+# must sit in a TEXT block whose name ends in AVX512.
+if ! awk '
+	{ sub(/\/\/.*/, "") }
+	/^TEXT/ { evex = ($2 ~ /AVX512\(SB\)/); next }
+	evex || !/^[[:space:]]+[A-Z]/ { next }
+	/(^|[^A-Za-z0-9_])(Z[0-9]+|K[0-7]|[XY](1[6-9]|2[0-9]|3[01]))([^A-Za-z0-9_]|$)/ ||
+	$1 ~ /\./ ||
+	$1 ~ /^(K[A-Z0-9]+|V[A-Z0-9]*(32|64)(X[248])?|VP(XOR|OR|AND|ANDN|ROL|ROR|ROLV|RORV|TERNLOG|CONFLICT|LZCNT)[DQ]|VP(MINS|MAXS|MINU|MAXU|ABS|SRA|SRAV)Q|VPERM[IT]2[A-Z]+|VPCMPU?[BWDQ]|V(P?COMPRESS|P?EXPAND|RNDSCALE|SCALEF|GETEXP|GETMANT|FIXUPIMM|RCP14|RSQRT14|RANGE|REDUCE|FPCLASS)[A-Z]+|VALIGN[DQ])$/ ||
+	($1 ~ /^VPBROADCAST[BWDQ]$/ && $2 ~ /^(AX|BX|CX|DX|SI|DI|BP|R[0-9]+),?$/) {
+		print FILENAME ":" FNR ":" $0; bad = 1
+	}
+	END { exit bad }
+' internal/linalg/*.s; then
+	echo "AVX-512 instruction outside an *AVX512 kernel" >&2
+	exit 1
+fi
 
 # Non-test Go outside bench/: the figure ROADMAP aim 2 tracks, printed so
 # every PR log shows which way it moved.

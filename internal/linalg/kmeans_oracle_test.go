@@ -13,15 +13,15 @@ import (
 
 // refKMeansInto is the exhaustive k-means this package shipped before the
 // pruned kernel: k-means++ seeding that measures every row against every
-// new seed, and Lloyd assignment steps that scan every centre for every
+// new seed, then an assignment step that scans every seed for every row,
+// one mean update, and an assignment step that scans every mean for every
 // row. KMeansInto must reproduce it bit for bit — assignments, counts,
-// centroids, objective, iteration count and the draws taken from rng —
+// centroids, objective, update count and the draws taken from rng —
 // which TestKMeansMatchesExhaustiveReference checks with ==. It also
 // reports how many empty clusters the update step had to repair, so the
 // tests can tell that a case reached that branch.
-func refKMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, out *Matrix, assign []int, counts []int) (inertia float64, iters, repairs int) {
+func refKMeansInto(x *Matrix, k int, rng *rand.Rand, out *Matrix, assign []int, counts []int) (inertia float64, iters, repairs int) {
 	n, p := x.Rows(), x.Cols()
-	cfg = cfg.withDefaults()
 	if k == n {
 		copy(out.data, x.data)
 		for i := 0; i < n; i++ {
@@ -31,55 +31,38 @@ func refKMeansInto(x *Matrix, k int, rng *rand.Rand, cfg KMeansConfig, out *Matr
 		return 0, 0, 0
 	}
 
-	cur := NewMatrix(k, p)
-	refSeedPlusPlus(x, cur, rng)
-	next := NewMatrix(k, p)
+	seeds := NewMatrix(k, p)
+	refSeedPlusPlus(x, seeds, rng)
 	dist := make([]float64, n)
-	prevObj := math.Inf(1)
-	var obj float64
-
-	for ; iters < cfg.MaxIterations; iters++ {
-		obj = refAssignRows(x, cur, assign, dist, counts)
-		for i := range next.data {
-			next.data[i] = 0
+	refAssignRows(x, seeds, assign, dist, counts)
+	clear(out.data)
+	for i := 0; i < n; i++ {
+		m := out.Row(assign[i])
+		for j, v := range x.Row(i) {
+			m[j] += v
 		}
-		for i := 0; i < n; i++ {
-			nr := next.Row(assign[i])
-			for j, v := range x.Row(i) {
-				nr[j] += v
-			}
-		}
-		for c := 0; c < k; c++ {
-			if counts[c] == 0 {
-				repairs++
-				far, farD := 0, -1.0
-				for i := 0; i < n; i++ {
-					d := SquaredDistance(x.Row(i), cur.Row(assign[i]))
-					if d > farD {
-						far, farD = i, d
-					}
+	}
+	for c := 0; c < k; c++ {
+		if counts[c] == 0 {
+			repairs++
+			far, farD := 0, -1.0
+			for i := 0; i < n; i++ {
+				d := SquaredDistance(x.Row(i), seeds.Row(assign[i]))
+				if d > farD {
+					far, farD = i, d
 				}
-				copy(next.Row(c), x.Row(far))
-				continue
 			}
-			inv := 1 / float64(counts[c])
-			nr := next.Row(c)
-			for j := range nr {
-				nr[j] *= inv
-			}
+			copy(out.Row(c), x.Row(far))
+			continue
 		}
-		cur, next = next, cur
-
-		if prevObj-obj <= cfg.Tolerance*math.Max(prevObj, 1) {
-			iters++
-			break
+		inv := 1 / float64(counts[c])
+		m := out.Row(c)
+		for j := range m {
+			m[j] *= inv
 		}
-		prevObj = obj
 	}
 
-	obj = refAssignRows(x, cur, assign, dist, counts)
-	copy(out.data, cur.data)
-	return obj, iters, repairs
+	return refAssignRows(x, out, assign, dist, counts), 1, repairs
 }
 
 func refAssignRows(x, cents *Matrix, assign []int, dist []float64, counts []int) float64 {
@@ -240,11 +223,11 @@ func withNaNRows(m *Matrix) *Matrix {
 // leaf with kernels set to it, KMeansInto on the same input and
 // seed, and wants every output and the rng state after the call equal
 // with ==; a NaN matches any NaN.
-func checkKMeansAgainstReference(t *testing.T, x *Matrix, k int, cfg KMeansConfig, seed int64, wantRepairs bool) {
+func checkKMeansAgainstReference(t *testing.T, x *Matrix, k int, seed int64, wantRepairs bool) {
 	n, p := x.Rows(), x.Cols()
 	wantRng := rand.New(rand.NewSource(seed))
 	wantOut, wantAssign, wantCounts := NewMatrix(k, p), make([]int, n), make([]int, k)
-	wantObj, wantIters, repairs := refKMeansInto(x, k, wantRng, cfg, wantOut, wantAssign, wantCounts)
+	wantObj, wantIters, repairs := refKMeansInto(x, k, wantRng, wantOut, wantAssign, wantCounts)
 	if wantRepairs && repairs == 0 {
 		t.Fatal("case was meant to reach the empty-cluster repair and did not")
 	}
@@ -257,17 +240,21 @@ func checkKMeansAgainstReference(t *testing.T, x *Matrix, k int, cfg KMeansConfi
 		gotRng := rand.New(rand.NewSource(seed))
 		gotOut, gotAssign, gotCounts := NewMatrix(k, p), make([]int, n), make([]int, k)
 		// Outputs arrive dirty in production (arena slabs are zeroed,
-		// but nothing promises it): the kernel must not read them.
+		// but nothing promises it): the kernel must not read them, and
+		// the mean update, which accumulates into out, must clear it.
 		for i := range gotAssign {
 			gotAssign[i] = -7
 		}
-		gotObj, gotIters, err := KMeansInto(x, k, gotRng, cfg, new(Scratch), gotOut, gotAssign, gotCounts)
+		for i := range gotOut.data {
+			gotOut.data[i] = math.NaN()
+		}
+		gotObj, gotIters, err := KMeansInto(x, k, gotRng, KMeansConfig{}, new(Scratch), gotOut, gotAssign, gotCounts)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		if !sameFloat(gotObj, wantObj) || gotIters != wantIters {
-			t.Fatalf("%s leaf: objective %v after %d iterations, reference %v after %d", l.name, gotObj, gotIters, wantObj, wantIters)
+			t.Fatalf("%s leaf: objective %v after %d updates, reference %v after %d", l.name, gotObj, gotIters, wantObj, wantIters)
 		}
 		for i := range wantAssign {
 			if gotAssign[i] != wantAssign[i] {
@@ -301,7 +288,6 @@ func TestKMeansMatchesExhaustiveReference(t *testing.T) {
 		name string
 		x    *Matrix
 		k    int
-		cfg  KMeansConfig
 		// repairs says the case must reach the empty-cluster repair.
 		repairs bool
 	}{
@@ -320,23 +306,21 @@ func TestKMeansMatchesExhaustiveReference(t *testing.T) {
 		{name: "n = p", x: randomMatrix(rng, 18, 18), k: 5},
 		{name: "k = n = 200", x: randomMatrix(rng, 200, 12), k: 200},
 		{name: "n = 201, k = 200", x: randomMatrix(rng, 201, 12), k: 200},
-		{name: "one iteration allowed", x: randomMatrix(rng, 200, 4), k: 10, cfg: KMeansConfig{MaxIterations: 1}},
-		{name: "tight tolerance", x: trafficMatrix(5, 500), k: 50, cfg: KMeansConfig{MaxIterations: 8, Tolerance: 1e-12}},
+		{name: "one iteration allowed", x: randomMatrix(rng, 200, 4), k: 10},
+		{name: "tight tolerance", x: trafficMatrix(5, 500), k: 50},
 		{name: "NaN in every other row", x: withNaNRows(randomMatrix(rng, 40, 3)), k: 6},
-		{name: "non-finite tight tolerance", x: withNonFinite(randomMatrix(rng, 300, 6)), k: 30, cfg: KMeansConfig{MaxIterations: 8, Tolerance: 1e-12}},
+		{name: "non-finite tight tolerance", x: withNonFinite(randomMatrix(rng, 300, 6)), k: 30},
 	}
 	for _, tc := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
-				checkKMeansAgainstReference(t, tc.x, tc.k, tc.cfg, seed, tc.repairs)
+				checkKMeansAgainstReference(t, tc.x, tc.k, seed, tc.repairs)
 			})
 		}
 	}
 	// The grid: row counts that leave every remainder of the kernels'
 	// 64-, 16-, 8- and 4-row blocks, the extreme cluster counts, and widths
-	// from one column to the raw header's 18. A non-finite objective
-	// defeats the stop test, so those cases cap Lloyd at two iterations
-	// rather than the default 50.
+	// from one column to the raw header's 18.
 	for _, n := range []int{1, 5, 12, 17, 29, 999, 1000, 1003, 127} {
 		ks := []int{1, 2, 199, n - 1, n}
 		for ki, k := range ks {
@@ -345,29 +329,15 @@ func TestKMeansMatchesExhaustiveReference(t *testing.T) {
 			}
 			for _, p := range []int{1, 3, 12, 18} {
 				for _, fill := range []string{"finite", "non-finite"} {
-					x, cfg := randomMatrix(rng, n, p), KMeansConfig{}
+					x := randomMatrix(rng, n, p)
 					if fill == "non-finite" {
-						x, cfg = withNonFinite(x), KMeansConfig{MaxIterations: 2}
+						x = withNonFinite(x)
 					}
 					t.Run(fmt.Sprintf("grid n=%d k=%d p=%d %s", n, k, p, fill), func(t *testing.T) {
-						checkKMeansAgainstReference(t, x, k, cfg, int64(n+k+p), false)
+						checkKMeansAgainstReference(t, x, k, int64(n+k+p), false)
 					})
 				}
 			}
-		}
-	}
-}
-
-// TestKMeansDefaultStopsAfterOneIteration pins the behaviour the comment
-// at KMeansInto's stop test describes.
-func TestKMeansDefaultStopsAfterOneIteration(t *testing.T) {
-	for _, x := range []*Matrix{randomMatrix(rand.New(rand.NewSource(1)), 500, 8), trafficMatrix(1, 1000)} {
-		res, err := KMeans(x, 50, rand.New(rand.NewSource(1)), KMeansConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Iterations != 1 {
-			t.Fatalf("default config ran %d Lloyd iterations, want 1", res.Iterations)
 		}
 	}
 }

@@ -24,7 +24,7 @@ func threeBlobs(rng *rand.Rand, perCluster int) (*Matrix, [][]float64) {
 func TestKMeansSeparatesBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, centers := threeBlobs(rng, 40)
-	res, err := KMeans(x, 3, rng, KMeansConfig{})
+	res, err := KMeans(x, 3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 func TestKMeansCountsSumToRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := randomMatrix(rng, 100, 4)
-	res, err := KMeans(x, 7, rng, KMeansConfig{})
+	res, err := KMeans(x, 7, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestKMeansCountsSumToRows(t *testing.T) {
 func TestKMeansKGreaterOrEqualN(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := randomMatrix(rng, 5, 3)
-	res, err := KMeans(x, 10, rng, KMeansConfig{})
+	res, err := KMeans(x, 10, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestKMeansKGreaterOrEqualN(t *testing.T) {
 func TestKMeansInvalidArgs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := randomMatrix(rng, 10, 2)
-	if _, err := KMeans(x, 0, rng, KMeansConfig{}); err == nil {
+	if _, err := KMeans(x, 0, rng); err == nil {
 		t.Fatal("expected error for k=0")
 	}
-	if _, err := KMeans(NewMatrix(0, 2), 1, rng, KMeansConfig{}); err != ErrEmptyMatrix {
+	if _, err := KMeans(NewMatrix(0, 2), 1, rng); err != ErrEmptyMatrix {
 		t.Fatalf("got %v, want ErrEmptyMatrix", err)
 	}
-	if _, err := KMeans(x, 2, nil, KMeansConfig{}); err == nil {
+	if _, err := KMeans(x, 2, nil); err == nil {
 		t.Fatal("expected error for nil rng")
 	}
 }
@@ -109,7 +109,7 @@ func TestKMeansInvalidArgs(t *testing.T) {
 func TestKMeansDeterministicWithSeed(t *testing.T) {
 	x := randomMatrix(rand.New(rand.NewSource(5)), 200, 6)
 	run := func() *KMeansResult {
-		res, err := KMeans(x, 8, rand.New(rand.NewSource(42)), KMeansConfig{})
+		res, err := KMeans(x, 8, rand.New(rand.NewSource(42)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 		row[0], row[1], row[2] = 1, 2, 3
 	}
 	rng := rand.New(rand.NewSource(6))
-	res, err := KMeans(x, 4, rng, KMeansConfig{})
+	res, err := KMeans(x, 4, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 func TestKMeansSingleCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := randomMatrix(rng, 50, 2)
-	res, err := KMeans(x, 1, rng, KMeansConfig{})
+	res, err := KMeans(x, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestKMeansInertiaProperty(t *testing.T) {
 		p := 1 + rng.Intn(6)
 		k := 1 + rng.Intn(8)
 		x := randomMatrix(rng, n, p)
-		res, err := KMeans(x, k, rng, KMeansConfig{})
+		res, err := KMeans(x, k, rng)
 		if err != nil {
 			return false
 		}
-		one, err := KMeans(x, 1, rand.New(rand.NewSource(seed)), KMeansConfig{})
+		one, err := KMeans(x, 1, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return false
 		}
@@ -186,14 +186,14 @@ func TestKMeansInertiaProperty(t *testing.T) {
 	}
 }
 
-// Property: every point is assigned to its nearest centroid at convergence.
+// Property: every point is assigned to its nearest returned centroid.
 func TestKMeansNearestAssignmentProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(40)
 		x := randomMatrix(rng, n, 3)
 		k := 2 + rng.Intn(5)
-		res, err := KMeans(x, k, rng, KMeansConfig{})
+		res, err := KMeans(x, k, rng)
 		if err != nil {
 			return false
 		}
@@ -219,7 +219,7 @@ func TestKMeansNonFiniteInput(t *testing.T) {
 		x := randomMatrix(rand.New(rand.NewSource(8)), 120, 4)
 		x.Set(7, 2, bad)
 		x.Set(90, 0, bad)
-		res, err := KMeans(x, 10, rand.New(rand.NewSource(9)), KMeansConfig{MaxIterations: 5})
+		res, err := KMeans(x, 10, rand.New(rand.NewSource(9)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestKMeansNonFiniteInput(t *testing.T) {
 
 // kmeansSplitOp clusters what Summarize clusters under the split
 // encoding, U_r of a 1000-packet batch (1000×12), into k = 200 with a
-// warmed-up Scratch, on whichever leaf columnDistances holds: what
+// warmed-up Scratch, on whichever kernel set is selected: what
 // BenchmarkKMeansSplit times and TestKMeansSplitZeroAlloc holds to zero
 // allocations.
 func kmeansSplitOp(tb testing.TB) func() {

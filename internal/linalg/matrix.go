@@ -8,12 +8,13 @@
 // packets by p = 18 header fields). The SVD reduces the matrix to its
 // p×p triangular factor with one Householder pass and runs one-sided
 // Jacobi — exact and numerically robust — on that factor, so only the
-// reduction and the lift of U scale with n. k-means is k-means++ seeding
-// followed by Lloyd steps, each an exhaustive scan. The loops that scale
-// with n run through one kernel set (kernels.go): portable Go, or AVX2
-// kernels four lanes wide where the CPU has them. Either set reproduces
-// the scalar references kept as test oracles in this package's _test.go
-// files bit for bit.
+// reduction and the lift of U scale with n. k-means is k-means++ seeding,
+// one mean update and one assignment, each scan exhaustive. The loops
+// that scale with n run through one kernel set (kernels.go): portable Go,
+// AVX2 four lanes wide, or AVX-512 eight lanes wide for the k-means scans,
+// whichever is widest that the CPU and OS run. Every set reproduces the
+// scalar references kept as test oracles in this package's _test.go files
+// bit for bit.
 package linalg
 
 import (

@@ -5,10 +5,10 @@ import "sync"
 // Scratch is a reusable arena for the intermediate buffers of the
 // summarization hot path: the SVD's transposed working copy (which ends
 // up holding the Householder reflectors), its p×p triangular factor and
-// rotation accumulator, the k-means ping-pong centroid buffers, distance
-// vectors, column-major copy of the rows and packed centres, and the
-// rank-r reconstruction. Handing these out of an arena instead of make() is
-// what takes a batch summarization from ~30 heap allocations to none
+// rotation accumulator, the k-means seeds, distance vectors, column-major
+// copy of the rows and packed centres, and the rank-r reconstruction.
+// Handing these out of an arena instead of make() is what takes a batch
+// summarization from ~30 heap allocations to none
 // (summary.BenchmarkSummarizeBatch).
 //
 // Buffers are carved off growing backing slabs and stay valid until the

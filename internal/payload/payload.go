@@ -134,7 +134,7 @@ func Summarize(v *Vocabulary, payloads [][]byte, r, k int, rng *rand.Rand) (*Sum
 	if err != nil {
 		return nil, err
 	}
-	res, err := linalg.KMeans(rec, k, rng, linalg.KMeansConfig{})
+	res, err := linalg.KMeans(rec, k, rng)
 	if err != nil {
 		return nil, err
 	}

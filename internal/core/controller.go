@@ -333,10 +333,9 @@ func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, res
 		if !r.uncertain() {
 			continue
 		}
-		rows := r.fb.Stage2.FetchRows
 		var raw []packet.Header
 		charged := 0
-		for _, row := range rows {
+		for _, row := range r.fb.Stage2.FetchRows {
 			f := &fetches[index[agg.Refs[row]]]
 			if !f.paid {
 				f.paid = true
@@ -344,7 +343,7 @@ func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, res
 			}
 			raw = append(raw, f.hs...) //jaalvet:ignore hotalloc — uncertain-verdict path only, a handful of questions per epoch; row count is data-dependent
 		}
-		r.fb.Settle(matcher, raw, len(rows), charged)
+		r.fb.Settle(matcher, raw, charged)
 		transferred += charged
 	}
 	return transferred

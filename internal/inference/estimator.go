@@ -17,39 +17,25 @@ import (
 // The estimator hands results out of 64-entry chunks (resultChunk), so
 // one result shares its allocation with up to 63 others, from this and
 // later calls on the same P: holding one keeps the whole chunk, and the
-// row sets and questions its entries point to, alive. Copy a result
+// fetch rows and questions its entries point to, alive. Copy a result
 // (*m) to keep it beyond the epoch that produced it.
 type MatchResult struct {
 	// Question is the evaluated question.
 	Question *rules.Question
-	// Matched reports whether the count of packets behind matching
-	// centroids met τ_c.
+	// Matched reports whether MatchedCount met τ_c.
 	Matched bool
-	// MatchedCount is Σ c_i over centroids with d_q(x_i) ≤ τ_d.
+	// MatchedCount is Σ c_i over centroids with d_q(x_i) ≤ τ_d — the
+	// set Q of Algorithm 1. For a tracked question it is the count of
+	// the densest tracked-field window of Q (track).
 	MatchedCount int
-	// MatchedRows indexes the rows of the aggregate whose centroids
-	// matched — the set Q of Algorithm 1.
-	MatchedRows []int
-	// AllMatchedRows is the full distance-matched set before any
-	// tracked-window narrowing — every centroid that looks like the
-	// signature, including clusters whose tracked-field value blurred
-	// away from the window.
-	AllMatchedRows []int
-	// FetchRows is the set the feedback loop pulls raw packets for: the
-	// matched rows within a widened window around the winning tracked
-	// value. Wide enough that clusters contaminated with other
-	// destinations (whose centroids blurred off the victim) are still
-	// fetched, narrow enough that the fetch stays proportional to the
-	// suspicion rather than the epoch. Equal to MatchedRows for
-	// untracked questions.
+	// FetchRows is the set the feedback loop pulls raw packets for, in
+	// ascending row order: for a tracked question the matched rows
+	// within a widened window around the winning tracked value — wide
+	// enough that clusters contaminated with other destinations (whose
+	// centroids blurred off the victim) are still fetched, narrow enough
+	// that the fetch stays proportional to the suspicion rather than the
+	// epoch; for an untracked one all of Q.
 	FetchRows []int
-	// CoreRows is the dominant-value subset of MatchedRows along the
-	// tracked field: the rows within a micro-window around the single
-	// busiest tracked value. Postprocessor variance runs on this purer
-	// subset so that benign clusters sharing the tracked window cannot
-	// drown the attack's variance signal. Equal to MatchedRows for
-	// untracked questions.
-	CoreRows []int
 	// VariancePassed reports the postprocessor verdict (Algorithm 2)
 	// when the question carries a variance check; it is true when no
 	// check is configured.
@@ -84,9 +70,9 @@ func EstimateSimilarity(agg *Aggregate, q *rules.Question) *MatchResult {
 // it fails d_q ≤ τ_d. Each row's sum is rules.PinDistance over the
 // question's pins, the sum Question.Distance divides, so it has
 // Distance's bits; a row whose partial sum passes the budget fails
-// d_q ≤ τ_d too. The matched set — reported in ascending row order — is
-// the full sweep's: the row test marks each match in a row bitmap, and
-// draining it lists them in row order without a sort.
+// d_q ≤ τ_d too. The matched set is the full sweep's, in ascending row
+// order: the row test marks each match in a row bitmap, and draining it
+// lists them in row order without a sort.
 func estimateWithThreshold(agg *Aggregate, q *rules.Question, tauD float64) *MatchResult {
 	var buf [packet.NumFields]rules.Pin
 	pins := q.AppendPins(buf[:0])
@@ -137,23 +123,23 @@ func estimatePruned(agg *Aggregate, q *rules.Question) *MatchResult {
 // finishEstimate applies the post-scan stages of Algorithm 1 to the
 // distance-matched set — matched, in ascending row order, whose counts
 // sum to count: tracked-window narrowing, the count threshold, and the
-// Algorithm 2 variance postprocessor. matched may be scratch: the row
-// sets of the result are copied out of it, all of them into one
-// allocation. The result itself comes from sc's chunk of results.
+// Algorithm 2 variance postprocessor. matched may be scratch: the
+// result's FetchRows are copied out of it. The result itself comes from
+// sc's chunk of results.
 func finishEstimate(agg *Aggregate, q *rules.Question, sc *estimateScratch, matched []int, count int) *MatchResult {
 	res := sc.result()
 	*res = MatchResult{Question: q, MatchedCount: count, VariancePassed: true}
+	core := matched
 	switch {
 	case len(matched) == 0:
 	case q.TrackBy >= 0 && q.TrackBy < packet.NumFields:
-		sc.track(agg, res, matched, packet.FieldIndex(q.TrackBy), trackWindow(q))
+		core = sc.track(agg, res, matched, packet.FieldIndex(q.TrackBy), trackWindow(q))
 	default:
-		rows := slices.Clone(matched)
-		res.AllMatchedRows, res.MatchedRows, res.CoreRows, res.FetchRows = rows, rows, rows, rows
+		res.FetchRows = slices.Clone(matched)
 	}
 	res.Matched = res.MatchedCount >= q.CountThreshold
 	if q.Variance != nil {
-		res.Variance = sc.variance(agg, res.CoreRows, q.Variance.Field)
+		res.Variance = sc.variance(agg, core, q.Variance.Field)
 		res.VariancePassed = res.Variance >= q.Variance.Threshold
 	}
 	return res
@@ -161,9 +147,8 @@ func finishEstimate(agg *Aggregate, q *rules.Question, sc *estimateScratch, matc
 
 // track is "track by_dst" semantics on summaries: the rule fires only
 // when the matched count concentrates on one tracked-field value, so
-// the matched set Q narrows to the w-wide window of the tracked field
-// holding the largest count, and the postprocessor analyzes that
-// suspicious subset. Two more windows come out of the same order: the
+// the count is that of the w-wide window of the tracked field holding
+// the largest count. Two more windows come out of the same order: the
 // micro-window (w/10) inside it isolates the single dominant tracked
 // value (pure attack clusters sit exactly on the victim), and the fetch
 // window (50w) over all matched rows reaches clusters holding victim
@@ -174,9 +159,12 @@ func finishEstimate(agg *Aggregate, q *rules.Question, sc *estimateScratch, matc
 // (value, row) — a total order, so which of two rows tied on value
 // falls inside a window's edge does not depend on how the column was
 // built — by marking their ranks in a bitmap and draining it. Each window
-// is a sub-range of that order. AllMatchedRows and the three windows'
-// rows, each ascending, share one allocation.
-func (sc *estimateScratch) track(agg *Aggregate, res *MatchResult, matched []int, field packet.FieldIndex, w float64) {
+// is a sub-range of that order. The fetch window's rows, ascending, go
+// to res.FetchRows; the micro-window's, ascending, are returned in sc's
+// core buffer: the core set Algorithm 2's variance runs on, so that
+// benign clusters sharing the tracked window cannot drown the attack's
+// variance signal.
+func (sc *estimateScratch) track(agg *Aggregate, res *MatchResult, matched []int, field packet.FieldIndex, w float64) []int {
 	c := agg.column(field)
 	sc.set.fit(agg.Rows())
 	for _, r := range matched {
@@ -188,12 +176,10 @@ func (sc *estimateScratch) track(agg *Aggregate, res *MatchResult, matched []int
 	clo, chi, _ := densest(agg, c, order[lo:hi], w/10)
 	flo, fhi, _ := densest(agg, c, order, 50*w)
 
-	buf := make([]int, len(matched)+(hi-lo)+(chi-clo)+(fhi-flo))
-	res.AllMatchedRows, buf = sc.rowsOf(c, order, matched, buf)
-	res.MatchedRows, buf = sc.rowsOf(c, order[lo:hi], matched, buf)
-	res.CoreRows, buf = sc.rowsOf(c, order[lo+clo:lo+chi], matched, buf)
-	res.FetchRows, _ = sc.rowsOf(c, order[flo:fhi], matched, buf)
+	res.FetchRows = sc.rowsOf(c, order[flo:fhi], matched, make([]int, 0, fhi-flo))
 	res.MatchedCount = count
+	sc.core = sc.rowsOf(c, order[lo+clo:lo+chi], matched, sc.core[:0])
+	return sc.core
 }
 
 // densest finds, over order — positions in column c, ascending — the
@@ -216,22 +202,18 @@ func densest(agg *Aggregate, c *sortedColumn, order []int, width float64) (lo, h
 	return bestLo, bestHi + 1, count
 }
 
-// rowsOf writes the rows at window, a sub-range of the matched rows'
-// positions in column c, in ascending order to the front of buf and
-// returns them (capacity capped) and the rest of buf. A window holding
+// rowsOf appends the rows at window, a sub-range of the matched rows'
+// positions in column c, to out in ascending order. A window holding
 // every matched row is matched itself, already ascending; any other is
 // drained from the row bitmap.
-func (sc *estimateScratch) rowsOf(c *sortedColumn, window []int, matched, buf []int) ([]int, []int) {
-	out := buf[:len(window):len(window)]
+func (sc *estimateScratch) rowsOf(c *sortedColumn, window []int, matched, out []int) []int {
 	if len(window) == len(matched) {
-		copy(out, matched)
-	} else {
-		for _, p := range window {
-			sc.set.add(int(c.rows[p]))
-		}
-		sc.set.drain(out[:0])
+		return append(out, matched...)
 	}
-	return out, buf[len(window):]
+	for _, p := range window {
+		sc.set.add(int(c.rows[p]))
+	}
+	return sc.set.drain(out)
 }
 
 // trackWindow returns the question's tracking window width with default.
@@ -250,14 +232,16 @@ func trackWindow(q *rules.Question) float64 {
 
 // estimateScratch holds per-call working state for the estimator: the
 // matched rows, their positions in a tracked column, the bitmap that
-// orders both, the variance inputs, and the rest of a chunk of results.
-// None of the working slices escapes into a MatchResult. The scratch is
-// recycled through scratchPool, which keeps one per P, so per-question
-// cost stays flat across epochs and concurrent questions share no lock
-// (TestEstimatorScratchReuse pins this).
+// orders both, a tracked question's core rows, the variance inputs, and
+// the rest of a chunk of results. None of the working slices escapes
+// into a MatchResult. The scratch is recycled through scratchPool,
+// which keeps one per P, so per-question cost stays flat across epochs
+// and concurrent questions share no lock (TestEstimatorScratchReuse
+// pins this).
 type estimateScratch struct {
 	rows    []int
 	order   []int
+	core    []int
 	set     bitmap
 	results []MatchResult
 	values  []float64

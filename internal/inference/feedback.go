@@ -148,9 +148,6 @@ type FeedbackResult struct {
 	Alerted bool
 	// Stage1, Stage2 are the threshold-based results at τ_d1 and τ_d2.
 	Stage1, Stage2 *MatchResult
-	// RawFetches counts centroids whose raw packets were requested,
-	// cache hits included.
-	RawFetches int
 	// RawPackets counts raw packet headers actually transferred by the
 	// feedback — the extra communication cost of §5.3. Centroids served
 	// from a per-epoch cache cost nothing here, so summing RawPackets
@@ -184,17 +181,16 @@ func RunFeedbackIndexed(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, f
 		return res, nil
 	}
 	var raw []packet.Header
-	fetches, transferred := 0, 0
+	transferred := 0
 	for _, row := range res.Stage2.FetchRows {
 		hs, n, err := fetcher.FetchRaw(agg.Refs[row])
 		if err != nil {
 			return nil, fmt.Errorf("inference: feedback fetch: %w", err)
 		}
-		fetches++
 		transferred += n
 		raw = append(raw, hs...)
 	}
-	res.Settle(matcher, raw, fetches, transferred)
+	res.Settle(matcher, raw, transferred)
 	return res, nil
 }
 
@@ -242,10 +238,9 @@ func StageFeedbackIndexed(agg *Aggregate, q *rules.Question, cfg FeedbackConfig,
 
 // Settle finishes an uncertain result: raw is the concatenation, in
 // Stage2.FetchRows order, of the headers behind those rows; the final
-// decision is matcher's verdict on them. fetches and transferred are
-// recorded as RawFetches and RawPackets.
-func (r *FeedbackResult) Settle(matcher RawMatcher, raw []packet.Header, fetches, transferred int) {
-	r.RawFetches = fetches
+// decision is matcher's verdict on them. transferred is recorded as
+// RawPackets.
+func (r *FeedbackResult) Settle(matcher RawMatcher, raw []packet.Header, transferred int) {
 	r.RawPackets = transferred
 	r.Alerted = matcher.MatchRaw(r.Question, raw)
 }

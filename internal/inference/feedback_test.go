@@ -136,6 +136,7 @@ func TestFeedbackRawPacketsCountTransferOnly(t *testing.T) {
 	if res1.Verdict != VerdictUncertain || res1.RawPackets == 0 {
 		t.Fatalf("expected uncertain with transfers, got %v/%d", res1.Verdict, res1.RawPackets)
 	}
+	coldCalls := cold.calls
 
 	// Second run through a fetcher that reports zero transferred (a
 	// warm per-epoch cache): same raw data, zero accounted cost.
@@ -150,8 +151,8 @@ func TestFeedbackRawPacketsCountTransferOnly(t *testing.T) {
 	if res2.RawPackets != 0 {
 		t.Fatalf("cache hits accounted %d transferred packets, want 0", res2.RawPackets)
 	}
-	if res2.RawFetches != res1.RawFetches {
-		t.Fatalf("fetch requests differ: %d vs %d", res2.RawFetches, res1.RawFetches)
+	if warmCalls := cold.calls - coldCalls; warmCalls != coldCalls {
+		t.Fatalf("fetch requests differ: %d vs %d", warmCalls, coldCalls)
 	}
 }
 

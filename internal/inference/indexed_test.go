@@ -176,34 +176,43 @@ func TestEvaluateAllParallelOrderPin10k(t *testing.T) {
 }
 
 // TestEstimatorScratchReuse pins the estimator's allocations: after
-// pool warmup, a pruned question costs none and a matching tracked
-// question one — the buffer its four row sets share. Results come 64 to
-// an allocation from the pooled scratch, which AllocsPerRun's average
-// rounds away; the matched rows, the bitmap that orders them and the
-// variance inputs come from the pool too. The race detector empties the
-// pool at random, so under -race the bounds are the looser 1 and 12.
+// pool warmup, a pruned question costs none and a matching question one
+// — its FetchRows, a tracked question's fetch window or an untracked
+// one's clone of the matched set. Results come 64 to an allocation from
+// the pooled scratch, which AllocsPerRun's average rounds away; the
+// matched rows, the bitmap that orders them, a tracked question's core
+// rows and the variance inputs come from the pool too. The race detector
+// empties the pool at random, so under -race the bounds are the looser
+// 1 and 12.
 func TestEstimatorScratchReuse(t *testing.T) {
 	agg := scaleAggregate(t, 15, 1000)
 	qs := scaleQuestions(t, 500, 4)
-	// Warm the pool and find a question with a non-trivial tracked match.
-	var hot *rules.Question
+	// Warm the pool and find a tracked and an untracked question with a
+	// non-trivial match.
+	var tracked, untracked *rules.Question
 	for _, q := range qs {
-		if r := EstimateSimilarity(agg, q); len(r.AllMatchedRows) > 3 && q.TrackBy >= 0 {
-			hot = q
+		r := EstimateSimilarity(agg, q)
+		switch {
+		case len(r.FetchRows) > 3 && q.TrackBy >= 0:
+			tracked = q
+		case len(r.FetchRows) > 0 && q.TrackBy < 0:
+			untracked = q
 		}
 	}
-	if hot == nil {
-		t.Skip("no tracked matching question in workload")
+	if tracked == nil || untracked == nil {
+		t.Fatalf("workload lacks a matching question: tracked %v, untracked %v", tracked != nil, untracked != nil)
 	}
-	pruned, tracked := 0.0, 1.0
+	pruned, matching := 0.0, 1.0
 	if raceBuild {
-		pruned, tracked = 1, 12
+		pruned, matching = 1, 12
 	}
-	if got := testing.AllocsPerRun(100, func() { estimatePruned(agg, hot) }); got > pruned {
+	if got := testing.AllocsPerRun(100, func() { estimatePruned(agg, tracked) }); got > pruned {
 		t.Errorf("pruned estimate: %.1f allocs/op, want ≤ %.0f (results must come from the pooled chunk)", got, pruned)
 	}
-	if got := testing.AllocsPerRun(100, func() { EstimateSimilarity(agg, hot) }); got > tracked {
-		t.Errorf("tracked estimate: %.1f allocs/op, want ≤ %.0f (scratch must come from the pool)", got, tracked)
+	for name, q := range map[string]*rules.Question{"tracked": tracked, "untracked": untracked} {
+		if got := testing.AllocsPerRun(100, func() { EstimateSimilarity(agg, q) }); got > matching {
+			t.Errorf("%s estimate: %.1f allocs/op, want ≤ %.0f (scratch must come from the pool)", name, got, matching)
+		}
 	}
 }
 

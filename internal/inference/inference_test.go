@@ -279,15 +279,16 @@ func TestFeedbackCaseAlert(t *testing.T) {
 	sum := summarize(t, mixed, 0, 0)
 	agg, _ := AggregateSummaries([]*summary.Summary{sum})
 	q := synQuestion(t, 100)
-	res, err := RunFeedbackIndexed(agg, q, FeedbackConfig{TauD1: 0.08, TauD2: 0.2}, nil, nil, true)
+	fetcher := &memFetcher{}
+	res, err := RunFeedbackIndexed(agg, q, FeedbackConfig{TauD1: 0.08, TauD2: 0.2}, fetcher, thresholdMatcher{minSYN: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Verdict != VerdictAlert || !res.Alerted {
 		t.Fatalf("verdict = %v alerted = %v, want alert", res.Verdict, res.Alerted)
 	}
-	if res.RawFetches != 0 {
-		t.Fatal("case 1 must not fetch raw packets")
+	if fetcher.calls != 0 || res.RawPackets != 0 {
+		t.Fatalf("case 1 must not fetch raw packets: %d fetches, %d packets", fetcher.calls, res.RawPackets)
 	}
 }
 
@@ -335,8 +336,8 @@ func TestFeedbackCaseUncertainFetchesRaw(t *testing.T) {
 	if res.Verdict != VerdictUncertain {
 		t.Fatalf("verdict = %v, want uncertain (s1=%d s2=%d)", res.Verdict, res.Stage1.MatchedCount, res.Stage2.MatchedCount)
 	}
-	if res.RawFetches == 0 || fetcher.calls == 0 {
-		t.Fatal("case 3 must fetch raw packets")
+	if fetcher.calls == 0 || fetcher.calls != len(res.Stage2.FetchRows) {
+		t.Fatalf("case 3 must fetch the raw packets of every fetch row: %d fetches for %d rows", fetcher.calls, len(res.Stage2.FetchRows))
 	}
 	if !res.Alerted {
 		t.Fatalf("raw re-analysis must confirm the flood (fetched %d packets)", res.RawPackets)
@@ -411,7 +412,7 @@ func TestStageThenSettleEqualsRunFeedback(t *testing.T) {
 				hs, _, _ := fetcher.FetchRaw(agg.Refs[row])
 				raw = append(raw, hs...)
 			}
-			got.Settle(tc.match, raw, len(got.Stage2.FetchRows), len(raw))
+			got.Settle(tc.match, raw, len(raw))
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("count %d, %+v: staged and settled %+v, RunFeedbackIndexed %+v", tc.count, tc.cfg, got, want)

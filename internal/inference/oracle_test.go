@@ -16,25 +16,26 @@ import (
 // It is the reference estimateWithThreshold is compared with.
 func sweepEstimate(agg *Aggregate, q *rules.Question, tauD float64) *MatchResult {
 	res := &MatchResult{Question: q, VariancePassed: true}
+	var matched []int
 	for i := 0; i < agg.Rows(); i++ {
 		if q.Distance(agg.Representatives.Row(i)) <= tauD {
 			res.MatchedCount += agg.Counts[i]
-			res.MatchedRows = append(res.MatchedRows, i)
+			matched = append(matched, i)
 		}
 	}
-	res.AllMatchedRows = res.MatchedRows
-	res.CoreRows = res.MatchedRows
-	res.FetchRows = res.MatchedRows
+	core := matched
+	res.FetchRows = matched
 	if q.TrackBy >= 0 && q.TrackBy < packet.NumFields {
 		field := packet.FieldIndex(q.TrackBy)
 		w := trackWindow(q)
-		res.MatchedRows, res.MatchedCount = maxWindowCount(agg, res.AllMatchedRows, field, w)
-		res.CoreRows, _ = maxWindowCount(agg, res.MatchedRows, field, w/10)
-		res.FetchRows, _ = maxWindowCount(agg, res.AllMatchedRows, field, 50*w)
+		var window []int
+		window, res.MatchedCount = maxWindowCount(agg, matched, field, w)
+		core, _ = maxWindowCount(agg, window, field, w/10)
+		res.FetchRows, _ = maxWindowCount(agg, matched, field, 50*w)
 	}
 	res.Matched = res.MatchedCount >= q.CountThreshold
 	if q.Variance != nil {
-		res.Variance = MatchedVariance(agg, res.CoreRows, q.Variance.Field)
+		res.Variance = MatchedVariance(agg, core, q.Variance.Field)
 		res.VariancePassed = res.Variance >= q.Variance.Threshold
 	}
 	return res

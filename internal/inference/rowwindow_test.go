@@ -105,7 +105,7 @@ func checkEstimateEqualsSweep(t *testing.T, seed int64, n int, extraTau float64)
 				t.Fatalf("seed %d, %d rows, question %d, τ=%v: window-pruned result differs from the sweep\nsweep:  %+v\nwindow: %+v",
 					seed, n, qi, tau, want, got)
 			}
-			matched += len(want.AllMatchedRows)
+			matched += len(want.FetchRows)
 		}
 	}
 	if n >= 7 && matched == 0 {
@@ -158,7 +158,7 @@ func referenceRepresentatives(s *summary.Summary) *linalg.Matrix {
 				continue
 			}
 			for j := 0; j < p; j++ {
-				oi[j] += us * s.V.At(j, t)
+				oi[j] += float64(us * s.V.At(j, t))
 			}
 		}
 	}

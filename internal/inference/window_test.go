@@ -2,6 +2,7 @@ package inference
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,12 +68,15 @@ func TestTrackedCountPicksDensestWindow(t *testing.T) {
 	if m.MatchedCount != 85 {
 		t.Fatalf("window count = %d, want 85 (40+45 at the victim)", m.MatchedCount)
 	}
-	if len(m.MatchedRows) != 2 {
-		t.Fatalf("window rows = %v, want the two victim clusters", m.MatchedRows)
+	// The fetch window (50× wider) reaches the victim's clusters only.
+	if !slices.Equal(m.FetchRows, []int{0, 1}) {
+		t.Fatalf("fetch rows = %v, want the two victim clusters", m.FetchRows)
 	}
-	// Pre-window set must include all three.
-	if len(m.AllMatchedRows) != 3 {
-		t.Fatalf("all matched = %v, want 3 rows", m.AllMatchedRows)
+	// Untracked, the same question counts and fetches all three.
+	untracked := *q
+	untracked.TrackBy = -1
+	if m := EstimateSimilarity(agg, &untracked); m.MatchedCount != 145 || !slices.Equal(m.FetchRows, []int{0, 1, 2}) {
+		t.Fatalf("untracked: count %d, fetch rows %v; want 145 and all 3 rows", m.MatchedCount, m.FetchRows)
 	}
 }
 
@@ -104,7 +108,7 @@ func TestTrackedCountEmptyMatchSet(t *testing.T) {
 	// 0 still matches; force a miss via an impossible protocol pin.
 	q.Vector[packet.FieldProtocol] = 1.0
 	m := EstimateSimilarity(agg, q)
-	if m.MatchedCount != 0 || len(m.MatchedRows) != 0 || m.Matched {
+	if m.MatchedCount != 0 || len(m.FetchRows) != 0 || m.Matched {
 		t.Fatalf("empty match set handled wrong: %+v", m)
 	}
 }
@@ -156,58 +160,6 @@ func TestMaxWindowCountProperty(t *testing.T) {
 		return got == best
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: CoreRows is always a subset of MatchedRows, which is a
-// subset of AllMatchedRows.
-func TestRowSetNestingProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(40)
-		reps := linalg.NewMatrix(n, packet.NumFields)
-		counts := make([]int, n)
-		for i := 0; i < n; i++ {
-			row := reps.Row(i)
-			row[packet.FieldProtocol] = packet.Normalize(packet.FieldProtocol, packet.ProtoTCP)
-			row[packet.FieldSYN] = 1
-			row[packet.FieldDstIP] = rng.Float64()
-			counts[i] = 1 + rng.Intn(10)
-		}
-		agg := &Aggregate{Representatives: reps, Counts: counts}
-		q := &rules.Question{
-			Vector:            make([]float64, packet.NumFields),
-			DistanceThreshold: 0.05,
-			CountThreshold:    1,
-			TrackBy:           int(packet.FieldDstIP),
-			TrackWindow:       rng.Float64() * 0.1,
-		}
-		for i := range q.Vector {
-			q.Vector[i] = rules.Irrelevant
-		}
-		q.Vector[packet.FieldSYN] = 1
-		m := EstimateSimilarity(agg, q)
-
-		inAll := map[int]bool{}
-		for _, r := range m.AllMatchedRows {
-			inAll[r] = true
-		}
-		inMatched := map[int]bool{}
-		for _, r := range m.MatchedRows {
-			if !inAll[r] {
-				return false
-			}
-			inMatched[r] = true
-		}
-		for _, r := range m.CoreRows {
-			if !inMatched[r] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -157,7 +157,7 @@ func Sub(a, b *Matrix) (*Matrix, error) {
 func (m *Matrix) FrobeniusNorm() float64 {
 	var ss float64
 	for _, v := range m.data {
-		ss += v * v
+		ss += float64(v * v)
 	}
 	return math.Sqrt(ss)
 }
@@ -262,7 +262,7 @@ func Variance(xs []float64) float64 {
 	var s float64
 	for _, v := range xs {
 		d := v - mu
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs))
 }
@@ -281,7 +281,7 @@ func WeightedVariance(values []float64, weights []float64) float64 {
 			continue
 		}
 		tot += w
-		mean += w * v
+		mean += float64(w * v)
 	}
 	if tot < 2 {
 		return 0
@@ -294,7 +294,7 @@ func WeightedVariance(values []float64, weights []float64) float64 {
 			continue
 		}
 		d := v - mean
-		s += w * d * d
+		s += float64(w * d * d)
 	}
 	return s / tot
 }

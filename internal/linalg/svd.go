@@ -124,9 +124,9 @@ func svdInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scratch) {
 				var ajj, akk, ajk float64
 				for i, x := range cj {
 					y := ck[i]
-					ajj += x * x
-					akk += y * y
-					ajk += x * y
+					ajj += float64(x * x)
+					akk += float64(y * y)
+					ajk += float64(x * y)
 				}
 				if ajj == 0 || akk == 0 {
 					continue
@@ -137,8 +137,8 @@ func svdInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scratch) {
 				converged = false
 				// Jacobi rotation annihilating the (j,k) Gram entry.
 				zeta := (akk - ajj) / (2 * ajk)
-				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
-				c := 1 / math.Sqrt(1+t*t)
+				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+float64(zeta*zeta)))
+				c := 1 / math.Sqrt(1+float64(t*t))
 				sn := c * t
 				rotate(cj, ck, c, sn)
 				rotate(vt.data[j*p:(j+1)*p], vt.data[k*p:(k+1)*p], c, sn)
@@ -216,8 +216,8 @@ func rotate(a, b []float64, c, s float64) {
 	b = b[:len(a)]
 	for i, x := range a {
 		y := b[i]
-		a[i] = c*x - s*y
-		b[i] = s*x + c*y
+		a[i] = float64(c*x) - float64(s*y)
+		b[i] = float64(s*x) + float64(c*y)
 	}
 }
 
@@ -269,14 +269,14 @@ func TruncatedSVDInto(a *Matrix, r int, ur *Matrix, sr []float64, vr *Matrix, sc
 func (d *SVD) EnergyRank(frac float64) int {
 	var total float64
 	for _, sv := range d.S {
-		total += sv * sv
+		total += float64(sv * sv)
 	}
 	if total == 0 {
 		return 0
 	}
 	var acc float64
 	for i, sv := range d.S {
-		acc += sv * sv
+		acc += float64(sv * sv)
 		if acc >= frac*total {
 			return i + 1
 		}
@@ -303,7 +303,7 @@ func (d *SVD) Reconstruct(r int) (*Matrix, error) {
 				continue
 			}
 			for j := 0; j < p; j++ {
-				oi[j] += uis * d.V.data[j*d.V.cols+t]
+				oi[j] += float64(uis * d.V.data[j*d.V.cols+t])
 			}
 		}
 	}

@@ -67,9 +67,9 @@ func scalarSVDInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scra
 				var ajj, akk, ajk float64
 				for i, x := range cj {
 					y := ck[i]
-					ajj += x * x
-					akk += y * y
-					ajk += x * y
+					ajj += float64(x * x)
+					akk += float64(y * y)
+					ajk += float64(x * y)
 				}
 				if ajj == 0 || akk == 0 {
 					continue
@@ -80,8 +80,8 @@ func scalarSVDInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix, sc *Scra
 				converged = false
 				// Jacobi rotation annihilating the (j,k) Gram entry.
 				zeta := (akk - ajj) / (2 * ajk)
-				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
-				c := 1 / math.Sqrt(1+t*t)
+				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+float64(zeta*zeta)))
+				c := 1 / math.Sqrt(1+float64(t*t))
 				sn := c * t
 				rotate(cj, ck, c, sn)
 				rotate(vt.data[j*p:(j+1)*p], vt.data[k*p:(k+1)*p], c, sn)
@@ -183,8 +183,8 @@ func refSVDInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix) {
 	rotateColumns := func(m *Matrix, j, k int, c, s float64) {
 		for i := 0; i < m.rows; i++ {
 			cj, ck := m.data[i*p+j], m.data[i*p+k]
-			m.data[i*p+j] = c*cj - s*ck
-			m.data[i*p+k] = s*cj + c*ck
+			m.data[i*p+j] = float64(c*cj) - float64(s*ck)
+			m.data[i*p+k] = float64(s*cj) + float64(c*ck)
 		}
 	}
 	const eps = 1e-12
@@ -195,9 +195,9 @@ func refSVDInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix) {
 				var ajj, akk, ajk float64
 				for i := 0; i < n; i++ {
 					cj, ck := w.data[i*p+j], w.data[i*p+k]
-					ajj += cj * cj
-					akk += ck * ck
-					ajk += cj * ck
+					ajj += float64(cj * cj)
+					akk += float64(ck * ck)
+					ajk += float64(cj * ck)
 				}
 				if ajj == 0 || akk == 0 {
 					continue
@@ -207,8 +207,8 @@ func refSVDInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix) {
 				}
 				converged = false
 				zeta := (akk - ajj) / (2 * ajk)
-				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
-				c := 1 / math.Sqrt(1+t*t)
+				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+float64(zeta*zeta)))
+				c := 1 / math.Sqrt(1+float64(t*t))
 				sn := c * t
 				rotateColumns(w, j, k, c, sn)
 				rotateColumns(vAcc, j, k, c, sn)
@@ -223,7 +223,7 @@ func refSVDInto(a *Matrix, r int, u *Matrix, s []float64, v *Matrix) {
 	for j := 0; j < p; j++ {
 		var ss float64
 		for i := 0; i < n; i++ {
-			ss += w.data[i*p+j] * w.data[i*p+j]
+			ss += float64(w.data[i*p+j] * w.data[i*p+j])
 		}
 		nrm[j] = math.Sqrt(ss)
 		ord[j] = j

@@ -142,7 +142,7 @@ func PinDistance(pins []Pin, x []float64, budget float64) (sum float64, within b
 // distance is ≤ NaN), a negative tau a budget no larger than 1e-12, and
 // +Inf keeps every row.
 func MatchBudget(tau float64, active int) float64 {
-	return tau*float64(active)*(1+1e-9) + 1e-12
+	return float64(tau*float64(active)*(1+1e-9)) + 1e-12
 }
 
 // TranslateConfig tunes translation defaults.

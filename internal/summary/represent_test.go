@@ -119,6 +119,60 @@ func TestAppendRepresentativesMatchesReference(t *testing.T) {
 	}
 }
 
+// refReconstructRankR is the loop the combined path reconstructed
+// X̄_p = U_r·Σ_r·V_rᵀ with before it shared reconstructRows, kept as its
+// oracle: out (n×p, zeroed) gains (u_it·σ_t)·v_jt for every non-zero
+// u_it·σ_t, t ascending in the outer loop and j in the inner one. The
+// product is converted before it is added, so no architecture fuses it.
+func refReconstructRankR(u *linalg.Matrix, sigma []float64, v *linalg.Matrix, r int) []float64 {
+	n, p := u.Rows(), v.Rows()
+	out := linalg.NewMatrix(n, p)
+	for i := 0; i < n; i++ {
+		ui, oi := u.Row(i), out.Row(i)
+		for t := 0; t < r; t++ {
+			us := ui[t] * sigma[t]
+			if us == 0 {
+				continue
+			}
+			for j := 0; j < p; j++ {
+				oi[j] += float64(us * v.At(j, t))
+			}
+		}
+	}
+	return out.Data()
+}
+
+// TestReconstructRowsMatchesRankRLoop holds reconstructRows to the
+// combined path's former triple loop bit for bit (any NaN matching any
+// NaN): factors with zero u·σ terms, −0, subnormals, infinities and NaN,
+// every rank 0…p — so r < p — at widths that are not a multiple of six
+// as well as the header's 18 fields.
+func TestReconstructRowsMatchesRankRLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, p := range []int{18, 1, 5, 7, 11, 13, 24} {
+		for r := 0; r <= p; r++ {
+			for _, zeroSigma := range []bool{false, true} {
+				s := splitSummary(rng, 1+rng.Intn(30), p, r, zeroSigma)
+				u := s.Centroids
+				for i := range u.Data() {
+					if rng.Intn(25) == 0 {
+						u.Data()[i] = math.NaN()
+					}
+				}
+				want := refReconstructRankR(u, s.Sigma, s.V, r)
+				got := make([]float64, len(want))
+				reconstructRows(got, u, s.Sigma, s.V, r)
+				for i, w := range want {
+					if g := got[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+						t.Fatalf("p=%d r=%d: output %d (row %d, field %d) is %v (%#x), reference %v (%#x)",
+							p, r, i, i/p, i%p, g, math.Float64bits(g), w, math.Float64bits(w))
+					}
+				}
+			}
+		}
+	}
+}
+
 // appendRepresentativesOp reconstructs a split summary at the paper's
 // operating point (k = 200, p = 18, r = 12, normal values) into a slice
 // with room for it: what BenchmarkAppendRepresentatives times and

@@ -232,37 +232,44 @@ func (s *Summary) AppendRepresentatives(dst []float64, p int) ([]float64, error)
 		}
 		at := len(dst)
 		dst = slices.Grow(dst, k*p)[:at+k*p]
-		// Each output is Σ_t (u_it·σ_t)·v_jt over the non-zero u_it·σ_t
-		// in ascending t, every product rounded before it is added. A
-		// centroid's outputs are formed six at a time (reconstruct) from
-		// V_rᵀ regrouped six outputs to an entry; at the paper's 18
-		// fields it and the u·σ terms live on the stack.
-		var vtBuf [packet.NumFields / 6 * packet.NumFields][6]float64
-		var usBuf [packet.NumFields]float64
-		vt6, us := vtBuf[:], usBuf[:]
-		if p/6*r > len(vt6) || r > len(us) {
-			vt6, us = make([][6]float64, p/6*r), make([]float64, r)
-		}
-		vt6, us = vt6[:p/6*r], us[:r]
-		for j := 0; j < p/6*6; j++ {
-			for t, v := range s.V.Row(j)[:r] {
-				vt6[j/6*r+t][j%6] = v
-			}
-		}
-		for i := 0; i < k; i++ {
-			ui := s.Centroids.Row(i)[:r]
-			for t := range us {
-				us[t] = ui[t] * s.Sigma[t]
-			}
-			reconstruct(dst[at+i*p:at+(i+1)*p], us, vt6, s.V)
-		}
+		reconstructRows(dst[at:], s.Centroids, s.Sigma, s.V, r)
 		return dst, nil
 	default:
 		return dst, fmt.Errorf("summary: unknown kind %v", s.Kind)
 	}
 }
 
-// reconstruct writes one centroid's representative to out: out[j] is
+// reconstructRows writes U_r·diag(σ_r)·V_rᵀ to out, row-major: u.Rows()
+// rows of v.Rows() values, from the first r columns of u and v and the
+// first r singular values. Each output is Σ_t (u_it·σ_t)·v_jt over the
+// non-zero u_it·σ_t in ascending t, every product rounded before it is
+// added. A row's outputs are formed six at a time (reconstruct) from
+// V_rᵀ regrouped six outputs to an entry; at the paper's 18 fields it
+// and the u·σ terms live on the stack.
+func reconstructRows(out []float64, u *linalg.Matrix, sigma []float64, v *linalg.Matrix, r int) {
+	p := v.Rows()
+	var vtBuf [packet.NumFields / 6 * packet.NumFields][6]float64
+	var usBuf [packet.NumFields]float64
+	vt6, us := vtBuf[:], usBuf[:]
+	if p/6*r > len(vt6) || r > len(us) {
+		vt6, us = make([][6]float64, p/6*r), make([]float64, r)
+	}
+	vt6, us = vt6[:p/6*r], us[:r]
+	for j := 0; j < p/6*6; j++ {
+		for t, x := range v.Row(j)[:r] {
+			vt6[j/6*r+t][j%6] = x
+		}
+	}
+	for i := 0; i < u.Rows(); i++ {
+		ui := u.Row(i)[:r]
+		for t := range us {
+			us[t] = ui[t] * sigma[t]
+		}
+		reconstruct(out[i*p:(i+1)*p], us, vt6, v)
+	}
+}
+
+// reconstruct writes one row of the reconstruction to out: out[j] is
 // Σ_t us[t]·v_jt over the non-zero us[t] in ascending t, every product
 // rounded before it is added. Outputs are formed six at a time, each in
 // its own register, from vt6, where group g's entry t holds v_jt for
@@ -463,7 +470,7 @@ func (s *Summarizer) Summarize(headers []packet.Header, monitorID int, epoch uin
 		return nil, fmt.Errorf("summary: svd: %w", err)
 	}
 	xp := sc.Matrix(n, p)
-	reconstructRankRInto(ur, sr, vr, xp)
+	reconstructRows(xp.Data(), ur, sr, vr, r)
 	if _, _, err := linalg.KMeansInto(xp, k, s.rng, linalg.KMeansConfig{}, sc, &sum.centroidStore, assign, counts); err != nil {
 		return nil, fmt.Errorf("summary: kmeans: %w", err)
 	}
@@ -478,26 +485,6 @@ func (s *Summarizer) Summarize(headers []packet.Header, monitorID int, epoch uin
 	cCombined.Inc()
 	cElements.Add(int64(sum.Elements()))
 	return sum, nil
-}
-
-// reconstructRankRInto multiplies U_r·diag(S_r)·V_rᵀ into out (n×p),
-// which must be zeroed — scratch buffers are handed out zeroed.
-func reconstructRankRInto(ur *linalg.Matrix, sr []float64, vr *linalg.Matrix, out *linalg.Matrix) {
-	n, r := ur.Rows(), ur.Cols()
-	p := vr.Rows()
-	for i := 0; i < n; i++ {
-		ui := ur.Row(i)
-		oi := out.Row(i)
-		for t := 0; t < r; t++ {
-			us := ui[t] * sr[t]
-			if us == 0 {
-				continue
-			}
-			for j := 0; j < p; j++ {
-				oi[j] += us * vr.At(j, t)
-			}
-		}
-	}
 }
 
 // ApproximationError returns ‖X̄ − R·Bᵀ‖_F / ‖X̄‖_F: the relative error of

@@ -18,21 +18,30 @@ fi
 go vet ./...
 go build ./...
 
-# The summarization leaves round every product before adding it: the
-# amd64 vector kernels do, and KMeansInto and the SVD are compared bit for
-# bit with references built on SquaredDistance and on the scalar SVD
-# (DESIGN.md, "Performance"). arm64 has a fused multiply-add the compiler
-# uses for s += d*d unless the product is converted explicitly, so vet
-# that port and look at the machine code of every portable leaf (axpy is
-# inlined into goReflect, which the check covers).
+# Summarization and inference round every product before adding it:
+# the amd64 vector kernels do, the Go compiler never fuses on amd64, and
+# KMeansInto, the SVD, the reconstruction and Algorithm 2 are compared
+# bit for bit with references (DESIGN.md, "Performance"). arm64 has a
+# fused multiply-add the compiler uses for s += x*y unless the product
+# is converted explicitly, so vet that port, build the arm64 test
+# binaries of the four packages, and fail on any fused instruction in a
+# function of theirs defined outside a _test.go file (test functions,
+# and product code inlined into them, are not counted). The seven
+# portable leaves must be among the functions scanned (axpy is inlined
+# into goReflect), so the scan cannot pass by missing them.
 GOARCH=arm64 go vet ./...
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-GOARCH=arm64 go test -c -o "$tmp/linalg.test" ./internal/linalg
+for pkg in linalg summary inference rules; do
+	GOARCH=arm64 go test -c -o "$tmp/$pkg.test" ./internal/$pkg
+	go tool objdump -s 'repro/internal/(linalg|summary|inference|rules)\.' "$tmp/$pkg.test" | awk '
+		/^TEXT/ { fn = $2; product = ($3 !~ /_test\.go$/); next }
+		product && /FN?M(ADD|SUB)D/ { print fn ": " $0 }' >>"$tmp/fused"
+done
 goleaves='SquaredDistance|Dot|columnSums|goSeedRound|goNearest|goReflect|goLift'
-leaves=$(go tool objdump -s "linalg\.($goleaves)\$" "$tmp/linalg.test")
-if [ "$(echo "$leaves" | grep -c '^TEXT')" -ne 7 ] || echo "$leaves" | grep -E 'FN?M(ADD|SUB)D'; then
-	echo "arm64: a summarization leaf is missing or fuses multiply and add" >&2
+if [ "$(go tool objdump -s "linalg\.($goleaves)\$" "$tmp/linalg.test" | grep -c '^TEXT')" -ne 7 ] || [ -s "$tmp/fused" ]; then
+	cat "$tmp/fused" >&2
+	echo "arm64: a summarization leaf is missing or a product function fuses multiply and add" >&2
 	exit 1
 fi
 if grep -nE 'VFN?M(ADD|SUB)' internal/linalg/*.s; then
@@ -127,7 +136,7 @@ go test -race -run 'TestKMeansConcurrentScratch' ./internal/linalg/
 # is what holds that invariant, and it needs -race to see a violation.
 go test -race -run 'TestMetricsConcurrentReadWrite' ./internal/obs/
 # The estimator's allocation bound: a pruned estimate allocates nothing
-# and a tracked one its row buffer (≤ 1) only when sync.Pool keeps its
+# and a matching one its fetch rows (≤ 1) only when sync.Pool keeps its
 # scratch and chunk of results, which the race detector prevents at
 # random, so this one runs without -race.
 go test -run 'TestEstimatorScratchReuse' ./internal/inference/

@@ -70,6 +70,9 @@ func (s *AlertSink) ListenAndServe(ln net.Listener) error {
 // attempt budget.
 type AlertWriter struct {
 	c wireClient
+	// line is the last alert's log line; its storage is reused by the
+	// next Send, under c's exchange lock.
+	line []byte
 }
 
 // NewAlertWriter builds a writer over dial; the connection is
@@ -80,9 +83,9 @@ func NewAlertWriter(dial DialFunc, rc RetryConfig) *AlertWriter {
 
 // Send ships one alert as a MsgAlert frame carrying its log line.
 func (w *AlertWriter) Send(a *inference.Alert) error {
-	payload := []byte(a.String())
 	return w.c.exchange(func(conn net.Conn) error {
-		return wire.WriteFrame(conn, wire.MsgAlert, payload)
+		w.line = a.AppendText(w.line[:0])
+		return wire.WriteFrame(conn, wire.MsgAlert, w.line)
 	})
 }
 

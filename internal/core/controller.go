@@ -46,24 +46,21 @@ func (s perRef) RawBatch(refs []wire.RawRef) ([][]packet.Header, error) {
 // direct similarity matching, variance postprocessing, and optionally
 // the two-threshold feedback loop with raw-packet retrieval.
 type Controller struct {
-	env       *rules.Environment
-	questions map[rules.AttackID]*rules.Question
+	env *rules.Environment
 	// ids and qs are the evaluation order, fixed at construction:
 	// attack IDs sorted ascending with qs[i] the question for ids[i].
-	// The question index is built over qs in this order, so candidate
-	// bit i always refers to ids[i].
+	// The question index and the evaluator are built over qs in this
+	// order, so candidate bit i and result i always refer to ids[i].
 	ids []rules.AttackID
 	qs  []*rules.Question
 	// index prunes provably unmatchable questions each epoch. (A nil
 	// index evaluates every question: the linear sweep the in-package
 	// equivalence tests use as their oracle.)
-	index    *rules.QuestionIndex
-	feedback map[rules.AttackID]inference.FeedbackConfig
-	// useFeedback enables the two-stage path for attacks with a
-	// feedback config.
-	useFeedback bool
-	// workers bounds the per-question fan-out of ProcessEpoch
-	// (0 = GOMAXPROCS).
+	index *rules.QuestionIndex
+	// eval is the library compiled once: each question's pins,
+	// budgets and, with feedback on, its two stages.
+	eval *inference.Evaluator
+	// workers bounds the fan-outs of ProcessEpoch (0 = GOMAXPROCS).
 	workers int
 	// spare holds the storage of the last finished round for the next
 	// ProcessEpoch. Rounds may run concurrently: one that finds it taken
@@ -148,14 +145,14 @@ const indexTauHeadroom = 1.25
 
 // buildIndex constructs the question index over the controller's fixed
 // evaluation order, bounding each question by the widest threshold it
-// is evaluated at: τ_d2 for feedback questions, the question's own τ_d
-// otherwise, both with indexTauHeadroom.
-func (c *Controller) buildIndex() (*rules.QuestionIndex, error) {
+// is evaluated at: τ_d2 for feedback questions (fbs[i] non-nil), the
+// question's own τ_d otherwise, both with indexTauHeadroom.
+func (c *Controller) buildIndex(fbs []*inference.FeedbackConfig) (*rules.QuestionIndex, error) {
 	maxTau := make([]float64, len(c.qs))
-	for i, id := range c.ids {
-		bound := c.qs[i].DistanceThreshold
-		if fb, ok := c.feedback[id]; c.useFeedback && ok && fb.TauD2 > bound {
-			bound = fb.TauD2
+	for i, q := range c.qs {
+		bound := q.DistanceThreshold
+		if fbs[i] != nil && fbs[i].TauD2 > bound {
+			bound = fbs[i].TauD2
 		}
 		maxTau[i] = bound * indexTauHeadroom
 	}
@@ -180,31 +177,35 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		}
 	}
 	c := &Controller{
-		env:         cfg.Env,
-		questions:   cfg.Questions,
-		feedback:    cfg.Feedback,
-		useFeedback: cfg.UseFeedback,
-		workers:     cfg.Workers,
-		sources:     make(map[int]rawBatcher),
-		spare:       make(chan *round, 1),
+		env:     cfg.Env,
+		workers: cfg.Workers,
+		sources: make(map[int]rawBatcher),
+		spare:   make(chan *round, 1),
 	}
 	// Fix the evaluation order once: attack IDs sorted ascending. Every
 	// epoch reuses it, and the question index is aligned to it.
-	ids := make([]rules.AttackID, 0, len(c.questions))
-	for id := range c.questions {
+	ids := make([]rules.AttackID, 0, len(cfg.Questions))
+	for id := range cfg.Questions {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	c.ids = ids
 	c.qs = make([]*rules.Question, len(c.ids))
+	fbs := make([]*inference.FeedbackConfig, len(c.ids))
 	for i, id := range c.ids {
-		if c.qs[i] = c.questions[id]; c.qs[i] == nil {
+		if c.qs[i] = cfg.Questions[id]; c.qs[i] == nil {
 			return nil, fmt.Errorf("core: nil question for attack %s", id)
+		}
+		if fb, ok := cfg.Feedback[id]; cfg.UseFeedback && ok {
+			fbs[i] = &fb
 		}
 	}
 	var err error
-	if c.index, err = c.buildIndex(); err != nil {
+	if c.index, err = c.buildIndex(fbs); err != nil {
 		return nil, fmt.Errorf("core: question index: %w", err)
+	}
+	if c.eval, err = inference.NewEvaluator(c.qs, fbs, c.workers); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return c, nil
 }
@@ -220,19 +221,6 @@ func (c *Controller) RegisterSource(monitorID int, src RawSource) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sources[monitorID] = b
-}
-
-// qresult is one question's outcome in an inference round: match for a
-// single-threshold question, fb for a two-stage one.
-type qresult struct {
-	match *inference.MatchResult
-	fb    *inference.FeedbackResult
-	err   error
-}
-
-// uncertain reports whether the question is waiting for raw packets.
-func (r *qresult) uncertain() bool {
-	return r.fb != nil && r.fb.Verdict == inference.VerdictUncertain
 }
 
 // rawFetch is one centroid's raw packets in a round's raw re-analysis.
@@ -263,8 +251,9 @@ type monitorPulls struct {
 // with no registered source, whose refs are counted in
 // jaal_feedback_fetch_failures_total as a failed exchange's are. A shared
 // centroid's transfer is charged to the first question that wants it, in
+// evaluation order. results are the round's two-stage results, in
 // evaluation order. It returns the number of headers transferred.
-func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, results []qresult, matcher inference.RawMatcher) int {
+func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, results []inference.FeedbackResult, matcher inference.RawMatcher) int {
 	var (
 		fetches []rawFetch
 		index   map[inference.CentroidRef]int // ref → position in fetches
@@ -272,14 +261,14 @@ func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, res
 		slot    map[int]int // monitor ID → position in pulls
 	)
 	for i := range results {
-		if !results[i].uncertain() {
+		if results[i].Verdict != inference.VerdictUncertain {
 			continue
 		}
 		if index == nil {
 			index = make(map[inference.CentroidRef]int)
 			slot = make(map[int]int)
 		}
-		for _, row := range results[i].fb.Stage2.FetchRows {
+		for _, row := range results[i].Stage2.FetchRows {
 			ref := agg.Refs[row]
 			if _, ok := index[ref]; ok {
 				continue
@@ -330,12 +319,12 @@ func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, res
 	transferred := 0
 	for i := range results {
 		r := &results[i]
-		if !r.uncertain() {
+		if r.Verdict != inference.VerdictUncertain {
 			continue
 		}
 		var raw []packet.Header
 		charged := 0
-		for _, row := range r.fb.Stage2.FetchRows {
+		for _, row := range r.Stage2.FetchRows {
 			f := &fetches[index[agg.Refs[row]]]
 			if !f.paid {
 				f.paid = true
@@ -343,19 +332,19 @@ func (c *Controller) settleUncertain(agg *inference.Aggregate, epoch uint64, res
 			}
 			raw = append(raw, f.hs...) //jaalvet:ignore hotalloc — uncertain-verdict path only, a handful of questions per epoch; row count is data-dependent
 		}
-		r.fb.Settle(matcher, raw, charged)
+		r.Settle(matcher, raw, charged)
 		transferred += charged
 	}
 	return transferred
 }
 
 // round is the storage one ProcessEpoch works in: the aggregate, with
-// its sorted columns, and the per-question results. Nothing of it
-// outlives the call — an alert copies what it reports — so the next call
-// reuses all of it.
+// its sorted columns, and the evaluator's results and scratch. Nothing
+// of it outlives the call — an alert copies what it reports — so the
+// next call reuses all of it.
 type round struct {
 	agg     inference.Aggregator
-	results []qresult
+	results inference.Results
 }
 
 // ProcessEpoch runs one inference round over the summaries collected
@@ -369,7 +358,6 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 		rd = new(round)
 	}
 	defer func() {
-		clear(rd.results) // drop the results' row sets until the next round
 		select {
 		case c.spare <- rd:
 		default:
@@ -410,51 +398,30 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	// Deterministic evaluation order: question evaluation fans out across
 	// the worker pool, but each question writes only its own result slot
 	// and alerts are assembled sequentially in sorted attack-ID order, so
-	// the output is identical for every worker count.
-	ids := c.ids
-
-	if cap(rd.results) < len(ids) {
-		rd.results = make([]qresult, len(ids))
-	}
-	results := rd.results[:len(ids)]
-	rd.results = results
-	par.For(len(ids), c.workers, func(i int) {
-		id := ids[i]
-		q := c.qs[i]
-		if fb, ok := c.feedback[id]; c.useFeedback && ok {
-			// The index bounds a feedback question by τ_d2, the widest
-			// threshold its stages use, so pruning it is sound.
-			res, err := inference.StageFeedbackIndexed(agg, q, fb, cs.Contains(i))
-			results[i] = qresult{fb: res, err: err}
-			return
-		}
-		results[i] = qresult{match: inference.EstimateSimilarityIndexed(agg, q, cs.Contains(i))}
-	})
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-	}
+	// the output is identical for every worker count. The index bounds a
+	// feedback question by τ_d2, the widest threshold its stages use, so
+	// pruning it is sound.
+	results := &rd.results
+	c.eval.Evaluate(agg, cs, results)
 
 	// The questions left uncertain are settled against raw packets once
 	// all of them are known, so that each centroid is pulled once and
 	// each monitor connection is driven by one goroutine.
-	rawFetched := c.settleUncertain(agg, epoch, results, matcher)
+	rawFetched := c.settleUncertain(agg, epoch, results.Feedbacks(), matcher)
 
 	asp := trace.StartSpan(nil, trace.StageAlertEmit, trace.ControllerProc, epoch)
 	var alerts []*inference.Alert
-	for i, id := range ids {
-		r := results[i]
-		if r.fb != nil {
-			countVerdict(r.fb.Verdict)
-			if r.fb.Alerted {
-				alerts = append(alerts, inference.NewAlertFromFeedback(id, epoch, r.fb, inference.DefaultClock)) //jaalvet:ignore hotalloc — each alert already allocates its *Alert; growth adds O(log alerts) more
+	for i, id := range c.ids {
+		if fb := results.Feedback(i); fb != nil {
+			countVerdict(fb.Verdict)
+			if fb.Alerted {
+				alerts = append(alerts, inference.NewAlertFromFeedback(id, epoch, fb, inference.DefaultClock)) //jaalvet:ignore hotalloc — each alert already allocates its *Alert; growth adds O(log alerts) more
 			}
 			continue
 		}
-		if r.match.Alerted() {
+		if m := results.Match(i); m.Alerted() {
 			cSimMatches.Inc()
-			alerts = append(alerts, inference.NewAlertFromMatch(id, epoch, r.match, inference.DefaultClock)) //jaalvet:ignore hotalloc — each alert already allocates its *Alert; growth adds O(log alerts) more
+			alerts = append(alerts, inference.NewAlertFromMatch(id, epoch, m, inference.DefaultClock)) //jaalvet:ignore hotalloc — each alert already allocates its *Alert; growth adds O(log alerts) more
 		}
 	}
 	asp.End()
@@ -464,7 +431,7 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	c.stats.RawPacketsFetched += rawFetched
 	stats := c.stats
 	c.mu.Unlock()
-	cQuestions.Add(int64(len(ids)))
+	cQuestions.Add(int64(len(c.ids)))
 	cAlerts.Add(int64(len(alerts)))
 	cFeedbackPulls.Add(int64(rawFetched))
 	gCompression.Set(stats.OverheadFraction())

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"repro/internal/inference"
+	"repro/internal/packet"
 	"repro/internal/rules"
 	"repro/internal/sketch"
+	"repro/internal/snort"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
 )
@@ -30,11 +32,52 @@ func uniformFeedbackConfigs(qs map[rules.AttackID]*rules.Question) map[rules.Att
 	return fb
 }
 
+// sweepOracle is the reference the controller's evaluator is checked
+// against over one epoch's summaries: a fresh aggregate, then every
+// question in evaluation order through the one-question path with no
+// index — inference.EstimateSimilarity, or RunFeedbackIndexed over a
+// fetcher that memoizes the epoch's centroids — which inference's
+// TestEstimateWindowEqualsSweep and TestRunFeedbackIndexedEquivalence
+// hold to a sweep over every centroid. It returns the alert lines and the
+// raw headers fetched, charged as the controller charges them: a shared
+// centroid to the first question that wants it.
+func sweepOracle(t *testing.T, c *Controller, fb map[rules.AttackID]inference.FeedbackConfig, ss []*summary.Summary,
+	epoch uint64, sources map[int]RawSource) (string, int) {
+	t.Helper()
+	agg, err := inference.AggregateSummaries(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var matcher inference.RawMatcher = snort.RawMatcher{Env: testEnv()}
+	fet := &memoFetcher{sources: sources, memo: make(map[inference.CentroidRef][]packet.Header)}
+	var alerts []*inference.Alert
+	fetched := 0
+	for i, id := range c.ids {
+		if cfg, ok := fb[id]; ok {
+			r, err := inference.RunFeedbackIndexed(agg, c.qs[i], cfg, fet, matcher, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetched += r.RawPackets
+			if r.Alerted {
+				alerts = append(alerts, inference.NewAlertFromFeedback(id, epoch, r, inference.DefaultClock))
+			}
+			continue
+		}
+		if m := inference.EstimateSimilarity(agg, c.qs[i]); m.Alerted() {
+			alerts = append(alerts, inference.NewAlertFromMatch(id, epoch, m, inference.DefaultClock))
+		}
+	}
+	return alertsString(alerts), fetched
+}
+
 // runIndexWorkload drives five epochs of seeded mixed traffic through a
-// pipeline and returns the alert trace and stats. disable toggles the
-// question index; everything else is held fixed so the two settings
-// must be byte-identical.
-func runIndexWorkload(t *testing.T, workers int, disable bool, useFeedback bool) (string, Stats) {
+// pipeline's monitors, runs each epoch's summaries through the
+// controller — question index and evaluator — and through sweepOracle,
+// and fails on the first epoch on which the two raise different alerts
+// or fetch different raw headers. It returns the alert trace and the
+// controller's stats.
+func runIndexWorkload(t *testing.T, workers int, useFeedback bool) (string, Stats) {
 	t.Helper()
 	qs := testQuestions(t, 2500)
 	cc := ControllerConfig{
@@ -55,8 +98,9 @@ func runIndexWorkload(t *testing.T, workers int, disable bool, useFeedback bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if disable {
-		unindexedOracle(p.Controller)
+	sources := make(map[int]RawSource)
+	for _, m := range p.Monitors {
+		sources[m.ID()] = m
 	}
 	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(11))
 	atk, err := trafficgen.NewAttack(rules.AttackDistributedSYNFlood,
@@ -72,60 +116,51 @@ func runIndexWorkload(t *testing.T, workers int, disable bool, useFeedback bool)
 				t.Fatal(err)
 			}
 		}
-		alerts, err := p.RunEpoch()
+		epoch := p.Controller.Epoch()
+		polled := pollAll(p.engine.Endpoints, workers, epoch)
+		before := p.Controller.Stats().RawPacketsFetched
+		alerts, err := p.Controller.ProcessEpoch(polled.Summaries)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace += fmt.Sprintf("round %d: %d alerts\n", round, len(alerts))
-		for _, a := range alerts {
-			trace += a.String() + "\n"
+		got, fetched := alertsString(alerts), p.Controller.Stats().RawPacketsFetched-before
+		want, wantFetched := sweepOracle(t, p.Controller, cc.Feedback, polled.Summaries, epoch, sources)
+		if got != want || fetched != wantFetched {
+			t.Fatalf("workers=%d feedback=%v round %d: evaluator raised\n%sand fetched %d raw headers; the sweep raised\n%sand fetched %d",
+				workers, useFeedback, round, got, fetched, want, wantFetched)
 		}
+		trace += fmt.Sprintf("round %d: %d alerts\n%s", round, len(alerts), got)
 	}
 	return trace, p.Controller.Stats()
 }
 
-// TestControllerIndexByteIdentical is the ISSUE 6 acceptance property
-// at the controller level: with the index on (the default) the alert
-// stream and the accounting are byte-identical to the linear sweep,
-// sequentially and fanned out.
+// TestControllerIndexByteIdentical is H's gate at the controller level:
+// every epoch, the alerts the evaluator raises over the question index's
+// candidates are byte-identical to the per-question sweep's
+// (sweepOracle), sequentially and fanned out, and so are the two runs'
+// traces and stats.
 func TestControllerIndexByteIdentical(t *testing.T) {
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		linTrace, linStats := runIndexWorkload(t, workers, true, false)
-		ixTrace, ixStats := runIndexWorkload(t, workers, false, false)
-		if linTrace != ixTrace {
-			t.Errorf("workers=%d: alert traces differ with index on vs off:\n--- linear ---\n%s--- indexed ---\n%s",
-				workers, linTrace, ixTrace)
-		}
-		if linStats != ixStats {
-			t.Errorf("workers=%d: stats differ: linear %+v, indexed %+v", workers, linStats, ixStats)
-		}
-		if linStats.AlertsRaised == 0 {
-			t.Fatal("workload raised no alerts — equivalence would be vacuous")
-		}
+	wantTrace, wantStats := runIndexWorkload(t, 1, false)
+	if wantStats.AlertsRaised == 0 {
+		t.Fatal("workload raised no alerts — equivalence would be vacuous")
+	}
+	if trace, stats := runIndexWorkload(t, runtime.GOMAXPROCS(0), false); trace != wantTrace || stats != wantStats {
+		t.Errorf("fanned out: %+v\n%s\nsequential: %+v\n%s", stats, trace, wantStats, wantTrace)
 	}
 }
 
 // TestControllerIndexByteIdenticalFeedback extends byte-identity
 // through the two-stage feedback path (fetches, verdicts, accounting):
-// with the index on and off, and sequentially and fanned out, all four
-// runs give the same alert trace and stats.
+// the evaluator's stages and the round's raw re-analysis against
+// RunFeedbackIndexed question by question, sequentially and fanned out.
 func TestControllerIndexByteIdenticalFeedback(t *testing.T) {
-	wantTrace, wantStats := runIndexWorkload(t, 1, true, true)
+	wantTrace, wantStats := runIndexWorkload(t, 1, true)
 	if wantStats.AlertsRaised == 0 || wantStats.RawPacketsFetched == 0 {
 		t.Fatalf("workload raised %d alerts and fetched %d raw headers; the equivalence would be vacuous",
 			wantStats.AlertsRaised, wantStats.RawPacketsFetched)
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		for _, disable := range []bool{true, false} {
-			trace, stats := runIndexWorkload(t, workers, disable, true)
-			if trace != wantTrace {
-				t.Errorf("workers=%d index off=%v: feedback alert trace differs from workers=1 index off:\n--- want ---\n%s--- got ---\n%s",
-					workers, disable, wantTrace, trace)
-			}
-			if stats != wantStats {
-				t.Errorf("workers=%d index off=%v: stats %+v, want %+v", workers, disable, stats, wantStats)
-			}
-		}
+	if trace, stats := runIndexWorkload(t, runtime.GOMAXPROCS(0), true); trace != wantTrace || stats != wantStats {
+		t.Errorf("fanned out: %+v\n%s\nsequential: %+v\n%s", stats, trace, wantStats, wantTrace)
 	}
 }
 

@@ -134,18 +134,16 @@ func TestSettleUncertainBatchEqualsLifted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var matcher inference.RawMatcher = snort.RawMatcher{Env: testEnv()}
-	settle := func(src1, src2 RawSource) ([]qresult, int) {
+	settle := func(src1, src2 RawSource) ([]inference.FeedbackResult, int) {
 		ctrl, err := NewController(ControllerConfig{Env: testEnv(), Questions: qs, Feedback: fb, UseFeedback: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctrl.RegisterSource(1, src1)
 		ctrl.RegisterSource(2, src2)
-		results := make([]qresult, len(ctrl.ids))
-		for i, id := range ctrl.ids {
-			results[i].fb, results[i].err = inference.StageFeedbackIndexed(agg, ctrl.qs[i], fb[id], true)
-		}
-		return results, ctrl.settleUncertain(agg, 0, results, matcher)
+		var staged inference.Results
+		ctrl.eval.Evaluate(agg, nil, &staged)
+		return staged.Feedbacks(), ctrl.settleUncertain(agg, 0, staged.Feedbacks(), matcher)
 	}
 
 	batch, batchN := settle(ms[0], ms[1])

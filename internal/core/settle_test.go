@@ -187,7 +187,8 @@ func TestSettleUncertainMatchesPerQuestionFeedback(t *testing.T) {
 
 	fet := &memoFetcher{sources: map[int]RawSource{1: ms[0], 2: ms[1]}, memo: make(map[inference.CentroidRef][]packet.Header)}
 	want := make([]*inference.FeedbackResult, len(ctrl.ids))
-	results := make([]qresult, len(ctrl.ids))
+	var staged inference.Results
+	ctrl.eval.Evaluate(agg, nil, &staged)
 	uncertain, wantTransferred := 0, 0
 	for i, id := range ctrl.ids {
 		want[i], err = inference.RunFeedbackIndexed(agg, ctrl.qs[i], fb[id], fet, matcher, true)
@@ -198,22 +199,23 @@ func TestSettleUncertainMatchesPerQuestionFeedback(t *testing.T) {
 		if want[i].Verdict == inference.VerdictUncertain {
 			uncertain++
 		}
-		results[i].fb, results[i].err = inference.StageFeedbackIndexed(agg, ctrl.qs[i], fb[id], true)
 	}
 	if uncertain < 2 || wantTransferred == 0 {
 		t.Fatalf("round has %d uncertain questions and %d raw headers; the test exercises nothing", uncertain, wantTransferred)
 	}
 
-	got := ctrl.settleUncertain(agg, 0, results, matcher)
+	got := ctrl.settleUncertain(agg, 0, staged.Feedbacks(), matcher)
 	if got != wantTransferred {
 		t.Errorf("round transferred %d raw headers, per-question loop %d", got, wantTransferred)
 	}
 	for i, id := range ctrl.ids {
-		if results[i].err != nil {
-			t.Fatalf("%s: %v", id, results[i].err)
-		}
-		if !reflect.DeepEqual(results[i].fb, want[i]) {
-			t.Errorf("%s: settled round gives %+v, per-question loop %+v", id, results[i].fb, want[i])
+		// Only stage 2's fetch rows are built in a round: nothing reads
+		// stage 1's.
+		w := *want[i]
+		s1 := *w.Stage1
+		s1.FetchRows, w.Stage1 = nil, &s1
+		if g := staged.Feedback(i); !reflect.DeepEqual(g, &w) {
+			t.Errorf("%s: settled round gives %+v, per-question loop %+v", id, g, &w)
 		}
 	}
 }

@@ -622,11 +622,11 @@ func Fig10Spectrum() ([]float64, *Table, error) {
 	}
 	var total float64
 	for _, s := range d.S {
-		total += s * s
+		total += float64(s * s)
 	}
 	var acc float64
 	for i, s := range d.S {
-		acc += s * s
+		acc += float64(s * s)
 		table.Rows = append(table.Rows, []string{
 			fmt.Sprintf("%d", i+1), f3(s), pct(acc / total),
 		})

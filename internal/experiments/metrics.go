@@ -52,7 +52,7 @@ func (c ROCCurve) AUC() float64 {
 	tpr = append(tpr, 1)
 	var auc float64
 	for i := 1; i < len(fpr); i++ {
-		auc += (fpr[i] - fpr[i-1]) * (tpr[i] + tpr[i-1]) / 2
+		auc += float64((fpr[i] - fpr[i-1]) * (tpr[i] + tpr[i-1]) / 2)
 	}
 	return auc
 }

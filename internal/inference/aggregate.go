@@ -6,7 +6,6 @@ package inference
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/linalg"
@@ -120,8 +119,7 @@ func (a *Aggregate) window(pins []rules.Pin, b float64) []int32 {
 			break
 		}
 		c := a.column(p.Field)
-		// False for NaN, which the column puts first.
-		lo := sort.Search(len(c.vals), func(j int) bool { return p.V-c.vals[j] <= b })
+		lo := firstWithin(c.vals, p.V, b)
 		end := len(c.vals)
 		if i > 0 {
 			last := lo + len(best) - 1
@@ -130,10 +128,43 @@ func (a *Aggregate) window(pins []rules.Pin, b float64) []int32 {
 			}
 			end = min(last, end)
 		}
-		hi := lo + sort.Search(end-lo, func(j int) bool { return c.vals[lo+j]-p.V > b })
+		hi := firstBeyond(c.vals, lo, end, p.V, b)
 		best = c.rows[lo:hi]
 	}
 	return best
+}
+
+// firstWithin returns the first j with v − vals[j] ≤ b, or len(vals):
+// sort.Search over that predicate, probing the same midpoints, without
+// a closure call per probe. The predicate is false for NaN, which the
+// column puts first.
+func firstWithin(vals []float64, v, b float64) int {
+	i, j := 0, len(vals)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if !(v-vals[h] <= b) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// firstBeyond returns the first j in [lo, end) with vals[j] − v > b, or
+// end: lo plus sort.Search over vals[lo:end], probing the same
+// midpoints.
+func firstBeyond(vals []float64, lo, end int, v, b float64) int {
+	i, j := lo, end
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if !(vals[h]-v > b) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // Rows returns the number of representative packets in the aggregate.

@@ -1,7 +1,7 @@
 package inference
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/rules"
@@ -40,9 +40,25 @@ type Alert struct {
 }
 
 // String renders the alert as a log line.
-func (a *Alert) String() string {
-	return fmt.Sprintf("[epoch %d] ALERT %s sid=%d matched=%d distributed=%v msg=%q",
-		a.Epoch, a.Attack, a.SID, a.MatchedPackets, a.Distributed, a.Msg)
+func (a *Alert) String() string { return string(a.AppendText(nil)) }
+
+// AppendText appends the alert's log line to dst and returns the
+// extended slice: the bytes fmt's
+// "[epoch %d] ALERT %s sid=%d matched=%d distributed=%v msg=%q" gives,
+// without fmt. It allocates only when dst has no room.
+func (a *Alert) AppendText(dst []byte) []byte {
+	dst = append(dst, "[epoch "...)
+	dst = strconv.AppendUint(dst, a.Epoch, 10)
+	dst = append(dst, "] ALERT "...)
+	dst = append(dst, a.Attack...)
+	dst = append(dst, " sid="...)
+	dst = strconv.AppendInt(dst, int64(a.SID), 10)
+	dst = append(dst, " matched="...)
+	dst = strconv.AppendInt(dst, int64(a.MatchedPackets), 10)
+	dst = append(dst, " distributed="...)
+	dst = strconv.AppendBool(dst, a.Distributed)
+	dst = append(dst, " msg="...)
+	return strconv.AppendQuote(dst, a.Msg)
 }
 
 // NewAlertFromMatch builds an alert from a plain (single-threshold)

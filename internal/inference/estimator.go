@@ -14,10 +14,13 @@ import (
 // MatchResult is the outcome of running Algorithm 1 (similarity
 // estimation) for one question against one aggregate.
 //
-// The estimator hands results out of 64-entry chunks (resultChunk), so
-// one result shares its allocation with up to 63 others, from this and
-// later calls on the same P: holding one keeps the whole chunk, and the
-// fetch rows and questions its entries point to, alive. Copy a result
+// An Evaluator writes its results into the Results storage it is given,
+// where they stay valid until the next Evaluate into that storage. The
+// one-question calls (EstimateSimilarity*, RunFeedbackIndexed) hand
+// results out of 64-entry chunks (resultChunk) instead, so one result
+// shares its allocation with up to 63 others, from this and later calls
+// on the same P: holding one keeps the whole chunk, and the fetch rows
+// and questions its entries point to, alive. Either way, copy a result
 // (*m) to keep it beyond the epoch that produced it.
 type MatchResult struct {
 	// Question is the evaluated question.
@@ -34,7 +37,10 @@ type MatchResult struct {
 	// enough that clusters contaminated with other destinations (whose
 	// centroids blurred off the victim) are still fetched, narrow enough
 	// that the fetch stays proportional to the suspicion rather than the
-	// epoch; for an untracked one all of Q.
+	// epoch; for an untracked one all of Q. Only a fetching stage builds
+	// it: an Evaluator leaves it nil for a plain question and for stage
+	// 1 of a feedback question, which nothing fetches for; the
+	// one-question calls always fill it.
 	FetchRows []int
 	// VariancePassed reports the postprocessor verdict (Algorithm 2)
 	// when the question carries a variance check; it is true when no
@@ -55,12 +61,49 @@ func (m *MatchResult) Alerted() bool { return m.Matched && m.VariancePassed }
 // matching centroids, and compares against τ_c. When the question
 // carries a variance directive, Algorithm 2 runs over the matched set Q.
 // The result shares an allocation with other results (see MatchResult).
+//
+// EstimateSimilarity, EstimateSimilarityIndexed and RunFeedbackIndexed
+// evaluate one question per call, re-deriving its pins and budget each
+// time; the controller runs an Evaluator instead. They stay for
+// bench/probe.go and internal/experiments, until the benchmark harness
+// runs the controller's epoch loop (ROADMAP D1) and they can go.
 func EstimateSimilarity(agg *Aggregate, q *rules.Question) *MatchResult {
-	return estimateWithThreshold(agg, q, q.DistanceThreshold)
+	return estimateOne(agg, q, q.DistanceThreshold, true)
 }
 
-// estimateWithThreshold is Algorithm 1 with an explicit τ_d, shared by
-// the plain path and the feedback loop's second-stage evaluation.
+// estimateOne is one stage of one question through the estimator core,
+// compiled on the spot, with a pooled scratch. Its result's FetchRows
+// are always built, and copied out of the scratch.
+func estimateOne(agg *Aggregate, q *rules.Question, tauD float64, candidate bool) *MatchResult {
+	sc := scratchPool.Get().(*estimateScratch)
+	sc.pins = q.AppendPins(sc.pins[:0])
+	st := stage{q: q, pins: sc.pins, tauD: tauD, budget: rules.MatchBudget(tauD, len(sc.pins)), fetch: true}
+	res := sc.result()
+	sc.estimate(agg, &st, candidate, res)
+	res.FetchRows = slices.Clone(res.FetchRows)
+	sc.fetch = sc.fetch[:0]
+	scratchPool.Put(sc)
+	return res
+}
+
+// stage is one threshold evaluation of a question, compiled: the
+// question (for stage 2 of a feedback question, its copy with the
+// relaxed τ_c), its pins — its constrained (field, value) pairs in
+// ascending field order — the τ_d it is held to, the per-field
+// rules.MatchBudget of that τ_d, and whether anything reads the fetch
+// rows.
+type stage struct {
+	q      *rules.Question
+	pins   []rules.Pin
+	tauD   float64
+	budget float64
+	fetch  bool
+}
+
+// estimate is Algorithm 1 for one stage, written into res. candidate
+// false is the question index's proof that no row can match: the scan
+// is skipped and the post-scan tail runs on the empty set, so the
+// result equals the scan's, whatever the thresholds.
 //
 // Eq. 5 is a mean of non-negative per-field terms, so a centroid can
 // match only if on every constrained field it deviates from the question
@@ -73,12 +116,12 @@ func EstimateSimilarity(agg *Aggregate, q *rules.Question) *MatchResult {
 // d_q ≤ τ_d too. The matched set is the full sweep's, in ascending row
 // order: the row test marks each match in a row bitmap, and draining it
 // lists them in row order without a sort.
-func estimateWithThreshold(agg *Aggregate, q *rules.Question, tauD float64) *MatchResult {
-	var buf [packet.NumFields]rules.Pin
-	pins := q.AppendPins(buf[:0])
-	sc := scratchPool.Get().(*estimateScratch)
+func (sc *estimateScratch) estimate(agg *Aggregate, st *stage, candidate bool, res *MatchResult) {
+	pins, tauD := st.pins, st.tauD
 	matched, count := sc.rows[:0], 0
-	if len(pins) == 0 {
+	switch {
+	case !candidate:
+	case len(pins) == 0:
 		// At distance +Inf from every row, which still matches at
 		// τ_d = +Inf: the question gets every row.
 		if math.IsInf(tauD, 1) {
@@ -87,62 +130,54 @@ func estimateWithThreshold(agg *Aggregate, q *rules.Question, tauD float64) *Mat
 				count += agg.Counts[r]
 			}
 		}
-	} else if agg.Rows() > 0 {
+	case agg.Rows() > 0:
 		// Not only a shortcut: the zero Aggregate has no matrix to read.
-		budget := rules.MatchBudget(tauD, len(pins))
 		n := float64(len(pins))
 		data, stride := agg.Representatives.Data(), agg.Representatives.Cols()
 		sc.set.fit(agg.Rows())
-		for _, r := range agg.window(pins, budget) {
+		for _, r := range agg.window(pins, st.budget) {
 			x := data[int(r)*stride : int(r)*stride+stride]
-			if sum, within := rules.PinDistance(pins, x, budget); within && sum/n <= tauD {
+			if sum, within := rules.PinDistance(pins, x, st.budget); within && sum/n <= tauD {
 				sc.set.add(int(r))
 				count += agg.Counts[r]
 			}
 		}
 		matched = sc.set.drain(matched)
 	}
-	res := finishEstimate(agg, q, sc, matched, count)
 	sc.rows = matched
-	scratchPool.Put(sc)
-	return res
+	sc.finish(agg, st, matched, count, res)
 }
 
-// estimatePruned produces the result for a question the index proved
-// unmatchable this epoch. It runs the same tail as a scan that found
-// nothing — tracked-window narrowing of an empty set, the τ_c compare,
-// the variance gate — so an index-pruned result is byte-identical to
-// the linear scan's result, whatever the thresholds.
-func estimatePruned(agg *Aggregate, q *rules.Question) *MatchResult {
-	sc := scratchPool.Get().(*estimateScratch)
-	res := finishEstimate(agg, q, sc, nil, 0)
-	scratchPool.Put(sc)
-	return res
-}
-
-// finishEstimate applies the post-scan stages of Algorithm 1 to the
+// finish applies the post-scan stages of Algorithm 1 to the
 // distance-matched set — matched, in ascending row order, whose counts
 // sum to count: tracked-window narrowing, the count threshold, and the
-// Algorithm 2 variance postprocessor. matched may be scratch: the
-// result's FetchRows are copied out of it. The result itself comes from
-// sc's chunk of results.
-func finishEstimate(agg *Aggregate, q *rules.Question, sc *estimateScratch, matched []int, count int) *MatchResult {
-	res := sc.result()
+// Algorithm 2 variance postprocessor. matched may be scratch. A fetching
+// stage's FetchRows are appended to sc.fetch and stay valid, in place,
+// until sc.fetch is emptied.
+func (sc *estimateScratch) finish(agg *Aggregate, st *stage, matched []int, count int, res *MatchResult) {
+	q := st.q
 	*res = MatchResult{Question: q, MatchedCount: count, VariancePassed: true}
 	core := matched
 	switch {
 	case len(matched) == 0:
 	case q.TrackBy >= 0 && q.TrackBy < packet.NumFields:
-		core = sc.track(agg, res, matched, packet.FieldIndex(q.TrackBy), trackWindow(q))
-	default:
-		res.FetchRows = slices.Clone(matched)
+		core = sc.track(agg, res, matched, packet.FieldIndex(q.TrackBy), trackWindow(q), st.fetch)
+	case st.fetch:
+		res.FetchRows = sc.keepFetch(len(sc.fetch), append(sc.fetch, matched...))
 	}
 	res.Matched = res.MatchedCount >= q.CountThreshold
 	if q.Variance != nil {
 		res.Variance = sc.variance(agg, core, q.Variance.Field)
 		res.VariancePassed = res.Variance >= q.Variance.Threshold
 	}
-	return res
+}
+
+// keepFetch makes fetch, sc.fetch with one result's rows appended from
+// start on, the scratch's fetch buffer and returns those rows, capped so
+// that a later append cannot write over them.
+func (sc *estimateScratch) keepFetch(start int, fetch []int) []int {
+	sc.fetch = fetch
+	return fetch[start:len(fetch):len(fetch)]
 }
 
 // track is "track by_dst" semantics on summaries: the rule fires only
@@ -150,21 +185,21 @@ func finishEstimate(agg *Aggregate, q *rules.Question, sc *estimateScratch, matc
 // the count is that of the w-wide window of the tracked field holding
 // the largest count. Two more windows come out of the same order: the
 // micro-window (w/10) inside it isolates the single dominant tracked
-// value (pure attack clusters sit exactly on the victim), and the fetch
-// window (50w) over all matched rows reaches clusters holding victim
-// packets plus strays, whose centroids are pulled at most a few
-// window-widths off the victim.
+// value (pure attack clusters sit exactly on the victim), and, when
+// fetch is set, the fetch window (50w) over all matched rows reaches
+// clusters holding victim packets plus strays, whose centroids are
+// pulled at most a few window-widths off the victim.
 //
 // The matched rows are listed once in the tracked field's column order,
 // (value, row) — a total order, so which of two rows tied on value
 // falls inside a window's edge does not depend on how the column was
 // built — by marking their ranks in a bitmap and draining it. Each window
 // is a sub-range of that order. The fetch window's rows, ascending, go
-// to res.FetchRows; the micro-window's, ascending, are returned in sc's
-// core buffer: the core set Algorithm 2's variance runs on, so that
+// to res.FetchRows through sc.fetch; the micro-window's, ascending, are
+// returned in sc's core buffer: the core set Algorithm 2's variance runs on, so that
 // benign clusters sharing the tracked window cannot drown the attack's
 // variance signal.
-func (sc *estimateScratch) track(agg *Aggregate, res *MatchResult, matched []int, field packet.FieldIndex, w float64) []int {
+func (sc *estimateScratch) track(agg *Aggregate, res *MatchResult, matched []int, field packet.FieldIndex, w float64, fetch bool) []int {
 	c := agg.column(field)
 	sc.set.fit(agg.Rows())
 	for _, r := range matched {
@@ -174,9 +209,10 @@ func (sc *estimateScratch) track(agg *Aggregate, res *MatchResult, matched []int
 	sc.order = order
 	lo, hi, count := densest(agg, c, order, w)
 	clo, chi, _ := densest(agg, c, order[lo:hi], w/10)
-	flo, fhi, _ := densest(agg, c, order, 50*w)
-
-	res.FetchRows = sc.rowsOf(c, order[flo:fhi], matched, make([]int, 0, fhi-flo))
+	if fetch {
+		flo, fhi, _ := densest(agg, c, order, 50*w)
+		res.FetchRows = sc.keepFetch(len(sc.fetch), sc.rowsOf(c, order[flo:fhi], matched, sc.fetch))
+	}
 	res.MatchedCount = count
 	sc.core = sc.rowsOf(c, order[lo+clo:lo+chi], matched, sc.core[:0])
 	return sc.core
@@ -230,18 +266,22 @@ func trackWindow(q *rules.Question) float64 {
 	return 2e-5
 }
 
-// estimateScratch holds per-call working state for the estimator: the
-// matched rows, their positions in a tracked column, the bitmap that
-// orders both, a tracked question's core rows, the variance inputs, and
-// the rest of a chunk of results. None of the working slices escapes
-// into a MatchResult. The scratch is recycled through scratchPool,
+// estimateScratch holds working state for the estimator: a
+// one-question call's pins, the matched rows, their positions in a tracked column, the bitmap that orders
+// both, a tracked question's core rows, the variance inputs, the fetch
+// rows of the results it produced, and, for the one-question calls, the
+// rest of a chunk of results. Only fetch escapes into a MatchResult. An
+// Evaluator keeps one scratch per chunk of questions in the caller's
+// Results; the one-question calls recycle theirs through scratchPool,
 // which keeps one per P, so per-question cost stays flat across epochs
 // and concurrent questions share no lock (TestEstimatorScratchReuse
 // pins this).
 type estimateScratch struct {
+	pins    []rules.Pin
 	rows    []int
 	order   []int
 	core    []int
+	fetch   []int
 	set     bitmap
 	results []MatchResult
 	values  []float64
@@ -256,7 +296,8 @@ var scratchPool = sync.Pool{New: func() any { return new(estimateScratch) }}
 const resultChunk = 64
 
 // result hands out the next unused MatchResult of sc's chunk, which the
-// caller owns from then on. The scratch keeps the chunk's unused tail,
+// caller owns from then on; only the one-question calls use it. The
+// scratch keeps the chunk's unused tail,
 // and with it the results already handed out of that chunk, until the
 // tail runs out or the pool drops the scratch; every caller keeps its
 // results for one epoch at most, so this holds at most one chunk per P

@@ -62,10 +62,10 @@ func classifyVerdict(t1, t2 bool) Verdict {
 // RawPacketFetcher retrieves the raw packet headers behind one centroid
 // of one monitor's summary for RunFeedbackIndexed, which settles one question at
 // a time: the experiments and tests implement it in memory. (The
-// controller settles a whole round at once instead — StageFeedbackIndexed,
-// one exchange per monitor for all of the round's centroids on it,
-// FeedbackResult.Settle — and reaches its monitors through
-// core.RawSource.)
+// controller settles a whole round at once instead — Evaluator.Evaluate
+// stages every question, then one exchange per monitor fetches all of
+// the round's centroids on it, then FeedbackResult.Settle — and reaches
+// its monitors through core.RawSource.)
 type RawPacketFetcher interface {
 	// FetchRaw returns the headers behind ref plus the number of
 	// headers actually transferred over the wire for this call.
@@ -128,6 +128,11 @@ func (c FeedbackConfig) Validate() error {
 	return nil
 }
 
+// stage2Question returns q's copy with stage 2's relaxed τ_c.
+func (c FeedbackConfig) stage2Question(q *rules.Question) *rules.Question {
+	return q.WithCountThreshold(c.stage2CountThreshold(q.CountThreshold))
+}
+
 // stage2CountThreshold returns stage 2's relaxed τ_c.
 func (c FeedbackConfig) stage2CountThreshold(tc int) int {
 	if c.CountScale2 <= 0 || c.CountScale2 >= 1 {
@@ -171,10 +176,22 @@ type FeedbackResult struct {
 // cover — so both stages run the pruned fast path, the same tail code
 // over an empty matched set, keeping the result byte-identical to the
 // full scan's.
+//
+// It validates cfg and derives stage 2's question on every call, and
+// both stages build their fetch rows; an Evaluator does all of that once
+// per library. Like EstimateSimilarity, it stays only until ROADMAP D1.
 func RunFeedbackIndexed(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, fetcher RawPacketFetcher, matcher RawMatcher, candidate bool) (*FeedbackResult, error) {
-	res, err := StageFeedbackIndexed(agg, q, cfg, candidate)
-	if err != nil || res.Verdict != VerdictUncertain {
-		return res, err
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	res := &FeedbackResult{
+		Question: q,
+		Stage1:   estimateOne(agg, q, cfg.TauD1, candidate),
+		Stage2:   estimateOne(agg, cfg.stage2Question(q), cfg.TauD2, candidate),
+	}
+	res.decide()
+	if res.Verdict != VerdictUncertain {
+		return res, nil
 	}
 	if fetcher == nil || matcher == nil {
 		res.Alerted = true
@@ -194,46 +211,27 @@ func RunFeedbackIndexed(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, f
 	return res, nil
 }
 
-// StageFeedbackIndexed is the summary-side half of RunFeedbackIndexed,
-// for a caller that fetches raw packets itself — the controller, which
-// pulls one round's uncertain centroids from all monitors at once
-// instead of question by question: both threshold stages and the
-// verdict of Fig. 3. Every verdict but VerdictUncertain is final and
-// equals RunFeedbackIndexed's. An uncertain result keeps Alerted false
-// until Settle has re-analyzed the raw packets behind Stage2.FetchRows
-// — the uncertain evidence of Fig. 3, localized around the winning
-// tracked value so the transfer stays proportional to the suspicion.
-// (The set includes centroids stage 1 already matched below its count
-// threshold: those packets are part of the same suspicion and the raw
-// re-analysis needs them.)
-func StageFeedbackIndexed(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, candidate bool) (*FeedbackResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	q2 := q.WithCountThreshold(cfg.stage2CountThreshold(q.CountThreshold))
-	var s1, s2 *MatchResult
-	if candidate {
-		s1 = estimateWithThreshold(agg, q, cfg.TauD1)
-		s2 = estimateWithThreshold(agg, q2, cfg.TauD2)
-	} else {
-		s1 = estimatePruned(agg, q)
-		s2 = estimatePruned(agg, q2)
-	}
-	res := &FeedbackResult{Question: q, Stage1: s1, Stage2: s2}
-
-	t1 := s1.Alerted()
+// decide takes the verdict of Fig. 3 from the two stages. Every verdict
+// but VerdictUncertain is final. An uncertain result keeps Alerted false
+// until Settle has re-analyzed the raw packets behind Stage2.FetchRows —
+// the uncertain evidence of Fig. 3, localized around the winning tracked
+// value so the transfer stays proportional to the suspicion. (The set
+// includes centroids stage 1 already matched below its count threshold:
+// those packets are part of the same suspicion and the raw re-analysis
+// needs them.)
+func (r *FeedbackResult) decide() {
+	t1 := r.Stage1.Alerted()
 	// Stage 2 is a pure high-recall trigger: only the count matters.
 	// Variance refinement belongs to stage 1 and to the raw re-analysis
 	// — a wrong-window variance verdict must not suppress the fetch.
-	t2 := s2.Matched
-	res.Verdict = classifyVerdict(t1, t2)
-	switch res.Verdict {
+	t2 := r.Stage2.Matched
+	r.Verdict = classifyVerdict(t1, t2)
+	switch r.Verdict {
 	case VerdictAlert:
-		res.Alerted = true
+		r.Alerted = true
 	case VerdictAnomalous:
-		res.Alerted = t1
+		r.Alerted = t1
 	}
-	return res, nil
 }
 
 // Settle finishes an uncertain result: raw is the concatenation, in

@@ -5,14 +5,14 @@ import (
 	"repro/internal/rules"
 )
 
-// This file is the inference-side half of the question index: entry
-// points that skip the O(centroids × fields) scan for questions the
-// index proved unmatchable this epoch, while producing byte-identical
-// results (RunFeedbackIndexed and StageFeedbackIndexed in feedback.go
-// take the same verdict). The pruned path still runs the estimator's
-// post-scan tail (tracked-window narrowing of the empty set, the τ_c
-// compare, the variance gate) so that every MatchResult field — not
-// just the alert bit — matches the linear sweep exactly.
+// This file is the inference-side half of the question index: the
+// candidate set that lets the estimator skip the scan for questions the
+// index proved unmatchable this epoch, while producing identical results
+// (Evaluator.Evaluate and RunFeedbackIndexed take the same verdict).
+// The pruned path still runs the estimator's post-scan tail
+// (tracked-window narrowing of the empty set, the τ_c compare, the
+// variance gate) so that every MatchResult field — not just the alert
+// bit — matches the linear sweep exactly.
 
 // Candidates evaluates the index against this aggregate's centroids
 // and returns the epoch's candidate set. A nil index returns nil,
@@ -27,10 +27,8 @@ func Candidates(agg *Aggregate, ix *rules.QuestionIndex) *rules.CandidateSet {
 // EstimateSimilarityIndexed is EstimateSimilarity with a candidacy
 // verdict from the question index: candidate == false takes the pruned
 // fast path. Callers must only pass false when the index was built
-// with a τ bound at or above q's evaluation threshold.
+// with a τ bound at or above q's evaluation threshold. Like
+// EstimateSimilarity, it stays only until ROADMAP D1.
 func EstimateSimilarityIndexed(agg *Aggregate, q *rules.Question, candidate bool) *MatchResult {
-	if !candidate {
-		return estimatePruned(agg, q)
-	}
-	return EstimateSimilarity(agg, q)
+	return estimateOne(agg, q, q.DistanceThreshold, candidate)
 }

@@ -47,10 +47,11 @@ func scaleQuestions(tb testing.TB, n int, seed int64) []*rules.Question {
 	return qs
 }
 
-// TestEvaluateAllIndexedEquivalence is the ISSUE 6 acceptance property:
-// the indexed sweep is byte-identical to the linear scan — the same
-// MatchResult in every field, in the same order — across library
-// scales and worker counts.
+// TestEvaluateAllIndexedEquivalence is the question index's acceptance
+// property: the indexed sweep is byte-identical to the linear scan — the
+// same MatchResult in every field, in the same order — across library
+// scales and worker counts, through the one-question calls and through
+// an Evaluator (which builds no fetch rows for plain questions).
 func TestEvaluateAllIndexedEquivalence(t *testing.T) {
 	scales := []int{100, 1000, 10000}
 	if testing.Short() {
@@ -78,15 +79,24 @@ func TestEvaluateAllIndexedEquivalence(t *testing.T) {
 			if matched == 0 {
 				t.Fatal("workload has no matching question — equivalence would be vacuous")
 			}
+			unfetched := withoutFetchRows(want)
 			for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0), 0} {
-				got := fanOut(agg, qs, ix, workers)
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-				}
-				for i := range got {
-					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Fatalf("workers=%d question %d (sid %d): indexed result diverged\nlinear:  %+v\nindexed: %+v",
-							workers, i, qs[i].Rule.SID, want[i], got[i])
+				for path, got := range map[string][]*MatchResult{
+					"one-question": fanOut(agg, qs, ix, workers),
+					"evaluator":    evaluateAll(t, agg, qs, ix, workers),
+				} {
+					want := want
+					if path == "evaluator" {
+						want = unfetched
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s, workers=%d: %d results, want %d", path, workers, len(got), len(want))
+					}
+					for i := range got {
+						if !reflect.DeepEqual(got[i], want[i]) {
+							t.Fatalf("%s, workers=%d question %d (sid %d): indexed result diverged\nlinear:  %+v\nindexed: %+v",
+								path, workers, i, qs[i].Rule.SID, want[i], got[i])
+						}
 					}
 				}
 			}
@@ -175,15 +185,14 @@ func TestEvaluateAllParallelOrderPin10k(t *testing.T) {
 	}
 }
 
-// TestEstimatorScratchReuse pins the estimator's allocations: after
-// pool warmup, a pruned question costs none and a matching question one
-// — its FetchRows, a tracked question's fetch window or an untracked
-// one's clone of the matched set. Results come 64 to an allocation from
-// the pooled scratch, which AllocsPerRun's average rounds away; the
-// matched rows, the bitmap that orders them, a tracked question's core
-// rows and the variance inputs come from the pool too. The race detector
-// empties the pool at random, so under -race the bounds are the looser
-// 1 and 12.
+// TestEstimatorScratchReuse pins the one-question calls' allocations:
+// after pool warmup, a pruned question costs none and a matching
+// question one — its FetchRows, copied out of the scratch. Results come
+// 64 to an allocation from the pooled scratch, which AllocsPerRun's
+// average rounds away; the matched rows, the bitmap that orders them, a
+// tracked question's core rows, the fetch rows before their copy and the
+// variance inputs come from the pool too. The race detector empties the
+// pool at random, so under -race the bounds are the looser 1 and 12.
 func TestEstimatorScratchReuse(t *testing.T) {
 	agg := scaleAggregate(t, 15, 1000)
 	qs := scaleQuestions(t, 500, 4)
@@ -206,7 +215,7 @@ func TestEstimatorScratchReuse(t *testing.T) {
 	if raceBuild {
 		pruned, matching = 1, 12
 	}
-	if got := testing.AllocsPerRun(100, func() { estimatePruned(agg, tracked) }); got > pruned {
+	if got := testing.AllocsPerRun(100, func() { EstimateSimilarityIndexed(agg, tracked, false) }); got > pruned {
 		t.Errorf("pruned estimate: %.1f allocs/op, want ≤ %.0f (results must come from the pooled chunk)", got, pruned)
 	}
 	for name, q := range map[string]*rules.Question{"tracked": tracked, "untracked": untracked} {
@@ -234,13 +243,15 @@ func BenchmarkEvaluateAllLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateAllIndexed measures the indexed sweep, including the
-// per-epoch candidate-set computation and column sorts — every
-// iteration gets a fresh Aggregate over the same rows — (the index
-// build is per-library, not per-epoch, and is measured separately). The
-// two-worker leg runs the questions on two goroutines at once, so a
-// lock or shared counter on the per-question path shows up as a
-// two-worker time no better than the one-worker time.
+// BenchmarkEvaluateAllIndexed measures what Controller.ProcessEpoch
+// runs after aggregating: the per-epoch candidate-set computation and
+// column sorts — every iteration gets a fresh Aggregate over the same
+// rows — then one Evaluate into Results kept across iterations, as a
+// controller's round keeps them (the index build and the evaluator's
+// compile are per-library, not per-epoch, and happen before the
+// timer). The two-worker leg runs the questions on two goroutines at
+// once, so a lock or shared counter on the per-question path shows up
+// as a two-worker time no better than the one-worker time.
 func BenchmarkEvaluateAllIndexed(b *testing.B) {
 	agg := scaleAggregate(b, 16, 1500)
 	for _, n := range benchSizes {
@@ -250,11 +261,16 @@ func BenchmarkEvaluateAllIndexed(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, workers := range []int{1, 2} {
+			ev, err := NewEvaluator(qs, nil, workers)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.Run(fmt.Sprintf("rules=%d/workers=%d", n, workers), func(b *testing.B) {
+				var res Results
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					epoch := &Aggregate{Representatives: agg.Representatives, Counts: agg.Counts, Refs: agg.Refs}
-					fanOut(epoch, qs, ix, workers)
+					ev.Evaluate(epoch, Candidates(epoch, ix), &res)
 				}
 			})
 		}

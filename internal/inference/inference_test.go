@@ -363,9 +363,11 @@ func TestFeedbackUncertainWithoutFetcherAlerts(t *testing.T) {
 }
 
 // TestStageThenSettleEqualsRunFeedback pins the split a round-level
-// caller uses: staging a question and, when it is left uncertain,
-// settling it against the headers behind its fetch rows gives the result
-// RunFeedbackIndexed gives; a settled verdict needs no Settle at all.
+// caller uses: staging a question with an Evaluator and, when it is left
+// uncertain, settling it against the headers behind its stage-2 fetch
+// rows gives the result RunFeedbackIndexed gives, but for stage 1's
+// fetch rows, which the Evaluator does not build; a settled verdict
+// needs no Settle at all.
 func TestStageThenSettleEqualsRunFeedback(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	mixed := append(benignHeaders(rng, 900), synFloodHeaders(rng, 100, 0x0A000001)...)
@@ -398,10 +400,18 @@ func TestStageThenSettleEqualsRunFeedback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := StageFeedbackIndexed(agg, q, tc.cfg, true)
+		ev, err := NewEvaluator([]*rules.Question{q}, []*FeedbackConfig{&tc.cfg}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var staged Results
+		ev.Evaluate(agg, nil, &staged)
+		got := staged.Feedback(0)
+		if got.Stage1.FetchRows != nil {
+			t.Fatalf("stage 1 built %d fetch rows that nothing reads", len(got.Stage1.FetchRows))
+		}
+		s1 := *want.Stage1
+		s1.FetchRows, want.Stage1 = nil, &s1
 		verdicts[got.Verdict] = true
 		if got.Verdict == VerdictUncertain {
 			if got.Alerted {

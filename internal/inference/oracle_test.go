@@ -3,6 +3,7 @@ package inference
 import (
 	"cmp"
 	"slices"
+	"testing"
 
 	"repro/internal/packet"
 	"repro/internal/par"
@@ -13,7 +14,8 @@ import (
 // ran it before the estimator pruned by row windows: d_q against every
 // representative, row after row, then the post-scan tail as it ran
 // before the tracked field was sorted once — maxWindowCount per window.
-// It is the reference estimateWithThreshold is compared with.
+// It is the reference the estimator core is compared with, through
+// estimateOne and through an Evaluator.
 func sweepEstimate(agg *Aggregate, q *rules.Question, tauD float64) *MatchResult {
 	res := &MatchResult{Question: q, VariancePassed: true}
 	var matched []int
@@ -92,7 +94,7 @@ func maxWindowCount(agg *Aggregate, rows []int, field packet.FieldIndex, width f
 // alerts): the reference for RunFeedbackIndexed with a nil fetcher.
 func sweepFeedback(agg *Aggregate, q *rules.Question, cfg FeedbackConfig) *FeedbackResult {
 	s1 := sweepEstimate(agg, q, cfg.TauD1)
-	s2 := sweepEstimate(agg, q.WithCountThreshold(cfg.stage2CountThreshold(q.CountThreshold)), cfg.TauD2)
+	s2 := sweepEstimate(agg, cfg.stage2Question(q), cfg.TauD2)
 	t1, t2 := s1.Alerted(), s2.Matched
 	return &FeedbackResult{Question: q, Stage1: s1, Stage2: s2, Verdict: classifyVerdict(t1, t2), Alerted: t1 || t2}
 }
@@ -108,15 +110,46 @@ func linearSweepOracle(agg *Aggregate, qs []*rules.Question) []*MatchResult {
 	return out
 }
 
-// fanOut evaluates the questions the way Controller.ProcessEpoch does:
-// one candidate-set computation, then EstimateSimilarityIndexed per
-// question across up to workers goroutines, result i in slot i. A nil
-// index prunes nothing.
+// fanOut evaluates the questions the way bench/probe.go does: one
+// candidate-set computation, then EstimateSimilarityIndexed per question
+// across up to workers goroutines, result i in slot i. A nil index
+// prunes nothing.
 func fanOut(agg *Aggregate, qs []*rules.Question, ix *rules.QuestionIndex, workers int) []*MatchResult {
 	cs := Candidates(agg, ix)
 	out := make([]*MatchResult, len(qs))
 	par.For(len(qs), workers, func(i int) {
 		out[i] = EstimateSimilarityIndexed(agg, qs[i], cs.Contains(i))
 	})
+	return out
+}
+
+// evaluateAll evaluates the questions the way Controller.ProcessEpoch
+// does: one candidate-set computation, then one Evaluate over a library
+// compiled with the given worker bound. It returns copies of the results.
+func evaluateAll(tb testing.TB, agg *Aggregate, qs []*rules.Question, ix *rules.QuestionIndex, workers int) []*MatchResult {
+	tb.Helper()
+	ev, err := NewEvaluator(qs, nil, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var res Results
+	ev.Evaluate(agg, Candidates(agg, ix), &res)
+	out := make([]*MatchResult, len(qs))
+	for i := range out {
+		m := *res.Match(i)
+		out[i] = &m
+	}
+	return out
+}
+
+// withoutFetchRows returns copies of rs with FetchRows dropped: what an
+// Evaluator returns for plain questions, which nothing fetches for.
+func withoutFetchRows(rs []*MatchResult) []*MatchResult {
+	out := make([]*MatchResult, len(rs))
+	for i, r := range rs {
+		m := *r
+		m.FetchRows = nil
+		out[i] = &m
+	}
 	return out
 }

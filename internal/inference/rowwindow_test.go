@@ -100,7 +100,7 @@ func checkEstimateEqualsSweep(t *testing.T, seed int64, n int, extraTau float64)
 		taus := []float64{0, q.DistanceThreshold, 6 * q.DistanceThreshold, 0.05, 0.5, math.Inf(1), math.NaN(), -1, extraTau}
 		for _, tau := range taus {
 			want := sweepEstimate(agg, q, tau)
-			got := estimateWithThreshold(agg, q, tau)
+			got := estimateOne(agg, q, tau, true)
 			if !sameResult(got, want) {
 				t.Fatalf("seed %d, %d rows, question %d, τ=%v: window-pruned result differs from the sweep\nsweep:  %+v\nwindow: %+v",
 					seed, n, qi, tau, want, got)
@@ -124,7 +124,7 @@ func TestEstimateWindowEqualsSweep(t *testing.T) {
 	}
 	// The zero Aggregate is an empty one.
 	for _, q := range windowQuestions(t, 1) {
-		if got, want := estimateWithThreshold(&Aggregate{}, q, math.Inf(1)), sweepEstimate(&Aggregate{}, q, math.Inf(1)); !sameResult(got, want) {
+		if got, want := estimateOne(&Aggregate{}, q, math.Inf(1), true), sweepEstimate(&Aggregate{}, q, math.Inf(1)); !sameResult(got, want) {
 			t.Fatalf("zero aggregate: %+v, want %+v", got, want)
 		}
 	}

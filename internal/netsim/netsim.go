@@ -371,7 +371,7 @@ func (s *Simulator) Run(demands []Demand) (*Result, error) {
 	}
 
 	for _, rd := range routed {
-		res.DeliveredRate += rd.d.Rate * survival(rd.path)
+		res.DeliveredRate += float64(rd.d.Rate * survival(rd.path))
 	}
 
 	// Switch-centric throughput accounting (the paper's Fig. 7a metric).
@@ -385,13 +385,13 @@ func (s *Simulator) Run(demands []Demand) (*Result, error) {
 		if s.cfg.RouterCapacity > 0 {
 			factor *= Survival(s.routerLoad[node], s.cfg.RouterCapacity)
 		}
-		res.NormalSwitchWorkDone += normal * factor
+		res.NormalSwitchWorkDone += float64(normal * factor)
 	}
 	var engineAttack float64
 	for i, rep := range reps {
 		surv := survival(repPaths[i])
-		res.EngineReceivedRate += rep.rate * surv
-		engineAttack += rep.attackRate * surv
+		res.EngineReceivedRate += float64(rep.rate * surv)
+		engineAttack += float64(rep.attackRate * surv)
 	}
 
 	// Engine drop: proportional past capacity.

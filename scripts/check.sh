@@ -21,20 +21,22 @@ go build ./...
 # Summarization and inference round every product before adding it:
 # the amd64 vector kernels do, the Go compiler never fuses on amd64, and
 # KMeansInto, the SVD, the reconstruction and Algorithm 2 are compared
-# bit for bit with references (DESIGN.md, "Performance"). arm64 has a
-# fused multiply-add the compiler uses for s += x*y unless the product
-# is converted explicitly, so vet that port, build the arm64 test
-# binaries of the four packages, and fail on any fused instruction in a
-# function of theirs defined outside a _test.go file (test functions,
-# and product code inlined into them, are not counted). The seven
-# portable leaves must be among the functions scanned (axpy is inlined
-# into goReflect), so the scan cannot pass by missing them.
+# bit for bit with references (DESIGN.md, "Performance"); so do the
+# experiments and the network simulator, whose figures are pinned by
+# figures_quick.golden. arm64 has a fused multiply-add the compiler
+# uses for s += x*y unless the product is converted explicitly, so vet
+# that port, build the arm64 test binaries of the six packages, and
+# fail on any fused instruction in a function of theirs defined outside
+# a _test.go file (test functions, and product code inlined into them,
+# are not counted). The seven portable leaves must be among the
+# functions scanned (axpy is inlined into goReflect), so the scan cannot
+# pass by missing them.
 GOARCH=arm64 go vet ./...
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-for pkg in linalg summary inference rules; do
+for pkg in linalg summary inference rules experiments netsim; do
 	GOARCH=arm64 go test -c -o "$tmp/$pkg.test" ./internal/$pkg
-	go tool objdump -s 'repro/internal/(linalg|summary|inference|rules)\.' "$tmp/$pkg.test" | awk '
+	go tool objdump -s 'repro/internal/(linalg|summary|inference|rules|experiments|netsim)\.' "$tmp/$pkg.test" | awk '
 		/^TEXT/ { fn = $2; product = ($3 !~ /_test\.go$/); next }
 		product && /FN?M(ADD|SUB)D/ { print fn ": " $0 }' >>"$tmp/fused"
 done

@@ -13,7 +13,6 @@
 //	                [-alert-addr host:7200]
 //	                [-obs :9100] [-epochlog controller.jsonl]
 //	                [-trace] [-trace-out epochs.trace.json]
-//	                [-trace-ring 64] [-trace-slow 250ms]
 //
 // Every wire exchange runs under -timeout and survives connection loss:
 // a failed poll backs off (capped exponential, jittered), redials,
@@ -36,9 +35,10 @@
 //
 // -trace records one causal timeline per epoch — capture/summarize/
 // encode spans shipped by tracing monitors inside their summary frames,
-// plus the controller's ship/decode/infer/alert spans — retained in a
-// ring served as JSON at GET /trace on the -obs address. -trace-out
-// additionally writes the ring as a Chrome trace-event file on
+// plus the controller's ship/decode/infer/alert spans. The newest 64
+// epochs, and as exemplars the last 8 slower than 250 ms, are served as
+// JSON at GET /trace on the -obs address. -trace-out additionally
+// writes the newest 64 as a Chrome trace-event file on
 // SIGINT/SIGTERM; load it in Perfetto (ui.perfetto.dev) to see the
 // per-monitor lanes. Tracing never alters alerts: frames from
 // tracing-off monitors are byte-identical to pre-trace builds, and the
@@ -83,8 +83,6 @@ func main() {
 		epochLog    = flag.String("epochlog", "", "append one JSON line per epoch, with its sealed trace, to this file; implies -trace (empty = off)")
 		traceOn     = flag.Bool("trace", false, "record per-epoch stage timelines (serve them at /trace on the -obs address)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event file (Perfetto-loadable) on shutdown; implies -trace")
-		traceRing   = flag.Int("trace-ring", 0, "epoch traces retained for /trace and -trace-out (0 = default 64)")
-		traceSlow   = flag.Duration("trace-slow", 0, "pin epochs slower than this as exemplars (0 = default 250ms, negative = off)")
 	)
 	flag.Parse()
 	if *epoch <= 0 {
@@ -105,7 +103,6 @@ func main() {
 		*traceOn = true
 	}
 	if *traceOn {
-		trace.Configure(trace.Config{RingSize: *traceRing, SlowThreshold: *traceSlow})
 		trace.SetEnabled(true)
 		log.Printf("epoch tracing on")
 	}

@@ -251,12 +251,12 @@ func runDetect(args []string) error {
 		}
 		inEpoch++
 		if inEpoch >= *epochVolume {
-			as, err := pipeline.RunEpoch()
+			res, err := pipeline.RunEpoch()
 			if err != nil {
 				return err
 			}
 			hit := false
-			for _, a := range as {
+			for _, a := range res.Alerts {
 				fmt.Println(a)
 				alerts++
 				if labels != nil && string(a.Attack) == labels.Attack {
@@ -275,11 +275,11 @@ func runDetect(args []string) error {
 	}
 	// Final partial epoch.
 	if inEpoch > 0 {
-		as, err := pipeline.RunEpoch()
+		res, err := pipeline.RunEpoch()
 		if err != nil {
 			return err
 		}
-		for _, a := range as {
+		for _, a := range res.Alerts {
 			fmt.Println(a)
 			alerts++
 		}

@@ -92,15 +92,15 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		alerts, err := pipeline.RunEpoch()
+		res, err := pipeline.RunEpoch()
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nepoch %d (%s):\n", epoch, map[bool]string{true: "attack injected", false: "clean"}[epoch == 1])
-		if len(alerts) == 0 {
+		if len(res.Alerts) == 0 {
 			fmt.Println("  no alerts")
 		}
-		for _, a := range alerts {
+		for _, a := range res.Alerts {
 			fmt.Printf("  %s\n", a)
 		}
 	}

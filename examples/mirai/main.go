@@ -61,13 +61,13 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	alerts, err := pipeline.RunEpoch()
+	res, err := pipeline.RunEpoch()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("— detection —")
 	detected := false
-	for _, a := range alerts {
+	for _, a := range res.Alerts {
 		fmt.Println(a)
 		if a.Attack == rules.AttackMiraiScan {
 			detected = true

@@ -66,15 +66,15 @@ func main() {
 	}
 
 	// 4. Run one inference epoch and report.
-	alerts, err := pipeline.RunEpoch()
+	res, err := pipeline.RunEpoch()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(alerts) == 0 {
+	if len(res.Alerts) == 0 {
 		fmt.Println("no alerts (unexpected: the flood should be caught)")
 		return
 	}
-	for _, a := range alerts {
+	for _, a := range res.Alerts {
 		fmt.Println(a)
 	}
 	st := pipeline.Controller.Stats()

@@ -74,9 +74,6 @@ type Controller struct {
 	epoch   uint64
 	// stats accumulate communication accounting across epochs.
 	stats Stats
-	// lastVolumetric is the most recent merged sketch-digest report
-	// (see volumetric.go); nil until a digest-carrying epoch arrives.
-	lastVolumetric *VolumetricReport
 }
 
 // Stats tracks the communication accounting of §8.

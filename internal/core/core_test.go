@@ -186,18 +186,18 @@ func TestPipelineDetectsDistributedSYNFlood(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	alerts, err := p.RunEpoch()
+	res, err := p.RunEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var found bool
-	for _, a := range alerts {
+	for _, a := range res.Alerts {
 		if a.Attack == rules.AttackDistributedSYNFlood && a.Distributed {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("distributed SYN flood not detected; alerts: %v", alerts)
+		t.Fatalf("distributed SYN flood not detected; alerts: %v", res.Alerts)
 	}
 	st := p.Controller.Stats()
 	if st.PacketsSummarized == 0 || st.SummaryElements == 0 {
@@ -224,11 +224,11 @@ func TestPipelineCleanTrafficNoFloodAlert(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	alerts, err := p.RunEpoch()
+	res, err := p.RunEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range alerts {
+	for _, a := range res.Alerts {
 		if a.Attack == rules.AttackDistributedSYNFlood || a.Attack == rules.AttackSYNFlood {
 			t.Fatalf("false flood alert on clean traffic: %v", a)
 		}

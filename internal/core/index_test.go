@@ -203,11 +203,11 @@ func TestControllerIndexScale(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			alerts, err := p.RunEpoch()
+			res, err := p.RunEpoch()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, a := range alerts {
+			for _, a := range res.Alerts {
 				trace += a.String() + "\n"
 			}
 		}

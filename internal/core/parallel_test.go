@@ -44,12 +44,12 @@ func runSeededWorkload(t *testing.T, workers int) (string, Stats) {
 				t.Fatal(err)
 			}
 		}
-		alerts, err := p.RunEpoch()
+		res, err := p.RunEpoch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace += fmt.Sprintf("round %d: %d alerts\n", round, len(alerts))
-		for _, a := range alerts {
+		trace += fmt.Sprintf("round %d: %d alerts\n", round, len(res.Alerts))
+		for _, a := range res.Alerts {
 			trace += a.String() + "\n"
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/flowassign"
-	"repro/internal/inference"
 	"repro/internal/packet"
 	"repro/internal/sketch"
 	"repro/internal/summary"
@@ -22,10 +21,9 @@ type Pipeline struct {
 	// engine is the epoch loop over Monitors.
 	engine *Engine
 	// flowToMonitor caches placements so subsequent packets of a flow
-	// go to the same monitor.
+	// go to the same monitor. Monitor i has ID i, so an assigned
+	// monitor ID is its index in Monitors.
 	flowToMonitor map[packet.FlowKey]int
-	// monitorIndex maps monitor IDs to slice indices.
-	monitorIndex map[int]int
 }
 
 // PipelineConfig assembles a pipeline.
@@ -58,7 +56,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		Controller:    ctrl,
 		engine:        &Engine{Controller: ctrl, Workers: cfg.Workers},
 		flowToMonitor: make(map[packet.FlowKey]int),
-		monitorIndex:  make(map[int]int),
 	}
 	var allIDs []flowassign.MonitorID
 	for i := 0; i < cfg.NumMonitors; i++ {
@@ -70,7 +67,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		}
 		p.Monitors = append(p.Monitors, m)
 		p.engine.Endpoints = append(p.engine.Endpoints, localEndpoint{m})
-		p.monitorIndex[i] = i
 		ctrl.RegisterSource(i, m)
 		allIDs = append(allIDs, flowassign.MonitorID(i))
 	}
@@ -96,7 +92,7 @@ func (p *Pipeline) Ingest(h packet.Header) error {
 		if err != nil {
 			return err
 		}
-		idx = p.monitorIndex[int(mid)]
+		idx = int(mid)
 		p.flowToMonitor[key] = idx
 	}
 	return p.Monitors[idx].Ingest(h)
@@ -112,11 +108,10 @@ func (p *Pipeline) IngestBatch(hs []packet.Header) error {
 	return nil
 }
 
-// RunEpoch runs one epoch of the engine over the pipeline's monitors and
-// returns the raised alerts.
-func (p *Pipeline) RunEpoch() ([]*inference.Alert, error) {
-	res, err := p.engine.RunEpoch()
-	return res.Alerts, err
+// RunEpoch runs one epoch of the engine over the pipeline's monitors
+// (Engine.RunEpoch).
+func (p *Pipeline) RunEpoch() (EpochResult, error) {
+	return p.engine.RunEpoch()
 }
 
 // localEndpoint is a Monitor polled from its own process. It adds what

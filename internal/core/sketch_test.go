@@ -45,22 +45,26 @@ func floodPackets(t *testing.T, seed int64, n int) []trafficgen.LabeledPacket {
 func TestPipelineSketchOnNoShedIsByteIdentical(t *testing.T) {
 	run := func(scfg sketch.Config) ([]string, Stats, *VolumetricReport) {
 		p := sketchPipeline(t, scfg)
-		var alerts []string
+		var (
+			alerts []string
+			last   *VolumetricReport
+		)
 		for epoch := 0; epoch < 3; epoch++ {
 			for _, lp := range floodPackets(t, 21, 4000) {
 				if err := p.Ingest(lp.Header); err != nil {
 					t.Fatal(err)
 				}
 			}
-			as, err := p.RunEpoch()
+			res, err := p.RunEpoch()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, a := range as {
+			for _, a := range res.Alerts {
 				alerts = append(alerts, a.String())
 			}
+			last = res.Volumetric
 		}
-		return alerts, p.Controller.Stats(), p.Controller.Volumetric()
+		return alerts, p.Controller.Stats(), last
 	}
 
 	plainAlerts, plainStats, plainVol := run(sketch.Config{})
@@ -90,10 +94,11 @@ func TestPipelineShedsAndIssuesVolumetricVerdicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.RunEpoch(); err != nil {
+	res, err := p.RunEpoch()
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := p.Controller.Volumetric()
+	rep := res.Volumetric
 	if rep == nil {
 		t.Fatal("no volumetric report after a digest-carrying epoch")
 	}
@@ -119,7 +124,7 @@ func TestPipelineShedsAndIssuesVolumetricVerdicts(t *testing.T) {
 	if victimVerdict == nil {
 		t.Fatalf("flood victim missing from volumetric verdicts: %+v", rep.Verdicts)
 	}
-	if victimVerdict.Share < defaultVolumetricShare {
+	if victimVerdict.Share < volumetricShare {
 		t.Fatalf("victim share %.3f below the verdict gate", victimVerdict.Share)
 	}
 }
@@ -221,7 +226,7 @@ func TestNoDigestTrailerWhenSketchOff(t *testing.T) {
 }
 
 func TestMergeDigestsGatesAndOrders(t *testing.T) {
-	if MergeDigests(1, nil, 0) != nil {
+	if MergeDigests(1, nil) != nil {
 		t.Fatal("no digests must merge to nil")
 	}
 	mk := func(id int, offered, shed uint64, dst ...sketch.HeavyHitter) *sketch.Digest {
@@ -234,7 +239,7 @@ func TestMergeDigestsGatesAndOrders(t *testing.T) {
 	// Below the offered floor: no verdicts regardless of share.
 	rep := MergeDigests(1, []*sketch.Digest{
 		mk(0, 100, 0, sketch.HeavyHitter{Key: 9, Count: 90}),
-	}, 0)
+	})
 	if len(rep.Verdicts) != 0 {
 		t.Fatalf("sub-floor epoch issued verdicts: %+v", rep.Verdicts)
 	}
@@ -244,7 +249,7 @@ func TestMergeDigestsGatesAndOrders(t *testing.T) {
 	rep = MergeDigests(2, []*sketch.Digest{
 		mk(0, 3000, 100, sketch.HeavyHitter{Key: 5, Count: 700}, sketch.HeavyHitter{Key: 9, Count: 400}),
 		mk(1, 3000, 200, sketch.HeavyHitter{Key: 9, Count: 500}, sketch.HeavyHitter{Key: 3, Count: 100}),
-	}, 0)
+	})
 	if rep.Offered != 6000 || rep.Shed != 300 || rep.Kept != 5700 {
 		t.Fatalf("merged accounting wrong: %+v", rep)
 	}

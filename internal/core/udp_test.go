@@ -39,12 +39,12 @@ func TestPipelineDetectsUDPFlood(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	alerts, err := p.RunEpoch()
+	res, err := p.RunEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, a := range alerts {
+	for _, a := range res.Alerts {
 		if a.Attack == rules.AttackUDPFlood {
 			found = true
 		}
@@ -53,7 +53,7 @@ func TestPipelineDetectsUDPFlood(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("UDP flood not detected; alerts: %v", alerts)
+		t.Fatalf("UDP flood not detected; alerts: %v", res.Alerts)
 	}
 }
 
@@ -78,11 +78,11 @@ func TestPipelineUDPBackgroundQuiet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	alerts, err := p.RunEpoch()
+	res, err := p.RunEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range alerts {
+	for _, a := range res.Alerts {
 		if a.Attack == rules.AttackUDPFlood {
 			t.Fatalf("false UDP flood alert on benign mixed traffic: %v", a)
 		}

@@ -12,12 +12,12 @@ import "repro/internal/sketch"
 // digest counts are taken before shedding, so the shares stay honest
 // under overload.
 
-// Default volumetric verdict gates: an address must draw at least this
-// share of the merged offered traffic, in an epoch with at least this
-// many offered packets, before a verdict is issued.
+// Volumetric verdict gates: an address must draw at least this share of
+// the merged offered traffic, in an epoch with at least this many
+// offered packets, before a verdict is issued.
 const (
-	defaultVolumetricShare   = 0.10
-	defaultVolumetricMinPkts = 1000
+	volumetricShare   = 0.10
+	volumetricMinPkts = 1000
 )
 
 // VolumetricVerdict names one address drawing an outsized share of an
@@ -61,15 +61,11 @@ func (r *VolumetricReport) ShedFraction() float64 {
 
 // MergeDigests folds per-monitor sketch digests into one epoch report,
 // issuing verdicts for addresses whose merged estimate reaches
-// shareGate of the merged offered traffic (0 selects the default gate).
-// Nil when no digests arrived. Pure: metrics and controller state are
-// the caller's business.
-func MergeDigests(epoch uint64, ds []*sketch.Digest, shareGate float64) *VolumetricReport {
+// volumetricShare of the merged offered traffic. Nil when no digests
+// arrived. Pure: metrics are the caller's business.
+func MergeDigests(epoch uint64, ds []*sketch.Digest) *VolumetricReport {
 	if len(ds) == 0 {
 		return nil
-	}
-	if shareGate <= 0 {
-		shareGate = defaultVolumetricShare
 	}
 	rep := &VolumetricReport{Epoch: epoch, Monitors: len(ds)}
 	flows := sketch.NewHLL()
@@ -93,25 +89,23 @@ func MergeDigests(epoch uint64, ds []*sketch.Digest, shareGate float64) *Volumet
 		}
 	}
 	rep.Flows = flows.Estimate()
-	if rep.Offered < defaultVolumetricMinPkts {
+	if rep.Offered < volumetricMinPkts {
 		return rep
 	}
-	rep.Verdicts = append(rep.Verdicts,
-		verdictsFor("dst", dst, rep.Offered, shareGate)...)
-	rep.Verdicts = append(rep.Verdicts,
-		verdictsFor("src", src, rep.Offered, shareGate)...)
+	rep.Verdicts = append(rep.Verdicts, verdictsFor("dst", dst, rep.Offered)...)
+	rep.Verdicts = append(rep.Verdicts, verdictsFor("src", src, rep.Offered)...)
 	return rep
 }
 
 // verdictsFor gates and orders one dimension's merged estimates:
 // packets descending, address ascending on ties — deterministic
 // regardless of map iteration.
-func verdictsFor(dim string, merged map[uint32]uint64, offered uint64, shareGate float64) []VolumetricVerdict {
+func verdictsFor(dim string, merged map[uint32]uint64, offered uint64) []VolumetricVerdict {
 	out := make([]VolumetricVerdict, 0, len(merged))
 	//jaalvet:ignore mapiter — the slice is fully sorted below; iteration order cannot reach the output
 	for addr, pkts := range merged {
 		share := float64(pkts) / float64(offered)
-		if share >= shareGate {
+		if share >= volumetricShare {
 			out = append(out, VolumetricVerdict{Dimension: dim, Addr: addr, Packets: pkts, Share: share})
 		}
 	}
@@ -130,26 +124,14 @@ func verdictsFor(dim string, merged map[uint32]uint64, offered uint64, shareGate
 }
 
 // ObserveDigests merges one epoch's sketch digests into a volumetric
-// report, records it as the controller's latest, and counts the issued
-// verdicts. Engine.RunEpoch calls it ahead of ProcessEpoch with the
-// digests the poll returned; a sketchless deployment passes none and
-// nothing changes.
+// report and counts the issued verdicts. Engine.RunEpoch calls it ahead
+// of ProcessEpoch with the digests the poll returned and hands the
+// report out in EpochResult.Volumetric; a sketchless deployment passes
+// none and gets nil.
 func (c *Controller) ObserveDigests(epoch uint64, ds []*sketch.Digest) *VolumetricReport {
-	rep := MergeDigests(epoch, ds, 0)
-	if rep == nil {
-		return nil
+	rep := MergeDigests(epoch, ds)
+	if rep != nil {
+		cVolumetricVerdicts.Add(int64(len(rep.Verdicts)))
 	}
-	cVolumetricVerdicts.Add(int64(len(rep.Verdicts)))
-	c.mu.Lock()
-	c.lastVolumetric = rep
-	c.mu.Unlock()
 	return rep
-}
-
-// Volumetric returns the latest merged digest report, or nil before the
-// first digest-carrying epoch.
-func (c *Controller) Volumetric() *VolumetricReport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastVolumetric
 }

@@ -189,19 +189,19 @@ func runOverloadCell(questions map[rules.AttackID]*rules.Question, base, load, e
 			}
 		}
 		cell.Offered += n
-		alerts, err := pipe.RunEpoch()
+		res, err := pipe.RunEpoch()
 		if err != nil {
 			return nil, err
 		}
 		if active {
 			cell.ActiveEpochs++
-			for _, a := range alerts {
+			for _, a := range res.Alerts {
 				if a.Attack == rules.AttackSYNFlood {
 					cell.DetectedEpochs++
 					break
 				}
 			}
-			if rep := pipe.Controller.Volumetric(); rep != nil {
+			if rep := res.Volumetric; rep != nil {
 				for _, v := range rep.Verdicts {
 					if v.Dimension == "dst" && v.Addr == overloadVictim {
 						cell.VolumetricHit = true
@@ -209,7 +209,7 @@ func runOverloadCell(questions map[rules.AttackID]*rules.Question, base, load, e
 				}
 			}
 		}
-		if rep := pipe.Controller.Volumetric(); rep != nil {
+		if rep := res.Volumetric; rep != nil {
 			cell.Shed += rep.Shed
 			cell.Kept += rep.Kept
 		}

@@ -1,7 +1,6 @@
 package inference
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -37,10 +36,9 @@ type MatchResult struct {
 	// enough that clusters contaminated with other destinations (whose
 	// centroids blurred off the victim) are still fetched, narrow enough
 	// that the fetch stays proportional to the suspicion rather than the
-	// epoch; for an untracked one all of Q. Only a fetching stage builds
-	// it: an Evaluator leaves it nil for a plain question and for stage
-	// 1 of a feedback question, which nothing fetches for; the
-	// one-question calls always fill it.
+	// epoch; for an untracked one all of Q. Only stage 2 of a feedback
+	// question builds it, since only its rows are fetched; it is nil for
+	// a plain question and for stage 1.
 	FetchRows []int
 	// VariancePassed reports the postprocessor verdict (Algorithm 2)
 	// when the question carries a variance check; it is true when no
@@ -68,20 +66,22 @@ func (m *MatchResult) Alerted() bool { return m.Matched && m.VariancePassed }
 // bench/probe.go and internal/experiments, until the benchmark harness
 // runs the controller's epoch loop (ROADMAP D1) and they can go.
 func EstimateSimilarity(agg *Aggregate, q *rules.Question) *MatchResult {
-	return estimateOne(agg, q, q.DistanceThreshold, true)
+	return estimateOne(agg, q, q.DistanceThreshold, true, false)
 }
 
 // estimateOne is one stage of one question through the estimator core,
-// compiled on the spot, with a pooled scratch. Its result's FetchRows
-// are always built, and copied out of the scratch.
-func estimateOne(agg *Aggregate, q *rules.Question, tauD float64, candidate bool) *MatchResult {
+// compiled on the spot, with a pooled scratch. With fetch, its result's
+// FetchRows are built and copied out of the scratch.
+func estimateOne(agg *Aggregate, q *rules.Question, tauD float64, candidate, fetch bool) *MatchResult {
 	sc := scratchPool.Get().(*estimateScratch)
 	sc.pins = q.AppendPins(sc.pins[:0])
-	st := stage{q: q, pins: sc.pins, tauD: tauD, budget: rules.MatchBudget(tauD, len(sc.pins)), fetch: true}
+	st := compileStage(q, sc.pins, tauD, fetch)
 	res := sc.result()
 	sc.estimate(agg, &st, candidate, res)
-	res.FetchRows = slices.Clone(res.FetchRows)
-	sc.fetch = sc.fetch[:0]
+	if fetch {
+		res.FetchRows = slices.Clone(res.FetchRows)
+		sc.fetch = sc.fetch[:0]
+	}
 	scratchPool.Put(sc)
 	return res
 }
@@ -119,19 +119,10 @@ type stage struct {
 func (sc *estimateScratch) estimate(agg *Aggregate, st *stage, candidate bool, res *MatchResult) {
 	pins, tauD := st.pins, st.tauD
 	matched, count := sc.rows[:0], 0
-	switch {
-	case !candidate:
-	case len(pins) == 0:
-		// At distance +Inf from every row, which still matches at
-		// τ_d = +Inf: the question gets every row.
-		if math.IsInf(tauD, 1) {
-			for r := 0; r < agg.Rows(); r++ {
-				matched = append(matched, r)
-				count += agg.Counts[r]
-			}
-		}
-	case agg.Rows() > 0:
-		// Not only a shortcut: the zero Aggregate has no matrix to read.
+	// A question with no pins has no window: it matches no row. The
+	// row-count test is not only a shortcut: the zero Aggregate has no
+	// matrix to read.
+	if candidate && agg.Rows() > 0 {
 		n := float64(len(pins))
 		data, stride := agg.Representatives.Data(), agg.Representatives.Cols()
 		sc.set.fit(agg.Rows())

@@ -34,17 +34,10 @@ func evaluatorLibrary(tb testing.TB, rng *rand.Rand, seed int64) ([]*rules.Quest
 		}
 		qs[i] = &q
 		if rng.Intn(2) == 0 {
-			// The question index never lists a pinless question, which
-			// matches every row at τ = +Inf, so only a pinned one gets
-			// an infinite τ_d2.
-			scales := []float64{1.5, 2, 6, math.Inf(1)}
-			if len(q.ActiveFields()) == 0 {
-				scales = scales[:3]
-			}
 			tau := q.DistanceThreshold
 			fbs[i] = &FeedbackConfig{
 				TauD1:       tau * []float64{0, 0.5, 1}[rng.Intn(3)],
-				TauD2:       tau * scales[rng.Intn(len(scales))],
+				TauD2:       tau * []float64{1.5, 2, 6, math.Inf(1)}[rng.Intn(4)],
 				CountScale2: []float64{0, 0.3, 0.55, 1}[rng.Intn(4)],
 			}
 		}

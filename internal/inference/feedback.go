@@ -177,17 +177,17 @@ type FeedbackResult struct {
 // over an empty matched set, keeping the result byte-identical to the
 // full scan's.
 //
-// It validates cfg and derives stage 2's question on every call, and
-// both stages build their fetch rows; an Evaluator does all of that once
-// per library. Like EstimateSimilarity, it stays only until ROADMAP D1.
+// It validates cfg and derives stage 2's question on every call; an
+// Evaluator does both once per library. As there, only stage 2 builds
+// fetch rows. Like EstimateSimilarity, it stays only until ROADMAP D1.
 func RunFeedbackIndexed(agg *Aggregate, q *rules.Question, cfg FeedbackConfig, fetcher RawPacketFetcher, matcher RawMatcher, candidate bool) (*FeedbackResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	res := &FeedbackResult{
 		Question: q,
-		Stage1:   estimateOne(agg, q, cfg.TauD1, candidate),
-		Stage2:   estimateOne(agg, cfg.stage2Question(q), cfg.TauD2, candidate),
+		Stage1:   estimateOne(agg, q, cfg.TauD1, candidate, false),
+		Stage2:   estimateOne(agg, cfg.stage2Question(q), cfg.TauD2, candidate, true),
 	}
 	res.decide()
 	if res.Verdict != VerdictUncertain {

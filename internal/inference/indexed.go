@@ -30,5 +30,5 @@ func Candidates(agg *Aggregate, ix *rules.QuestionIndex) *rules.CandidateSet {
 // with a τ bound at or above q's evaluation threshold. Like
 // EstimateSimilarity, it stays only until ROADMAP D1.
 func EstimateSimilarityIndexed(agg *Aggregate, q *rules.Question, candidate bool) *MatchResult {
-	return estimateOne(agg, q, q.DistanceThreshold, candidate)
+	return estimateOne(agg, q, q.DistanceThreshold, candidate, false)
 }

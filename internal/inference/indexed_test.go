@@ -51,7 +51,7 @@ func scaleQuestions(tb testing.TB, n int, seed int64) []*rules.Question {
 // property: the indexed sweep is byte-identical to the linear scan — the
 // same MatchResult in every field, in the same order — across library
 // scales and worker counts, through the one-question calls and through
-// an Evaluator (which builds no fetch rows for plain questions).
+// an Evaluator.
 func TestEvaluateAllIndexedEquivalence(t *testing.T) {
 	scales := []int{100, 1000, 10000}
 	if testing.Short() {
@@ -79,16 +79,11 @@ func TestEvaluateAllIndexedEquivalence(t *testing.T) {
 			if matched == 0 {
 				t.Fatal("workload has no matching question — equivalence would be vacuous")
 			}
-			unfetched := withoutFetchRows(want)
 			for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0), 0} {
 				for path, got := range map[string][]*MatchResult{
 					"one-question": fanOut(agg, qs, ix, workers),
 					"evaluator":    evaluateAll(t, agg, qs, ix, workers),
 				} {
-					want := want
-					if path == "evaluator" {
-						want = unfetched
-					}
 					if len(got) != len(want) {
 						t.Fatalf("%s, workers=%d: %d results, want %d", path, workers, len(got), len(want))
 					}
@@ -186,13 +181,13 @@ func TestEvaluateAllParallelOrderPin10k(t *testing.T) {
 }
 
 // TestEstimatorScratchReuse pins the one-question calls' allocations:
-// after pool warmup, a pruned question costs none and a matching
-// question one — its FetchRows, copied out of the scratch. Results come
-// 64 to an allocation from the pooled scratch, which AllocsPerRun's
-// average rounds away; the matched rows, the bitmap that orders them, a
-// tracked question's core rows, the fetch rows before their copy and the
-// variance inputs come from the pool too. The race detector empties the
-// pool at random, so under -race the bounds are the looser 1 and 12.
+// after pool warmup, a pruned question and a matching one cost none, as
+// a plain estimate builds no fetch rows. Results come 64 to an
+// allocation from the pooled scratch, which AllocsPerRun's average
+// rounds away; the matched rows, the bitmap that orders them, a tracked
+// question's core rows and the variance inputs come from the pool too.
+// The race detector empties the pool at random, so under -race the
+// bounds are the looser 1 and 12.
 func TestEstimatorScratchReuse(t *testing.T) {
 	agg := scaleAggregate(t, 15, 1000)
 	qs := scaleQuestions(t, 500, 4)
@@ -200,18 +195,17 @@ func TestEstimatorScratchReuse(t *testing.T) {
 	// non-trivial match.
 	var tracked, untracked *rules.Question
 	for _, q := range qs {
-		r := EstimateSimilarity(agg, q)
-		switch {
-		case len(r.FetchRows) > 3 && q.TrackBy >= 0:
+		switch r := EstimateSimilarity(agg, q); {
+		case r.MatchedCount > 0 && q.TrackBy >= 0:
 			tracked = q
-		case len(r.FetchRows) > 0 && q.TrackBy < 0:
+		case r.MatchedCount > 0 && q.TrackBy < 0:
 			untracked = q
 		}
 	}
 	if tracked == nil || untracked == nil {
 		t.Fatalf("workload lacks a matching question: tracked %v, untracked %v", tracked != nil, untracked != nil)
 	}
-	pruned, matching := 0.0, 1.0
+	pruned, matching := 0.0, 0.0
 	if raceBuild {
 		pruned, matching = 1, 12
 	}

@@ -407,11 +407,9 @@ func TestStageThenSettleEqualsRunFeedback(t *testing.T) {
 		var staged Results
 		ev.Evaluate(agg, nil, &staged)
 		got := staged.Feedback(0)
-		if got.Stage1.FetchRows != nil {
-			t.Fatalf("stage 1 built %d fetch rows that nothing reads", len(got.Stage1.FetchRows))
+		if got.Stage1.FetchRows != nil || want.Stage1.FetchRows != nil {
+			t.Fatalf("stage 1 built fetch rows that nothing reads: %d staged, %d one-question", len(got.Stage1.FetchRows), len(want.Stage1.FetchRows))
 		}
-		s1 := *want.Stage1
-		s1.FetchRows, want.Stage1 = nil, &s1
 		verdicts[got.Verdict] = true
 		if got.Verdict == VerdictUncertain {
 			if got.Alerted {

@@ -92,8 +92,10 @@ func maxWindowCount(agg *Aggregate, rows []int, field packet.FieldIndex, width f
 // sweepFeedback is the two-stage result a full sweep at τ_d1 and τ_d2
 // yields when no raw packets can be fetched (an uncertain verdict then
 // alerts): the reference for RunFeedbackIndexed with a nil fetcher.
+// Stage 1 carries no fetch rows, as nothing fetches for it.
 func sweepFeedback(agg *Aggregate, q *rules.Question, cfg FeedbackConfig) *FeedbackResult {
 	s1 := sweepEstimate(agg, q, cfg.TauD1)
+	s1.FetchRows = nil
 	s2 := sweepEstimate(agg, cfg.stage2Question(q), cfg.TauD2)
 	t1, t2 := s1.Alerted(), s2.Matched
 	return &FeedbackResult{Question: q, Stage1: s1, Stage2: s2, Verdict: classifyVerdict(t1, t2), Alerted: t1 || t2}
@@ -101,11 +103,13 @@ func sweepFeedback(agg *Aggregate, q *rules.Question, cfg FeedbackConfig) *Feedb
 
 // linearSweepOracle is the reference every indexed result is compared
 // against: the full sweep for every question, one after the other, no
-// index and no row windows.
+// index and no row windows. The results carry no fetch rows, as nothing
+// fetches for a plain question.
 func linearSweepOracle(agg *Aggregate, qs []*rules.Question) []*MatchResult {
 	out := make([]*MatchResult, len(qs))
 	for i, q := range qs {
 		out[i] = sweepEstimate(agg, q, q.DistanceThreshold)
+		out[i].FetchRows = nil
 	}
 	return out
 }
@@ -137,18 +141,6 @@ func evaluateAll(tb testing.TB, agg *Aggregate, qs []*rules.Question, ix *rules.
 	out := make([]*MatchResult, len(qs))
 	for i := range out {
 		m := *res.Match(i)
-		out[i] = &m
-	}
-	return out
-}
-
-// withoutFetchRows returns copies of rs with FetchRows dropped: what an
-// Evaluator returns for plain questions, which nothing fetches for.
-func withoutFetchRows(rs []*MatchResult) []*MatchResult {
-	out := make([]*MatchResult, len(rs))
-	for i, r := range rs {
-		m := *r
-		m.FetchRows = nil
 		out[i] = &m
 	}
 	return out

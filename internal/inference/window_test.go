@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -52,6 +53,18 @@ func trackedSYNQuestion(t *testing.T, tauC int, window float64) *rules.Question 
 	return q
 }
 
+// fetchStage returns stage 2 of q's feedback loop at q's own τ_d with a
+// relaxed τ_c: the one stage that builds fetch rows.
+func fetchStage(t *testing.T, agg *Aggregate, q *rules.Question) *MatchResult {
+	t.Helper()
+	tau := q.DistanceThreshold
+	res, err := RunFeedbackIndexed(agg, q, FeedbackConfig{TauD1: tau, TauD2: tau, CountScale2: 0.5}, nil, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Stage2
+}
+
 func TestTrackedCountPicksDensestWindow(t *testing.T) {
 	// Three destination clusters: two at nearly the same dst (a victim),
 	// one far away with a larger single count.
@@ -64,7 +77,7 @@ func TestTrackedCountPicksDensestWindow(t *testing.T) {
 		{0.500000, 60},
 	})
 	q := trackedSYNQuestion(t, 1, 1e-4)
-	m := EstimateSimilarity(agg, q)
+	m := fetchStage(t, agg, q)
 	if m.MatchedCount != 85 {
 		t.Fatalf("window count = %d, want 85 (40+45 at the victim)", m.MatchedCount)
 	}
@@ -75,7 +88,7 @@ func TestTrackedCountPicksDensestWindow(t *testing.T) {
 	// Untracked, the same question counts and fetches all three.
 	untracked := *q
 	untracked.TrackBy = -1
-	if m := EstimateSimilarity(agg, &untracked); m.MatchedCount != 145 || !slices.Equal(m.FetchRows, []int{0, 1, 2}) {
+	if m := fetchStage(t, agg, &untracked); m.MatchedCount != 145 || !slices.Equal(m.FetchRows, []int{0, 1, 2}) {
 		t.Fatalf("untracked: count %d, fetch rows %v; want 145 and all 3 rows", m.MatchedCount, m.FetchRows)
 	}
 }
@@ -107,9 +120,43 @@ func TestTrackedCountEmptyMatchSet(t *testing.T) {
 	// The built aggregate rows ARE exact for the signature, so distance
 	// 0 still matches; force a miss via an impossible protocol pin.
 	q.Vector[packet.FieldProtocol] = 1.0
-	m := EstimateSimilarity(agg, q)
+	m := fetchStage(t, agg, q)
 	if m.MatchedCount != 0 || len(m.FetchRows) != 0 || m.Matched {
 		t.Fatalf("empty match set handled wrong: %+v", m)
+	}
+}
+
+// TestPinlessQuestionMatchesNothing: a question that constrains no
+// field matches no row at any τ_d, +Inf included, in the estimator and
+// in the sweep over every row alike — the rule the question index
+// (which never lists it) and Question.Distance state.
+func TestPinlessQuestionMatchesNothing(t *testing.T) {
+	agg := buildAggregate(t, []struct {
+		dst   float64
+		count int
+	}{{0.1, 10}, {0.5, 20}})
+	q := trackedSYNQuestion(t, 1, 1e-4)
+	for f := range q.Vector {
+		q.Vector[f] = rules.Irrelevant
+	}
+	for _, tc := range []struct {
+		name string
+		tau  float64
+	}{
+		{"zero", 0},
+		{"default", q.DistanceThreshold},
+		{"wide", 1e6},
+		{"+Inf", math.Inf(1)},
+		{"NaN", math.NaN()},
+	} {
+		for path, m := range map[string]*MatchResult{
+			"estimator": estimateOne(agg, q, tc.tau, true, true),
+			"sweep":     sweepEstimate(agg, q, tc.tau),
+		} {
+			if m.MatchedCount != 0 || len(m.FetchRows) != 0 || m.Matched {
+				t.Errorf("τ_d %s, %s: count %d, fetch rows %v, matched %v; want nothing", tc.name, path, m.MatchedCount, m.FetchRows, m.Matched)
+			}
+		}
 	}
 }
 

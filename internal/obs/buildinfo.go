@@ -44,7 +44,7 @@ func sampleBuildInfo() {
 		}
 		name := fmt.Sprintf("jaal_build_info{version=%q,goversion=%q,revision=%q}",
 			version, runtime.Version(), revision)
-		buildInfoGauge = EnsureGauge(name, "build metadata of the running binary (constant 1)")
+		buildInfoGauge = NewGauge(name, "build metadata of the running binary (constant 1)")
 	})
 	buildInfoGauge.forceSet(1)
 }

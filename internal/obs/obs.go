@@ -82,36 +82,6 @@ func register(m Metric) {
 	def.metrics = append(def.metrics, m)
 }
 
-// ensure returns the metric registered under name, creating it with mk
-// (under the registry lock) when absent. It is the get-or-create used
-// by dynamically named series — e.g. the jaal_build_info gauge, whose
-// labels are only known at run time — where the same series may be
-// claimed more than once.
-func ensure(name string, mk func() Metric) Metric {
-	def.mu.Lock()
-	defer def.mu.Unlock()
-	if m, ok := def.byName[name]; ok {
-		return m
-	}
-	m := mk()
-	def.byName[name] = m
-	def.metrics = append(def.metrics, m)
-	return m
-}
-
-// EnsureGauge returns the gauge registered under name, creating and
-// registering it if needed. It panics if the name is already taken by a
-// metric of a different kind — that is a programming error, the same
-// class NewGauge's duplicate panic guards against.
-func EnsureGauge(name, help string) *Gauge {
-	m := ensure(name, func() Metric { return &Gauge{nm: name, hp: help} })
-	g, ok := m.(*Gauge)
-	if !ok {
-		panic("obs: metric " + name + " already registered as " + m.Kind())
-	}
-	return g
-}
-
 // snapshot returns the registered metrics sorted by name.
 func snapshot() []Metric {
 	def.mu.Lock()

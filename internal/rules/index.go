@@ -59,8 +59,8 @@ type QuestionIndex struct {
 	pad []float64
 	// pin[start[i]:start[i+1]] lists question i's constrained fields in
 	// ascending field order, each as the index in vals of the value the
-	// question pins it to. A question with none has +Inf Eq. 5 distance
-	// and is never a candidate.
+	// question pins it to. A question with none matches nothing
+	// (Question.Distance) and is never a candidate.
 	pin   []int32
 	start []int
 	// vals[fieldStart[f]:fieldStart[f+1]] holds the distinct values

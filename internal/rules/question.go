@@ -84,14 +84,16 @@ func (q *Question) ActiveFields() []packet.FieldIndex {
 
 // Distance computes d_q(x) per Eq. 5: the mean absolute deviation over
 // the constrained entries. x must be a normalized field vector of length
-// p. A question with no constrained entries returns +Inf (it can never
-// match). The estimator's row test sums the same pins with PinDistance,
-// so this is the distance its matches are held to.
+// p. A question with no constrained entries returns NaN, which no
+// threshold admits, +Inf included: it matches nothing, as the question
+// index and the estimator hold. The estimator's row test sums the same
+// pins with PinDistance, so this is the distance its matches are held
+// to.
 func (q *Question) Distance(x []float64) float64 {
 	var buf [packet.NumFields]Pin
 	pins := q.AppendPins(buf[:0])
 	if len(pins) == 0 {
-		return math.Inf(1)
+		return math.NaN()
 	}
 	sum, _ := PinDistance(pins, x[:len(q.Vector)], math.Inf(1))
 	return sum / float64(len(pins))

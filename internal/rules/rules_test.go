@@ -261,8 +261,9 @@ func TestQuestionDistanceNoActiveFields(t *testing.T) {
 	for i := range q.Vector {
 		q.Vector[i] = Irrelevant
 	}
-	if d := q.Distance(make([]float64, packet.NumFields)); !math.IsInf(d, 1) {
-		t.Fatalf("distance of empty question = %v, want +Inf", d)
+	// NaN, so that no threshold admits it, +Inf included.
+	if d := q.Distance(make([]float64, packet.NumFields)); !math.IsNaN(d) {
+		t.Fatalf("distance of empty question = %v, want NaN", d)
 	}
 }
 

@@ -142,11 +142,11 @@ func Run(s Scenario, p Profile) (*Result, error) {
 				return nil, err
 			}
 		}
-		as, err := pipe.RunEpoch()
+		res, err := pipe.RunEpoch()
 		if err != nil {
 			return nil, err
 		}
-		alerts[e] = as
+		alerts[e] = res.Alerts
 	}
 	return score(s, p, truth, alerts), nil
 }

@@ -5,70 +5,69 @@ import (
 	"testing"
 )
 
+// finish seals epoch e with one controller span whose Seq is e and
+// reports whether FinishEpoch returned its trace.
+func finish(e uint64) bool {
+	col.stageEpoch(e, SpanRecord{Stage: StageEpoch, Proc: ControllerProc, Monitor: ControllerProc, Seq: e, Dur: 1})
+	return FinishEpoch(e, 0) != nil
+}
+
 func TestRingFillAndWraparound(t *testing.T) {
-	r := NewRing(4)
-	if r.Len() != 0 {
-		t.Fatalf("empty ring Len = %d", r.Len())
+	withTracing(t)
+	if got := Snapshot(0); len(got) != 0 {
+		t.Fatalf("fresh collector holds %d traces", len(got))
 	}
-	for e := uint64(1); e <= 6; e++ {
-		r.Add(&EpochTrace{Epoch: e})
+	const total = ringSize + 2
+	for e := uint64(1); e <= total; e++ {
+		if !finish(e) {
+			t.Fatalf("epoch %d did not finish", e)
+		}
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len after wrap = %d, want 4", r.Len())
+	snap := Snapshot(0)
+	if len(snap) != ringSize {
+		t.Fatalf("snapshot after wrap holds %d traces, want %d", len(snap), ringSize)
 	}
-	snap := r.Snapshot(0)
-	want := []uint64{6, 5, 4, 3} // newest first; 1 and 2 overwritten
-	if len(snap) != len(want) {
-		t.Fatalf("snapshot size = %d, want %d", len(snap), len(want))
-	}
-	for i, w := range want {
-		if snap[i].Epoch != w {
-			t.Fatalf("snapshot[%d].Epoch = %d, want %d", i, snap[i].Epoch, w)
+	// Newest first; epochs 1 and 2 were overwritten.
+	for i, tr := range snap {
+		if want := uint64(total - i); tr.Epoch != want {
+			t.Fatalf("snapshot[%d].Epoch = %d, want %d", i, tr.Epoch, want)
 		}
 	}
 }
 
 func TestRingSnapshotLimit(t *testing.T) {
-	r := NewRing(8)
+	withTracing(t)
 	for e := uint64(1); e <= 5; e++ {
-		r.Add(&EpochTrace{Epoch: e})
+		if !finish(e) {
+			t.Fatalf("epoch %d did not finish", e)
+		}
 	}
-	snap := r.Snapshot(2)
+	snap := Snapshot(2)
 	if len(snap) != 2 || snap[0].Epoch != 5 || snap[1].Epoch != 4 {
 		t.Fatalf("Snapshot(2) = %+v, want epochs 5,4", snap)
 	}
 	// Requesting more than retained clamps.
-	if got := r.Snapshot(100); len(got) != 5 {
+	if got := Snapshot(100); len(got) != 5 {
 		t.Fatalf("Snapshot(100) size = %d, want 5", len(got))
 	}
 }
 
-func TestRingMinimumSize(t *testing.T) {
-	r := NewRing(0)
-	r.Add(&EpochTrace{Epoch: 1})
-	r.Add(&EpochTrace{Epoch: 2})
-	snap := r.Snapshot(0)
-	if len(snap) != 1 || snap[0].Epoch != 2 {
-		t.Fatalf("size-0 ring snapshot = %+v, want just epoch 2", snap)
-	}
-}
-
-// TestRingConcurrentWriters hammers a small ring from several writers
-// while readers snapshot, under -race in CI: every observed slot must be
-// a fully-formed trace (never nil mid-overwrite, never torn).
+// TestRingConcurrentWriters finishes epochs from several goroutines
+// while others snapshot, under -race in CI: every observed slot must be
+// a fully-formed trace (never nil mid-overwrite, never torn), and the
+// ring ends full.
 func TestRingConcurrentWriters(t *testing.T) {
-	r := NewRing(8)
-	const writers, perWriter = 4, 500
+	withTracing(t)
+	const writers, perWriter = 4, 100
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				e := uint64(w*perWriter + i)
-				r.Add(&EpochTrace{Epoch: e, Spans: []SpanRecord{
-					{Stage: StageEpoch, Proc: ControllerProc, Monitor: ControllerProc, Seq: e, Dur: 1},
-				}})
+				if e := uint64(w*perWriter + i); !finish(e) {
+					t.Errorf("epoch %d did not finish", e)
+				}
 			}
 		}(w)
 	}
@@ -80,7 +79,7 @@ func TestRingConcurrentWriters(t *testing.T) {
 			alive = false
 		default:
 		}
-		for _, tr := range r.Snapshot(0) {
+		for _, tr := range Snapshot(0) {
 			if tr == nil {
 				t.Fatal("snapshot observed a nil slot")
 			}
@@ -89,7 +88,7 @@ func TestRingConcurrentWriters(t *testing.T) {
 			}
 		}
 	}
-	if r.Len() != 8 {
-		t.Fatalf("final Len = %d, want 8", r.Len())
+	if got := len(Snapshot(0)); got != ringSize {
+		t.Fatalf("final snapshot holds %d traces, want %d", got, ringSize)
 	}
 }

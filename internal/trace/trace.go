@@ -185,26 +185,13 @@ type EpochTrace struct {
 var hAlertLatency = obs.NewHistogram("jaal_alert_latency_seconds",
 	"end-to-end capture-to-emission latency of raised alerts", obs.DurationBuckets())
 
-// Config tunes the collector. The zero value selects the defaults.
-type Config struct {
-	// RingSize is how many finished epoch traces the ring retains
-	// (default 64).
-	RingSize int
-	// SlowThreshold pins epochs whose wall extent exceeds it as
-	// exemplars with full span detail and obs counter deltas
-	// (default 250ms; <0 disables exemplars).
-	SlowThreshold time.Duration
-}
+// ringSize is how many finished epoch traces the collector retains
+// for Snapshot; older ones are overwritten.
+const ringSize = 64
 
-func (c Config) withDefaults() Config {
-	if c.RingSize <= 0 {
-		c.RingSize = 64
-	}
-	if c.SlowThreshold == 0 {
-		c.SlowThreshold = 250 * time.Millisecond
-	}
-	return c
-}
+// slowThreshold pins epochs whose wall extent exceeds it as exemplars,
+// with full span detail and obs counter deltas.
+const slowThreshold = 250 * time.Millisecond
 
 // maxExemplars bounds the pinned slow epochs; the oldest is evicted
 // first.
@@ -219,7 +206,7 @@ const maxPendingEpochs = 64
 // monitor that is never polled drops its oldest staged spans.
 const maxStagedSpans = 4096
 
-// collector is the process-wide trace state.
+// collector is the process-wide trace state; mu guards all of it.
 type collector struct {
 	mu sync.Mutex
 	// staged holds monitor-side spans awaiting shipment (TakeContext)
@@ -227,50 +214,31 @@ type collector struct {
 	staged map[int32][]SpanRecord
 	// epochs holds controller-side spans being assembled per epoch.
 	epochs map[uint64][]SpanRecord
-	ring   *Ring
+	// ring holds the newest finished traces: ring[next] is the slot the
+	// next one overwrites, and held is how many slots are filled.
+	ring [ringSize]*EpochTrace
+	next int
+	held int
 	// exemplars pins slow epochs, oldest first.
 	exemplars []*EpochTrace
-	cfg       Config
 	// prevCounters is the obs counter snapshot at the last finished
 	// epoch, for exemplar deltas.
 	prevCounters map[string]int64
 }
 
-var col = newCollector(Config{})
-
-func newCollector(cfg Config) *collector {
-	cfg = cfg.withDefaults()
-	return &collector{
-		staged: make(map[int32][]SpanRecord),
-		epochs: make(map[uint64][]SpanRecord),
-		ring:   NewRing(cfg.RingSize),
-		cfg:    cfg,
-	}
+var col = &collector{
+	staged: make(map[int32][]SpanRecord),
+	epochs: make(map[uint64][]SpanRecord),
 }
 
-// Configure replaces the collector's tuning (ring size, slow-epoch
-// threshold) and clears all assembled state. Call it
-// before SetEnabled; it is not safe to race with active recording.
-func Configure(cfg Config) {
-	col.mu.Lock()
-	defer col.mu.Unlock()
-	cfg = cfg.withDefaults()
-	col.cfg = cfg
-	col.ring = NewRing(cfg.RingSize)
-	col.staged = make(map[int32][]SpanRecord)
-	col.epochs = make(map[uint64][]SpanRecord)
-	col.exemplars = nil
-	col.prevCounters = nil
-}
-
-// Reset drops all staged and assembled state but keeps the
-// configuration (tests and benchmarks).
+// Reset drops all staged, assembled and finished state (tests and
+// benchmarks).
 func Reset() {
 	col.mu.Lock()
 	defer col.mu.Unlock()
 	col.staged = make(map[int32][]SpanRecord)
 	col.epochs = make(map[uint64][]SpanRecord)
-	col.ring = NewRing(col.cfg.RingSize)
+	col.ring, col.next, col.held = [ringSize]*EpochTrace{}, 0, 0
 	col.exemplars = nil
 	col.prevCounters = nil
 }
@@ -437,7 +405,7 @@ func FinishEpoch(epoch uint64, alerts int) *EpochTrace {
 	}
 
 	col.mu.Lock()
-	if col.cfg.SlowThreshold >= 0 && time.Duration(t.Dur) > col.cfg.SlowThreshold {
+	if time.Duration(t.Dur) > slowThreshold {
 		t.CounterDeltas = counterDeltasLocked()
 		col.exemplars = append(col.exemplars, t)
 		if len(col.exemplars) > maxExemplars {
@@ -448,7 +416,9 @@ func FinishEpoch(epoch uint64, alerts int) *EpochTrace {
 		// epoch, not the whole run.
 		refreshCountersLocked()
 	}
-	col.ring.Add(t)
+	col.ring[col.next] = t
+	col.next = (col.next + 1) % ringSize
+	col.held = min(col.held+1, ringSize)
 	col.mu.Unlock()
 	return t
 }
@@ -553,12 +523,19 @@ func refreshCountersLocked() {
 }
 
 // Snapshot returns up to n finished traces, newest first (n <= 0 means
-// all retained).
+// all retained). The slice is a copy; the traces themselves are
+// immutable once finished.
 func Snapshot(n int) []*EpochTrace {
 	col.mu.Lock()
-	r := col.ring
-	col.mu.Unlock()
-	return r.Snapshot(n)
+	defer col.mu.Unlock()
+	if n <= 0 || n > col.held {
+		n = col.held
+	}
+	out := make([]*EpochTrace, n)
+	for i := range out {
+		out[i] = col.ring[(col.next-1-i+ringSize)%ringSize]
+	}
+	return out
 }
 
 // Exemplars returns the pinned slow epochs, oldest first.

@@ -235,13 +235,15 @@ func TestAlertLatencyWithoutCaptureFallsBack(t *testing.T) {
 	}
 }
 
+// slowEpoch seals epoch e with one adopted monitor span lasting dur.
+func slowEpoch(e uint64, dur time.Duration) *EpochTrace {
+	RecordSpan(StageCapture, 0, e, int64(e)*int64(time.Hour), int64(dur))
+	AdoptMonitorSpans(e, 0)
+	return FinishEpoch(e, 0)
+}
+
 func TestSlowEpochExemplars(t *testing.T) {
-	Configure(Config{SlowThreshold: 1})
-	SetEnabled(true)
-	t.Cleanup(func() {
-		SetEnabled(false)
-		Configure(Config{})
-	})
+	withTracing(t)
 	obs.SetEnabled(true)
 	t.Cleanup(func() {
 		obs.SetEnabled(false)
@@ -249,9 +251,7 @@ func TestSlowEpochExemplars(t *testing.T) {
 	})
 
 	for e := uint64(0); e <= maxExemplars; e++ {
-		col.stageEpoch(e, SpanRecord{Stage: StageEpoch, Proc: ControllerProc, Monitor: ControllerProc,
-			Seq: e, Start: int64(e) * 1000, Dur: 100})
-		if tr := FinishEpoch(e, 0); tr == nil {
+		if tr := slowEpoch(e, slowThreshold+time.Millisecond); tr == nil {
 			t.Fatalf("epoch %d did not finish", e)
 		}
 	}
@@ -268,16 +268,12 @@ func TestSlowEpochExemplars(t *testing.T) {
 }
 
 func TestFastEpochsAreNotExemplars(t *testing.T) {
-	Configure(Config{SlowThreshold: time.Hour})
-	SetEnabled(true)
-	t.Cleanup(func() {
-		SetEnabled(false)
-		Configure(Config{})
-	})
-	col.stageEpoch(1, SpanRecord{Stage: StageEpoch, Proc: ControllerProc, Monitor: ControllerProc, Seq: 1, Start: 0, Dur: 10})
-	FinishEpoch(1, 0)
+	withTracing(t)
+	if tr := slowEpoch(1, slowThreshold); tr == nil {
+		t.Fatal("epoch did not finish")
+	}
 	if ex := Exemplars(); len(ex) != 0 {
-		t.Fatalf("fast epoch pinned as exemplar: %+v", ex)
+		t.Fatalf("an epoch at the threshold pinned as exemplar: %+v", ex)
 	}
 }
 

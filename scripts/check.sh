@@ -137,10 +137,10 @@ go test -race -run 'TestKMeansConcurrentScratch' ./internal/linalg/
 # written from four goroutines while the registry is rendered. This test
 # is what holds that invariant, and it needs -race to see a violation.
 go test -race -run 'TestMetricsConcurrentReadWrite' ./internal/obs/
-# The estimator's allocation bound: a pruned estimate allocates nothing
-# and a matching one its fetch rows (≤ 1) only when sync.Pool keeps its
-# scratch and chunk of results, which the race detector prevents at
-# random, so this one runs without -race.
+# The estimator's allocation bound: a pruned or matching plain estimate
+# allocates nothing only when sync.Pool keeps its scratch and chunk of
+# results, which the race detector prevents at random, so this one runs
+# without -race.
 go test -run 'TestEstimatorScratchReuse' ./internal/inference/
 
 # Detection accuracy gate: the scoreboard report must be byte-identical

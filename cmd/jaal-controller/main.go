@@ -20,7 +20,9 @@
 // unreachable degrade the epoch — inference proceeds on whatever
 // arrived — rather than stalling it. -alert-addr ships each alert as a
 // MsgAlert frame to an alert sink (see core.AlertSink) under the same
-// retry policy.
+// retry policy, written behind the epoch loop: an epoch's alerts leave
+// in one write, and a burst whose retries run out is logged at the next
+// alert.
 //
 // -obs enables metric collection and serves Prometheus-text
 // GET /metrics plus net/http/pprof on the given address (default off);
@@ -194,7 +196,11 @@ func main() {
 	if *alertAddr != "" {
 		dial := func() (net.Conn, error) { return net.Dial("tcp", *alertAddr) }
 		alertWriter = core.NewAlertWriter(dial, retry)
-		defer alertWriter.Close()
+		defer func() {
+			if err := alertWriter.Close(); err != nil {
+				log.Printf("jaal-controller: alert delivery at shutdown: %v", err)
+			}
+		}()
 		log.Printf("shipping alerts to %s", *alertAddr)
 	}
 
@@ -229,8 +235,10 @@ func main() {
 		for _, a := range res.Alerts {
 			log.Printf("%s", a)
 			if alertWriter != nil {
+				// Send only queues a; its error is an earlier burst's,
+				// whose retries ran out and whose alerts were lost.
 				if err := alertWriter.Send(a); err != nil {
-					log.Printf("alert delivery: %v", err)
+					log.Printf("alert delivery: an earlier burst was lost: %v", err)
 				}
 			}
 		}

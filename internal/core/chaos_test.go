@@ -562,9 +562,14 @@ func TestClientsShareOneRetryLoop(t *testing.T) {
 			return err
 		}},
 		{"alert writer", listen((&AlertSink{}).Serve), jitterSaltAlert, func(dial DialFunc, rc RetryConfig) error {
+			// Send only queues the frame; Close flushes it through the
+			// retry loop and reports how that went.
 			w := NewAlertWriter(dial, rc)
-			defer w.Close()
-			return w.Send(&inference.Alert{Attack: rules.AttackSYNFlood, SID: 10001, Epoch: 1, Msg: "SYN flood"})
+			if err := w.Send(&inference.Alert{Attack: rules.AttackSYNFlood, SID: 10001, Epoch: 1, Msg: "SYN flood"}); err != nil {
+				w.Close()
+				return err
+			}
+			return w.Close()
 		}},
 	} {
 		var slept []time.Duration

@@ -5,10 +5,12 @@ package core
 import (
 	"bufio"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,6 +85,19 @@ func TestSoakSteadyState(t *testing.T) {
 	d := startChaosDeployment(t, monitors, chaosRetryConfig(), false,
 		func(int, int) *faultnet.Plan { return nil })
 
+	// Each epoch's alerts leave through an AlertWriter to an AlertSink,
+	// so the gates below cover the writer goroutine and its buffers too.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var delivered atomic.Int64
+	sink := &AlertSink{Handler: func(string) { delivered.Add(1) }}
+	go sink.ListenAndServe(ln)
+	alerts := NewAlertWriter(func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) }, chaosRetryConfig())
+	sent := 0
+
 	duration := soakDuration()
 	deadline := time.Now().Add(duration)
 	t.Logf("soaking for %v against %s", duration, url)
@@ -100,6 +115,12 @@ func TestSoakSteadyState(t *testing.T) {
 		if res.Degraded {
 			t.Fatalf("epoch %d degraded in a fault-free soak", epochs)
 		}
+		for _, a := range res.Alerts {
+			if err := alerts.Send(a); err != nil {
+				t.Fatalf("epoch %d: alert delivery: %v", epochs, err)
+			}
+		}
+		sent += len(res.Alerts)
 		epochs++
 	}
 	for i := 0; i < warmupEpochs; i++ {
@@ -125,10 +146,20 @@ func TestSoakSteadyState(t *testing.T) {
 		}
 	}
 	final := scrapeMetrics(t, url)
+	if err := alerts.Close(); err != nil {
+		t.Fatalf("alert writer close: %v", err)
+	}
+	deliveredBy := time.Now().Add(10 * time.Second)
+	for delivered.Load() < int64(sent) && time.Now().Before(deliveredBy) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := delivered.Load(); got != int64(sent) {
+		t.Errorf("alert sink saw %d of the %d alerts sent", got, sent)
+	}
 	takes := final["jaal_summary_arena_takes_total"] - baseTakes
 	chunks := final["jaal_summary_arena_chunk_allocs_total"] - baseChunks
-	t.Logf("soak: %d epochs, goroutines %.0f→%.0f, arena %.0f takes / %.0f chunks, heap %.0fMB→%.0fMB",
-		epochs, baseGoroutines, final["jaal_go_goroutines"], takes, chunks,
+	t.Logf("soak: %d epochs, %d alerts, goroutines %.0f→%.0f, arena %.0f takes / %.0f chunks, heap %.0fMB→%.0fMB",
+		epochs, sent, baseGoroutines, final["jaal_go_goroutines"], takes, chunks,
 		baseHeap/(1<<20), final["jaal_go_heap_inuse_bytes"]/(1<<20))
 
 	// Zero goroutine growth: transient scrape/accept goroutines allow a

@@ -106,12 +106,9 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("wire: payload of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	hdr[4] = byte(t)
 	if len(payload) <= frameAllocChunk {
 		bp := frameBufs.Get().(*[]byte)
-		buf := append(append((*bp)[:0], hdr[:]...), payload...)
+		buf := appendFrame((*bp)[:0], t, payload)
 		_, err := w.Write(buf)
 		*bp = buf[:0]
 		frameBufs.Put(bp)
@@ -119,6 +116,9 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 			return fmt.Errorf("wire: write frame: %w", err)
 		}
 	} else {
+		var hdr [frameHeaderSize]byte
+		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		hdr[4] = byte(t)
 		if _, err := w.Write(hdr[:]); err != nil {
 			return fmt.Errorf("wire: write header: %w", err)
 		}
@@ -128,6 +128,46 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	}
 	txCounters.count(t, len(payload))
 	return nil
+}
+
+// AppendFrame appends one frame to dst and returns the extended slice.
+// Frames appended back to back leave together through WriteFrames.
+func AppendFrame(dst []byte, t MsgType, payload []byte) ([]byte, error) {
+	if len(payload) > MaxFrameSize {
+		return dst, fmt.Errorf("wire: payload of %d bytes exceeds limit", len(payload))
+	}
+	return appendFrame(dst, t, payload), nil
+}
+
+func appendFrame(dst []byte, t MsgType, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(append(dst, byte(t)), payload...)
+}
+
+// WriteFrames writes frames, whole frames built by AppendFrame, to w in
+// one Write. It returns how many leading bytes were whole frames that w
+// accepted: all of them, or after a failed or short write the offset of
+// the first frame not wholly accepted, which is where a retry on a new
+// connection resumes without duplicating or skipping a frame. Only the
+// accepted frames are counted as sent.
+func WriteFrames(w io.Writer, frames []byte) (int, error) {
+	n, err := w.Write(frames)
+	sent := 0
+	for sent+frameHeaderSize <= n {
+		size := int(binary.BigEndian.Uint32(frames[sent:]))
+		if sent+frameHeaderSize+size > n {
+			break
+		}
+		txCounters.count(MsgType(frames[sent+4]), size)
+		sent += frameHeaderSize + size
+	}
+	if err == nil && sent < len(frames) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		return sent, fmt.Errorf("wire: write frames: %w", err)
+	}
+	return sent, nil
 }
 
 // frameAllocChunk caps how much ReadFrame allocates ahead of the bytes

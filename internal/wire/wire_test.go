@@ -73,8 +73,12 @@ func TestFrameOversized(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("oversized frame must be rejected")
 	}
-	if err := WriteFrame(io.Discard, MsgSummary, make([]byte, MaxFrameSize+1)); err == nil {
+	big := make([]byte, MaxFrameSize+1)
+	if err := WriteFrame(io.Discard, MsgSummary, big); err == nil {
 		t.Fatal("oversized write must be rejected")
+	}
+	if _, err := AppendFrame(nil, MsgAlert, big); err == nil {
+		t.Fatal("oversized append must be rejected")
 	}
 }
 
@@ -118,6 +122,62 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 	}
 	if msg, err := ReadFrame(&w); err != nil || len(msg.Payload) != len(payload) {
 		t.Fatalf("large frame: read back %v", err)
+	}
+}
+
+// cutWriter accepts its first keep bytes and fails, or, with quiet set,
+// stops short without an error, as a broken io.Writer would.
+type cutWriter struct {
+	keep  int
+	quiet bool
+}
+
+func (w cutWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.keep {
+		return len(p), nil
+	}
+	if w.quiet {
+		return w.keep, nil
+	}
+	return w.keep, io.ErrClosedPipe
+}
+
+// TestWriteFramesResumePoint wants AppendFrame to build WriteFrame's
+// bytes, and WriteFrames to report as sent exactly the frames a cut
+// write let through whole.
+func TestWriteFramesResumePoint(t *testing.T) {
+	var frames []byte
+	var ends []int // offset after each frame
+	for _, p := range []string{"first", "", "third frame"} {
+		var one bytes.Buffer
+		if err := WriteFrame(&one, MsgAlert, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if frames, err = AppendFrame(frames, MsgAlert, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(frames, one.Bytes()) {
+			t.Fatalf("AppendFrame(%q) differs from WriteFrame's bytes", p)
+		}
+		ends = append(ends, len(frames))
+	}
+	for keep := 0; keep <= len(frames); keep++ {
+		want := 0
+		for _, e := range ends {
+			if e <= keep {
+				want = e
+			}
+		}
+		for _, quiet := range []bool{false, true} {
+			sent, err := WriteFrames(cutWriter{keep: keep, quiet: quiet}, frames)
+			if sent != want {
+				t.Fatalf("keep %d: %d bytes sent, want %d", keep, sent, want)
+			}
+			if (err == nil) != (keep == len(frames)) {
+				t.Fatalf("keep %d of %d: err %v", keep, len(frames), err)
+			}
+		}
 	}
 }
 

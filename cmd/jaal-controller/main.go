@@ -22,7 +22,10 @@
 // MsgAlert frame to an alert sink (see core.AlertSink) under the same
 // retry policy, written behind the epoch loop: an epoch's alerts leave
 // in one write, and a burst whose retries run out is logged at the next
-// alert.
+// alert, or at shutdown. SIGINT or SIGTERM stops the run once the epoch
+// in flight is done: the queued alerts drain to the sink, the epoch log
+// closes, -trace-out is written, and the process exits 0. A second
+// signal kills it at once.
 //
 // -obs enables metric collection and serves Prometheus-text
 // GET /metrics plus net/http/pprof on the given address (default off);
@@ -40,14 +43,15 @@
 // plus the controller's ship/decode/infer/alert spans. The newest 64
 // epochs, and as exemplars the last 8 slower than 250 ms, are served as
 // JSON at GET /trace on the -obs address. -trace-out additionally
-// writes the newest 64 as a Chrome trace-event file on
-// SIGINT/SIGTERM; load it in Perfetto (ui.perfetto.dev) to see the
+// writes the newest 64 as a Chrome trace-event file at shutdown; load
+// it in Perfetto (ui.perfetto.dev) to see the
 // per-monitor lanes. Tracing never alters alerts: frames from
 // tracing-off monitors are byte-identical to pre-trace builds, and the
 // disabled path costs one atomic load.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"log"
@@ -116,18 +120,12 @@ func main() {
 		log.Printf("observability on %s (/metrics, /debug/pprof, /trace)", addr)
 	}
 	if *traceOut != "" {
-		// Flush the timeline file on SIGINT/SIGTERM — the natural end of
-		// a daemon run.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
+		// Deferred first, so it runs after the alert drain and log close.
+		defer func() {
 			if err := trace.WriteTraceFile(*traceOut); err != nil {
-				log.Printf("jaal-controller: trace-out: %v", err)
-				os.Exit(1)
+				log.Fatalf("jaal-controller: trace-out: %v", err)
 			}
 			log.Printf("wrote epoch trace to %s", *traceOut)
-			os.Exit(0)
 		}()
 	}
 	var records *json.Encoder
@@ -154,11 +152,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("jaal-controller: %v", err)
 	}
-	for id, q := range questions {
-		questions[id] = q.ScaleForVolume(*volume)
-	}
 	fb := make(map[rules.AttackID]inference.FeedbackConfig, len(questions))
 	for id, q := range questions {
+		q = q.ScaleForVolume(*volume)
+		questions[id] = q
 		fb[id] = inference.FeedbackConfig{
 			TauD1:       q.EffectiveTau(*tau1),
 			TauD2:       q.EffectiveTau(*tau2),
@@ -204,12 +201,21 @@ func main() {
 		log.Printf("shipping alerts to %s", *alertAddr)
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	log.Printf("polling %d monitors every %v (feedback=%v, timeout=%v, retries=%d)",
 		len(endpoints), *epoch, *feedback, *timeout, *retries)
 	engine := &core.Engine{Controller: ctrl, Endpoints: endpoints}
 	ticker := time.NewTicker(*epoch)
 	defer ticker.Stop()
-	for range ticker.C {
+	for {
+		select {
+		case <-ctx.Done():
+			// The epoch in flight is done; a second signal now kills the process.
+			stop()
+			return
+		case <-ticker.C:
+		}
 		res, err := engine.RunEpoch()
 		for _, d := range res.Declines {
 			if d.Unreachable() {
@@ -219,13 +225,13 @@ func main() {
 		if res.Degraded {
 			log.Printf("epoch %d degraded: proceeding with %d summaries", res.Epoch, len(res.Summaries))
 		}
-		// Volumetric verdicts ride the digest trailers sketching monitors
-		// append to their summary frames: no raw fetch involved.
-		// Sketchless monitors ship none and the report is nil.
+		// Volumetric verdicts ride sketching monitors' digest trailers, no
+		// raw fetch involved; sketchless monitors ship none (nil report).
 		if rep := res.Volumetric; rep != nil {
 			for _, v := range rep.Verdicts {
 				log.Printf("epoch %d volumetric: %s %s drawing %.1f%% of %d offered packets (~%d flows, shed %.1f%%)",
-					res.Epoch, v.Dimension, ipString(v.Addr), 100*v.Share, rep.Offered, rep.Flows, 100*rep.ShedFraction())
+					res.Epoch, v.Dimension, netip.AddrFrom4([4]byte{byte(v.Addr >> 24), byte(v.Addr >> 16), byte(v.Addr >> 8), byte(v.Addr)}),
+					100*v.Share, rep.Offered, rep.Flows, 100*rep.ShedFraction())
 			}
 		}
 		if err != nil {
@@ -235,8 +241,7 @@ func main() {
 		for _, a := range res.Alerts {
 			log.Printf("%s", a)
 			if alertWriter != nil {
-				// Send only queues a; its error is an earlier burst's,
-				// whose retries ran out and whose alerts were lost.
+				// Send only queues a; its error reports an earlier lost burst.
 				if err := alertWriter.Send(a); err != nil {
 					log.Printf("alert delivery: an earlier burst was lost: %v", err)
 				}
@@ -275,9 +280,4 @@ func writeEpochRecord(enc *json.Encoder, res core.EpochResult, st core.Stats) er
 		OverheadFraction: st.OverheadFraction(),
 		Trace:            res.Trace,
 	})
-}
-
-// ipString renders a uint32 IPv4 address as a dotted quad for logs.
-func ipString(v uint32) string {
-	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}).String()
 }

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"repro/internal/flowassign"
 	"repro/internal/inference"
 	"repro/internal/packet"
 	"repro/internal/rules"
@@ -260,6 +261,74 @@ func TestPipelineFlowStickiness(t *testing.T) {
 	}
 	if withLoad != 1 {
 		t.Fatalf("flow spread over %d monitors, want 1", withLoad)
+	}
+}
+
+// TestPipelinePlacesFlowsLikeGreedy pins the pipeline's placement to
+// §6's greedy over its one group of every monitor at weight 1: each new
+// flow goes to the least-loaded monitor, ties to the lower ID. The two
+// directions of a flow are two flows with one FlowID (FastHash is
+// symmetric), and every packet of a placed flow follows it.
+func TestPipelinePlacesFlowsLikeGreedy(t *testing.T) {
+	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(5))
+	var hs []packet.Header
+	for i, h := range bg.Batch(20000) {
+		hs = append(hs, h)
+		if i%7 == 0 {
+			r := h
+			r.SrcIP, r.DstIP, r.SrcPort, r.DstPort = h.DstIP, h.SrcIP, h.DstPort, h.SrcPort
+			hs = append(hs, r)
+		}
+	}
+	for _, numMonitors := range []int{1, 2, 3, 4, 7} {
+		p, err := NewPipeline(PipelineConfig{
+			NumMonitors: numMonitors,
+			Summary:     smallSummaryConfig(),
+			Controller:  ControllerConfig{Env: testEnv(), Questions: testQuestions(t, 1000)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		greedy := flowassign.NewGreedy()
+		group := make([]flowassign.MonitorID, numMonitors)
+		for i := range group {
+			group[i] = flowassign.MonitorID(i)
+		}
+		want := make(map[packet.FlowKey]int)
+		load := make([]int, numMonitors)
+		repeats := 0
+		for _, h := range hs {
+			if err := p.Ingest(h); err != nil {
+				t.Fatal(err)
+			}
+			key := h.Flow()
+			m, ok := want[key]
+			if ok {
+				repeats++
+			} else {
+				mid, err := greedy.Assign(flowassign.FlowID(key.FastHash()), group, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m = int(mid)
+				want[key] = m
+			}
+			load[m]++
+		}
+		if repeats == 0 {
+			t.Fatal("traffic repeats no flow")
+		}
+		for _, h := range hs {
+			key := h.Flow()
+			if got, ok := p.flowToMonitor[key]; !ok || got != want[key] {
+				t.Fatalf("M=%d: flow %+v on monitor %d (placed %v), greedy picks %d", numMonitors, key, got, ok, want[key])
+			}
+		}
+		for i, m := range p.Monitors {
+			if got := m.LoadAndReset(); got != load[i] {
+				t.Fatalf("M=%d: monitor %d ingested %d packets, greedy's placement sends it %d", numMonitors, i, got, load[i])
+			}
+		}
 	}
 }
 

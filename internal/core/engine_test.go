@@ -88,7 +88,7 @@ func TestEngineEndpointErrorDegrades(t *testing.T) {
 	defer func() { obs.SetEnabled(false); obs.ResetAll() }()
 	withEpochTracing(t)
 
-	want, err := floodPipeline(t).engine.RunEpoch()
+	want, err := floodPipeline(t).RunEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +98,9 @@ func TestEngineEndpointErrorDegrades(t *testing.T) {
 
 	p := floodPipeline(t)
 	boom := errors.New("tap unplugged")
-	p.engine.Endpoints = append(p.engine.Endpoints, fakeEndpoint{id: 99, err: boom})
+	p.Endpoints = append(p.Endpoints, fakeEndpoint{id: 99, err: boom})
 	degradedBefore := cEpochDegraded.Value()
-	res, err := p.engine.RunEpoch()
+	res, err := p.RunEpoch()
 	if err != nil {
 		t.Fatalf("a failed poll must degrade the epoch, not abort it: %v", err)
 	}
@@ -134,9 +134,9 @@ func TestEngineInferenceErrorStillSealsTrace(t *testing.T) {
 		Kind: summary.KindCombined, MonitorID: 99, BatchSize: 1,
 		Centroids: linalg.NewMatrix(1, packet.NumFields-1), Counts: []int{1},
 	}
-	p.engine.Endpoints = append(p.engine.Endpoints, fakeEndpoint{id: 99, ss: []*summary.Summary{narrow}})
+	p.Endpoints = append(p.Endpoints, fakeEndpoint{id: 99, ss: []*summary.Summary{narrow}})
 
-	res, err := p.engine.RunEpoch()
+	res, err := p.RunEpoch()
 	if err == nil || !strings.Contains(err.Error(), "fields") {
 		t.Fatalf("RunEpoch error = %v, want the aggregator's field-count refusal", err)
 	}

@@ -117,7 +117,7 @@ func runIndexWorkload(t *testing.T, workers int, useFeedback bool) (string, Stat
 			}
 		}
 		epoch := p.Controller.Epoch()
-		polled := pollAll(p.engine.Endpoints, workers, epoch)
+		polled := pollAll(p.Endpoints, workers, epoch)
 		before := p.Controller.Stats().RawPacketsFetched
 		alerts, err := p.Controller.ProcessEpoch(polled.Summaries)
 		if err != nil {

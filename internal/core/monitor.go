@@ -1,11 +1,10 @@
 // Package core is Jaal's public API: it wires the summarization module
-// (monitors), the analysis-and-inference module (controller), and the
-// flow-assignment module into a deployable system, both in-process (for
+// (monitors) and the analysis-and-inference module (controller) into a
+// deployable system, each flow on one monitor, both in-process (for
 // experiments and tests) and over TCP using the wire protocol (§7).
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -214,13 +213,11 @@ func (m *Monitor) RawBatch(refs []wire.RawRef) ([][]packet.Header, error) {
 // because the caller may start the next epoch's traffic the moment it has
 // the answer. With nothing to ship the epoch stays open: a decline carries
 // no digest, so the sketch keeps counting and retention keeps its clock
-// until a poll has summaries to ship them with. A partial batch too small
-// to summarize is such a decline, not an error.
+// until a poll has summaries to ship them with. A partial batch below
+// n_min is such a decline, not an error: CollectSummaries leaves it
+// buffered and reports it as pending.
 func (m *Monitor) Poll(epoch uint64) (ss []*summary.Summary, pending int, digest *sketch.Digest, err error) {
 	ss, pending, err = m.CollectSummaries()
-	if errors.Is(err, summary.ErrBatchTooSmall) {
-		err = nil
-	}
 	if err != nil || len(ss) == 0 {
 		return nil, pending, nil, err
 	}

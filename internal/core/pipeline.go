@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/flowassign"
 	"repro/internal/packet"
 	"repro/internal/sketch"
 	"repro/internal/summary"
@@ -11,15 +10,18 @@ import (
 )
 
 // Pipeline is the in-process deployment of Jaal used by experiments and
-// examples: M monitors, one controller, and a flow-assignment module
-// routing each flow to exactly one monitor in its monitor group.
+// examples: M monitors and one controller run by the epoch engine, every
+// flow on exactly one monitor (§6). Its one flow group holds every
+// monitor at weight 1 and no flow retires, so §6's greedy (least-loaded,
+// ties to the lower ID) puts the n-th new flow on monitor n mod M; the
+// pipeline does that directly (TestPipelinePlacesFlowsLikeGreedy). The
+// greedy itself runs where groups and weights differ: Fig. 9 and
+// examples/flowbalance.
 type Pipeline struct {
-	Monitors   []*Monitor
-	Controller *Controller
-	Assigner   *flowassign.Assigner
+	// Engine is the epoch loop over Monitors.
+	Engine
+	Monitors []*Monitor
 
-	// engine is the epoch loop over Monitors.
-	engine *Engine
 	// flowToMonitor caches placements so subsequent packets of a flow
 	// go to the same monitor. Monitor i has ID i, so an assigned
 	// monitor ID is its index in Monitors.
@@ -53,11 +55,9 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{
-		Controller:    ctrl,
-		engine:        &Engine{Controller: ctrl, Workers: cfg.Workers},
+		Engine:        Engine{Controller: ctrl, Workers: cfg.Workers},
 		flowToMonitor: make(map[packet.FlowKey]int),
 	}
-	var allIDs []flowassign.MonitorID
 	for i := 0; i < cfg.NumMonitors; i++ {
 		mcfg := cfg.Summary
 		mcfg.Seed = cfg.Summary.Seed + int64(i) // decorrelate k-means seeds
@@ -66,33 +66,19 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 			return nil, err
 		}
 		p.Monitors = append(p.Monitors, m)
-		p.engine.Endpoints = append(p.engine.Endpoints, localEndpoint{m})
+		p.Endpoints = append(p.Endpoints, localEndpoint{m})
 		ctrl.RegisterSource(i, m)
-		allIDs = append(allIDs, flowassign.MonitorID(i))
 	}
-	groups := flowassign.NewGroupTable()
-	if err := groups.Define(allGroup, allIDs); err != nil {
-		return nil, err
-	}
-	p.Assigner = flowassign.NewAssigner(flowassign.NewGreedy(), groups)
 	return p, nil
 }
 
-// allGroup is the pipeline's one flow group: every monitor can see
-// every flow, which suits the single-site deployment it models.
-const allGroup flowassign.GroupKey = "all"
-
-// Ingest routes one packet to its flow's monitor, assigning new flows
-// greedily (§6).
+// Ingest routes one packet to its flow's monitor, placing a new flow on
+// the next monitor in ID order (greedy's choice for the one group).
 func (p *Pipeline) Ingest(h packet.Header) error {
 	key := h.Flow()
 	idx, ok := p.flowToMonitor[key]
 	if !ok {
-		mid, err := p.Assigner.Assign(flowassign.FlowID(key.FastHash()), allGroup, 1)
-		if err != nil {
-			return err
-		}
-		idx = int(mid)
+		idx = len(p.flowToMonitor) % len(p.Monitors)
 		p.flowToMonitor[key] = idx
 	}
 	return p.Monitors[idx].Ingest(h)
@@ -108,16 +94,11 @@ func (p *Pipeline) IngestBatch(hs []packet.Header) error {
 	return nil
 }
 
-// RunEpoch runs one epoch of the engine over the pipeline's monitors
-// (Engine.RunEpoch).
-func (p *Pipeline) RunEpoch() (EpochResult, error) {
-	return p.engine.RunEpoch()
-}
-
 // localEndpoint is a Monitor polled from its own process. It adds what
-// the wire gives a remote one: the controller-side collect span and the
-// monitor's staged spans (capture, summarize) joining the epoch —
-// stamped on the same clock, so no offset normalization.
+// the wire gives a remote one: the controller-side collect span, and the
+// monitor's staged spans (capture, summarize) handed to the epoch as a
+// trace Context, the way a MonitorServer ships them. Both sides read the
+// same clock, so the Context joins at its own send time: no shift.
 type localEndpoint struct {
 	*Monitor
 }
@@ -126,6 +107,8 @@ func (l localEndpoint) Poll(epoch uint64) ([]*summary.Summary, int, *sketch.Dige
 	sp := trace.StartSpan(hCollectSeconds, trace.StageCollect, l.ID(), epoch)
 	ss, pending, digest, err := l.Monitor.Poll(epoch)
 	sp.End()
-	trace.AdoptMonitorSpans(epoch, l.ID())
+	if ctx := trace.TakeContext(l.ID()); ctx != nil {
+		trace.AddRemoteContext(epoch, ctx, ctx.SentUnixNano)
+	}
 	return ss, pending, digest, err
 }

@@ -76,7 +76,7 @@ func AdaptiveAttacker(trials int) (*AdaptiveAttackerResult, *Table, error) {
 			gen = &adaptiveAttack{inner: atk, rng: rand.New(rand.NewSource(seed + 7))}
 		}
 		mix := trafficgen.NewMixer(bg, gen, trafficgen.MixConfig{Seed: seed})
-		agg, err := summarizeTrial(mix, summary.Config{BatchSize: n, Rank: 12, Centroids: 200, Seed: seed}, 1, 1, nil)
+		agg, _, err := summarizeTrial(mix, summary.Config{BatchSize: n, Rank: 12, Centroids: 200, Seed: seed}, 1, 1)
 		if err != nil {
 			return false, err
 		}

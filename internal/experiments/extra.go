@@ -146,7 +146,7 @@ func BatchSizeSweep(trials int) ([]BatchSizePoint, *Table, error) {
 				return nil, nil, err
 			}
 			mix := trafficgen.NewMixer(bg, atk, trafficgen.MixConfig{Seed: seed})
-			agg, err := summarizeTrial(mix, summary.Config{BatchSize: n, Rank: 12, Centroids: n / 5, Seed: seed}, 1, 1, nil)
+			agg, _, err := summarizeTrial(mix, summary.Config{BatchSize: n, Rank: 12, Centroids: n / 5, Seed: seed}, 1, 1)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -226,20 +226,6 @@ type feedbackCampaign struct {
 	negative []feedbackTrial
 }
 
-// monitorFetcher serves raw packets from per-monitor buffers.
-type monitorFetcher struct {
-	buffers map[int]*summary.Buffer
-}
-
-func (f *monitorFetcher) FetchRaw(ref inference.CentroidRef) ([]packet.Header, int, error) {
-	b, ok := f.buffers[ref.MonitorID]
-	if !ok {
-		return nil, 0, fmt.Errorf("experiments: unknown monitor %d", ref.MonitorID)
-	}
-	hs := b.RawPackets(ref.Epoch, ref.Centroid)
-	return hs, len(hs), nil
-}
-
 // buildFeedbackCampaign generates trials that retain raw packets so the
 // feedback loop can fetch them.
 func buildFeedbackCampaign(id rules.AttackID, n, r, k int, sc Scale) (*feedbackCampaign, error) {
@@ -263,9 +249,8 @@ func buildFeedbackCampaign(id rules.AttackID, n, r, k int, sc Scale) (*feedbackC
 			}
 		}
 		mix := trafficgen.NewMixer(bg, atk, trafficgen.MixConfig{Seed: seed})
-		fetch := &monitorFetcher{buffers: make(map[int]*summary.Buffer)}
-		agg, err := summarizeTrial(mix, summary.Config{BatchSize: n, Rank: r, Centroids: k, Seed: seed},
-			sc.Monitors, sc.BatchesPerTrial, fetch)
+		agg, fetch, err := summarizeTrial(mix, summary.Config{BatchSize: n, Rank: r, Centroids: k, Seed: seed},
+			sc.Monitors, sc.BatchesPerTrial)
 		if err != nil {
 			return feedbackTrial{}, err
 		}

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+
+	"repro/internal/core"
 	"repro/internal/inference"
 	"repro/internal/packet"
+	"repro/internal/sketch"
 	"repro/internal/summary"
 	"repro/internal/trafficgen"
 )
@@ -22,41 +26,44 @@ func draw(mix *trafficgen.Mixer, n int) []packet.Header {
 }
 
 // summarizeTrial splits the mixed stream across monitors, one monitor at
-// a time: monitor m summarizes batches of cfg.BatchSize headers with its
-// own summarizer seeded cfg.Seed+m, batch b as epoch b, and every summary
-// is aggregated. A non-nil fetch also retains each monitor's batches in
-// a buffer it can serve raw packets from.
-func summarizeTrial(mix *trafficgen.Mixer, cfg summary.Config, monitors, batches int, fetch *monitorFetcher) (*inference.Aggregate, error) {
+// a time: monitor m is a core.Monitor with ID m and seed cfg.Seed+m, fed
+// batches·cfg.BatchSize headers, so it seals and summarizes batch b as
+// its epoch b, and every summary is aggregated. The monitors keep their
+// batches' raw packets, so the returned fetcher serves the feedback loop.
+func summarizeTrial(mix *trafficgen.Mixer, cfg summary.Config, monitors, batches int) (*inference.Aggregate, monitorFetcher, error) {
 	var sums []*summary.Summary
-	for m := 0; m < monitors; m++ {
+	fetch := make(monitorFetcher, monitors)
+	for m := range fetch {
 		mcfg := cfg
 		mcfg.Seed += int64(m)
-		szr, err := summary.NewSummarizer(mcfg)
+		mon, err := core.NewMonitorSketch(m, mcfg, sketch.Config{})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		var buf *summary.Buffer
-		if fetch != nil {
-			buf = summary.NewBuffer(cfg.BatchSize)
-			fetch.buffers[m] = buf
+		if err := mon.IngestBatch(draw(mix, batches*cfg.BatchSize)); err != nil {
+			return nil, nil, err
 		}
-		for b := 0; b < batches; b++ {
-			hs := draw(mix, cfg.BatchSize)
-			s, err := szr.Summarize(hs, m, uint64(b))
-			if err != nil {
-				return nil, err
-			}
-			if buf != nil {
-				var batch *summary.Batch
-				for _, h := range hs {
-					batch, _ = buf.Add(h)
-				}
-				buf.Retain(batch, s)
-			}
-			sums = append(sums, s)
+		ss, _, err := mon.CollectSummaries()
+		if err != nil {
+			return nil, nil, err
 		}
+		sums = append(sums, ss...)
+		fetch[m] = mon
 	}
-	return inference.AggregateSummaries(sums)
+	agg, err := inference.AggregateSummaries(sums)
+	return agg, fetch, err
+}
+
+// monitorFetcher serves raw packets from a trial's monitors; monitor m
+// has ID m.
+type monitorFetcher []*core.Monitor
+
+func (f monitorFetcher) FetchRaw(ref inference.CentroidRef) ([]packet.Header, int, error) {
+	if ref.MonitorID < 0 || ref.MonitorID >= len(f) {
+		return nil, 0, fmt.Errorf("experiments: unknown monitor %d", ref.MonitorID)
+	}
+	hs := f[ref.MonitorID].RawPackets(ref.Epoch, ref.Centroid)
+	return hs, len(hs), nil
 }
 
 // summarizeBatch summarizes one batch as the given epoch of monitor 0

@@ -100,9 +100,10 @@ func runOneTrial(cfg TrialConfig, seed int64, withAttack bool) (*inference.Aggre
 		}
 	}
 	mix := trafficgen.NewMixer(bg, atk, trafficgen.MixConfig{Seed: seed})
-	return summarizeTrial(mix, summary.Config{
+	agg, _, err := summarizeTrial(mix, summary.Config{
 		BatchSize: cfg.BatchSize, Rank: cfg.Rank, Centroids: cfg.Centroids, Seed: seed,
-	}, cfg.Monitors, cfg.BatchesPerTrial, nil)
+	}, cfg.Monitors, cfg.BatchesPerTrial)
+	return agg, err
 }
 
 // Volume returns the packets one trial aggregates — the epoch volume

@@ -22,9 +22,10 @@ type Batch struct {
 	// batches and summaries are identical either way.
 	FirstNano, SealedNano int64
 	// Shed counts the packets the sketch pass dropped before this batch
-	// while it filled: Headers represents len(Headers)+Shed offered
-	// packets, so summaries over subsampled batches stay honestly
-	// weighted. Zero whenever shedding is off.
+	// while it filled: Headers stand for len(Headers)+Shed offered
+	// packets. Summarize never reads it, so a summary over a subsampled
+	// batch weighs only the packets it holds; the shed volume reaches the
+	// controller in the sketch digest. Zero whenever shedding is off.
 	Shed uint64
 }
 

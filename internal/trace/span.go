@@ -45,8 +45,8 @@ func StartSpan(h *obs.Histogram, st Stage, monitor int, seq uint64) Span {
 }
 
 // StartMonitorSpan begins timing a monitor-side stage: the finished
-// span is staged under monitorID until a poll ships it (TakeContext)
-// or the in-process pipeline adopts it (AdoptMonitorSpans). seq is the
+// span is staged under monitorID until a poll hands it over
+// (TakeContext), over the wire or in process. seq is the
 // monitor's batch sequence number, or the polled epoch for poll-scoped
 // stages.
 func StartMonitorSpan(h *obs.Histogram, st Stage, monitorID int, seq uint64) Span {

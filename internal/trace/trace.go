@@ -8,11 +8,12 @@
 // average", this package answers "where did epoch 41's two seconds go,
 // which monitor was the straggler, and how long did that alert take
 // from packet capture to delivery". Monitor-side spans are staged
-// per monitor and either adopted directly (in-process pipeline) or
-// shipped to the controller as a compact trace-context block appended
-// to the MsgSummary payload (see context.go); the controller merges
-// them with its own spans, computes the critical path, and derives the
-// end-to-end detection latency per alert (jaal_alert_latency_seconds).
+// per monitor and handed to the controller as a Context (TakeContext):
+// over the wire as a compact trace-context block appended to the
+// MsgSummary payload (see context.go), in process directly. Either way
+// AddRemoteContext joins them to the epoch's controller-side spans, and
+// FinishEpoch computes the critical path and derives the end-to-end
+// detection latency per alert (jaal_alert_latency_seconds).
 //
 // The same two properties that hold for obs hold here:
 //
@@ -209,8 +210,8 @@ const maxStagedSpans = 4096
 // collector is the process-wide trace state; mu guards all of it.
 type collector struct {
 	mu sync.Mutex
-	// staged holds monitor-side spans awaiting shipment (TakeContext)
-	// or adoption (AdoptMonitorSpans), keyed by monitor ID.
+	// staged holds monitor-side spans awaiting hand-over (TakeContext),
+	// keyed by monitor ID.
 	staged map[int32][]SpanRecord
 	// epochs holds controller-side spans being assembled per epoch.
 	epochs map[uint64][]SpanRecord
@@ -311,7 +312,9 @@ func TakeContext(monitorID int) *Context {
 // remote span is shifted by (recv − sent) so monitor clocks that
 // disagree with the controller's still yield causal timelines (a
 // shipped span always ends at or before the frame carrying it was
-// received). No-op while tracing is disabled or ctx is nil.
+// received). An in-process hand-off shares the controller's clock and
+// passes ctx.SentUnixNano: no shift. No-op while tracing is disabled or
+// ctx is nil.
 func AddRemoteContext(epoch uint64, ctx *Context, recvUnixNano int64) {
 	if !on.Load() || ctx == nil || len(ctx.Spans) == 0 {
 		return
@@ -321,23 +324,6 @@ func AddRemoteContext(epoch uint64, ctx *Context, recvUnixNano int64) {
 	for _, rec := range ctx.Spans {
 		rec.Start += shift
 		col.addEpochLocked(epoch, rec)
-	}
-	col.mu.Unlock()
-}
-
-// AdoptMonitorSpans moves a monitor's staged spans into an epoch's
-// assembly without clock shifting — the in-process pipeline's
-// equivalent of ship+AddRemoteContext. No-op while tracing is disabled.
-func AdoptMonitorSpans(epoch uint64, monitorID int) {
-	if !on.Load() {
-		return
-	}
-	id := int32(monitorID)
-	col.mu.Lock()
-	spans := col.staged[id]
-	delete(col.staged, id)
-	if len(spans) > 0 {
-		col.addEpochLocked(epoch, spans...)
 	}
 	col.mu.Unlock()
 }

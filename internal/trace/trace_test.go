@@ -89,18 +89,26 @@ func TestMonitorStagingAndTakeContext(t *testing.T) {
 	}
 }
 
-func TestAdoptMonitorSpans(t *testing.T) {
+// handOver moves monitor id's staged spans into epoch e the way the
+// in-process pipeline does: the Context joins at its own send time.
+func handOver(e uint64, id int) {
+	if ctx := TakeContext(id); ctx != nil {
+		AddRemoteContext(e, ctx, ctx.SentUnixNano)
+	}
+}
+
+func TestInProcessHandOffUnshifted(t *testing.T) {
 	withTracing(t)
 
 	RecordSpan(StageCapture, 1, 4, 2000, 300)
-	AdoptMonitorSpans(9, 1)
+	handOver(9, 1)
 
 	tr := FinishEpoch(9, 0)
 	if tr == nil || len(tr.Spans) != 1 {
-		t.Fatalf("adopted trace = %+v, want 1 span", tr)
+		t.Fatalf("handed-over trace = %+v, want 1 span", tr)
 	}
 	if s := tr.Spans[0]; s.Start != 2000 || s.Dur != 300 {
-		t.Fatalf("adopted span = %+v, want unshifted 2000+300", s)
+		t.Fatalf("handed-over span = %+v, want unshifted 2000+300", s)
 	}
 }
 
@@ -235,10 +243,10 @@ func TestAlertLatencyWithoutCaptureFallsBack(t *testing.T) {
 	}
 }
 
-// slowEpoch seals epoch e with one adopted monitor span lasting dur.
+// slowEpoch seals epoch e with one handed-over monitor span lasting dur.
 func slowEpoch(e uint64, dur time.Duration) *EpochTrace {
 	RecordSpan(StageCapture, 0, e, int64(e)*int64(time.Hour), int64(dur))
-	AdoptMonitorSpans(e, 0)
+	handOver(e, 0)
 	return FinishEpoch(e, 0)
 }
 

@@ -134,8 +134,10 @@ go run ./cmd/jaal-vet -summary ./...
 # The parity test runs the same traffic through the engine's in-process
 # and wire endpoints and wants the same alerts and stats. The epoch-log
 # record test runs traced epochs over two wire monitors and reads each
-# epoch's line back against its result and its sealed trace.
-go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|TestPipelineTraceDeterminism|TestEpochRecordReadsTrace|TestPipelineTraceGolden|TestEngineInProcessWireParity' ./internal/core/ ./cmd/jaal-controller/
+# epoch's line back against its result and its sealed trace. Every
+# golden rests on where the pipeline puts each flow:
+# TestPipelinePlacesFlowsLikeGreedy holds that placement to §6's greedy.
+go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|TestPipelineTraceDeterminism|TestEpochRecordReadsTrace|TestPipelineTraceGolden|TestEngineInProcessWireParity|TestPipelinePlacesFlowsLikeGreedy' ./internal/core/ ./cmd/jaal-controller/
 # Every table `jaal-experiments -quick all` prints, byte for byte
 # against internal/experiments/testdata/figures_quick.golden; regenerate
 # with -update-figure-golden after an intentional model change. The
